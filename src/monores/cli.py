@@ -7,7 +7,8 @@ Subcommands:
   replay        rebuild a trace and verify it bit for bit
 
 Exit codes: 0 success, 1 bad input, 2 validation violations, 3 step
-budget exceeded.
+budget exceeded, 4 internal error (a failed invariant check: a bug, not
+bad input).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import sys
 from pathlib import Path
 
 from .dot import export_dot_star
-from .errors import BudgetExceededError, MonoresError
+from .errors import AlgorithmInvariantViolation, BudgetExceededError, MonoresError
 from .ideals import DEFAULT_STEP_BUDGET, principalize_generators
 from .jsonio import (
     canonical_dumps,
@@ -37,6 +38,7 @@ EXIT_OK = 0
 EXIT_BAD_INPUT = 1
 EXIT_INVALID = 2
 EXIT_BUDGET = 3
+EXIT_BUG = 4
 
 
 def _load_json(path: str):
@@ -178,6 +180,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
+    except AlgorithmInvariantViolation as exc:
+        print(f"internal error (bug): {exc}", file=sys.stderr)
+        return EXIT_BUG
     except MonoresError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT

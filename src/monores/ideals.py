@@ -277,14 +277,20 @@ def principalize_generators(
                     f"blow-up of {sorted(pair)} did not drop the obstruction count "
                     f"from {state.inv} to {state.inv - 1}"
                 )
+            # Fresh obstructions of the other pairs can only sit on centers
+            # through the new exceptional label; test those at the same
+            # witness corner `uncoupled_centers` would use.
             fresh = 0
-            for x in range(k):
-                for y in range(x + 1, k):
-                    if (x, y) == (a, b):
-                        continue
-                    for center in uncoupled_centers(gens[x], gens[y]):
-                        if step.new_label in center:
-                            fresh += 1
+            for center in step.after.codim2_centers():
+                if step.new_label not in center:
+                    continue
+                witness = step.after.corners_with(center)[0]
+                fresh += sum(
+                    center_is_uncoupled_at(gens[x], gens[y], center, witness)
+                    for x in range(k)
+                    for y in range(x + 1, k)
+                    if (x, y) != (a, b)
+                )
             run.new_uncoupled_counts.append(fresh)
             state = new_state
     run.star = star

@@ -265,15 +265,27 @@ def minimal_elements(vectors: Iterable[ExponentVector]) -> list[ExponentVector]:
 
 
 def mat_mul(a: ExponentMatrix, b: ExponentMatrix) -> ExponentMatrix:
-    """Exact product; the column labels of `a` must equal the row labels of `b`."""
+    """Exact product; the column labels of `a` must equal the row labels of `b`.
+
+    Zero entries of either factor are skipped: each nonzero `a(r, m)` meets
+    only the nonzero entries of row `m` of `b`, and result entries that no
+    such term reaches are exact zeros.
+    """
     if a.col_labels != b.row_labels:
         raise StructuralError("mat_mul: inner label sets differ")
-    mid = a.sorted_cols
-    entries = {
-        (r, c): sum((a.entry(r, m) * b.entry(m, c) for m in mid), Fraction(0))
-        for r in a.row_labels
-        for c in b.col_labels
-    }
+    b_rows: dict[str, list[tuple[str, Fraction]]] = {}
+    for (m, c), bv in b._data.items():
+        if bv:
+            b_rows.setdefault(m, []).append((c, bv))
+    sums: dict[tuple[str, str], Fraction] = {}
+    for (r, m), av in a._data.items():
+        if av:
+            for c, bv in b_rows.get(m, ()):
+                key = (r, c)
+                prev = sums.get(key)
+                sums[key] = av * bv if prev is None else prev + av * bv
+    zero = Fraction(0)
+    entries = {(r, c): sums.get((r, c), zero) for r in a.row_labels for c in b.col_labels}
     return ExponentMatrix(a.row_labels, b.col_labels, entries)
 
 
@@ -310,13 +322,20 @@ def mat_inverse(a: ExponentMatrix) -> ExponentMatrix:
 
 
 def vec_apply(v: ExponentVector, a: ExponentMatrix) -> ExponentVector:
-    """Row-vector times matrix: (vA)(j) = sum_i v(i) A(i,j)."""
+    """Row-vector times matrix: (vA)(j) = sum_i v(i) A(i,j).
+
+    Terms where `v(i)` or `A(i,j)` is zero are skipped.
+    """
     if v.labels != a.row_labels:
         raise StructuralError("vec_apply: vector labels differ from matrix rows")
-    rows = v.sorted_labels
-    return ExponentVector(
-        {c: sum((v[r] * a.entry(r, c) for r in rows), Fraction(0)) for c in a.col_labels}
-    )
+    x = v._map
+    sums: dict[str, Fraction] = {}
+    for (r, c), av in a._data.items():
+        if av and x[r]:
+            prev = sums.get(c)
+            sums[c] = x[r] * av if prev is None else prev + x[r] * av
+    zero = Fraction(0)
+    return ExponentVector({c: sums.get(c, zero) for c in a.col_labels})
 
 
 def hadamard(a: ExponentVector, b: ExponentVector) -> ExponentVector:

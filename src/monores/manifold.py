@@ -16,6 +16,7 @@ from __future__ import annotations
 import re
 from collections import deque
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 from typing import Iterable
@@ -62,6 +63,15 @@ class Edge:
 
     def key(self) -> tuple[str, str]:
         return (self.p, self.q)
+
+    def diagonal(self, label: str) -> Fraction:
+        """The matrix entry at (label, label) for a shared label; must be > 0."""
+        d = self.matrix.entry(label, label)
+        if d <= 0:
+            raise StructuralError(
+                f"nonpositive diagonal at {label} on edge {self.p}->{self.q}: corrupt chart data"
+            )
+        return d
 
     def __repr__(self) -> str:
         return f"Edge({self.p!r} -> {self.q!r}, shared={sorted(self.shared)})"
@@ -173,19 +183,50 @@ class MonomialManifold:
         return path
 
     def weight_connexion(self, p: str, q: str) -> ExponentVector:
-        """Diagonal of the chart change on the shared labels; all entries > 0."""
+        """Diagonal of the chart change on the shared labels; all entries > 0.
+
+        On a shared label the column of every edge matrix is its diagonal
+        entry times a unit vector, so this diagonal is the product of the
+        edge diagonals along `_edge_path`: a forward hop multiplies by the
+        edge's diagonal entry, a backward hop divides by it.  No chart
+        change is multiplied out.
+        """
         shared = self.corner(p).index_set & self.corner(q).index_set
         if not shared:
             raise DomainError(f"corners {p!r} and {q!r} share no boundary component")
-        if p == q:
-            return ExponentVector.ones(shared)
-        c = self.change_matrix(p, q)
-        gamma = ExponentVector({lab: c.entry(lab, lab) for lab in shared})
-        if not gamma.is_positive():
-            raise StructuralError(
-                f"nonpositive diagonal between {p!r} and {q!r}: corrupt chart data"
+        gamma = dict.fromkeys(shared, Fraction(1))
+        for edge, forward in self._edge_path(p, q, shared):
+            for lab in shared:
+                d = edge.diagonal(lab)
+                gamma[lab] = gamma[lab] * d if forward else gamma[lab] / d
+        return ExponentVector(gamma)
+
+    def transport_weight(self, label: str, start: str, value: Fraction) -> dict[str, Fraction]:
+        """Carry a weight on `label` from `start` to every corner of E_label.
+
+        One breadth-first pass along edges whose shared set holds `label`;
+        each hop multiplies or divides by the edge's diagonal entry, as in
+        `weight_connexion`.  Raises ConnectivityError when some corner on
+        `label` is not reached.
+        """
+        found = {start: value}
+        queue = deque([start])
+        while queue:
+            cur = queue.popleft()
+            for nxt, edge, forward in self._adjacency[cur]:
+                if nxt in found or label not in edge.shared:
+                    continue
+                d = edge.diagonal(label)
+                # a forward edge runs cur -> nxt, so nxt's weight is cur's over d
+                found[nxt] = found[cur] / d if forward else found[cur] * d
+                queue.append(nxt)
+        holders = self.corners_with([label])
+        missing = [cid for cid in holders if cid not in found]
+        if missing:
+            raise ConnectivityError(
+                f"E_{label} is disconnected: {missing} unreachable from {start!r}"
             )
-        return gamma
+        return {cid: found[cid] for cid in holders}
 
     def codim2_centers(self) -> set[frozenset[str]]:
         """All unordered label pairs realized by at least one corner."""

@@ -98,8 +98,11 @@ def extend(
 
     For a component through the base corner the weight there is kept; for
     any other component the free parameter `beta` (default 1) is planted at
-    the smallest-id corner on that component and transported everywhere by
-    the diagonal weight functions.
+    the smallest-id corner on that component.  Each component's anchored
+    weight is then carried to every corner on it by one breadth-first pass
+    (`MonomialManifold.transport_weight`), so each weight is the anchored
+    value times a product of edge diagonals, each hop multiplying or
+    dividing by one diagonal entry; no chart change is multiplied out.
     """
     base = m.corner(local.corner)
     if local.alpha.labels != base.index_set:
@@ -113,22 +116,17 @@ def extend(
         if val <= 0:
             raise DomainError(f"free parameter for {lab} must be positive")
 
-    anchor: dict[str, tuple[str, Rat]] = {}
+    per_corner: dict[str, dict[str, Rat]] = {cid: {} for cid in m.corner_ids()}
     for lab in sorted(m.components):
         if lab in base.index_set:
-            anchor[lab] = (local.corner, local.alpha[lab])
+            anchor, value = local.corner, local.alpha[lab]
         else:
             holders = m.corners_with([lab])
             if not holders:
                 raise StructuralError(f"component {lab} lies on no corner")
-            anchor[lab] = (holders[0], beta.get(lab, Rat(1)))
-
-    per_corner = {}
-    for cid in m.corner_ids():
-        entries = {}
-        for lab in m.corner(cid).index_set:
-            q_lab, b = anchor[lab]
-            gamma = m.weight_connexion(cid, q_lab)
-            entries[lab] = gamma[lab] * b
-        per_corner[cid] = ExponentVector(entries)
-    return GlobalStandardization(per_corner)
+            anchor, value = holders[0], beta.get(lab, Rat(1))
+        for cid, weight in m.transport_weight(lab, anchor, value).items():
+            per_corner[cid][lab] = weight
+    return GlobalStandardization(
+        {cid: ExponentVector(entries) for cid, entries in per_corner.items()}
+    )

@@ -2,7 +2,9 @@
 
 import json
 
+import monores.cli
 from monores.cli import main
+from monores.errors import AlgorithmInvariantViolation
 from monores.jsonio import canonical_dumps, manifold_to_json
 from monores import ReductionProblem, reduce_problem, support_from_rows
 
@@ -82,6 +84,18 @@ def test_bad_input_exit_code(tmp_path):
     garbled = tmp_path / "g.json"
     garbled.write_text("{", encoding="utf-8")
     assert main(["validate", "--input", str(garbled)]) == 1
+
+
+def test_internal_error_exit_code(tmp_path, monkeypatch, capsys):
+    def broken(problem, max_steps):
+        raise AlgorithmInvariantViolation("blow-up produced an invalid manifold")
+
+    monkeypatch.setattr(monores.cli, "reduce_problem", broken)
+    inp = write(tmp_path / "problem.json", PROBLEM)
+    assert main(["reduce", "--input", inp, "--trace", str(tmp_path / "t.json")]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("internal error (bug): ")
+    assert "invalid manifold" in err
 
 
 def test_stratum_dim_flag_annotates(tmp_path):

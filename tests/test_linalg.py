@@ -1,5 +1,6 @@
 """Exact vector/matrix core: examples plus algebraic property tests."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -189,6 +190,64 @@ def test_vec_apply_examples():
 @settings(max_examples=60)
 def test_vec_apply_distributes_over_mat_mul(v, c, cp):
     assert vec_apply(vec_apply(v, c), cp) == vec_apply(v, mat_mul(c, cp))
+
+
+# -- zero-skipping kernels against the naive triple loop ------------------------
+
+
+def naive_mat_mul(a, b):
+    rows, mids, cols = a.sorted_rows, a.sorted_cols, b.sorted_cols
+    entries = {
+        (r, c): sum((a.entry(r, m) * b.entry(m, c) for m in mids), Fraction(0))
+        for r in rows
+        for c in cols
+    }
+    return ExponentMatrix(rows, cols, entries)
+
+
+def naive_vec_apply(v, a):
+    return ExponentVector(
+        {c: sum((v[r] * a.entry(r, c) for r in a.sorted_rows), Fraction(0)) for c in a.sorted_cols}
+    )
+
+
+def sparse_rational(rng):
+    """Zero with probability 0.6, otherwise a signed, often non-integer rational."""
+    if rng.random() < 0.6:
+        return Fraction(0)
+    return Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 7))
+
+
+def random_labelled_matrix(rng, rows, cols):
+    return ExponentMatrix(rows, cols, {(r, c): sparse_rational(rng) for r in rows for c in cols})
+
+
+def test_kernels_match_naive_reference_on_sparse_rectangular_matrices():
+    rng = random.Random(11)
+    pool = ["E1", "E2", "E3", "E∞1", "E∞2", "z1", "z2"]
+    zeros = total = 0
+    for _ in range(300):
+        rows, mids, cols = (rng.sample(pool, rng.randint(1, 5)) for _ in range(3))
+        a = random_labelled_matrix(rng, rows, mids)
+        b = random_labelled_matrix(rng, mids, cols)
+        v = ExponentVector({m: sparse_rational(rng) for m in mids})
+        assert mat_mul(a, b) == naive_mat_mul(a, b)
+        assert vec_apply(v, b) == naive_vec_apply(v, b)
+        for mat_ in (a, b):
+            values = [mat_.entry(r, c) for r in mat_.row_labels for c in mat_.col_labels]
+            zeros += values.count(0)
+            total += len(values)
+    assert zeros * 2 >= total
+
+
+def test_kernels_reject_mismatched_labels():
+    rng = random.Random(12)
+    a = random_labelled_matrix(rng, ["E1", "E2"], ["E1", "E2", "E3"])
+    b = random_labelled_matrix(rng, ["E1", "E2"], ["E1"])
+    with pytest.raises(StructuralError):
+        mat_mul(a, b)
+    with pytest.raises(StructuralError):
+        vec_apply(ExponentVector.zero(["E1", "E3"]), b)
 
 
 @given(vectors(), vectors(), matrices(elems=rationals))

@@ -14,6 +14,7 @@ from monores import (
     ExponentVector,
     LocalStandardization,
     MonomialManifold,
+    StructuralError,
     blow_up,
     extend,
     make_corner,
@@ -142,6 +143,19 @@ def test_weight_connexion_examples():
     with pytest.raises(DomainError):
         disjoint.weight_connexion("a", "b")
 
+
+@pytest.mark.parametrize("diag", [0, -1, F(-3, 2)])
+def test_extend_rejects_nonpositive_edge_diagonal(diag):
+    m = two_corner_chain(diag)
+    with pytest.raises(StructuralError):
+        extend(m, LocalStandardization("p", ExponentVector.ones(["E1", "E2"])))
+
+
+def test_extend_rejects_corner_unreachable_inside_component():
+    m = two_corner_chain()
+    cut = MonomialManifold(m.dimension, m.components, m.corners.values(), ())
+    with pytest.raises(ConnectivityError):
+        extend(cut, LocalStandardization("p", ExponentVector.ones(["E1", "E2"])))
 
 def test_weight_connexion_round_trip_on_tower():
     _, s2 = two_step_dim3()

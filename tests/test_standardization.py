@@ -140,3 +140,43 @@ def test_unit_diagonal_property_on_towers():
             }
             again = extend(m, fam.restrict(cid), beta=beta)
             assert again == fam
+
+
+# -- the diagonal-product rule against chart-change products ----------------
+
+
+def extend_by_chart_changes(m, local, beta):
+    """Reference for `extend`: every weight read off a multiplied-out chart change."""
+    base = m.corner(local.corner).index_set
+    per_corner = {}
+    for cid in m.corner_ids():
+        entries = {}
+        for lab in m.corner(cid).index_set:
+            if lab in base:
+                anchor, value = local.corner, local.alpha[lab]
+            else:
+                anchor, value = m.corners_with([lab])[0], beta[lab]
+            entries[lab] = m.change_matrix(cid, anchor).entry(lab, lab) * value
+        per_corner[cid] = ExponentVector(entries)
+    return GlobalStandardization(per_corner)
+
+
+def test_extend_matches_chart_change_reference_on_every_tower_manifold():
+    rng = random.Random(2206)
+    checked = 0
+    for report in shared_reports():
+        star = report.star
+        for m in [star.root] + [step.after for step in star.steps]:
+            base = rng.choice(m.corner_ids())
+            alpha = ExponentVector(
+                {lab: F(rng.randint(1, 9), rng.randint(1, 5)) for lab in m.corner(base).index_set}
+            )
+            beta = {
+                lab: F(rng.randint(1, 9), rng.randint(1, 5))
+                for lab in m.components - m.corner(base).index_set
+            }
+            local = LocalStandardization(base, alpha)
+            assert extend(m, local, beta=beta) == extend_by_chart_changes(m, local, beta)
+            checked += 1
+    assert checked > len(shared_reports())
+
