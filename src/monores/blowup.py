@@ -2,12 +2,19 @@
 
 The center is an unordered pair of boundary components together with a
 realizable standardizing weight family.  Every corner containing the pair
-splits into two new corners, each with an exact morphism matrix built
-from the weight quotients; all other corners persist with the identity
-matrix.  Edge matrices upstairs are obtained by conjugating the old ones
-with the morphism matrices, which keeps the whole tower exactly
-consistent (checked by `validate` after every step and, numerically, by
-the sampling oracle).
+splits into two children, one per center label it drops; all other
+corners persist with the identity morphism.  At a child that drops
+`removed` and keeps `other`, the morphism matrix is the identity with
+`removed` renamed to the new exceptional label `E`, plus one entry
+`c = alpha[removed]/alpha[other]` at `(other, E)` (a `ChildChart`).
+
+Edge matrices upstairs are the old ones conjugated by the morphisms,
+`B_q⁻¹·M·B_p`.  Because each `B` is the identity plus one column, the
+conjugation is one column step and one row step, and the lifted edge's
+inverse is the same two steps, roles swapped, on the old inverse; no
+general product or inversion runs.  The whole tower stays exactly
+consistent: `validate` re-checks every manifold after every step (exact
+inverses included) and the sampling oracle checks it numerically.
 
 A `Star` is the append-only record of a finite sequence of such blow-ups.
 """
@@ -19,7 +26,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .errors import AlgorithmInvariantViolation, DomainError, StructuralError
-from .linalg import ExponentMatrix, ExponentVector, mat_inverse, mat_mul, vec_apply
+from .linalg import ExponentMatrix, ExponentVector, mat_mul, vec_apply
 from .manifold import Corner, Edge, MonomialManifold, next_exceptional_label
 from .standardization import GlobalStandardization, validate_realizable
 
@@ -37,13 +44,81 @@ class BlowupCenter:
 
 
 @dataclass(frozen=True)
+class ChildChart:
+    """The morphism at a child corner: the identity plus one column.
+
+    The child drops `removed` from its parent's labels and gains
+    `new_label`.  Its morphism matrix `B` (rows = parent labels, columns =
+    child labels) is the identity with column `removed` renamed to
+    `new_label`, plus the entry `c` at (`other`, `new_label`).
+    """
+
+    removed: str
+    other: str
+    c: Fraction
+    new_label: str
+
+    def matrix(self, parent_labels: frozenset[str]) -> ExponentMatrix:
+        """`B` itself, over the parent's labels."""
+        cols = (parent_labels - {self.removed}) | {self.new_label}
+        one, zero = Fraction(1), Fraction(0)
+        entries = {}
+        for r in parent_labels:
+            for s in cols:
+                if s != self.new_label:
+                    entries[(r, s)] = one if r == s else zero
+                elif r == self.removed:
+                    entries[(r, s)] = one
+                else:
+                    entries[(r, s)] = self.c if r == self.other else zero
+        return ExponentMatrix(parent_labels, cols, entries)
+
+    def pull_back(self, vec: ExponentVector) -> ExponentVector:
+        """`vec·B` in O(n): the entries carry over, `removed` becomes
+        `new_label`, and that entry gains `c` times the `other` entry."""
+        entries = dict(vec.items())
+        entries[self.new_label] = entries.pop(self.removed) + self.c * entries[self.other]
+        return ExponentVector(entries)
+
+
+def _conjugate(
+    mat: ExponentMatrix, rows: ChildChart | None, cols: ChildChart | None
+) -> ExponentMatrix:
+    """`B_rows⁻¹ · mat · B_cols`; a missing chart stands for the identity.
+
+    Column step (`· B`): the new column `E` is column `removed` plus `c`
+    times column `other`, and column `removed` goes.  Row step (`B⁻¹ ·`,
+    which is the identity with row `removed` renamed to `E` and `-c` at
+    (`other`, `removed`)): row `E` is row `removed`, and row `other`
+    becomes itself minus `c` times row `removed`.
+    """
+    row_labels, col_labels = mat.row_labels, mat.col_labels
+    entries = {(r, s): mat.entry(r, s) for r in row_labels for s in col_labels}
+    if cols is not None:
+        gone, other, c, new = cols.removed, cols.other, cols.c, cols.new_label
+        for r in row_labels:
+            entries[(r, new)] = entries.pop((r, gone)) + c * entries[(r, other)]
+        col_labels = (col_labels - {gone}) | {new}
+    if rows is not None:
+        gone, other, c, new = rows.removed, rows.other, rows.c, rows.new_label
+        for s in col_labels:
+            top = entries.pop((gone, s))
+            entries[(new, s)] = top
+            entries[(other, s)] -= c * top
+        row_labels = (row_labels - {gone}) | {new}
+    return ExponentMatrix(row_labels, col_labels, entries)
+
+
+@dataclass(frozen=True)
 class BlowupStep:
     """One blow-up: what was blown up, and the exact morphism data.
 
     `morphism` maps every corner id of the new manifold to the matrix
     expressing the old coordinates at its image corner as monomials in
     the new ones (rows = image labels, columns = new labels).  `lineage`
-    maps each new corner to its image corner downstairs.
+    maps each new corner to its image corner downstairs.  `children`
+    holds the same morphism as a `ChildChart` for every corner the step
+    created; a corner missing from it is untouched, with the identity.
     """
 
     center_pair: frozenset[str]
@@ -53,6 +128,7 @@ class BlowupStep:
     after: MonomialManifold
     morphism: Mapping[str, ExponentMatrix]
     lineage: Mapping[str, str]
+    children: Mapping[str, ChildChart]
 
 
 @dataclass(frozen=True)
@@ -99,7 +175,13 @@ def apply_center(
 
     This is the replay entry point: the morphism matrices depend on the
     weights only at the blown-up corners, so a recorded trace carries just
-    those.  The result is still validated in full.
+    those.  Each blown corner `cid` splits into children `cid.<removed>`,
+    one per center label.  A child id that is the id of a corner the step
+    leaves untouched, or is made twice (possible when labels contain "."),
+    raises AlgorithmInvariantViolation; the id of a blown corner is free
+    again.  Edges are lifted by `_conjugate` with their inverses
+    alongside, so no matrix is inverted here, and the result is still
+    validated in full.
     """
     pair = frozenset(pair)
     if len(pair) != 2:
@@ -121,6 +203,7 @@ def apply_center(
     corners: list[Corner] = []
     morphism: dict[str, ExponentMatrix] = {}
     lineage: dict[str, str] = {}
+    children: dict[str, ChildChart] = {}
 
     def child_id(parent: str, removed: str) -> str:
         return f"{parent}.{removed}"
@@ -128,29 +211,31 @@ def apply_center(
     for cid, corner in m.corners.items():
         if cid not in blown:
             corners.append(corner)
-            morphism[cid] = ExponentMatrix.identity(corner.index_set)
+            morphism[cid] = corner.identity
             lineage[cid] = cid
             continue
         alpha = alpha_at_center[cid]
         for removed in sorted(pair):
-            new_index = (corner.index_set - {removed}) | {new_label}
+            (other,) = pair - {removed}
             nid = child_id(cid, removed)
-            corners.append(Corner(nid, frozenset(new_index)))
+            if nid in children or (nid in m.corners and nid not in blown):
+                raise AlgorithmInvariantViolation(
+                    f"child corner id {nid!r} of {cid!r} is already in use"
+                )
+            chart = ChildChart(removed, other, alpha[removed] / alpha[other], new_label)
+            children[nid] = chart
+            corners.append(Corner(nid, (corner.index_set - {removed}) | {new_label}))
             lineage[nid] = cid
-            entries = {}
-            for r in corner.index_set:
-                for s in new_index:
-                    if s == new_label:
-                        val = alpha[removed] / alpha[r] if r in pair else Fraction(0)
-                    else:
-                        val = Fraction(r == s)
-                    entries[(r, s)] = val
-            morphism[nid] = ExponentMatrix(corner.index_set, new_index, entries)
+            morphism[nid] = chart.matrix(corner.index_set)
 
-    def lifted_matrix(old: ExponentMatrix, new_p: str, new_q: str) -> ExponentMatrix:
-        b_p = morphism[new_p]
-        b_q = morphism[new_q]
-        return mat_mul(mat_inverse(b_q), mat_mul(old, b_p))
+    def lifted_edge(
+        old: ExponentMatrix, inverse: ExponentMatrix, new_p: str, new_q: str, shared
+    ) -> Edge:
+        """`B_q⁻¹·old·B_p` from `new_p` to `new_q`, with `B_p⁻¹·inverse·B_q`."""
+        at_p, at_q = children.get(new_p), children.get(new_q)
+        return Edge(
+            new_p, new_q, shared, _conjugate(old, at_q, at_p), _conjugate(inverse, at_p, at_q)
+        )
 
     edges: list[Edge] = []
     for e in m.edges:
@@ -163,29 +248,28 @@ def apply_center(
             for removed in sorted(pair):
                 np_, nq = child_id(e.p, removed), child_id(e.q, removed)
                 shared = (e.shared - {removed}) | {new_label}
-                edges.append(Edge(np_, nq, shared, lifted_matrix(e.matrix, np_, nq)))
+                edges.append(lifted_edge(e.matrix, e.inverse, np_, nq, shared))
             continue
         # exactly one endpoint splits: the lift removes the pair label that
         # is not shared with the untouched side
-        blown_id, other_id = (e.p, e.q) if p_blown else (e.q, e.p)
         outside = pair - e.shared
         if len(outside) != 1:
             raise AlgorithmInvariantViolation(
                 f"edge {e.p}->{e.q}: expected exactly one center label off the edge"
             )
         (removed,) = outside
-        nb = child_id(blown_id, removed)
         if p_blown:
-            edges.append(Edge(nb, other_id, e.shared, lifted_matrix(e.matrix, nb, other_id)))
+            np_, nq = child_id(e.p, removed), e.q
         else:
-            edges.append(Edge(other_id, nb, e.shared, lifted_matrix(e.matrix, other_id, nb)))
+            np_, nq = e.p, child_id(e.q, removed)
+        edges.append(lifted_edge(e.matrix, e.inverse, np_, nq, e.shared))
 
     lo, hi = sorted(pair)
     for cid in sorted(blown):
         a, b = child_id(cid, lo), child_id(cid, hi)
-        shared = (m.corner(cid).index_set - pair) | {new_label}
-        identity = ExponentMatrix.identity(m.corner(cid).index_set)
-        edges.append(Edge(a, b, shared, lifted_matrix(identity, a, b)))
+        index_set = m.corner(cid).index_set
+        identity = ExponentMatrix.identity(index_set)
+        edges.append(lifted_edge(identity, identity, a, b, (index_set - pair) | {new_label}))
 
     after = MonomialManifold(
         m.dimension,
@@ -207,6 +291,7 @@ def apply_center(
         after=after,
         morphism=morphism,
         lineage=lineage,
+        children=children,
     )
 
 

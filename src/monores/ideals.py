@@ -25,7 +25,7 @@ from .errors import (
 from .linalg import ExponentVector, minimal_elements, vec_apply
 from .manifold import MonomialManifold
 from .standardization import GlobalStandardization, LocalStandardization, extend
-from .blowup import BlowupCenter, BlowupStep, Star, blow_up, pullback_vector
+from .blowup import BlowupCenter, BlowupStep, Star, blow_up
 
 DEFAULT_STEP_BUDGET = 10_000
 
@@ -198,12 +198,26 @@ class PairState:
 
 
 def pull_back_mfunction(fn: MFunction, step: BlowupStep) -> MFunction:
-    """Total transform of a monomial function through one blow-up."""
-    data = {
-        cid: pullback_vector(fn.at(step.lineage[cid]), step, cid)
-        for cid in step.after.corner_ids()
-    }
-    return MFunction(step.after, data)
+    """Total transform of a monomial function through one blow-up.
+
+    An untouched corner keeps its vector; at a child the step's
+    `ChildChart` computes `v·B` in O(n).  The result is still checked for
+    chart consistency on every edge and for nonnegativity.  A function on
+    another manifold than `step.before` is caller error (StructuralError);
+    a failed check of the pulled-back data is a bug, reported as
+    AlgorithmInvariantViolation.
+    """
+    if fn.manifold is not step.before:
+        raise StructuralError("the function does not live on the manifold the step blew up")
+    data = {}
+    for cid in step.after.corner_ids():
+        chart = step.children.get(cid)
+        vec = fn.at(step.lineage[cid])
+        data[cid] = vec if chart is None else chart.pull_back(vec)
+    try:
+        return MFunction(step.after, data)
+    except (StructuralError, NotEffectiveError) as exc:
+        raise AlgorithmInvariantViolation(f"pulled-back function is invalid: {exc}") from exc
 
 
 @dataclass
@@ -259,12 +273,14 @@ def principalize_generators(
             break
         a, b, state = active
         run.pair_invariants.append((a, b, state.inv))
+        start_inv = state.inv
         while state.inv > 0:
             if star.age >= max_steps:
-                run.star = star
-                run.final_generators = gens
                 raise BudgetExceededError(
-                    f"stopped after {star.age} blow-ups (budget {max_steps})", star=star
+                    f"stopped after {star.age} blow-ups (budget {max_steps}) at generator "
+                    f"pair ({a}, {b}): obstruction count {state.inv}, {start_inv} at the "
+                    f"pair's start; end manifold corner count {len(star.end.corners)}",
+                    star=star,
                 )
             pair = _smallest_pair(state.omega)
             family = adapted_standardization(gens[a], gens[b], pair)

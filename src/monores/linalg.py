@@ -216,6 +216,13 @@ class ExponentMatrix:
     def is_nonnegative(self) -> bool:
         return all(v >= 0 for v in self._data.values())
 
+    def is_identity(self) -> bool:
+        """True iff rows and columns are one label set and the entries are
+        those of its identity matrix; builds no matrix."""
+        return self._rows == self._cols and all(
+            v == (1 if r == c else 0) for (r, c), v in self._data.items()
+        )
+
     def _key(self):
         return tuple(sorted(self._data.items()))
 

@@ -39,23 +39,45 @@ class Corner:
     id: str
     index_set: frozenset[str]
 
+    @cached_property
+    def identity(self) -> ExponentMatrix:
+        """The identity on the corner's labels, built once per corner.
+
+        A corner that a blow-up leaves untouched is carried into the new
+        manifold as the same object, so every step it survives shares
+        this one matrix as its morphism.
+        """
+        return ExponentMatrix.identity(self.index_set)
+
 
 class Edge:
     """A compact edge between two corners, with its chart-change matrix.
 
     The stored matrix codifies the coordinates of `q` as monomials in the
     coordinates of `p` (rows indexed by the labels of `q`, columns by the
-    labels of `p`).  The reverse direction is the exact inverse, computed
-    once and cached.
+    labels of `p`).  The reverse direction is the exact inverse.  A caller
+    that already knows it (a blow-up lifts it along with the matrix) passes
+    it as `inverse`; otherwise it is computed once, on first use, by
+    `mat_inverse`.  Either way `MonomialManifold.validate` multiplies it
+    with the matrix, so a passed inverse is checked, not trusted.
     """
 
     __slots__ = ("p", "q", "shared", "matrix", "__dict__")
 
-    def __init__(self, p: str, q: str, shared: frozenset[str], matrix: ExponentMatrix):
+    def __init__(
+        self,
+        p: str,
+        q: str,
+        shared: frozenset[str],
+        matrix: ExponentMatrix,
+        inverse: ExponentMatrix | None = None,
+    ):
         self.p = p
         self.q = q
         self.shared = frozenset(shared)
         self.matrix = matrix
+        if inverse is not None:
+            self.__dict__["inverse"] = inverse
 
     @cached_property
     def inverse(self) -> ExponentMatrix:
@@ -289,8 +311,8 @@ class MonomialManifold:
                 if e.matrix.entry(i_q, ell) != 0:
                     bad.append(f"{tag}: new-label row has entry at shared column {ell}")
             try:
-                prod = mat_mul(e.inverse, e.matrix)
-                if prod != ExponentMatrix.identity(ip):
+                inverse = e.inverse
+                if inverse.col_labels != iq or not mat_mul(inverse, e.matrix).is_identity():
                     bad.append(f"{tag}: cached inverse is not an exact inverse")
             except SingularMatrixError:
                 bad.append(f"{tag}: matrix is singular")
@@ -303,53 +325,43 @@ class MonomialManifold:
         return bad
 
     def _cycle_violations(self) -> list[str]:
-        """Spanning-tree check: every non-tree edge must equal the tree path product."""
-        bad: list[str] = []
+        """Every cycle of chart changes must close to the identity.
+
+        One breadth-first pass from the first corner carries the chart
+        change `T_x` from the root's chart to each corner's along the BFS
+        tree, at one `mat_mul` per tree edge.  Each non-tree edge `p->q`
+        then closes its cycle iff `M·T_p == T_q`.  The root's change is the
+        identity and is never built: edges at the root use `M` itself and
+        compare with the identity entrywise, so a single-corner manifold
+        does no matrix work.  Run after the exact-inverse check, which
+        makes every `T_x` invertible.
+        """
         if not self.corners:
-            return bad
+            return []
         root = next(iter(self.corners))
-        tree: dict[str, tuple[str, Edge, bool]] = {}
-        seen = {root}
+        transport: dict[str, ExponentMatrix | None] = {root: None}
+        tree_edges: set[Edge] = set()
         queue = deque([root])
-        tree_edges: set[tuple[str, str]] = set()
         while queue:
             cur = queue.popleft()
+            t_cur = transport[cur]
             for nxt, edge, forward in self._adjacency[cur]:
-                if nxt in seen:
+                if nxt in transport:
                     continue
-                seen.add(nxt)
-                tree[nxt] = (cur, edge, forward)
-                tree_edges.add(edge.key())
+                hop = edge.matrix if forward else edge.inverse
+                transport[nxt] = hop if t_cur is None else mat_mul(hop, t_cur)
+                tree_edges.add(edge)
                 queue.append(nxt)
-        if len(seen) != len(self.corners):
-            bad.append("corner graph is not connected")
-            return bad
+        if len(transport) != len(self.corners):
+            return ["corner graph is not connected"]
 
-        def tree_change(p: str, q: str) -> ExponentMatrix:
-            def hops_to_root(x: str) -> list[tuple[str, str, Edge]]:
-                hops = []
-                while x != root:
-                    before, edge, _ = tree[x]
-                    hops.append((x, before, edge))
-                    x = before
-                return hops
-
-            up = hops_to_root(p)
-            down = hops_to_root(q)
-            while up and down and up[-1][2] is down[-1][2]:
-                up.pop()
-                down.pop()
-            hops = up + [(b, a, e) for (a, b, e) in reversed(down)]
-            acc = ExponentMatrix.identity(self.corners[p].index_set)
-            for a, b, edge in hops:
-                step = edge.matrix if (edge.p, edge.q) == (a, b) else edge.inverse
-                acc = mat_mul(step, acc)
-            return acc
-
+        bad: list[str] = []
         for e in self.edges:
-            if e.key() in tree_edges:
+            if e in tree_edges:
                 continue
-            if tree_change(e.p, e.q) != e.matrix:
+            t_p, t_q = transport[e.p], transport[e.q]
+            moved = e.matrix if t_p is None else mat_mul(e.matrix, t_p)
+            if not (moved.is_identity() if t_q is None else moved == t_q):
                 bad.append(
                     f"cycle through edge {e.p}->{e.q}: product around the cycle is not the identity"
                 )

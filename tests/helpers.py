@@ -7,6 +7,7 @@ import random
 from fractions import Fraction
 
 from monores import (
+    BudgetExceededError,
     ExponentVector,
     ReductionProblem,
     make_corner,
@@ -75,3 +76,28 @@ def random_reports(seed: int, count: int):
 def shared_reports():
     """One batch of reduced random problems, shared across test modules."""
     return random_reports(seed=2024, count=8)
+
+
+@functools.lru_cache(maxsize=1)
+def corpus_c_budget_stop(budget=5):
+    """Corpus C (seed 77, draw 14 of 4 variables x 6 points) stopped by the
+    step budget; returns the raised BudgetExceededError, which carries the
+    partial star."""
+    rng = random.Random(77)
+    problems = [random_problem(rng, max_vars=4, max_points=6) for _ in range(15)]
+    try:
+        reduce_problem(problems[14], max_steps=budget)
+    except BudgetExceededError as exc:
+        return exc
+    raise AssertionError("corpus C finished within the budget")
+
+
+def tower_manifolds():
+    """Every manifold of every `shared_reports()` tower and of the corpus-C
+    budget-5 tower, roots included."""
+    stars = [report.star for report in shared_reports()] + [corpus_c_budget_stop().star]
+    out = []
+    for star in stars:
+        out.append(star.root)
+        out.extend(step.after for step in star.steps)
+    return out

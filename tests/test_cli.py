@@ -68,11 +68,16 @@ def test_validate_flow(tmp_path, capsys):
     assert "violation" in capsys.readouterr().out
 
 
-def test_budget_exit_code_writes_partial_trace(tmp_path):
+def test_budget_exit_code_writes_partial_trace(tmp_path, capsys):
     inp = write(tmp_path / "problem.json", PROBLEM)
     trace = tmp_path / "t.json"
     code = main(["reduce", "--input", inp, "--trace", str(trace), "--max-steps", "0"])
     assert code == 3
+    err = capsys.readouterr().err
+    assert "stopped after 0 blow-ups (budget 0)" in err
+    assert "generator pair (0, 1)" in err
+    assert "obstruction count 1, 1 at the pair's start" in err
+    assert "end manifold corner count 1" in err
     partial = json.loads(trace.read_text(encoding="utf-8"))
     assert partial["steps"] == []
     assert main(["replay", "--trace", str(trace)]) == 0
@@ -96,6 +101,15 @@ def test_internal_error_exit_code(tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err.startswith("internal error (bug): ")
     assert "invalid manifold" in err
+
+
+def test_child_id_collision_exit_code(tmp_path, capsys):
+    doc = {"variables": ["a", "a.b", "b"], "points": [["0", "1", "0"], ["1", "0", "1"]]}
+    inp = write(tmp_path / "problem.json", doc)
+    assert main(["reduce", "--input", inp, "--trace", str(tmp_path / "t.json")]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("internal error (bug): ")
+    assert "'c0.a.b'" in err
 
 
 def test_stratum_dim_flag_annotates(tmp_path):

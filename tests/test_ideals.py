@@ -1,10 +1,12 @@
 """Monomial functions, obstructed centers, adapted weights, principalization."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
 from monores import (
+    AlgorithmInvariantViolation,
     BlowupCenter,
     BudgetExceededError,
     DomainError,
@@ -14,6 +16,7 @@ from monores import (
     MIdeal,
     NotEffectiveError,
     PairState,
+    StructuralError,
     adapted_standardization,
     blow_up,
     center_is_uncoupled_at,
@@ -29,6 +32,7 @@ from monores import (
     pull_back_mfunction,
     uncoupled_centers,
 )
+from helpers import corpus_c_budget_stop
 
 F = Fraction
 
@@ -85,6 +89,27 @@ def test_mfunction_propagation_matches_direct_pullback():
     # a literal (2,1) seed at the E1-bearing corner propagates to (0,2) across
     other = mfunction_from_corner(after, "c0.E2", ExponentVector({"E1": 2, "E∞1": 1}))
     assert other.at("c0.E1") == ExponentVector({"E2": 0, "E∞1": 2})
+
+
+def test_pull_back_mfunction_rejects_a_function_from_another_manifold():
+    _, _, _, step = worked_step()
+    stranger = seed_fn(corner2(), {"E1": 2, "E2": 1})
+    with pytest.raises(StructuralError, match="does not live on"):
+        pull_back_mfunction(stranger, step)
+
+
+@pytest.mark.parametrize(
+    "shift, message", [(1, "not chart consistent"), (-100, "negative exponent")]
+)
+def test_pull_back_through_a_corrupted_child_is_a_bug(shift, message):
+    _, lam, _, step = worked_step()
+    chart = step.children["c0.E1"]
+    broken = dataclasses.replace(
+        step,
+        children={**step.children, "c0.E1": dataclasses.replace(chart, c=chart.c + shift)},
+    )
+    with pytest.raises(AlgorithmInvariantViolation, match=message):
+        pull_back_mfunction(lam, broken)
 
 
 def test_mfunction_propagation_can_fail_effectiveness():
@@ -311,6 +336,15 @@ def test_budget_exceeded_carries_partial_star():
         principalize_pair(m, lam, mu, max_steps=0)
     assert err.value.star is not None
     assert err.value.star.age == 0
+
+
+def test_budget_report_names_where_the_run_stopped():
+    exc = corpus_c_budget_stop()
+    assert str(exc) == (
+        "stopped after 5 blow-ups (budget 5) at generator pair (0, 2): "
+        "obstruction count 6, 8 at the pair's start; end manifold corner count 9"
+    )
+    assert len(exc.star.end.corners) == 9
 
 
 def test_empty_ideal_rejected():

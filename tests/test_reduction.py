@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from monores import (
+    AlgorithmInvariantViolation,
     ExponentVector,
     MIdeal,
     ReductionProblem,
@@ -125,3 +126,12 @@ def test_age_equals_sum_of_pair_invariants():
     for rep in shared_reports():
         assert rep.age == sum(inv for _, _, inv in rep.pair_invariants)
         assert len(rep.new_uncoupled_counts) == rep.age
+
+
+def test_child_id_collision_is_reported_as_a_bug():
+    # the child of c0.a that drops b would be named c0.a.b, the id of a
+    # corner the step leaves untouched (unambiguous ids: ROADMAP item 5)
+    rows = [[0, 1, 0], [1, 0, 1]]
+    with pytest.raises(AlgorithmInvariantViolation, match="'c0.a.b'"):
+        reduce_problem(problem(rows, labels=("a", "a.b", "b")))
+    assert reduce_problem(problem(rows, labels=("a", "c", "b"))).age == 2

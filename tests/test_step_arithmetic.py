@@ -1,0 +1,223 @@
+"""The arithmetic of one blow-up step against the general-purpose reference.
+
+`apply_center` lifts edges by row and column steps with inherited inverses,
+`pull_back_mfunction` pulls back in O(n) through `ChildChart`, and
+`_cycle_violations` carries one chart change per corner from the root.
+Each is checked here against the slower computation it replaced:
+`mat_inverse` and `mat_mul` conjugation, `pullback_vector`, and the
+tree-path product below.
+"""
+
+from collections import deque
+
+import pytest
+
+import monores.manifold
+from monores import (
+    BlowupCenter,
+    Edge,
+    ExponentMatrix,
+    ExponentVector,
+    LocalStandardization,
+    MonomialManifold,
+    blow_up,
+    extend,
+    make_corner,
+    mat_inverse,
+    mat_mul,
+    pull_back_mfunction,
+    pullback_vector,
+)
+from monores.reduction import build_ideal_from_support
+from monores.supports import minimal_support
+from helpers import corpus_c_budget_stop, shared_reports, tower_manifolds
+
+
+def reference_cycle_violations(m):
+    """The cycle check as it was: for each non-tree edge of the BFS tree,
+    multiply out the tree path between its ends and compare."""
+    adjacency = {cid: [] for cid in m.corners}
+    for e in m.edges:
+        adjacency[e.p].append((e.q, e, True))
+        adjacency[e.q].append((e.p, e, False))
+    for lst in adjacency.values():
+        lst.sort(key=lambda t: t[0])
+    root = next(iter(m.corners))
+    tree = {}
+    seen = {root}
+    queue = deque([root])
+    tree_edges = set()
+    while queue:
+        cur = queue.popleft()
+        for nxt, edge, _ in adjacency[cur]:
+            if nxt in seen:
+                continue
+            seen.add(nxt)
+            tree[nxt] = (cur, edge)
+            tree_edges.add(edge.key())
+            queue.append(nxt)
+    assert len(seen) == len(m.corners)
+
+    def tree_change(p, q):
+        def hops_to_root(x):
+            hops = []
+            while x != root:
+                before, edge = tree[x]
+                hops.append((x, before, edge))
+                x = before
+            return hops
+
+        up = hops_to_root(p)
+        down = hops_to_root(q)
+        while up and down and up[-1][2] is down[-1][2]:
+            up.pop()
+            down.pop()
+        hops = up + [(b, a, e) for (a, b, e) in reversed(down)]
+        acc = ExponentMatrix.identity(m.corners[p].index_set)
+        for a, b, edge in hops:
+            step = edge.matrix if (edge.p, edge.q) == (a, b) else mat_inverse(edge.matrix)
+            acc = mat_mul(step, acc)
+        return acc
+
+    return [
+        f"cycle through edge {e.p}->{e.q}: product around the cycle is not the identity"
+        for e in m.edges
+        if e.key() not in tree_edges and tree_change(e.p, e.q) != e.matrix
+    ]
+
+
+def corrupted(e):
+    """The edge with its corner entry moved, as in
+    `test_validate_catches_cycle_violation`: still triangular and invertible."""
+    entries = {
+        (r, c): e.matrix.entry(r, c) for r in e.matrix.row_labels for c in e.matrix.col_labels
+    }
+    (i_q,) = e.matrix.row_labels - e.shared
+    (i_p,) = e.matrix.col_labels - e.shared
+    entries[(i_q, i_p)] += 1 if entries[(i_q, i_p)] != -1 else 2
+    return Edge(e.p, e.q, e.shared, ExponentMatrix(e.matrix.row_labels, e.matrix.col_labels, entries))
+
+
+def with_edges(m, edges):
+    return MonomialManifold(m.dimension, m.components, m.corners.values(), edges)
+
+
+def test_cycle_check_matches_tree_path_reference_on_every_corrupted_edge():
+    flagged = 0
+    for m in tower_manifolds():
+        assert m.validate() == []
+        assert reference_cycle_violations(m) == []
+        for e in m.edges:
+            bad = with_edges(m, [corrupted(e)] + [x for x in m.edges if x is not e])
+            found = [v for v in bad.validate() if v.startswith("cycle")]
+            assert found == reference_cycle_violations(bad)
+            flagged += bool(found)
+    assert flagged > 50, "the corruptions must exercise the check"
+
+
+def two_corner_manifold():
+    """Corners c0.E1 and c0.E2 of the worked blow-up, joined by one edge."""
+    m = make_corner(["E1", "E2"])
+    fam = extend(m, LocalStandardization("c0", ExponentVector({"E1": 2, "E2": 1})))
+    return blow_up(m, BlowupCenter(frozenset({"E1", "E2"}), fam)).after
+
+
+def test_cycle_check_on_non_tree_edges_at_the_root():
+    m = two_corner_manifold()
+    (e,) = m.edges
+    root = next(iter(m.corners))
+    assert e.p == root
+    # a parallel edge back into the root: M_back · T_x must be the identity
+    back = Edge(e.q, e.p, e.shared, e.inverse)
+    assert with_edges(m, [e, back])._cycle_violations() == []
+    bad = with_edges(m, [e, corrupted(back)])
+    assert bad._cycle_violations() == reference_cycle_violations(bad)
+    assert len(bad._cycle_violations()) == 1
+    # a parallel edge out of the root: M_out itself must equal T_x
+    out = Edge(e.p, e.q, e.shared, e.matrix)
+    assert with_edges(m, [e, out])._cycle_violations() == []
+    assert len(with_edges(m, [e, corrupted(out)])._cycle_violations()) == 1
+
+
+def test_single_corner_validate_builds_no_matrix(monkeypatch):
+    m = make_corner(["E1", "E2", "E3"])
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a single corner needs no matrix work")
+
+    monkeypatch.setattr(monores.manifold, "mat_mul", forbidden)
+    monkeypatch.setattr(ExponentMatrix, "__init__", forbidden)
+    assert m.validate() == []
+
+
+def all_steps():
+    stars = [report.star for report in shared_reports()] + [corpus_c_budget_stop().star]
+    return [step for star in stars for step in star.steps]
+
+
+def test_lifted_edges_equal_conjugation_and_carry_exact_inverses():
+    checked = 0
+    for step in all_steps():
+        before = {e.key(): e for e in step.before.edges}
+        for e in step.after.edges:
+            assert e.inverse == mat_inverse(e.matrix)
+            p0, q0 = step.lineage[e.p], step.lineage[e.q]
+            if p0 == q0:
+                old = ExponentMatrix.identity(step.before.corner(p0).index_set)
+            else:
+                old = before[(p0, q0)].matrix
+            b_p, b_q = step.morphism[e.p], step.morphism[e.q]
+            assert e.matrix == mat_mul(mat_inverse(b_q), mat_mul(old, b_p))
+            checked += 1
+    assert checked == sum(len(step.after.edges) for step in all_steps()) > 100
+
+
+def test_child_charts_reproduce_the_morphism_matrices():
+    for step in all_steps():
+        for cid, b in step.morphism.items():
+            chart = step.children.get(cid)
+            parent = step.before.corner(step.lineage[cid]).index_set
+            if chart is None:
+                assert step.lineage[cid] == cid and b.is_identity()
+            else:
+                assert b == chart.matrix(parent)
+
+
+def test_pull_back_mfunction_matches_pullback_vector_at_every_corner():
+    for report in shared_reports():
+        star = report.star
+        ideal = build_ideal_from_support(minimal_support(report.problem.support), star.root)
+        gens = list(ideal.generators)
+        for step in star.steps:
+            pulled = [pull_back_mfunction(g, step) for g in gens]
+            for old, new in zip(gens, pulled):
+                for cid in step.after.corner_ids():
+                    assert new.at(cid) == pullback_vector(old.at(step.lineage[cid]), step, cid)
+            gens = pulled
+        for corner in report.corners:
+            assert tuple(g.at(corner.corner) for g in gens) == corner.generator_exponents
+
+
+def test_is_identity_reads_entries_and_labels():
+    ident = ExponentMatrix.identity(("a", "b"))
+    assert ident.is_identity()
+    assert not ExponentMatrix.from_row_table(("a", "b"), ("a", "b"), [[1, 1], [0, 1]]).is_identity()
+    assert not ExponentMatrix.from_row_table(("a", "b"), ("a", "c"), [[1, 0], [0, 1]]).is_identity()
+    assert not ExponentMatrix.from_row_table(("a",), ("a", "b"), [[1, 0]]).is_identity()
+
+
+@pytest.mark.parametrize("kind", ["wrong entry", "wrong labels"])
+def test_edge_given_a_wrong_inverse_fails_validate(kind):
+    m = two_corner_manifold()
+    (e,) = m.edges
+    if kind == "wrong labels":
+        wrong = e.matrix
+    else:
+        inv = e.inverse
+        entries = {(r, c): inv.entry(r, c) for r in inv.row_labels for c in inv.col_labels}
+        entries[next(iter(entries))] += 1
+        wrong = ExponentMatrix(inv.row_labels, inv.col_labels, entries)
+    bad = with_edges(m, [Edge(e.p, e.q, e.shared, e.matrix, inverse=wrong)])
+    assert any("not an exact inverse" in v for v in bad.validate())
+    good = with_edges(m, [Edge(e.p, e.q, e.shared, e.matrix, inverse=e.inverse)])
+    assert good.validate() == []
