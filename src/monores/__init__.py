@@ -24,7 +24,6 @@ from .linalg import (
     Rat,
     div_le,
     format_rational,
-    hadamard,
     mat_inverse,
     mat_mul,
     minimal_elements,
@@ -32,13 +31,9 @@ from .linalg import (
     vec_apply,
 )
 from .supports import (
-    FiniteSeries,
     SupportSet,
     minimal_support,
-    monomial_complexity,
-    project_support,
     pullback_support,
-    rescale_support,
     support_from_rows,
 )
 from .manifold import (
@@ -74,9 +69,7 @@ from .ideals import (
     is_locally_principal,
     local_min_data,
     mfunction_from_corner,
-    principalize,
     principalize_generators,
-    principalize_pair,
     pull_back_mfunction,
     uncoupled_centers,
 )
@@ -86,6 +79,7 @@ from .reduction import (
     ReductionProblem,
     ReductionReport,
     build_ideal_from_support,
+    certify_end,
     reduce_problem,
     root_corner_for,
 )

@@ -23,7 +23,7 @@ from .errors import AlgorithmInvariantViolation, BudgetExceededError, MonoresErr
 from .ideals import DEFAULT_STEP_BUDGET, principalize_generators
 from .jsonio import (
     canonical_dumps,
-    final_corners_json,
+    certified_trace_to_json,
     ideal_from_json,
     manifold_from_json,
     problem_from_json,
@@ -32,7 +32,7 @@ from .jsonio import (
     star_to_json,
 )
 from .oracle import numeric_oracle
-from .reduction import reduce_problem
+from .reduction import certify_end, reduce_problem
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 1
@@ -95,14 +95,9 @@ def cmd_principalize(args) -> int:
         )
     except BudgetExceededError as exc:
         return _budget_bailout(exc, args.trace)
-    doc = star_to_json(run.star)
-    doc["final_corners"] = final_corners_json(run.star.end, run.final_generators)
-    doc["stats"] = {
-        "age": run.star.age,
-        "final_corner_count": len(run.star.end.corners),
-        "pair_invariants": [list(t) for t in run.pair_invariants],
-        "new_uncoupled_counts": list(run.new_uncoupled_counts),
-    }
+    doc = certified_trace_to_json(
+        run.star, certify_end(run), run.pair_invariants, run.new_uncoupled_counts
+    )
     _write_text(args.trace, canonical_dumps(doc))
     if args.dot:
         _write_text(args.dot, export_dot_star(run.star))

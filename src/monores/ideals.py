@@ -12,7 +12,7 @@ generators reduce to sweeping the generator pairs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -226,12 +226,8 @@ class PrincipalizationRun:
 
     star: Star
     final_generators: list[MFunction]
-    pair_invariants: list[tuple[int, int, int]] = field(default_factory=list)
-    new_uncoupled_counts: list[int] = field(default_factory=list)
-
-    @property
-    def final_ideal(self) -> MIdeal:
-        return MIdeal(self.star.end, self.final_generators)
+    pair_invariants: list[tuple[int, int, int]]
+    new_uncoupled_counts: list[int]
 
 
 def _smallest_pair(pairs: Iterable[frozenset[str]]) -> frozenset[str]:
@@ -257,7 +253,8 @@ def principalize_generators(
         if g.manifold is not m:
             raise StructuralError("generators must live on the given manifold")
     star = Star(root=m)
-    run = PrincipalizationRun(star=star, final_generators=gens)
+    pair_invariants: list[tuple[int, int, int]] = []
+    new_uncoupled_counts: list[int] = []
     k = len(gens)
     while True:
         active = None
@@ -272,7 +269,7 @@ def principalize_generators(
         if active is None:
             break
         a, b, state = active
-        run.pair_invariants.append((a, b, state.inv))
+        pair_invariants.append((a, b, state.inv))
         start_inv = state.inv
         while state.inv > 0:
             if star.age >= max_steps:
@@ -307,30 +304,6 @@ def principalize_generators(
                     for y in range(x + 1, k)
                     if (x, y) != (a, b)
                 )
-            run.new_uncoupled_counts.append(fresh)
+            new_uncoupled_counts.append(fresh)
             state = new_state
-    run.star = star
-    run.final_generators = gens
-    return run
-
-
-def principalize_pair(
-    m: MonomialManifold,
-    lam: MFunction,
-    mu: MFunction,
-    max_steps: int = DEFAULT_STEP_BUDGET,
-) -> Star:
-    """Blow up every obstructed center of a two-generator ideal."""
-    return principalize_generators(m, [lam, mu], max_steps=max_steps).star
-
-
-def principalize(
-    m: MonomialManifold, ideal: MIdeal, max_steps: int = DEFAULT_STEP_BUDGET
-) -> Star:
-    """Tower of blow-ups after which the ideal is locally principal."""
-    if ideal.manifold is not m:
-        raise StructuralError("the ideal does not live on the given manifold")
-    run = principalize_generators(m, ideal.generators, max_steps=max_steps)
-    if not is_locally_principal(run.final_ideal):
-        raise AlgorithmInvariantViolation("sweep finished but the ideal is not principal")
-    return run.star
+    return PrincipalizationRun(star, gens, pair_invariants, new_uncoupled_counts)

@@ -8,30 +8,42 @@ The trace format is versioned ("monores-trace/1").  A trace records the
 root manifold and, per blow-up, the center pair, the weights at the
 corners of the center, the fresh label, and every morphism matrix;
 `replay_trace` rebuilds the tower from that and insists the rebuilt
-matrices agree bit for bit.
+matrices agree bit for bit.  `reduce` and `principalize` both append the
+end certificate (`final_corners` and `stats`) through one renderer,
+`certified_trace_to_json`.
+
+Readers take every field through `_field`, so a missing key or a value
+that is not a JSON object where one is expected is bad input
+(StructuralError).  Only the parsing is guarded: an exception raised by
+the library while rebuilding a tower still surfaces as it is.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Mapping
+from typing import Any, Mapping, Sequence
 
 from .blowup import Star, apply_center
 from .errors import StructuralError
 from .ideals import MFunction, MIdeal
-from .linalg import (
-    ExponentMatrix,
-    ExponentVector,
-    format_rational,
-    minimal_elements,
-    parse_rational,
-)
+from .linalg import ExponentMatrix, ExponentVector, format_rational, parse_rational
 from .manifold import Corner, Edge, MonomialManifold
-from .reduction import ReductionProblem, ReductionReport, root_corner_for
-from .standardization import GlobalStandardization
+from .reduction import CornerReport, ReductionProblem, ReductionReport, root_corner_for
 from .supports import SupportSet, support_from_rows
 
 TRACE_VERSION = "monores-trace/1"
+
+_REQUIRED = object()
+
+
+def _field(doc: Any, key: str, what: str, default: Any = _REQUIRED) -> Any:
+    """`doc[key]` of a parsed JSON object; malformed input is a StructuralError."""
+    if not isinstance(doc, dict):
+        raise StructuralError(f"{what} must be a JSON object, not {type(doc).__name__}")
+    value = doc.get(key, default)
+    if value is _REQUIRED:
+        raise StructuralError(f"{what} object is missing {key!r}")
+    return value
 
 
 def canonical_dumps(doc: Any) -> str:
@@ -61,11 +73,11 @@ def matrix_to_json(mat: ExponentMatrix) -> dict[str, Any]:
 
 
 def matrix_from_json(doc: Mapping[str, Any]) -> ExponentMatrix:
-    try:
-        rows, cols, entries = doc["rows"], doc["cols"], doc["entries"]
-    except KeyError as exc:
-        raise StructuralError(f"matrix object is missing {exc}") from None
-    return ExponentMatrix.from_row_table(rows, cols, entries)
+    return ExponentMatrix.from_row_table(
+        _field(doc, "rows", "matrix"),
+        _field(doc, "cols", "matrix"),
+        _field(doc, "entries", "matrix"),
+    )
 
 
 # -- supports --------------------------------------------------------------
@@ -82,11 +94,9 @@ def support_to_json(s: SupportSet) -> dict[str, Any]:
 
 
 def support_from_json(doc: Mapping[str, Any]) -> SupportSet:
-    try:
-        variables, points = doc["variables"], doc["points"]
-    except KeyError as exc:
-        raise StructuralError(f"support object is missing {exc}") from None
-    return support_from_rows(variables, points)
+    return support_from_rows(
+        _field(doc, "variables", "support"), _field(doc, "points", "support")
+    )
 
 
 # -- manifolds ---------------------------------------------------------------
@@ -106,37 +116,20 @@ def manifold_to_json(m: MonomialManifold) -> dict[str, Any]:
 
 
 def manifold_from_json(doc: Mapping[str, Any]) -> MonomialManifold:
-    try:
-        dimension = doc["dimension"]
-        components = doc["components"]
-        corners_doc = doc["corners"]
-        edges_doc = doc.get("edges", [])
-    except KeyError as exc:
-        raise StructuralError(f"manifold object is missing {exc}") from None
-    corners = {c["id"]: Corner(c["id"], frozenset(c["index_set"])) for c in corners_doc}
+    dimension = _field(doc, "dimension", "manifold")
+    components = _field(doc, "components", "manifold")
+    corners = {}
+    for c in _field(doc, "corners", "manifold"):
+        cid = _field(c, "id", "corner")
+        corners[cid] = Corner(cid, frozenset(_field(c, "index_set", "corner")))
     edges = []
-    for e in edges_doc:
-        p, q = e["from"], e["to"]
+    for e in _field(doc, "edges", "manifold", []):
+        p, q = _field(e, "from", "edge"), _field(e, "to", "edge")
         if p not in corners or q not in corners:
             raise StructuralError(f"edge {p!r}->{q!r} references a missing corner")
         shared = corners[p].index_set & corners[q].index_set
-        edges.append(Edge(p, q, shared, matrix_from_json(e["matrix"])))
+        edges.append(Edge(p, q, shared, matrix_from_json(_field(e, "matrix", "edge"))))
     return MonomialManifold(dimension, components, corners.values(), edges)
-
-
-# -- standardizations --------------------------------------------------------
-
-
-def standardization_to_json(family: GlobalStandardization) -> list[dict[str, Any]]:
-    return [
-        {"corner": cid, "alpha": vector_to_json(alpha)} for cid, alpha in family.items()
-    ]
-
-
-def standardization_from_json(doc) -> GlobalStandardization:
-    return GlobalStandardization(
-        {entry["corner"]: vector_from_json(entry["alpha"]) for entry in doc}
-    )
 
 
 # -- ideals ------------------------------------------------------------------
@@ -144,12 +137,9 @@ def standardization_from_json(doc) -> GlobalStandardization:
 
 def ideal_from_json(doc: Mapping[str, Any]) -> MIdeal:
     """An ideal presented by generator exponent rows on a fresh corner chart."""
-    try:
-        dimension = doc["dimension"]
-        labels = list(doc["labels"])
-        rows = doc["generators"]
-    except KeyError as exc:
-        raise StructuralError(f"ideal object is missing {exc}") from None
+    dimension = _field(doc, "dimension", "ideal")
+    labels = list(_field(doc, "labels", "ideal"))
+    rows = _field(doc, "generators", "ideal")
     if len(labels) != dimension:
         raise StructuralError("label count does not match the dimension")
     support = support_from_rows(labels, rows)
@@ -187,22 +177,22 @@ def star_to_json(star: Star) -> dict[str, Any]:
 
 def replay_trace(doc: Mapping[str, Any]) -> Star:
     """Rebuild the tower from a trace, verifying the recorded matrices exactly."""
-    version = doc.get("version")
+    version = _field(doc, "version", "trace", None)
     if version != TRACE_VERSION:
         raise StructuralError(f"unsupported trace version {version!r}")
-    root = manifold_from_json(doc["root"])
+    root = manifold_from_json(_field(doc, "root", "trace"))
     violations = root.validate()
     if violations:
         raise StructuralError("trace root manifold is invalid: " + "; ".join(violations))
     star = Star(root=root)
-    for k, step_doc in enumerate(doc.get("steps", [])):
-        pair = frozenset(step_doc["center"])
+    for k, step_doc in enumerate(_field(doc, "steps", "trace", [])):
+        pair = frozenset(_field(step_doc, "center", "step"))
         alphas = {
             cid: vector_from_json(v)
-            for cid, v in step_doc["alpha_at_centers"].items()
+            for cid, v in _field(step_doc, "alpha_at_centers", "step").items()
         }
-        step = apply_center(star.end, pair, alphas, step_doc["new_label"])
-        recorded = {cid: matrix_from_json(m) for cid, m in step_doc["B"].items()}
+        step = apply_center(star.end, pair, alphas, _field(step_doc, "new_label", "step"))
+        recorded = {cid: matrix_from_json(m) for cid, m in _field(step_doc, "B", "step").items()}
         rebuilt = dict(step.morphism)
         if recorded != rebuilt:
             raise StructuralError(f"step {k}: rebuilt morphism matrices differ from the trace")
@@ -210,39 +200,15 @@ def replay_trace(doc: Mapping[str, Any]) -> Star:
     return star
 
 
-def final_corners_json(end, generators) -> list[dict[str, Any]]:
-    """Per-corner certification block: every generator's exponents plus the
-    single minimal one (the ideal is locally principal by the time this runs)."""
-    out = []
-    for cid in end.corner_ids():
-        index_set = sorted(end.corner(cid).index_set)
-        exps = [g.at(cid) for g in generators]
-        mins = minimal_elements(exps)
-        if len(mins) != 1:
-            raise StructuralError(f"minimal data at {cid!r} is not a singleton")
-        (principal,) = mins
-        out.append(
-            {
-                "corner": cid,
-                "index_set": index_set,
-                "principal_exponent": [format_rational(principal[lab]) for lab in index_set],
-                "all_generator_exponents": [
-                    [format_rational(g[lab]) for lab in index_set] for g in exps
-                ],
-            }
-        )
-    return out
-
-
-def report_to_json(report: ReductionReport) -> dict[str, Any]:
-    """Trace plus the certification data for the end manifold."""
-    doc = star_to_json(report.star)
-    doc["problem"] = support_to_json(report.problem.support)
-    doc["problem"]["stratum_dim"] = report.problem.stratum_dim
-    doc["centers"] = [
-        {"pair": list(c.pair), "new_label": c.new_label, "annotation": c.annotation}
-        for c in report.centers
-    ]
+def certified_trace_to_json(
+    star: Star,
+    corners: Sequence[CornerReport],
+    pair_invariants: Sequence[tuple[int, int, int]],
+    new_uncoupled_counts: Sequence[int],
+) -> dict[str, Any]:
+    """Trace plus the end certificate: every end corner's generator
+    exponents with their single minimal one, and the run's statistics."""
+    doc = star_to_json(star)
     doc["final_corners"] = [
         {
             "corner": c.corner,
@@ -255,18 +221,36 @@ def report_to_json(report: ReductionReport) -> dict[str, Any]:
                 for g in c.generator_exponents
             ],
         }
-        for c in report.corners
+        for c in corners
     ]
     doc["stats"] = {
-        "age": report.age,
-        "final_corner_count": len(report.star.end.corners),
-        "pair_invariants": [list(t) for t in report.pair_invariants],
-        "new_uncoupled_counts": list(report.new_uncoupled_counts),
+        "age": star.age,
+        "final_corner_count": len(star.end.corners),
+        "pair_invariants": [list(t) for t in pair_invariants],
+        "new_uncoupled_counts": list(new_uncoupled_counts),
     }
+    return doc
+
+
+def report_to_json(report: ReductionReport) -> dict[str, Any]:
+    """The certified trace plus the problem and the annotated centers."""
+    doc = certified_trace_to_json(
+        report.star, report.corners, report.pair_invariants, report.new_uncoupled_counts
+    )
+    doc["problem"] = support_to_json(report.problem.support)
+    doc["problem"]["stratum_dim"] = report.problem.stratum_dim
+    doc["centers"] = [
+        {"pair": list(c.pair), "new_label": c.new_label, "annotation": c.annotation}
+        for c in report.centers
+    ]
     return doc
 
 
 def problem_from_json(doc: Mapping[str, Any], stratum_dim: int | None = None) -> ReductionProblem:
     support = support_from_json(doc)
-    k = doc.get("stratum_dim", 0) if stratum_dim is None else stratum_dim
-    return ReductionProblem(support=support, stratum_dim=int(k))
+    k = _field(doc, "stratum_dim", "problem", 0) if stratum_dim is None else stratum_dim
+    try:
+        k = int(k)
+    except (TypeError, ValueError):
+        raise StructuralError(f"stratum_dim must be an integer, not {k!r}") from None
+    return ReductionProblem(support=support, stratum_dim=k)

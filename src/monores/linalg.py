@@ -110,14 +110,6 @@ class ExponentVector:
     def is_positive(self) -> bool:
         return all(v > 0 for _, v in self._items)
 
-    def restrict(self, labels: Iterable[str]) -> "ExponentVector":
-        """Forget every entry outside `labels` (which must all be present)."""
-        keep = set(labels)
-        missing = keep - self.labels
-        if missing:
-            raise StructuralError(f"cannot restrict to absent labels {sorted(missing)}")
-        return ExponentVector({k: v for k, v in self._map.items() if k in keep})
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, ExponentVector):
             return NotImplemented
@@ -344,9 +336,3 @@ def vec_apply(v: ExponentVector, a: ExponentMatrix) -> ExponentVector:
     zero = Fraction(0)
     return ExponentVector({c: sums.get(c, zero) for c in a.col_labels})
 
-
-def hadamard(a: ExponentVector, b: ExponentVector) -> ExponentVector:
-    """Entrywise product of two vectors over the same label set."""
-    if a.labels != b.labels:
-        raise StructuralError("hadamard needs vectors over the same label set")
-    return ExponentVector({k: av * b[k] for k, av in a.items()})

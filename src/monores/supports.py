@@ -2,24 +2,15 @@
 
 A series enters the algorithm only through its finite set of exponent
 tuples.  This module knows how to reduce a support to its minimal
-elements, count the monomial complexity, forget variables, rescale by
-positive weights, and push a support through a nonnegative exponent
-matrix.
+elements and push a support through a nonnegative exponent matrix.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Iterable
 
-from .errors import DomainError, StructuralError, ZeroSeriesError
-from .linalg import (
-    ExponentMatrix,
-    ExponentVector,
-    hadamard,
-    minimal_elements,
-    vec_apply,
-)
+from .errors import DomainError, StructuralError
+from .linalg import ExponentMatrix, ExponentVector, minimal_elements, vec_apply
 
 
 class SupportSet:
@@ -93,41 +84,6 @@ def minimal_support(s: SupportSet) -> SupportSet:
     return SupportSet(s.variables, minimal_elements(s.points), minimal=True)
 
 
-def monomial_complexity(s: SupportSet) -> int:
-    """Number of minimal points; 1 means the series is of monomial type."""
-    if not s.points:
-        raise ZeroSeriesError("the zero series has no monomial complexity")
-    return len(minimal_elements(s.points))
-
-
-def project_support(s: SupportSet, keep: Iterable[str]) -> SupportSet:
-    """Forget the variables outside `keep`; duplicates collapse.
-
-    Projection never increases monomial complexity, which is asserted.
-    """
-    keep_list = [v for v in s.variables if v in set(keep)]
-    extra = set(keep) - s.index_set
-    if extra:
-        raise StructuralError(f"cannot keep unknown variables {sorted(extra)}")
-    out = SupportSet(keep_list, (p.restrict(keep_list) for p in s.points))
-    if s.points:
-        assert monomial_complexity(out) <= monomial_complexity(s)
-    return out
-
-
-def rescale_support(s: SupportSet, gamma: ExponentVector) -> SupportSet:
-    """Entrywise rescale every point by a strictly positive weight vector.
-
-    Positive rescaling preserves comparability and incomparability, so a
-    minimal support stays minimal.
-    """
-    if gamma.labels != s.index_set:
-        raise StructuralError("weight vector labels do not match the support variables")
-    if not gamma.is_positive():
-        raise DomainError("rescaling weights must be strictly positive")
-    return SupportSet(s.variables, (hadamard(gamma, p) for p in s.points), minimal=s.minimal)
-
-
 def pullback_support(s: SupportSet, b: ExponentMatrix, minimize: bool = False) -> SupportSet:
     """Push every point through a nonnegative exponent matrix (row-vector side).
 
@@ -143,27 +99,3 @@ def pullback_support(s: SupportSet, b: ExponentMatrix, minimize: bool = False) -
         image = minimal_elements(image)
     return SupportSet(sorted(b.col_labels), image, minimal=minimize)
 
-
-@dataclass(frozen=True)
-class FiniteSeries:
-    """A monomial presentation: support points with opaque unit tags.
-
-    Each tag stands for a factor that does not vanish at the origin; the
-    units are never expanded, so the tag is the only thing kept.
-    """
-
-    support: SupportSet
-    unit_tags: Mapping[ExponentVector, str] = field(default_factory=dict)
-
-    def __post_init__(self):
-        tags = dict(self.unit_tags)
-        if not tags:
-            tags = {
-                p: f"U{k}" for k, p in enumerate(self.support.sorted_points(), start=1)
-            }
-            object.__setattr__(self, "unit_tags", tags)
-        if set(tags) != set(self.support.points):
-            raise StructuralError("unit tags must cover exactly the support points")
-
-    def complexity(self) -> int:
-        return monomial_complexity(self.support)

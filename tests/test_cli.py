@@ -2,11 +2,15 @@
 
 import json
 
+import pytest
+
 import monores.cli
+import monores.jsonio
 from monores.cli import main
 from monores.errors import AlgorithmInvariantViolation
-from monores.jsonio import canonical_dumps, manifold_to_json
-from monores import ReductionProblem, reduce_problem, support_from_rows
+from monores.ideals import PrincipalizationRun
+from monores.jsonio import canonical_dumps, manifold_to_json, star_to_json
+from monores import ReductionProblem, Star, reduce_problem, support_from_rows
 
 PROBLEM = {"variables": ["z1", "z2"], "points": [["2", "1"], ["0", "2"]]}
 IDEAL = {"dimension": 2, "labels": ["z1", "z2"], "generators": [["2", "1"], ["0", "2"]]}
@@ -101,6 +105,71 @@ def test_internal_error_exit_code(tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err.startswith("internal error (bug): ")
     assert "invalid manifold" in err
+
+
+def test_non_principal_end_after_principalize_is_a_bug(tmp_path, monkeypatch, capsys):
+    def stops_early(m, generators, max_steps):
+        # the two generators (2,1) and (0,2) stay incomparable at the root
+        return PrincipalizationRun(Star(root=m), list(generators), [], [])
+
+    monkeypatch.setattr(monores.cli, "principalize_generators", stops_early)
+    inp = write(tmp_path / "ideal.json", IDEAL)
+    assert main(["principalize", "--input", inp, "--trace", str(tmp_path / "t.json")]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("internal error (bug): ")
+    assert "'c0'" in err and "not a singleton" in err
+
+
+@pytest.mark.parametrize(
+    "command, doc, message",
+    [
+        ("replay", {"version": "monores-trace/1", "steps": []}, "missing 'root'"),
+        (
+            "replay",
+            {
+                "version": "monores-trace/1",
+                "root": {"dimension": 2, "components": ["z1", "z2"], "corners": [{"id": "c0"}]},
+            },
+            "missing 'index_set'",
+        ),
+        ("replay", [1, 2], "must be a JSON object"),
+        (
+            "validate",
+            {
+                "dimension": 2,
+                "components": ["z1", "z2"],
+                "corners": [{"id": "c0", "index_set": ["z1", "z2"]}],
+                "edges": [{"from": "c0", "matrix": {"rows": [], "cols": [], "entries": []}}],
+            },
+            "missing 'to'",
+        ),
+        ("reduce", {**PROBLEM, "stratum_dim": "x"}, "stratum_dim must be an integer"),
+    ],
+    ids=["trace-without-root", "corner-without-index-set", "top-level-list",
+         "edge-without-to", "non-integer-stratum-dim"],
+)
+def test_malformed_file_is_bad_input(tmp_path, capsys, command, doc, message):
+    path = write(tmp_path / "in.json", doc)
+    argv = {
+        "replay": ["replay", "--trace", path],
+        "validate": ["validate", "--input", path],
+        "reduce": ["reduce", "--input", path, "--trace", str(tmp_path / "t.json")],
+    }[command]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err
+
+
+def test_library_key_error_during_replay_is_not_bad_input(tmp_path, monkeypatch):
+    def broken(*args):
+        raise KeyError("c0")
+
+    rep = reduce_problem(ReductionProblem(support_from_rows(("z1", "z2"), [[2, 1], [0, 2]])))
+    monkeypatch.setattr(monores.jsonio, "apply_center", broken)
+    trace = write(tmp_path / "t.json", star_to_json(rep.star))
+    with pytest.raises(KeyError):
+        main(["replay", "--trace", trace])
 
 
 def test_child_id_collision_exit_code(tmp_path, capsys):

@@ -12,6 +12,7 @@ import random
 import pytest
 
 from monores import BudgetExceededError, ReductionProblem, reduce_problem, support_from_rows
+from monores.cli import main
 from monores.jsonio import canonical_dumps, replay_trace, report_to_json, star_to_json
 from helpers import random_problem, shared_reports
 
@@ -33,6 +34,15 @@ SHARED_DIGESTS = [
 TOWER_INDEX = 14
 TOWER_BUDGET = 5
 TOWER_DIGEST = "e44a42d9133b61ac75deb3252fdc8c04644e130af18fdbd09d4f6ec8c907ce7b"
+
+# `monores principalize` on three generators in three variables: age 10,
+# 15 end corners.
+IDEAL = {
+    "dimension": 3,
+    "labels": ["z1", "z2", "z3"],
+    "generators": [["2", "1", "0"], ["0", "2", "1"], ["1", "0", "3"]],
+}
+PRINCIPALIZE_DIGEST = "e0c85df20e95ceddb47b4597e315275ee7e4aa1d822f2688b227c965c3ac2b44"
 
 
 def sha256(text: str) -> str:
@@ -72,4 +82,16 @@ def test_corpus_c_partial_trace():
     assert star.age == TOWER_BUDGET
     text = canonical_dumps(star_to_json(star))
     assert sha256(text) == TOWER_DIGEST
+    assert_replays(text)
+
+
+def test_principalize_trace(tmp_path):
+    inp = tmp_path / "ideal.json"
+    inp.write_text(canonical_dumps(IDEAL), encoding="utf-8")
+    trace = tmp_path / "trace.json"
+    assert main(["principalize", "--input", str(inp), "--trace", str(trace)]) == 0
+    text = trace.read_text(encoding="utf-8")
+    assert sha256(text) == PRINCIPALIZE_DIGEST
+    doc = json.loads(text)
+    assert (doc["stats"]["age"], len(doc["final_corners"])) == (10, 15)
     assert_replays(text)

@@ -26,9 +26,7 @@ from monores import (
     local_min_data,
     make_corner,
     mfunction_from_corner,
-    principalize,
     principalize_generators,
-    principalize_pair,
     pull_back_mfunction,
     uncoupled_centers,
 )
@@ -258,7 +256,7 @@ def test_principalize_pair_worked_instance():
 def test_principalize_pair_already_principal():
     m = corner2()
     lam, mu = seed_fn(m, {"E1": 1, "E2": 1}), seed_fn(m, {"E1": 2, "E2": 1})
-    assert principalize_pair(m, lam, mu).age == 0
+    assert principalize_generators(m, [lam, mu]).star.age == 0
 
 
 def test_principalize_pair_dim3_two_steps():
@@ -267,7 +265,7 @@ def test_principalize_pair_dim3_two_steps():
     mu = seed_fn(m3, {"E1": 0, "E2": 1, "E3": 1})
     state0 = PairState.measure(lam, mu)
     assert state0.inv == 2
-    star = principalize_pair(m3, lam, mu)
+    star = principalize_generators(m3, [lam, mu]).star
     assert star.age == 2
     # replay the per-step invariants
     gens = [lam, mu]
@@ -321,8 +319,7 @@ def test_principalize_three_generators():
 
 def test_principalize_single_generator_and_idempotence():
     m = corner2()
-    lone = MIdeal(m, [seed_fn(m, {"E1": 1, "E2": 1})])
-    assert principalize(m, lone).age == 0
+    assert principalize_generators(m, [seed_fn(m, {"E1": 1, "E2": 1})]).star.age == 0
 
     m2, lam, mu = worked_pair()
     run = principalize_generators(m2, [lam, mu])
@@ -333,7 +330,7 @@ def test_principalize_single_generator_and_idempotence():
 def test_budget_exceeded_carries_partial_star():
     m, lam, mu = worked_pair()
     with pytest.raises(BudgetExceededError) as err:
-        principalize_pair(m, lam, mu, max_steps=0)
+        principalize_generators(m, [lam, mu], max_steps=0)
     assert err.value.star is not None
     assert err.value.star.age == 0
 

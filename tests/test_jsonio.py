@@ -8,7 +8,6 @@ import pytest
 from monores import (
     ExponentMatrix,
     ExponentVector,
-    GlobalStandardization,
     ReductionProblem,
     StructuralError,
     reduce_problem,
@@ -24,8 +23,6 @@ from monores.jsonio import (
     problem_from_json,
     replay_trace,
     report_to_json,
-    standardization_from_json,
-    standardization_to_json,
     star_to_json,
     support_from_json,
     support_to_json,
@@ -87,16 +84,6 @@ def test_manifold_round_trip():
     assert [(e.p, e.q, e.matrix) for e in back.edges] == [
         (e.p, e.q, e.matrix) for e in m.edges
     ]
-
-
-def test_standardization_round_trip():
-    fam = GlobalStandardization(
-        {
-            "c0": ExponentVector({"E1": 2, "E2": 1}),
-            "c1": ExponentVector({"E1": F(1, 3), "E3": 1}),
-        }
-    )
-    assert standardization_from_json(standardization_to_json(fam)) == fam
 
 
 def test_ideal_from_json():

@@ -1,4 +1,4 @@
-"""Support-set combinatorics: reduction, complexity, projection, transforms."""
+"""Support-set combinatorics: reduction to minimal points and pullback."""
 
 from fractions import Fraction
 
@@ -10,15 +10,9 @@ from monores import (
     DomainError,
     ExponentMatrix,
     ExponentVector,
-    FiniteSeries,
     StructuralError,
-    ZeroSeriesError,
-    div_le,
     minimal_support,
-    monomial_complexity,
-    project_support,
     pullback_support,
-    rescale_support,
     support_from_rows,
 )
 
@@ -49,61 +43,10 @@ def test_minimal_support_examples():
     assert unit.points == sup([[0, 0]]).points
 
 
-def test_monomial_complexity_examples():
-    assert monomial_complexity(sup([[3, 0], [0, 2]])) == 2
-    assert monomial_complexity(sup([[1, 1]])) == 1
-    assert monomial_complexity(sup([[2, 1], [0, 2], [2, 3]])) == 2
-    with pytest.raises(ZeroSeriesError):
-        monomial_complexity(support_from_rows(V2, []))
-
-
 @given(supports())
 def test_minimal_support_idempotent(s):
     once = minimal_support(s)
     assert minimal_support(once) == once
-
-
-def test_project_support_examples():
-    s = sup([[3, 0], [0, 2]])
-    p = project_support(s, ["z2"])
-    assert p.variables == ("z2",)
-    assert p.points == {ExponentVector({"z2": 0}), ExponentVector({"z2": 2})}
-    assert monomial_complexity(p) == 1
-    assert project_support(s, V2) == s
-    collapsed = project_support(sup([[1, 1], [1, 2]]), ["z1"])
-    assert collapsed.points == {ExponentVector({"z1": 1})}
-    with pytest.raises(StructuralError):
-        project_support(s, ["z9"])
-
-
-@given(supports(), st.sets(st.sampled_from(V2), min_size=1, max_size=2))
-def test_projection_never_increases_complexity(s, keep):
-    assert monomial_complexity(project_support(s, keep)) <= monomial_complexity(s)
-
-
-def test_rescale_support_examples():
-    s = sup([[2, 1], [0, 2]])
-    gamma = ExponentVector({"z1": Fraction(1, 2), "z2": 3})
-    r = rescale_support(s, gamma)
-    assert r.points == sup([[1, 3], [0, 6]]).points
-    pts = sorted(r.points, key=lambda v: v["z1"])
-    assert not div_le(pts[0], pts[1]) and not div_le(pts[1], pts[0])
-    assert rescale_support(s, ExponentVector.ones(V2)) == s
-    singleton = sup([[1, 1]])
-    assert len(rescale_support(singleton, gamma)) == 1
-    with pytest.raises(DomainError):
-        rescale_support(s, ExponentVector({"z1": 0, "z2": 1}))
-
-
-@given(supports(max_points=4), st.tuples(*[st.fractions(min_value=Fraction(1, 6), max_value=Fraction(6), max_denominator=6)] * 2))
-def test_rescale_preserves_comparability_both_ways(s, weights):
-    gamma = ExponentVector(dict(zip(V2, weights)))
-    scaled = rescale_support(s, gamma)
-    orig = {p: ExponentVector({k: gamma[k] * p[k] for k in V2}) for p in s.points}
-    for a in s.points:
-        for b in s.points:
-            assert div_le(a, b) == div_le(orig[a], orig[b])
-    assert len(minimal_support(scaled)) == len(minimal_support(s))
 
 
 def test_pullback_support_examples():
@@ -144,12 +87,3 @@ def test_support_validation():
         support_from_rows(V2, [[1]])
     with pytest.raises(StructuralError):
         support_from_rows(("z1", "z1"), [[1, 2]])
-
-
-def test_finite_series_tags():
-    s = sup([[3, 0], [0, 2]])
-    series = FiniteSeries(s)
-    assert sorted(series.unit_tags.values()) == ["U1", "U2"]
-    assert series.complexity() == 2
-    with pytest.raises(StructuralError):
-        FiniteSeries(s, {ExponentVector({"z1": 3, "z2": 0}): "U1"})
