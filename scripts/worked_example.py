@@ -48,7 +48,7 @@ def main():
             print(f"  adapted weights at {cid}: {fmt_vec(alpha)}")
         for cid in step.after.corner_ids():
             print(f"  corner {cid} {sorted(step.after.corner(cid).index_set)}:")
-            print(fmt_mat(step.morphism[cid]))
+            print(fmt_mat(step.morphism(cid)))
 
     print("\nfinal corners:")
     for c in report.corners:

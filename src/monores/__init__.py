@@ -56,7 +56,6 @@ from .blowup import (
     apply_center,
     blow_up,
     compose_star,
-    pullback_vector,
 )
 from .ideals import (
     DEFAULT_STEP_BUDGET,
@@ -74,7 +73,6 @@ from .ideals import (
     uncoupled_centers,
 )
 from .reduction import (
-    CenterRecord,
     CornerReport,
     ReductionProblem,
     ReductionReport,

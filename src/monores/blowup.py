@@ -8,13 +8,19 @@ corners persist with the identity morphism.  At a child that drops
 `removed` renamed to the new exceptional label `E`, plus one entry
 `c = alpha[removed]/alpha[other]` at `(other, E)` (a `ChildChart`).
 
+A `BlowupStep` records this once: its `children` map holds one
+`ChildChart` per corner the step created, and a corner absent from it
+was left untouched.  The morphism matrices, the lineage of every corner
+and the pullback of exponent data are all read off that one record.
+
 Edge matrices upstairs are the old ones conjugated by the morphisms,
 `B_q⁻¹·M·B_p`.  Because each `B` is the identity plus one column, the
 conjugation is one column step and one row step, and the lifted edge's
 inverse is the same two steps, roles swapped, on the old inverse; no
-general product or inversion runs.  The whole tower stays exactly
-consistent: `validate` re-checks every manifold after every step (exact
-inverses included) and the sampling oracle checks it numerically.
+general product or inversion runs, and no `B` is built.  The whole tower
+stays exactly consistent: `validate` re-checks every manifold after
+every step (exact inverses included) and the sampling oracle checks it
+numerically.
 
 A `Star` is the append-only record of a finite sequence of such blow-ups.
 """
@@ -23,10 +29,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping
 
 from .errors import AlgorithmInvariantViolation, DomainError, StructuralError
-from .linalg import ExponentMatrix, ExponentVector, mat_mul, vec_apply
+from .linalg import ExponentMatrix, ExponentVector, mat_mul
 from .manifold import Corner, Edge, MonomialManifold, next_exceptional_label
 from .standardization import GlobalStandardization, validate_realizable
 
@@ -47,23 +54,27 @@ class BlowupCenter:
 class ChildChart:
     """The morphism at a child corner: the identity plus one column.
 
-    The child drops `removed` from its parent's labels and gains
-    `new_label`.  Its morphism matrix `B` (rows = parent labels, columns =
-    child labels) is the identity with column `removed` renamed to
-    `new_label`, plus the entry `c` at (`other`, `new_label`).
+    The child drops `removed` from the labels of its `parent` corner and
+    gains `new_label`.  Its morphism matrix `B` (rows = parent labels,
+    columns = child labels) is the identity with column `removed` renamed
+    to `new_label`, plus the entry `c` at (`other`, `new_label`); it is
+    built only when read, and then once.
     """
 
+    parent: Corner
     removed: str
     other: str
     c: Fraction
     new_label: str
 
-    def matrix(self, parent_labels: frozenset[str]) -> ExponentMatrix:
+    @cached_property
+    def matrix(self) -> ExponentMatrix:
         """`B` itself, over the parent's labels."""
-        cols = (parent_labels - {self.removed}) | {self.new_label}
+        rows = self.parent.index_set
+        cols = (rows - {self.removed}) | {self.new_label}
         one, zero = Fraction(1), Fraction(0)
         entries = {}
-        for r in parent_labels:
+        for r in rows:
             for s in cols:
                 if s != self.new_label:
                     entries[(r, s)] = one if r == s else zero
@@ -71,7 +82,7 @@ class ChildChart:
                     entries[(r, s)] = one
                 else:
                     entries[(r, s)] = self.c if r == self.other else zero
-        return ExponentMatrix(parent_labels, cols, entries)
+        return ExponentMatrix(rows, cols, entries)
 
     def pull_back(self, vec: ExponentVector) -> ExponentVector:
         """`vec·B` in O(n): the entries carry over, `removed` becomes
@@ -111,14 +122,13 @@ def _conjugate(
 
 @dataclass(frozen=True)
 class BlowupStep:
-    """One blow-up: what was blown up, and the exact morphism data.
+    """One blow-up: what was blown up, and what it changed.
 
-    `morphism` maps every corner id of the new manifold to the matrix
-    expressing the old coordinates at its image corner as monomials in
-    the new ones (rows = image labels, columns = new labels).  `lineage`
-    maps each new corner to its image corner downstairs.  `children`
-    holds the same morphism as a `ChildChart` for every corner the step
-    created; a corner missing from it is untouched, with the identity.
+    `children` is the step's one record per corner: a `ChildChart` for
+    every corner of `after` that the step created.  A corner of `after`
+    absent from it is a corner of `before`, left untouched with the
+    identity morphism.  `morphism`, `lineage` and `pull_back` read that
+    record for any corner id of `after`.
     """
 
     center_pair: frozenset[str]
@@ -126,9 +136,28 @@ class BlowupStep:
     new_label: str
     before: MonomialManifold
     after: MonomialManifold
-    morphism: Mapping[str, ExponentMatrix]
-    lineage: Mapping[str, str]
     children: Mapping[str, ChildChart]
+
+    def morphism(self, corner_id: str) -> ExponentMatrix:
+        """The matrix expressing the old coordinates at the image corner as
+        monomials in the new ones (rows = image labels, columns = new labels):
+        the child's `B`, or the untouched corner's shared identity."""
+        chart = self.children.get(corner_id)
+        return self.after.corner(corner_id).identity if chart is None else chart.matrix
+
+    def lineage(self, corner_id: str) -> str:
+        """The id of the corner of `before` that `corner_id` maps to."""
+        chart = self.children.get(corner_id)
+        return self.after.corner(corner_id).id if chart is None else chart.parent.id
+
+    def pull_back(self, vec: ExponentVector, corner_id: str) -> ExponentVector:
+        """`vec·B` for exponent data `vec` at the image corner: O(n) through
+        the child's chart, and `vec` itself at an untouched corner."""
+        chart = self.children.get(corner_id)
+        image = self.after.corner(corner_id) if chart is None else chart.parent
+        if vec.labels != image.index_set:
+            raise StructuralError(f"vector labels do not match the image of {corner_id!r}")
+        return vec if chart is None else chart.pull_back(vec)
 
 
 @dataclass(frozen=True)
@@ -201,8 +230,6 @@ def apply_center(
 
     blown = set(holders)
     corners: list[Corner] = []
-    morphism: dict[str, ExponentMatrix] = {}
-    lineage: dict[str, str] = {}
     children: dict[str, ChildChart] = {}
 
     def child_id(parent: str, removed: str) -> str:
@@ -211,8 +238,6 @@ def apply_center(
     for cid, corner in m.corners.items():
         if cid not in blown:
             corners.append(corner)
-            morphism[cid] = corner.identity
-            lineage[cid] = cid
             continue
         alpha = alpha_at_center[cid]
         for removed in sorted(pair):
@@ -222,11 +247,10 @@ def apply_center(
                 raise AlgorithmInvariantViolation(
                     f"child corner id {nid!r} of {cid!r} is already in use"
                 )
-            chart = ChildChart(removed, other, alpha[removed] / alpha[other], new_label)
-            children[nid] = chart
+            children[nid] = ChildChart(
+                corner, removed, other, alpha[removed] / alpha[other], new_label
+            )
             corners.append(Corner(nid, (corner.index_set - {removed}) | {new_label}))
-            lineage[nid] = cid
-            morphism[nid] = chart.matrix(corner.index_set)
 
     def lifted_edge(
         old: ExponentMatrix, inverse: ExponentMatrix, new_p: str, new_q: str, shared
@@ -271,13 +295,7 @@ def apply_center(
         identity = ExponentMatrix.identity(index_set)
         edges.append(lifted_edge(identity, identity, a, b, (index_set - pair) | {new_label}))
 
-    after = MonomialManifold(
-        m.dimension,
-        m.components | {new_label},
-        corners,
-        edges,
-        provenance=f"blowup({','.join(sorted(pair))};{new_label})",
-    )
+    after = MonomialManifold(m.dimension, m.components | {new_label}, corners, edges)
     violations = after.validate()
     if violations:
         raise AlgorithmInvariantViolation(
@@ -289,20 +307,8 @@ def apply_center(
         new_label=new_label,
         before=m,
         after=after,
-        morphism=morphism,
-        lineage=lineage,
         children=children,
     )
-
-
-def pullback_vector(vec: ExponentVector, step: BlowupStep, new_corner: str) -> ExponentVector:
-    """Transform exponent data at the image corner to the new corner."""
-    if new_corner not in step.morphism:
-        raise StructuralError(f"{new_corner!r} is not a corner of the blown-up manifold")
-    b = step.morphism[new_corner]
-    if vec.labels != b.row_labels:
-        raise StructuralError("vector labels do not match the image corner")
-    return vec_apply(vec, b)
 
 
 def compose_star(star: Star, corner_id: str) -> ExponentMatrix:
@@ -313,16 +319,9 @@ def compose_star(star: Star, corner_id: str) -> ExponentMatrix:
     """
     if corner_id not in star.end.corners:
         raise StructuralError(f"{corner_id!r} is not a corner of the end manifold")
-    chain = []
-    cur = corner_id
+    acc, cur = None, corner_id
     for step in reversed(star.steps):
-        chain.append((step, cur))
-        cur = step.lineage[cur]
-    chain.reverse()
-    acc = None
-    for step, cid in chain:
-        b = step.morphism[cid]
-        acc = b if acc is None else mat_mul(acc, b)
-    if acc is None:
-        acc = ExponentMatrix.identity(star.root.corner(corner_id).index_set)
-    return acc
+        b = step.morphism(cur)
+        acc = b if acc is None else mat_mul(b, acc)
+        cur = step.lineage(cur)
+    return star.root.corner(cur).identity if acc is None else acc

@@ -81,8 +81,9 @@ def cmd_reduce(args) -> int:
         f"reduced: age {report.age}, {len(report.corners)} final corners, "
         f"trace -> {args.trace}"
     )
-    for c in report.centers:
-        print(f"  center {{{','.join(c.pair)}}} -> {c.new_label}   [{c.annotation}]")
+    for step in report.star.steps:
+        pair = ",".join(sorted(step.center_pair))
+        print(f"  center {{{pair}}} -> {step.new_label}   [{report.problem.center_annotation}]")
     _maybe_check_numeric(report.star, args)
     return EXIT_OK
 
@@ -140,14 +141,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_trace=True):
-        if with_trace:
-            p.add_argument("--trace", required=True, help="output trace JSON path")
-            p.add_argument("--dot", help="optional DOT output path")
-            p.add_argument("--max-steps", type=int, default=DEFAULT_STEP_BUDGET)
-            p.add_argument("--check-numeric", action="store_true")
-            p.add_argument("--samples", type=int, default=100)
-            p.add_argument("--seed", type=int, default=42)
+    def add_common(p):
+        p.add_argument("--trace", required=True, help="output trace JSON path")
+        p.add_argument("--dot", help="optional DOT output path")
+        p.add_argument("--max-steps", type=int, default=DEFAULT_STEP_BUDGET)
+        p.add_argument("--check-numeric", action="store_true")
+        p.add_argument("--samples", type=int, default=100)
+        p.add_argument("--seed", type=int, default=42)
 
     p = sub.add_parser("reduce", help="reduce a support file to monomial type")
     p.add_argument("--input", required=True, help="problem JSON (variables, points)")

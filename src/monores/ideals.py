@@ -200,20 +200,18 @@ class PairState:
 def pull_back_mfunction(fn: MFunction, step: BlowupStep) -> MFunction:
     """Total transform of a monomial function through one blow-up.
 
-    An untouched corner keeps its vector; at a child the step's
-    `ChildChart` computes `v·B` in O(n).  The result is still checked for
-    chart consistency on every edge and for nonnegativity.  A function on
-    another manifold than `step.before` is caller error (StructuralError);
-    a failed check of the pulled-back data is a bug, reported as
-    AlgorithmInvariantViolation.
+    Each corner reads its image's vector through `step.pull_back`: an
+    untouched corner keeps it, a child's `ChildChart` computes `v·B` in
+    O(n).  The result is still checked for chart consistency on every
+    edge and for nonnegativity.  A function on another manifold than
+    `step.before` is caller error (StructuralError); a failed check of the
+    pulled-back data is a bug, reported as AlgorithmInvariantViolation.
     """
     if fn.manifold is not step.before:
         raise StructuralError("the function does not live on the manifold the step blew up")
-    data = {}
-    for cid in step.after.corner_ids():
-        chart = step.children.get(cid)
-        vec = fn.at(step.lineage[cid])
-        data[cid] = vec if chart is None else chart.pull_back(vec)
+    data = {
+        cid: step.pull_back(fn.at(step.lineage(cid)), cid) for cid in step.after.corner_ids()
+    }
     try:
         return MFunction(step.after, data)
     except (StructuralError, NotEffectiveError) as exc:

@@ -6,14 +6,16 @@ given run always produces byte-identical files.
 
 The trace format is versioned ("monores-trace/1").  A trace records the
 root manifold and, per blow-up, the center pair, the weights at the
-corners of the center, the fresh label, and every morphism matrix;
-`replay_trace` rebuilds the tower from that and insists the rebuilt
-matrices agree bit for bit.  `reduce` and `principalize` both append the
-end certificate (`final_corners` and `stats`) through one renderer,
-`certified_trace_to_json`.
+corners of the center, the fresh label, and every morphism matrix, each
+read off the step with `BlowupStep.morphism`; `replay_trace` rebuilds
+the tower from the weights and insists the rebuilt matrices agree bit
+for bit, at exactly the recorded corners.  `reduce` and `principalize`
+both append the end certificate (`final_corners` and `stats`) through
+one renderer, `certified_trace_to_json`.
 
-Readers take every field through `_field`, so a missing key or a value
-that is not a JSON object where one is expected is bad input
+Readers take every field through `_field` or `_array`, which name the
+JSON type it must have, and check every vector the same way, so a
+missing key or a value of the wrong JSON type is bad input
 (StructuralError).  Only the parsing is guarded: an exception raised by
 the library while rebuilding a tower still surfaces as it is.
 """
@@ -35,15 +37,41 @@ TRACE_VERSION = "monores-trace/1"
 
 _REQUIRED = object()
 
+_JSON_TYPES = {dict: "a JSON object", list: "an array", str: "a string", int: "an integer"}
 
-def _field(doc: Any, key: str, what: str, default: Any = _REQUIRED) -> Any:
-    """`doc[key]` of a parsed JSON object; malformed input is a StructuralError."""
+
+def _wrong_type(value: Any, kind: Any, what: str) -> StructuralError:
+    """The error for `value` not having the JSON type `kind` (a key of
+    `_JSON_TYPES` or a tuple of them)."""
+    names = " or ".join(_JSON_TYPES[k] for k in (kind if isinstance(kind, tuple) else (kind,)))
+    return StructuralError(f"{what} must be {names}, not {type(value).__name__}")
+
+
+def _field(doc: Any, key: str, what: str, kind: Any, default: Any = _REQUIRED) -> Any:
+    """`doc[key]` of a parsed JSON object, of JSON type `kind`; a missing
+    key without a default or a value of another type is a StructuralError.
+    No field is a boolean, so a boolean is rejected although Python's
+    `bool` is an `int`."""
     if not isinstance(doc, dict):
-        raise StructuralError(f"{what} must be a JSON object, not {type(doc).__name__}")
-    value = doc.get(key, default)
-    if value is _REQUIRED:
-        raise StructuralError(f"{what} object is missing {key!r}")
+        raise _wrong_type(doc, dict, what)
+    if key not in doc:
+        if default is _REQUIRED:
+            raise StructuralError(f"{what} object is missing {key!r}")
+        return default
+    value = doc[key]
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise _wrong_type(value, kind, f"{what} field {key!r}")
     return value
+
+
+def _array(doc: Any, key: str, what: str, item: type) -> list:
+    """`doc[key]`, an array whose every item has the JSON type `item`
+    (`str` or `list`)."""
+    items = _field(doc, key, what, list)
+    for x in items:
+        if not isinstance(x, item):
+            raise _wrong_type(x, item, f"each item of {what} field {key!r}")
+    return items
 
 
 def canonical_dumps(doc: Any) -> str:
@@ -59,6 +87,8 @@ def vector_to_json(vec: ExponentVector) -> dict[str, str]:
 
 
 def vector_from_json(doc: Mapping[str, Any]) -> ExponentVector:
+    if not isinstance(doc, dict):
+        raise _wrong_type(doc, dict, "vector")
     return ExponentVector({lab: parse_rational(val) for lab, val in doc.items()})
 
 
@@ -74,9 +104,9 @@ def matrix_to_json(mat: ExponentMatrix) -> dict[str, Any]:
 
 def matrix_from_json(doc: Mapping[str, Any]) -> ExponentMatrix:
     return ExponentMatrix.from_row_table(
-        _field(doc, "rows", "matrix"),
-        _field(doc, "cols", "matrix"),
-        _field(doc, "entries", "matrix"),
+        _array(doc, "rows", "matrix", str),
+        _array(doc, "cols", "matrix", str),
+        _array(doc, "entries", "matrix", list),
     )
 
 
@@ -95,7 +125,7 @@ def support_to_json(s: SupportSet) -> dict[str, Any]:
 
 def support_from_json(doc: Mapping[str, Any]) -> SupportSet:
     return support_from_rows(
-        _field(doc, "variables", "support"), _field(doc, "points", "support")
+        _array(doc, "variables", "support", str), _array(doc, "points", "support", list)
     )
 
 
@@ -116,19 +146,19 @@ def manifold_to_json(m: MonomialManifold) -> dict[str, Any]:
 
 
 def manifold_from_json(doc: Mapping[str, Any]) -> MonomialManifold:
-    dimension = _field(doc, "dimension", "manifold")
-    components = _field(doc, "components", "manifold")
+    dimension = _field(doc, "dimension", "manifold", int)
+    components = _array(doc, "components", "manifold", str)
     corners = {}
-    for c in _field(doc, "corners", "manifold"):
-        cid = _field(c, "id", "corner")
-        corners[cid] = Corner(cid, frozenset(_field(c, "index_set", "corner")))
+    for c in _field(doc, "corners", "manifold", list):
+        cid = _field(c, "id", "corner", str)
+        corners[cid] = Corner(cid, frozenset(_array(c, "index_set", "corner", str)))
     edges = []
-    for e in _field(doc, "edges", "manifold", []):
-        p, q = _field(e, "from", "edge"), _field(e, "to", "edge")
+    for e in _field(doc, "edges", "manifold", list, []):
+        p, q = _field(e, "from", "edge", str), _field(e, "to", "edge", str)
         if p not in corners or q not in corners:
             raise StructuralError(f"edge {p!r}->{q!r} references a missing corner")
         shared = corners[p].index_set & corners[q].index_set
-        edges.append(Edge(p, q, shared, matrix_from_json(_field(e, "matrix", "edge"))))
+        edges.append(Edge(p, q, shared, matrix_from_json(_field(e, "matrix", "edge", dict))))
     return MonomialManifold(dimension, components, corners.values(), edges)
 
 
@@ -137,9 +167,9 @@ def manifold_from_json(doc: Mapping[str, Any]) -> MonomialManifold:
 
 def ideal_from_json(doc: Mapping[str, Any]) -> MIdeal:
     """An ideal presented by generator exponent rows on a fresh corner chart."""
-    dimension = _field(doc, "dimension", "ideal")
-    labels = list(_field(doc, "labels", "ideal"))
-    rows = _field(doc, "generators", "ideal")
+    dimension = _field(doc, "dimension", "ideal", int)
+    labels = _array(doc, "labels", "ideal", str)
+    rows = _array(doc, "generators", "ideal", list)
     if len(labels) != dimension:
         raise StructuralError("label count does not match the dimension")
     support = support_from_rows(labels, rows)
@@ -163,9 +193,7 @@ def star_to_json(star: Star) -> dict[str, Any]:
                     for cid, alpha in step.alpha_at_center.items()
                 },
                 "new_label": step.new_label,
-                "B": {
-                    cid: matrix_to_json(mat) for cid, mat in sorted(step.morphism.items())
-                },
+                "B": {cid: matrix_to_json(step.morphism(cid)) for cid in step.after.corners},
             }
         )
     return {
@@ -177,24 +205,24 @@ def star_to_json(star: Star) -> dict[str, Any]:
 
 def replay_trace(doc: Mapping[str, Any]) -> Star:
     """Rebuild the tower from a trace, verifying the recorded matrices exactly."""
-    version = _field(doc, "version", "trace", None)
+    version = _field(doc, "version", "trace", str, None)
     if version != TRACE_VERSION:
         raise StructuralError(f"unsupported trace version {version!r}")
-    root = manifold_from_json(_field(doc, "root", "trace"))
+    root = manifold_from_json(_field(doc, "root", "trace", dict))
     violations = root.validate()
     if violations:
         raise StructuralError("trace root manifold is invalid: " + "; ".join(violations))
     star = Star(root=root)
-    for k, step_doc in enumerate(_field(doc, "steps", "trace", [])):
-        pair = frozenset(_field(step_doc, "center", "step"))
+    for k, step_doc in enumerate(_field(doc, "steps", "trace", list, [])):
+        pair = frozenset(_array(step_doc, "center", "step", str))
         alphas = {
             cid: vector_from_json(v)
-            for cid, v in _field(step_doc, "alpha_at_centers", "step").items()
+            for cid, v in _field(step_doc, "alpha_at_centers", "step", dict).items()
         }
-        step = apply_center(star.end, pair, alphas, _field(step_doc, "new_label", "step"))
-        recorded = {cid: matrix_from_json(m) for cid, m in _field(step_doc, "B", "step").items()}
-        rebuilt = dict(step.morphism)
-        if recorded != rebuilt:
+        step = apply_center(star.end, pair, alphas, _field(step_doc, "new_label", "step", str))
+        b_block = _field(step_doc, "B", "step", dict)
+        recorded = {cid: matrix_from_json(mat) for cid, mat in b_block.items()}
+        if recorded != {cid: step.morphism(cid) for cid in step.after.corners}:
             raise StructuralError(f"step {k}: rebuilt morphism matrices differ from the trace")
         star = star.extended(step)
     return star
@@ -239,18 +267,21 @@ def report_to_json(report: ReductionReport) -> dict[str, Any]:
     )
     doc["problem"] = support_to_json(report.problem.support)
     doc["problem"]["stratum_dim"] = report.problem.stratum_dim
+    annotation = report.problem.center_annotation
     doc["centers"] = [
-        {"pair": list(c.pair), "new_label": c.new_label, "annotation": c.annotation}
-        for c in report.centers
+        {"pair": sorted(step.center_pair), "new_label": step.new_label, "annotation": annotation}
+        for step in report.star.steps
     ]
     return doc
 
 
 def problem_from_json(doc: Mapping[str, Any], stratum_dim: int | None = None) -> ReductionProblem:
     support = support_from_json(doc)
-    k = _field(doc, "stratum_dim", "problem", 0) if stratum_dim is None else stratum_dim
+    k = stratum_dim
+    if k is None:
+        k = _field(doc, "stratum_dim", "problem", (int, str), 0)
     try:
         k = int(k)
-    except (TypeError, ValueError):
+    except ValueError:
         raise StructuralError(f"stratum_dim must be an integer, not {k!r}") from None
     return ReductionProblem(support=support, stratum_dim=k)

@@ -200,11 +200,6 @@ class ExponentMatrix:
         except KeyError:
             raise StructuralError(f"no entry at ({row!r},{col!r})") from None
 
-    def row_vector(self, row: str) -> ExponentVector:
-        if row not in self._rows:
-            raise StructuralError(f"no row {row!r}")
-        return ExponentVector({c: self._data[(row, c)] for c in self._cols})
-
     def is_nonnegative(self) -> bool:
         return all(v >= 0 for v in self._data.values())
 

@@ -102,8 +102,7 @@ class Edge:
 class MonomialManifold:
     """Corners plus edges; immutable once constructed.
 
-    Blow-ups build new manifolds rather than mutating; `provenance` is a
-    human-readable note about where the manifold came from.
+    Blow-ups build new manifolds rather than mutating.
     """
 
     def __init__(
@@ -112,7 +111,6 @@ class MonomialManifold:
         components: Iterable[str],
         corners: Iterable[Corner],
         edges: Iterable[Edge] = (),
-        provenance: str | None = None,
     ):
         if dimension < 1:
             raise StructuralError("dimension must be at least 1")
@@ -124,7 +122,6 @@ class MonomialManifold:
                 raise StructuralError(f"duplicate corner id {c.id!r}")
             self.corners[c.id] = c
         self.edges = tuple(sorted(edges, key=Edge.key))
-        self.provenance = provenance
 
     # -- basic accessors ------------------------------------------------
 
@@ -410,7 +407,7 @@ def make_corner(labels: Iterable[str], corner_id: str = "c0") -> MonomialManifol
     if len(set(labs)) != len(labs):
         raise StructuralError("corner labels must be distinct")
     corner = Corner(corner_id, frozenset(labs))
-    return MonomialManifold(len(labs), labs, [corner], provenance="corner")
+    return MonomialManifold(len(labs), labs, [corner])
 
 
 def next_exceptional_label(components: Iterable[str]) -> str:

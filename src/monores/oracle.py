@@ -81,14 +81,14 @@ def _blowup_squares(step: BlowupStep, rng: random.Random, samples: int) -> float
     worst = 0.0
     before, after = step.before, step.after
     for e in after.edges:
-        a, b = step.lineage[e.p], step.lineage[e.q]
+        a, b = step.lineage(e.p), step.lineage(e.q)
         across = None if a == b else before.change_matrix(a, b)
         for _ in range(samples):
             x_new_p = _sample_log_point(after.corner(e.p).index_set, rng)
-            x_old_p = monomial_map_log(step.morphism[e.p], x_new_p)
+            x_old_p = monomial_map_log(step.morphism(e.p), x_new_p)
             x_old_q = x_old_p if across is None else monomial_map_log(across, x_old_p)
             x_new_q = monomial_map_log(e.matrix, x_new_p)
-            x_old_q2 = monomial_map_log(step.morphism[e.q], x_new_q)
+            x_old_q2 = monomial_map_log(step.morphism(e.q), x_new_q)
             worst = max(worst, _rel_err_log(x_old_q, x_old_q2))
     return worst
 
@@ -104,8 +104,8 @@ def _composite_checks(star: Star, rng: random.Random, samples: int) -> float:
             direct = monomial_map_log(composite, x_top)
             x, cur = x_top, cid
             for step in reversed(star.steps):
-                x = monomial_map_log(step.morphism[cur], x)
-                cur = step.lineage[cur]
+                x = monomial_map_log(step.morphism(cur), x)
+                cur = step.lineage(cur)
             worst = max(worst, _rel_err_log(direct, x))
     return worst
 

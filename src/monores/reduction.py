@@ -47,14 +47,11 @@ class ReductionProblem:
         if self.stratum_dim < 0:
             raise DomainError("the stratum dimension must be nonnegative")
 
-
-@dataclass(frozen=True)
-class CenterRecord:
-    """One blown-up center with its ambient-product annotation."""
-
-    pair: tuple[str, ...]
-    new_label: str
-    annotation: str
+    @property
+    def center_annotation(self) -> str:
+        """How every center of the tower sits in the ambient product."""
+        k = self.stratum_dim
+        return f"ℝ^{k} × Z̄" if k > 0 else "Z̄"
 
 
 @dataclass(frozen=True)
@@ -74,7 +71,6 @@ class ReductionReport:
     problem: ReductionProblem
     star: Star
     corners: list[CornerReport]
-    centers: list[CenterRecord]
     pair_invariants: list[tuple[int, int, int]] = field(default_factory=list)
     new_uncoupled_counts: list[int] = field(default_factory=list)
 
@@ -146,21 +142,10 @@ def reduce_problem(
         raise AlgorithmInvariantViolation(
             "tower age does not equal the sum of the pair obstruction counts"
         )
-
-    k = problem.stratum_dim
-    centers = [
-        CenterRecord(
-            pair=tuple(sorted(step.center_pair)),
-            new_label=step.new_label,
-            annotation=(f"ℝ^{k} × Z̄" if k > 0 else "Z̄"),
-        )
-        for step in star.steps
-    ]
     return ReductionReport(
         problem=problem,
         star=star,
         corners=certify_end(run),
-        centers=centers,
         pair_invariants=run.pair_invariants,
         new_uncoupled_counts=run.new_uncoupled_counts,
     )

@@ -17,18 +17,12 @@ class SupportSet:
     """A finite set of nonnegative exponent vectors over named variables.
 
     `variables` is an ordered tuple (it fixes column order in files); the
-    points themselves are an unordered set.  `minimal=True` records that
-    the set is known to be pairwise incomparable.
+    points themselves are an unordered set.
     """
 
-    __slots__ = ("variables", "points", "minimal")
+    __slots__ = ("variables", "points")
 
-    def __init__(
-        self,
-        variables: Iterable[str],
-        points: Iterable[ExponentVector],
-        minimal: bool = False,
-    ):
+    def __init__(self, variables: Iterable[str], points: Iterable[ExponentVector]):
         self.variables = tuple(variables)
         if len(set(self.variables)) != len(self.variables):
             raise StructuralError("duplicate variable names")
@@ -42,7 +36,6 @@ class SupportSet:
             if not p.is_nonnegative():
                 raise DomainError(f"support point with a negative entry: {p!r}")
         self.points = pts
-        self.minimal = bool(minimal)
 
     @property
     def index_set(self) -> frozenset[str]:
@@ -64,7 +57,7 @@ class SupportSet:
 
     def __repr__(self) -> str:
         pts = ", ".join(repr(tuple(str(x) for _, x in p.items())) for p in self.sorted_points())
-        return f"SupportSet(vars={list(self.variables)}, points=[{pts}], minimal={self.minimal})"
+        return f"SupportSet(vars={list(self.variables)}, points=[{pts}])"
 
 
 def support_from_rows(variables: Iterable[str], rows: Iterable[Iterable]) -> SupportSet:
@@ -81,7 +74,7 @@ def support_from_rows(variables: Iterable[str], rows: Iterable[Iterable]) -> Sup
 
 def minimal_support(s: SupportSet) -> SupportSet:
     """Keep only the points not strictly dominated in the division order."""
-    return SupportSet(s.variables, minimal_elements(s.points), minimal=True)
+    return SupportSet(s.variables, minimal_elements(s.points))
 
 
 def pullback_support(s: SupportSet, b: ExponentMatrix, minimize: bool = False) -> SupportSet:
@@ -97,5 +90,5 @@ def pullback_support(s: SupportSet, b: ExponentMatrix, minimize: bool = False) -
     image = [vec_apply(p, b) for p in s.points]
     if minimize:
         image = minimal_elements(image)
-    return SupportSet(sorted(b.col_labels), image, minimal=minimize)
+    return SupportSet(sorted(b.col_labels), image)
 

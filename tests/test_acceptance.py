@@ -197,7 +197,8 @@ def test_criterion_6_pullback_monotonicity(worked, pair_corpus, problem_corpus):
     matrices = {}
     for star in _all_stars(worked, pair_corpus, problem_corpus):
         for step in star.steps:
-            for b in step.morphism.values():
+            for cid in step.after.corner_ids():
+                b = step.morphism(cid)
                 matrices[b] = b
     pool = list(matrices)
     assert pool

@@ -18,7 +18,6 @@ from monores import (
     extend,
     make_corner,
     mat_mul,
-    pullback_vector,
     vec_apply,
 )
 from helpers import random_vector, shared_reports
@@ -37,11 +36,11 @@ def test_worked_example_morphism_matrices():
     step = blow_up(m, BlowupCenter(frozenset({"E1", "E2"}), fam))
     assert step.new_label == "E∞1"
     assert step.after.corner("c0.E2").index_set == {"E1", "E∞1"}
-    assert step.morphism["c0.E2"] == ExponentMatrix.from_row_table(
+    assert step.morphism("c0.E2") == ExponentMatrix.from_row_table(
         ("E1", "E2"), ("E1", "E∞1"), [[1, F(1, 2)], [0, 1]]
     )
     assert step.after.corner("c0.E1").index_set == {"E2", "E∞1"}
-    assert step.morphism["c0.E1"] == ExponentMatrix.from_row_table(
+    assert step.morphism("c0.E1") == ExponentMatrix.from_row_table(
         ("E1", "E2"), ("E2", "E∞1"), [[0, 1], [1, 2]]
     )
     assert step.after.validate() == []
@@ -54,8 +53,8 @@ def test_corner_disjoint_from_center_keeps_identity():
     fam2 = extend(m2, LocalStandardization("c0.E1", ExponentVector.ones({"E2", "E∞1"})))
     step2 = blow_up(m2, BlowupCenter(frozenset({"E2", "E∞1"}), fam2))
     untouched = "c0.E2"
-    assert step2.lineage[untouched] == untouched
-    assert step2.morphism[untouched] == ExponentMatrix.identity(m2.corner(untouched).index_set)
+    assert step2.lineage(untouched) == untouched
+    assert step2.morphism(untouched) == ExponentMatrix.identity(m2.corner(untouched).index_set)
     assert step2.after.corner(untouched).index_set == m2.corner(untouched).index_set
 
 
@@ -63,7 +62,7 @@ def test_uniform_weights_give_unit_entries():
     m, fam = corner_with_weights({"E1": 1, "E2": 1})
     step = blow_up(m, BlowupCenter(frozenset({"E1", "E2"}), fam))
     for cid in ("c0.E1", "c0.E2"):
-        b = step.morphism[cid]
+        b = step.morphism(cid)
         assert b.entry("E1", "E∞1") == 1
         assert b.entry("E2", "E∞1") == 1
 
@@ -74,15 +73,15 @@ def test_blow_up_rejects_unrealized_center():
         blow_up(m, BlowupCenter(frozenset({"E1", "E9"}), fam))
 
 
-def test_pullback_vector_examples():
+def test_step_pull_back_examples():
     m, fam = corner_with_weights({"E1": 2, "E2": 1})
     step = blow_up(m, BlowupCenter(frozenset({"E1", "E2"}), fam))
     lam = ExponentVector({"E1": 2, "E2": 1})
-    assert pullback_vector(lam, step, "c0.E2") == ExponentVector({"E1": 2, "E∞1": 2})
+    assert step.pull_back(lam, "c0.E2") == ExponentVector({"E1": 2, "E∞1": 2})
     mu = ExponentVector({"E1": 0, "E2": 2})
-    assert pullback_vector(mu, step, "c0.E2") == ExponentVector({"E1": 0, "E∞1": 2})
+    assert step.pull_back(mu, "c0.E2") == ExponentVector({"E1": 0, "E∞1": 2})
     zero = ExponentVector.zero(("E1", "E2"))
-    assert pullback_vector(zero, step, "c0.E1") == ExponentVector.zero(("E2", "E∞1"))
+    assert step.pull_back(zero, "c0.E1") == ExponentVector.zero(("E2", "E∞1"))
 
 
 def test_compose_star_examples():
@@ -91,7 +90,7 @@ def test_compose_star_examples():
     assert compose_star(empty, "c0") == ExponentMatrix.identity(("E1", "E2"))
     step = blow_up(m, BlowupCenter(frozenset({"E1", "E2"}), fam))
     one = empty.extended(step)
-    assert compose_star(one, "c0.E2") == step.morphism["c0.E2"]
+    assert compose_star(one, "c0.E2") == step.morphism("c0.E2")
 
 
 def test_compose_star_matches_stepwise_products_on_random_towers():
@@ -104,8 +103,8 @@ def test_compose_star_matches_stepwise_products_on_random_towers():
             composite = compose_star(star, cid)
             cur, mats = cid, []
             for step in reversed(star.steps):
-                mats.append(step.morphism[cur])
-                cur = step.lineage[cur]
+                mats.append(step.morphism(cur))
+                cur = step.lineage(cur)
             product = mats[-1]
             for mat in reversed(mats[:-1]):
                 product = mat_mul(product, mat)
@@ -116,9 +115,9 @@ def test_compose_star_matches_stepwise_products_on_random_towers():
             chain = []
             for step in reversed(star.steps):
                 chain.append((step, walk))
-                walk = step.lineage[walk]
+                walk = step.lineage(walk)
             for step, corner in reversed(chain):
-                stepwise = pullback_vector(stepwise, step, corner)
+                stepwise = vec_apply(stepwise, step.morphism(corner))
             assert stepwise == vec_apply(lam, composite)
 
 
@@ -126,7 +125,8 @@ def test_pullback_monotone_on_every_generated_matrix():
     rng = random.Random(11)
     for report in shared_reports():
         for step in report.star.steps:
-            for cid, b in step.morphism.items():
+            for cid in step.after.corner_ids():
+                b = step.morphism(cid)
                 assert b.is_nonnegative()
                 labels = sorted(b.row_labels)
                 lam = random_vector(rng, labels)
@@ -149,8 +149,9 @@ def test_morphism_matrix_structure_over_blown_corners():
     exceptional column, one of them 1; zero elsewhere off the diagonal."""
     for report in shared_reports():
         for step in report.star.steps:
-            for cid, b in step.morphism.items():
-                if step.lineage[cid] == cid:
+            for cid in step.after.corner_ids():
+                b = step.morphism(cid)
+                if step.lineage(cid) == cid:
                     continue  # untouched corner, identity
                 removed = cid.rsplit(".", 1)[1]
                 survivors = b.col_labels - {step.new_label}

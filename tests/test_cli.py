@@ -1,5 +1,6 @@
 """Command line behavior: flows, exit codes, determinism."""
 
+import copy
 import json
 
 import pytest
@@ -14,6 +15,20 @@ from monores import ReductionProblem, Star, reduce_problem, support_from_rows
 
 PROBLEM = {"variables": ["z1", "z2"], "points": [["2", "1"], ["0", "2"]]}
 IDEAL = {"dimension": 2, "labels": ["z1", "z2"], "generators": [["2", "1"], ["0", "2"]]}
+WORKED = reduce_problem(ReductionProblem(support_from_rows(("z1", "z2"), [[2, 1], [0, 2]])))
+TRACE = star_to_json(WORKED.star)
+MANIFOLD = manifold_to_json(WORKED.star.end)
+
+
+def edited(doc, path, value):
+    """A deep copy of `doc` with the item at `path` (keys and indices) set to `value`."""
+    doc = copy.deepcopy(doc)
+    *parents, last = path
+    target = doc
+    for key in parents:
+        target = target[key]
+    target[last] = value
+    return doc
 
 
 def write(path, doc):
@@ -144,9 +159,61 @@ def test_non_principal_end_after_principalize_is_a_bug(tmp_path, monkeypatch, ca
             "missing 'to'",
         ),
         ("reduce", {**PROBLEM, "stratum_dim": "x"}, "stratum_dim must be an integer"),
+        ("replay", edited(TRACE, ["steps", 0, "B"], []), "field 'B' must be a JSON object"),
+        (
+            "replay",
+            edited(TRACE, ["root", "corners", 0, "index_set"], 5),
+            "field 'index_set' must be an array",
+        ),
+        ("replay", edited(TRACE, ["steps"], 3), "field 'steps' must be an array"),
+        (
+            "replay",
+            edited(TRACE, ["steps", 0, "alpha_at_centers"], [1]),
+            "field 'alpha_at_centers' must be a JSON object",
+        ),
+        ("replay", edited(TRACE, ["steps", 0, "center"], 7), "field 'center' must be an array"),
+        (
+            "replay",
+            edited(TRACE, ["steps", 0, "alpha_at_centers", "c0"], 3),
+            "vector must be a JSON object",
+        ),
+        (
+            "replay",
+            edited(TRACE, ["steps", 0, "B", "c0.z1", "rows"], 1),
+            "field 'rows' must be an array",
+        ),
+        (
+            "replay",
+            edited(TRACE, ["steps", 0, "B", "c0.z1", "entries"], 5),
+            "field 'entries' must be an array",
+        ),
+        ("replay", edited(TRACE, ["root", "dimension"], "2"), "must be an integer, not str"),
+        ("replay", edited(TRACE, ["root", "components"], 3), "field 'components' must be"),
+        ("validate", edited(MANIFOLD, ["edges"], 4), "field 'edges' must be an array"),
+        ("validate", edited(MANIFOLD, ["corners"], 4), "field 'corners' must be an array"),
+        (
+            "validate",
+            edited(MANIFOLD, ["edges", 0, "matrix", "entries", 0], 3),
+            "each item of matrix field 'entries' must be an array",
+        ),
+        ("validate", edited(MANIFOLD, ["dimension"], None), "must be an integer, not NoneType"),
+        ("reduce", {**PROBLEM, "points": [1]}, "each item of support field 'points'"),
+        ("reduce", {**PROBLEM, "variables": 5}, "field 'variables' must be an array"),
+        ("reduce", {**PROBLEM, "points": 3}, "field 'points' must be an array"),
+        (
+            "principalize",
+            {**IDEAL, "generators": [1, 2]},
+            "each item of ideal field 'generators'",
+        ),
+        ("principalize", {**IDEAL, "labels": 7}, "field 'labels' must be an array"),
     ],
     ids=["trace-without-root", "corner-without-index-set", "top-level-list",
-         "edge-without-to", "non-integer-stratum-dim"],
+         "edge-without-to", "non-integer-stratum-dim", "b-block-list", "index-set-number",
+         "steps-number", "alphas-list", "center-number", "alpha-vector-number",
+         "b-rows-number", "b-entries-number", "dimension-string", "components-number",
+         "edges-number", "corners-number", "entries-row-number", "dimension-null",
+         "points-row-number", "variables-number", "points-number", "generators-rows-numbers",
+         "labels-number"],
 )
 def test_malformed_file_is_bad_input(tmp_path, capsys, command, doc, message):
     path = write(tmp_path / "in.json", doc)
@@ -154,6 +221,7 @@ def test_malformed_file_is_bad_input(tmp_path, capsys, command, doc, message):
         "replay": ["replay", "--trace", path],
         "validate": ["validate", "--input", path],
         "reduce": ["reduce", "--input", path, "--trace", str(tmp_path / "t.json")],
+        "principalize": ["principalize", "--input", path, "--trace", str(tmp_path / "t.json")],
     }[command]
     assert main(argv) == 1
     err = capsys.readouterr().err

@@ -131,6 +131,20 @@ def test_replay_rejects_tampered_matrices():
         replay_trace(doc)
 
 
+@pytest.mark.parametrize("change", ["drop a corner", "add a corner"])
+def test_replay_rejects_a_b_block_over_other_corners(change):
+    rep = worked_report()
+    doc = json.loads(canonical_dumps(star_to_json(rep.star)))
+    block = doc["steps"][0]["B"]
+    some_corner = sorted(block)[0]
+    if change == "drop a corner":
+        del block[some_corner]
+    else:
+        block["c9"] = block[some_corner]
+    with pytest.raises(StructuralError, match="matrices differ from the trace"):
+        replay_trace(doc)
+
+
 def test_canonical_dumps_is_stable():
     rep1 = worked_report()
     rep2 = worked_report()

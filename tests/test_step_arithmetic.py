@@ -1,11 +1,13 @@
 """The arithmetic of one blow-up step against the general-purpose reference.
 
-`apply_center` lifts edges by row and column steps with inherited inverses,
-`pull_back_mfunction` pulls back in O(n) through `ChildChart`, and
-`_cycle_violations` carries one chart change per corner from the root.
-Each is checked here against the slower computation it replaced:
-`mat_inverse` and `mat_mul` conjugation, `pullback_vector`, and the
-tree-path product below.
+`apply_center` lifts edges by row and column steps with inherited inverses
+and records each child's morphism as a `ChildChart`, `pull_back_mfunction`
+pulls back in O(n) through it, and `_cycle_violations` carries one chart
+change per corner from the root.  Each is checked here against the slower
+computation it replaced: `mat_inverse` and `mat_mul` conjugation, the
+identity-plus-one-column matrix written out from the weights, the
+full-matrix product `vec_apply(v, step.morphism(cid))`, and the tree-path
+product below.
 """
 
 from collections import deque
@@ -26,8 +28,10 @@ from monores import (
     mat_inverse,
     mat_mul,
     pull_back_mfunction,
-    pullback_vector,
+    reduce_problem,
+    vec_apply,
 )
+from monores.blowup import ChildChart
 from monores.reduction import build_ideal_from_support
 from monores.supports import minimal_support
 from helpers import corpus_c_budget_stop, shared_reports, tower_manifolds
@@ -161,29 +165,52 @@ def test_lifted_edges_equal_conjugation_and_carry_exact_inverses():
         before = {e.key(): e for e in step.before.edges}
         for e in step.after.edges:
             assert e.inverse == mat_inverse(e.matrix)
-            p0, q0 = step.lineage[e.p], step.lineage[e.q]
+            p0, q0 = step.lineage(e.p), step.lineage(e.q)
             if p0 == q0:
                 old = ExponentMatrix.identity(step.before.corner(p0).index_set)
             else:
                 old = before[(p0, q0)].matrix
-            b_p, b_q = step.morphism[e.p], step.morphism[e.q]
+            b_p, b_q = step.morphism(e.p), step.morphism(e.q)
             assert e.matrix == mat_mul(mat_inverse(b_q), mat_mul(old, b_p))
             checked += 1
     assert checked == sum(len(step.after.edges) for step in all_steps()) > 100
 
 
+def identity_plus_one_column(parent_labels, removed, other, c, new_label):
+    """The blow-up morphism at a child, written out entry by entry: the
+    identity on the parent's labels with column `removed` renamed to
+    `new_label`, plus `c` at (`other`, `new_label`)."""
+    cols = (parent_labels - {removed}) | {new_label}
+    entries = {(r, s): int(r == s) for r in parent_labels for s in cols}
+    for r in parent_labels:
+        entries[(r, new_label)] = 1 if r == removed else c if r == other else 0
+    return ExponentMatrix(parent_labels, cols, entries)
+
+
 def test_child_charts_reproduce_the_morphism_matrices():
+    children = 0
     for step in all_steps():
-        for cid, b in step.morphism.items():
-            chart = step.children.get(cid)
-            parent = step.before.corner(step.lineage[cid]).index_set
-            if chart is None:
-                assert step.lineage[cid] == cid and b.is_identity()
-            else:
-                assert b == chart.matrix(parent)
+        for cid, corner in step.after.corners.items():
+            b = step.morphism(cid)
+            if step.new_label not in corner.index_set:
+                assert cid not in step.children
+                assert step.lineage(cid) == cid
+                assert b == ExponentMatrix.identity(step.before.corner(cid).index_set)
+                continue
+            parent = step.lineage(cid)
+            parent_labels = step.before.corner(parent).index_set
+            (removed,) = parent_labels - corner.index_set
+            (other,) = step.center_pair - {removed}
+            alpha = step.alpha_at_center[parent]
+            expected = identity_plus_one_column(
+                parent_labels, removed, other, alpha[removed] / alpha[other], step.new_label
+            )
+            assert b == expected
+            children += 1
+    assert children == sum(len(step.children) for step in all_steps()) > 50
 
 
-def test_pull_back_mfunction_matches_pullback_vector_at_every_corner():
+def test_pull_back_mfunction_matches_the_full_matrix_product_at_every_corner():
     for report in shared_reports():
         star = report.star
         ideal = build_ideal_from_support(minimal_support(report.problem.support), star.root)
@@ -192,7 +219,8 @@ def test_pull_back_mfunction_matches_pullback_vector_at_every_corner():
             pulled = [pull_back_mfunction(g, step) for g in gens]
             for old, new in zip(gens, pulled):
                 for cid in step.after.corner_ids():
-                    assert new.at(cid) == pullback_vector(old.at(step.lineage[cid]), step, cid)
+                    b = step.morphism(cid)
+                    assert new.at(cid) == vec_apply(old.at(step.lineage(cid)), b)
             gens = pulled
         for corner in report.corners:
             assert tuple(g.at(corner.corner) for g in gens) == corner.generator_exponents
@@ -221,3 +249,19 @@ def test_edge_given_a_wrong_inverse_fails_validate(kind):
     assert any("not an exact inverse" in v for v in bad.validate())
     good = with_edges(m, [Edge(e.p, e.q, e.shared, e.matrix, inverse=e.inverse)])
     assert good.validate() == []
+
+
+def test_the_sweep_builds_no_morphism_matrix(monkeypatch):
+    """A step records each child as a `ChildChart`; only a reader of `B`
+    (a trace, the oracle, `compose_star`) builds it."""
+
+    def forbidden(chart):
+        raise AssertionError("the sweep built a child's morphism matrix")
+
+    monkeypatch.setattr(ChildChart, "matrix", property(forbidden))
+    towers = [report for report in shared_reports() if report.age > 0]
+    assert towers
+    for report in towers:
+        rep = reduce_problem(report.problem)
+        assert rep.age == report.age
+        assert rep.corners == report.corners

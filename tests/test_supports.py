@@ -36,7 +36,6 @@ def supports(labels=V2, max_points=6):
 def test_minimal_support_examples():
     s = minimal_support(sup([[3, 0], [0, 2], [3, 2]]))
     assert s.points == sup([[3, 0], [0, 2]]).points
-    assert s.minimal
     single = minimal_support(sup([[1, 1]]))
     assert single.points == sup([[1, 1]]).points
     unit = minimal_support(sup([[0, 0], [5, 7]]))
