@@ -17,10 +17,13 @@ Edge matrices upstairs are the old ones conjugated by the morphisms,
 `B_q⁻¹·M·B_p`.  Because each `B` is the identity plus one column, the
 conjugation is one column step and one row step, and the lifted edge's
 inverse is the same two steps, roles swapped, on the old inverse; no
-general product or inversion runs, and no `B` is built.  The whole tower
-stays exactly consistent: `validate` re-checks every manifold after
-every step (exact inverses included) and the sampling oracle checks it
-numerically.
+general product or inversion runs, and no `B` is built.  Each step then
+proves what it built, not the whole manifold: `BlowupStep.violations`
+checks the children and the new edges (exact inverses and the
+conjugation identity included), which makes `after` valid whenever
+`before` is.  A tower is therefore proven by induction from a root that
+`MonomialManifold.validate` checked in full, as `replay_trace` does; the
+sampling oracle checks it numerically.
 
 A `Star` is the append-only record of a finite sequence of such blow-ups.
 """
@@ -30,6 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import combinations
 from typing import Mapping
 
 from .errors import AlgorithmInvariantViolation, DomainError, StructuralError
@@ -92,32 +96,59 @@ class ChildChart:
         return ExponentVector(entries)
 
 
+def _entries(mat: ExponentMatrix) -> dict[tuple[str, str], Fraction]:
+    return {(r, s): mat.entry(r, s) for r in mat.row_labels for s in mat.col_labels}
+
+
+def _column_step(entries: dict, row_labels, chart: ChildChart) -> None:
+    """`X·B` in place on the entries of `X`: the new column `E` is column
+    `removed` plus `c` times column `other`, and column `removed` goes."""
+    gone, other, c, new = chart.removed, chart.other, chart.c, chart.new_label
+    for r in row_labels:
+        entries[(r, new)] = entries.pop((r, gone)) + c * entries[(r, other)]
+
+
+def _row_step(
+    entries: dict, col_labels, source: str, target: str, other: str, c: Fraction
+) -> None:
+    """In place on the entries of `X`: row `source` is renamed `target`, and
+    row `other` gains `c` times it.  `B⁻¹·X` (the identity with row
+    `removed` renamed to `E` and `-c` at (`other`, `removed`)) is
+    (`removed` → `E`, `-c`); `B·X` is (`E` → `removed`, `c`)."""
+    for s in col_labels:
+        top = entries.pop((source, s))
+        entries[(target, s)] = top
+        entries[(other, s)] += c * top
+
+
 def _conjugate(
     mat: ExponentMatrix, rows: ChildChart | None, cols: ChildChart | None
 ) -> ExponentMatrix:
-    """`B_rows⁻¹ · mat · B_cols`; a missing chart stands for the identity.
-
-    Column step (`· B`): the new column `E` is column `removed` plus `c`
-    times column `other`, and column `removed` goes.  Row step (`B⁻¹ ·`,
-    which is the identity with row `removed` renamed to `E` and `-c` at
-    (`other`, `removed`)): row `E` is row `removed`, and row `other`
-    becomes itself minus `c` times row `removed`.
-    """
+    """`B_rows⁻¹ · mat · B_cols`; a missing chart stands for the identity:
+    one column step and one row step."""
     row_labels, col_labels = mat.row_labels, mat.col_labels
-    entries = {(r, s): mat.entry(r, s) for r in row_labels for s in col_labels}
+    entries = _entries(mat)
     if cols is not None:
-        gone, other, c, new = cols.removed, cols.other, cols.c, cols.new_label
-        for r in row_labels:
-            entries[(r, new)] = entries.pop((r, gone)) + c * entries[(r, other)]
-        col_labels = (col_labels - {gone}) | {new}
+        _column_step(entries, row_labels, cols)
+        col_labels = (col_labels - {cols.removed}) | {cols.new_label}
     if rows is not None:
-        gone, other, c, new = rows.removed, rows.other, rows.c, rows.new_label
-        for s in col_labels:
-            top = entries.pop((gone, s))
-            entries[(new, s)] = top
-            entries[(other, s)] -= c * top
-        row_labels = (row_labels - {gone}) | {new}
+        _row_step(entries, col_labels, rows.removed, rows.new_label, rows.other, -rows.c)
+        row_labels = (row_labels - {rows.removed}) | {rows.new_label}
     return ExponentMatrix(row_labels, col_labels, entries)
+
+
+def _conjugation_holds(
+    lifted: ExponentMatrix, old: ExponentMatrix, at_p: ChildChart | None, at_q: ChildChart | None
+) -> bool:
+    """`B_q·lifted == old·B_p`, by one row step and one column step that
+    multiply by `B` (not `B⁻¹`, so this is not `_conjugate` run again)."""
+    left = _entries(lifted)
+    if at_q is not None:
+        _row_step(left, lifted.col_labels, at_q.new_label, at_q.removed, at_q.other, at_q.c)
+    right = _entries(old)
+    if at_p is not None:
+        _column_step(right, old.row_labels, at_p)
+    return left == right
 
 
 @dataclass(frozen=True)
@@ -158,6 +189,68 @@ class BlowupStep:
         if vec.labels != image.index_set:
             raise StructuralError(f"vector labels do not match the image of {corner_id!r}")
         return vec if chart is None else chart.pull_back(vec)
+
+    @cached_property
+    def new_edges(self) -> tuple[Edge, ...]:
+        """The edges of `after` that touch a child: every edge the step built.
+        The others are edges of `before`, carried over as the same objects."""
+        return tuple(e for e in self.after.edges if e.p in self.children or e.q in self.children)
+
+    def violations(self) -> list[str]:
+        """The step's local certificate: checks what the step built, and
+        returns the violations, empty if `after` is valid given that
+        `before` is.
+
+        Checked, from `children` and `new_edges` only:
+        - each child's index set (size, labels, the parent's with `removed`
+          replaced by `new_label`), unique among the children;
+        - each new edge: every check `MonomialManifold.validate` makes of
+          one edge (shared set, label sets, triangular form, positive
+          diagonal, exact inverse), and the conjugation identity
+          `B_q·M' == M·B_p`, where `M` is the edge downstairs that it lifts
+          (the identity for the split edge between two siblings);
+        - connectivity of every label set through `new_label`.
+
+        Why that suffices when `before` is valid.  Untouched corners and
+        the edges between them are the objects of `before`, already
+        proven.  Only children hold `new_label`, so index sets can collide
+        only among children, and a label set through `new_label` is held
+        by children alone, joined by edges between children.  The
+        conjugation identity maps a closed walk upstairs to a closed walk
+        downstairs in which split edges are stays, so the walk's product
+        is `B⁻¹·(a closed product downstairs)·B`, the identity.  Every
+        edge downstairs lifts, and split edges join siblings, so the
+        corner graph and every label set without `new_label` stay
+        connected, and every label stays on some corner.
+        """
+        after, new = self.after, self.new_label
+        children = [after.corner(cid) for cid in self.children]
+        bad = after._corner_violations(children)
+        for child in children:
+            chart = self.children[child.id]
+            if child.index_set != (chart.parent.index_set - {chart.removed}) | {new}:
+                bad.append(f"corner {child.id}: index set does not match its child chart")
+        bad.extend(after._edge_violations(self.new_edges))
+        if bad:
+            return bad
+        old = {e.key(): e.matrix for e in self.before.edges}
+        for e in self.new_edges:
+            p0, q0 = self.lineage(e.p), self.lineage(e.q)
+            image = self.before.corner(p0).identity if p0 == q0 else old.get((p0, q0))
+            if image is None:
+                bad.append(f"edge {e.p}->{e.q}: lifts no edge {p0}->{q0}")
+            elif not _conjugation_holds(
+                e.matrix, image, self.children.get(e.p), self.children.get(e.q)
+            ):
+                bad.append(f"edge {e.p}->{e.q}: B_q·M' differs from M·B_p downstairs")
+        through_new = {
+            frozenset(labels) | {new}
+            for child in children
+            for size in range(after.dimension - 1)
+            for labels in combinations(sorted(child.index_set - {new}), size)
+        }
+        bad.extend(after._connectivity_violations(through_new, children))
+        return bad
 
 
 @dataclass(frozen=True)
@@ -209,8 +302,11 @@ def apply_center(
     leaves untouched, or is made twice (possible when labels contain "."),
     raises AlgorithmInvariantViolation; the id of a blown corner is free
     again.  Edges are lifted by `_conjugate` with their inverses
-    alongside, so no matrix is inverted here, and the result is still
-    validated in full.
+    alongside, so no matrix is inverted here.  The result passes the
+    step's local certificate (`BlowupStep.violations`), or
+    AlgorithmInvariantViolation is raised; that proves it valid when `m`
+    is, so `m` must be a validated manifold, as every manifold the
+    library builds or replays is.
     """
     pair = frozenset(pair)
     if len(pair) != 2:
@@ -291,17 +387,15 @@ def apply_center(
     lo, hi = sorted(pair)
     for cid in sorted(blown):
         a, b = child_id(cid, lo), child_id(cid, hi)
-        index_set = m.corner(cid).index_set
-        identity = ExponentMatrix.identity(index_set)
-        edges.append(lifted_edge(identity, identity, a, b, (index_set - pair) | {new_label}))
+        corner = m.corner(cid)
+        edges.append(
+            lifted_edge(
+                corner.identity, corner.identity, a, b, (corner.index_set - pair) | {new_label}
+            )
+        )
 
     after = MonomialManifold(m.dimension, m.components | {new_label}, corners, edges)
-    violations = after.validate()
-    if violations:
-        raise AlgorithmInvariantViolation(
-            "blow-up produced an invalid manifold: " + "; ".join(violations)
-        )
-    return BlowupStep(
+    step = BlowupStep(
         center_pair=pair,
         alpha_at_center=dict(sorted(alpha_at_center.items())),
         new_label=new_label,
@@ -309,6 +403,12 @@ def apply_center(
         after=after,
         children=children,
     )
+    violations = step.violations()
+    if violations:
+        raise AlgorithmInvariantViolation(
+            "blow-up produced an invalid manifold: " + "; ".join(violations)
+        )
+    return step
 
 
 def compose_star(star: Star, corner_id: str) -> ExponentMatrix:

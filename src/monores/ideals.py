@@ -23,7 +23,7 @@ from .errors import (
     StructuralError,
 )
 from .linalg import ExponentVector, minimal_elements, vec_apply
-from .manifold import MonomialManifold
+from .manifold import Edge, MonomialManifold
 from .standardization import GlobalStandardization, LocalStandardization, extend
 from .blowup import BlowupCenter, BlowupStep, Star, blow_up
 
@@ -33,8 +33,10 @@ DEFAULT_STEP_BUDGET = 10_000
 class MFunction:
     """A global monomial function: one nonnegative exponent vector per corner.
 
-    Construction checks chart consistency on every edge (which propagates
-    to every corner pair) and nonnegativity everywhere.
+    Construction from caller data checks chart consistency on every edge
+    (which propagates to every corner pair) and nonnegativity everywhere.
+    `pull_back_mfunction` checks only what a blow-up changed and builds
+    its result through `_proven`.
     """
 
     __slots__ = ("manifold", "_data")
@@ -42,18 +44,18 @@ class MFunction:
     def __init__(self, manifold: MonomialManifold, data: Mapping[str, ExponentVector]):
         if set(data) != set(manifold.corner_ids()):
             raise StructuralError("exponent data must cover exactly the corners")
-        for cid, vec in data.items():
-            if vec.labels != manifold.corner(cid).index_set:
-                raise StructuralError(f"exponent labels at {cid!r} do not match its index set")
-            if not vec.is_nonnegative():
-                raise NotEffectiveError(f"negative exponent at corner {cid!r}")
-        for e in manifold.edges:
-            if vec_apply(data[e.q], e.matrix) != data[e.p]:
-                raise StructuralError(
-                    f"exponent data is not chart consistent across edge {e.p}->{e.q}"
-                )
+        _check_data(manifold, data, data.keys(), manifold.edges)
         self.manifold = manifold
         self._data = {cid: data[cid] for cid in manifold.corner_ids()}
+
+    @classmethod
+    def _proven(cls, manifold: MonomialManifold, data: dict[str, ExponentVector]) -> "MFunction":
+        """Wrap data already proven valid on `manifold`, keyed in its corner
+        order, without checking it again."""
+        fn = object.__new__(cls)
+        fn.manifold = manifold
+        fn._data = data
+        return fn
 
     def at(self, corner_id: str) -> ExponentVector:
         try:
@@ -71,6 +73,27 @@ class MFunction:
 
     def __repr__(self) -> str:
         return f"MFunction({self._data!r})"
+
+
+def _check_data(
+    manifold: MonomialManifold,
+    data: Mapping[str, ExponentVector],
+    corner_ids: Iterable[str],
+    edges: Iterable[Edge],
+) -> None:
+    """Labels and nonnegativity at `corner_ids`, chart consistency across
+    `edges`; raises StructuralError or NotEffectiveError."""
+    for cid in corner_ids:
+        vec = data[cid]
+        if vec.labels != manifold.corner(cid).index_set:
+            raise StructuralError(f"exponent labels at {cid!r} do not match its index set")
+        if not vec.is_nonnegative():
+            raise NotEffectiveError(f"negative exponent at corner {cid!r}")
+    for e in edges:
+        if vec_apply(data[e.q], e.matrix) != data[e.p]:
+            raise StructuralError(
+                f"exponent data is not chart consistent across edge {e.p}->{e.q}"
+            )
 
 
 def mfunction_from_corner(
@@ -196,16 +219,49 @@ class PairState:
         omega = frozenset(uncoupled_centers(lam, mu))
         return cls(lam, mu, omega, len(omega))
 
+    def after_blowup(
+        self,
+        lam: MFunction,
+        mu: MFunction,
+        pair: frozenset[str],
+        witnesses: Mapping[frozenset[str], str],
+    ) -> "PairState":
+        """The state of the pair pulled back through the blow-up of `pair`,
+        rescanning only the centers it can change: `pair` is realized
+        nowhere after it, and `witnesses` (`_centers_through_new_label`)
+        holds every center through the new label.  Every other center keeps
+        its holders' exponents on its labels, so its sign."""
+        fresh = {c for c, w in witnesses.items() if center_is_uncoupled_at(lam, mu, c, w)}
+        omega = (self.omega - {pair}) | fresh
+        return PairState(lam, mu, frozenset(omega), len(omega))
+
+
+def _centers_through_new_label(step: BlowupStep) -> dict[frozenset[str], str]:
+    """Every center of `step.after` through `step.new_label`, with the
+    witness `uncoupled_centers` would use: the smallest id of a corner
+    holding it, which is a child, since only children hold the new label."""
+    new = step.new_label
+    out: dict[frozenset[str], str] = {}
+    for cid in sorted(step.children):
+        for lab in sorted(step.after.corner(cid).index_set - {new}):
+            out.setdefault(frozenset((lab, new)), cid)
+    return out
+
 
 def pull_back_mfunction(fn: MFunction, step: BlowupStep) -> MFunction:
     """Total transform of a monomial function through one blow-up.
 
     Each corner reads its image's vector through `step.pull_back`: an
     untouched corner keeps it, a child's `ChildChart` computes `v·B` in
-    O(n).  The result is still checked for chart consistency on every
-    edge and for nonnegativity.  A function on another manifold than
-    `step.before` is caller error (StructuralError); a failed check of the
-    pulled-back data is a bug, reported as AlgorithmInvariantViolation.
+    O(n).  Only what the pullback changed is checked: labels and
+    nonnegativity at the children, and chart consistency across the
+    step's new edges.  That suffices because `fn` is proven on
+    `step.before`, an untouched corner keeps its vector and the edges
+    between untouched corners stay as they were, and at a child only the
+    `removed` → `new_label` entry changes.  A function on another
+    manifold than `step.before` is caller error (StructuralError); a
+    failed check of the pulled-back data is a bug, reported as
+    AlgorithmInvariantViolation.
     """
     if fn.manifold is not step.before:
         raise StructuralError("the function does not live on the manifold the step blew up")
@@ -213,9 +269,10 @@ def pull_back_mfunction(fn: MFunction, step: BlowupStep) -> MFunction:
         cid: step.pull_back(fn.at(step.lineage(cid)), cid) for cid in step.after.corner_ids()
     }
     try:
-        return MFunction(step.after, data)
+        _check_data(step.after, data, step.children, step.new_edges)
     except (StructuralError, NotEffectiveError) as exc:
         raise AlgorithmInvariantViolation(f"pulled-back function is invalid: {exc}") from exc
+    return MFunction._proven(step.after, data)
 
 
 @dataclass
@@ -282,26 +339,22 @@ def principalize_generators(
             step = blow_up(star.end, BlowupCenter(pair, family))
             star = star.extended(step)
             gens = [pull_back_mfunction(g, step) for g in gens]
-            new_state = PairState.measure(gens[a], gens[b])
+            witnesses = _centers_through_new_label(step)
+            new_state = state.after_blowup(gens[a], gens[b], pair, witnesses)
             if new_state.omega != state.omega - {pair} or new_state.inv != state.inv - 1:
                 raise AlgorithmInvariantViolation(
                     f"blow-up of {sorted(pair)} did not drop the obstruction count "
                     f"from {state.inv} to {state.inv - 1}"
                 )
-            # Fresh obstructions of the other pairs can only sit on centers
-            # through the new exceptional label; test those at the same
-            # witness corner `uncoupled_centers` would use.
-            fresh = 0
-            for center in step.after.codim2_centers():
-                if step.new_label not in center:
-                    continue
-                witness = step.after.corners_with(center)[0]
-                fresh += sum(
-                    center_is_uncoupled_at(gens[x], gens[y], center, witness)
-                    for x in range(k)
-                    for y in range(x + 1, k)
-                    if (x, y) != (a, b)
-                )
+            # Fresh obstructions of the other pairs can likewise only sit on
+            # centers through the new exceptional label.
+            fresh = sum(
+                center_is_uncoupled_at(gens[x], gens[y], center, witness)
+                for center, witness in witnesses.items()
+                for x in range(k)
+                for y in range(x + 1, k)
+                if (x, y) != (a, b)
+            )
             new_uncoupled_counts.append(fresh)
             state = new_state
     return PrincipalizationRun(star, gens, pair_invariants, new_uncoupled_counts)

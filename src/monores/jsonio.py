@@ -16,8 +16,10 @@ one renderer, `certified_trace_to_json`.
 Readers take every field through `_field` or `_array`, which name the
 JSON type it must have, and check every vector the same way, so a
 missing key or a value of the wrong JSON type is bad input
-(StructuralError).  Only the parsing is guarded: an exception raised by
-the library while rebuilding a tower still surfaces as it is.
+(StructuralError).  A manifold whose corners share an id, or whose
+corner repeats a label, is bad input too: a dict or a set would merge
+them silently.  Only the parsing is guarded: an exception raised by the
+library while rebuilding a tower still surfaces as it is.
 """
 
 from __future__ import annotations
@@ -151,7 +153,13 @@ def manifold_from_json(doc: Mapping[str, Any]) -> MonomialManifold:
     corners = {}
     for c in _field(doc, "corners", "manifold", list):
         cid = _field(c, "id", "corner", str)
-        corners[cid] = Corner(cid, frozenset(_array(c, "index_set", "corner", str)))
+        if cid in corners:
+            raise StructuralError(f"duplicate corner id {cid!r}")
+        labels = _array(c, "index_set", "corner", str)
+        index_set = frozenset(labels)
+        if len(index_set) != len(labels):
+            raise StructuralError(f"corner {cid!r} repeats a label in its index_set")
+        corners[cid] = Corner(cid, index_set)
     edges = []
     for e in _field(doc, "edges", "manifold", list, []):
         p, q = _field(e, "from", "edge", str), _field(e, "to", "edge", str)
@@ -204,7 +212,11 @@ def star_to_json(star: Star) -> dict[str, Any]:
 
 
 def replay_trace(doc: Mapping[str, Any]) -> Star:
-    """Rebuild the tower from a trace, verifying the recorded matrices exactly."""
+    """Rebuild the tower from a trace, verifying the recorded matrices exactly.
+
+    The root is validated in full and every rebuilt step passes its local
+    certificate in `apply_center`, so the whole tower is proven by
+    induction from the root."""
     version = _field(doc, "version", "trace", str, None)
     if version != TRACE_VERSION:
         raise StructuralError(f"unsupported trace version {version!r}")

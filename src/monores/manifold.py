@@ -8,7 +8,8 @@ corners, diagonal weight functions, codimension-two centers) is derived
 from that data, and `validate` checks the structural constraints that
 make the derivations consistent: triangular edge matrices, exact mutual
 inverses, identity products around cycles, and connectivity of every
-realized boundary intersection.
+realized boundary intersection.  A blow-up re-runs the per-corner and
+per-edge checks only on what it built (`BlowupStep.violations`).
 """
 
 from __future__ import annotations
@@ -259,27 +260,54 @@ class MonomialManifold:
 
     def validate(self) -> list[str]:
         """Check every structural constraint; returns violations, empty if valid."""
-        bad: list[str] = []
-        n = self.dimension
-
-        seen_index_sets: dict[frozenset[str], str] = {}
-        for cid, c in self.corners.items():
-            if len(c.index_set) != n:
-                bad.append(f"corner {cid}: index set size {len(c.index_set)} != dimension {n}")
-            if not c.index_set <= self.components:
-                bad.append(f"corner {cid}: labels outside the component set")
-            if c.index_set in seen_index_sets:
-                bad.append(
-                    f"corners {seen_index_sets[c.index_set]} and {cid} share one index set"
-                )
-            else:
-                seen_index_sets[c.index_set] = cid
+        bad = self._corner_violations(self.corners.values())
         covered = frozenset().union(*(c.index_set for c in self.corners.values())) if self.corners else frozenset()
         for lab in sorted(self.components - covered):
             bad.append(f"component {lab} lies on no corner")
+        bad.extend(self._edge_violations(self.edges))
+        if bad:
+            return bad
+        bad.extend(self._cycle_violations())
+        # every realized label set below the dimension (full-size sets are
+        # single corners by the uniqueness check)
+        realized: set[frozenset[str]] = set()
+        for c in self.corners.values():
+            labs = sorted(c.index_set)
+            for size in range(1, self.dimension):
+                realized.update(frozenset(s) for s in combinations(labs, size))
+        bad.extend(self._connectivity_violations(realized, self.corners.values()))
+        return bad
 
+    def _corner_violations(self, corners: Iterable[Corner]) -> list[str]:
+        """Index-set size and labels of the given corners, and uniqueness of
+        their index sets among themselves.  `validate` passes every corner;
+        a blow-up's local certificate passes the corners it created."""
+        bad: list[str] = []
+        n = self.dimension
+        seen_index_sets: dict[frozenset[str], str] = {}
+        for c in corners:
+            if len(c.index_set) != n:
+                bad.append(f"corner {c.id}: index set size {len(c.index_set)} != dimension {n}")
+            if not c.index_set <= self.components:
+                bad.append(f"corner {c.id}: labels outside the component set")
+            if c.index_set in seen_index_sets:
+                bad.append(
+                    f"corners {seen_index_sets[c.index_set]} and {c.id} share one index set"
+                )
+            else:
+                seen_index_sets[c.index_set] = c.id
+        return bad
+
+    def _edge_violations(self, edges: Iterable[Edge]) -> list[str]:
+        """The checks each of the given edges must pass on its own: real and
+        distinct endpoints (no two of `edges` on one pair), the shared set,
+        the label sets, triangular form with a positive diagonal, and the
+        exact inverse.  `validate` passes every edge; a blow-up's local
+        certificate passes the edges it built."""
+        bad: list[str] = []
+        n = self.dimension
         seen_pairs: set[frozenset[str]] = set()
-        for e in self.edges:
+        for e in edges:
             tag = f"edge {e.p}->{e.q}"
             if e.p not in self.corners or e.q not in self.corners:
                 bad.append(f"{tag}: endpoint is not a corner")
@@ -292,6 +320,7 @@ class MonomialManifold:
             seen_pairs.add(pair)
             if e.shared != ip & iq:
                 bad.append(f"{tag}: stored shared set differs from the index intersection")
+                continue
             if len(e.shared) != n - 1:
                 bad.append(f"{tag}: shared set has size {len(e.shared)}, expected {n - 1}")
                 continue
@@ -313,12 +342,6 @@ class MonomialManifold:
                     bad.append(f"{tag}: cached inverse is not an exact inverse")
             except SingularMatrixError:
                 bad.append(f"{tag}: matrix is singular")
-
-        if bad:
-            return bad
-
-        bad.extend(self._cycle_violations())
-        bad.extend(self._connectivity_violations())
         return bad
 
     def _cycle_violations(self) -> list[str]:
@@ -364,18 +387,16 @@ class MonomialManifold:
                 )
         return bad
 
-    def _connectivity_violations(self) -> list[str]:
-        """Every realized nonempty label set J must have a connected corner graph
-        along edges whose shared set contains J (sizes below the dimension;
-        full-size sets are single corners by the uniqueness check)."""
+    def _connectivity_violations(
+        self, label_sets: Iterable[frozenset[str]], holders_among: Iterable[Corner]
+    ) -> list[str]:
+        """Each given label set J must have a connected corner graph along
+        edges whose shared set contains J; its holders are looked for among
+        `holders_among`, which must include every corner that holds J."""
+        candidates = list(holders_among)
         bad: list[str] = []
-        realized: set[frozenset[str]] = set()
-        for c in self.corners.values():
-            labs = sorted(c.index_set)
-            for size in range(1, self.dimension):
-                realized.update(frozenset(s) for s in combinations(labs, size))
-        for j in sorted(realized, key=sorted):
-            holders = [cid for cid, c in self.corners.items() if j <= c.index_set]
+        for j in sorted(label_sets, key=sorted):
+            holders = [c.id for c in candidates if j <= c.index_set]
             if len(holders) <= 1:
                 continue
             seen = {holders[0]}

@@ -78,15 +78,19 @@ def shared_reports():
     return random_reports(seed=2024, count=8)
 
 
-@functools.lru_cache(maxsize=1)
-def corpus_c_budget_stop(budget=5):
-    """Corpus C (seed 77, draw 14 of 4 variables x 6 points) stopped by the
-    step budget; returns the raised BudgetExceededError, which carries the
-    partial star."""
+def corpus_c_problem() -> ReductionProblem:
+    """Corpus C: seed 77, draw 14 of 4 variables x 6 points."""
     rng = random.Random(77)
     problems = [random_problem(rng, max_vars=4, max_points=6) for _ in range(15)]
+    return problems[14]
+
+
+@functools.lru_cache(maxsize=1)
+def corpus_c_budget_stop(budget=5):
+    """Corpus C stopped by the step budget; returns the raised
+    BudgetExceededError, which carries the partial star."""
     try:
-        reduce_problem(problems[14], max_steps=budget)
+        reduce_problem(corpus_c_problem(), max_steps=budget)
     except BudgetExceededError as exc:
         return exc
     raise AssertionError("corpus C finished within the budget")

@@ -206,6 +206,24 @@ def test_non_principal_end_after_principalize_is_a_bug(tmp_path, monkeypatch, ca
             "each item of ideal field 'generators'",
         ),
         ("principalize", {**IDEAL, "labels": 7}, "field 'labels' must be an array"),
+        (
+            "validate",
+            {
+                "dimension": 2,
+                "components": ["a", "b"],
+                "corners": [{"id": "c0", "index_set": ["a", "b"]}] * 2,
+            },
+            "duplicate corner id 'c0'",
+        ),
+        (
+            "validate",
+            {
+                "dimension": 2,
+                "components": ["a", "b"],
+                "corners": [{"id": "c0", "index_set": ["a", "b", "a"]}],
+            },
+            "corner 'c0' repeats a label",
+        ),
     ],
     ids=["trace-without-root", "corner-without-index-set", "top-level-list",
          "edge-without-to", "non-integer-stratum-dim", "b-block-list", "index-set-number",
@@ -213,7 +231,7 @@ def test_non_principal_end_after_principalize_is_a_bug(tmp_path, monkeypatch, ca
          "b-rows-number", "b-entries-number", "dimension-string", "components-number",
          "edges-number", "corners-number", "entries-row-number", "dimension-null",
          "points-row-number", "variables-number", "points-number", "generators-rows-numbers",
-         "labels-number"],
+         "labels-number", "duplicate-corner-id", "repeated-index-label"],
 )
 def test_malformed_file_is_bad_input(tmp_path, capsys, command, doc, message):
     path = write(tmp_path / "in.json", doc)

@@ -7,14 +7,19 @@ change per corner from the root.  Each is checked here against the slower
 computation it replaced: `mat_inverse` and `mat_mul` conjugation, the
 identity-plus-one-column matrix written out from the weights, the
 full-matrix product `vec_apply(v, step.morphism(cid))`, and the tree-path
-product below.
+product below.  A step's local certificate (`BlowupStep.violations`) and
+the local check in `pull_back_mfunction` are checked against the full
+`validate` and `MFunction` check on corrupted copies of every new edge
+and every child's pulled-back vector.
 """
 
+import dataclasses
 from collections import deque
 
 import pytest
 
 import monores.manifold
+import monores.reduction
 from monores import (
     BlowupCenter,
     Edge,
@@ -31,10 +36,12 @@ from monores import (
     reduce_problem,
     vec_apply,
 )
-from monores.blowup import ChildChart
+from monores.blowup import BlowupStep, ChildChart
+from monores.errors import AlgorithmInvariantViolation, MonoresError
+from monores.ideals import MFunction
 from monores.reduction import build_ideal_from_support
 from monores.supports import minimal_support
-from helpers import corpus_c_budget_stop, shared_reports, tower_manifolds
+from helpers import corpus_c_budget_stop, corpus_c_problem, shared_reports, tower_manifolds
 
 
 def reference_cycle_violations(m):
@@ -90,16 +97,20 @@ def reference_cycle_violations(m):
     ]
 
 
+def moved_corner(mat, shared):
+    """`mat` with its entry off the shared labels moved: still triangular
+    and invertible."""
+    entries = {(r, c): mat.entry(r, c) for r in mat.row_labels for c in mat.col_labels}
+    (row,) = mat.row_labels - shared
+    (col,) = mat.col_labels - shared
+    entries[(row, col)] += 1 if entries[(row, col)] != -1 else 2
+    return ExponentMatrix(mat.row_labels, mat.col_labels, entries)
+
+
 def corrupted(e):
     """The edge with its corner entry moved, as in
-    `test_validate_catches_cycle_violation`: still triangular and invertible."""
-    entries = {
-        (r, c): e.matrix.entry(r, c) for r in e.matrix.row_labels for c in e.matrix.col_labels
-    }
-    (i_q,) = e.matrix.row_labels - e.shared
-    (i_p,) = e.matrix.col_labels - e.shared
-    entries[(i_q, i_p)] += 1 if entries[(i_q, i_p)] != -1 else 2
-    return Edge(e.p, e.q, e.shared, ExponentMatrix(e.matrix.row_labels, e.matrix.col_labels, entries))
+    `test_validate_catches_cycle_violation`, and its inverse computed anew."""
+    return Edge(e.p, e.q, e.shared, moved_corner(e.matrix, e.shared))
 
 
 def with_edges(m, edges):
@@ -265,3 +276,125 @@ def test_the_sweep_builds_no_morphism_matrix(monkeypatch):
         rep = reduce_problem(report.problem)
         assert rep.age == report.age
         assert rep.corners == report.corners
+
+
+def test_the_sweep_never_validates_in_full(monkeypatch):
+    """Once the seed ideal is built, a step checks only what it built: no
+    `MonomialManifold.validate` and no full `MFunction` check runs."""
+    build = monores.reduction.build_ideal_from_support
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the sweep re-checked a whole manifold")
+
+    towers = [report for report in shared_reports() if report.age > 0]
+    assert towers
+    for report in towers:
+        with monkeypatch.context() as mp:
+
+            def seed_then_forbid(*args):
+                ideal = build(*args)
+                mp.setattr(MonomialManifold, "validate", forbidden)
+                mp.setattr(MFunction, "__init__", forbidden)
+                return ideal
+
+            mp.setattr(monores.reduction, "build_ideal_from_support", seed_then_forbid)
+            rep = reduce_problem(report.problem)
+        assert rep.age == report.age
+        assert rep.corners == report.corners
+
+
+def edge_corruptions(e):
+    """A new edge with its matrix (stored inverse kept), its inverse or its
+    shared set corrupted."""
+    (i_p,) = e.matrix.col_labels - e.shared
+    yield Edge(e.p, e.q, e.shared, moved_corner(e.matrix, e.shared), inverse=e.inverse)
+    yield Edge(e.p, e.q, e.shared, e.matrix, inverse=moved_corner(e.inverse, e.shared))
+    yield Edge(e.p, e.q, (e.shared - {min(e.shared)}) | {i_p}, e.matrix, inverse=e.inverse)
+
+
+def with_new_edge(step, old, new):
+    after = with_edges(step.after, [new if x is old else x for x in step.after.edges])
+    return dataclasses.replace(step, after=after)
+
+
+def test_local_certificate_fails_exactly_when_validate_fails():
+    """Every new edge of every step of the test towers, corrupted in turn.
+    The manifolds after those steps are every manifold of
+    `tower_manifolds()` but the roots, which are single corners."""
+    steps = all_steps()
+    roots = [m for m in tower_manifolds() if all(m is not step.after for step in steps)]
+    assert all(len(m.corners) == 1 for m in roots)
+    corruptions = 0
+    for step in steps:
+        assert step.violations() == [] and step.after.validate() == []
+        carried = set(step.before.edges)
+        assert step.new_edges == tuple(e for e in step.after.edges if e not in carried)
+        for e in step.new_edges:
+            for bad_edge in edge_corruptions(e):
+                bad = with_new_edge(step, e, bad_edge)
+                assert bad.violations()
+                assert bad.after.validate()
+                corruptions += 1
+    assert corruptions > 3 * 80
+
+
+def test_local_certificate_catches_a_changed_edge_that_validate_can_miss():
+    """A new edge whose matrix changes with its inverse (so the edge's own
+    checks hold) breaks a cycle unless it is a bridge of the corner graph.
+    `validate` sees only the cycles; the local certificate compares the
+    edge with the edge downstairs, so it fails on every such change."""
+    bridges = cycles = 0
+    for step in all_steps():
+        for e in step.new_edges:
+            bad = with_new_edge(step, e, corrupted(e))
+            local = bad.violations()
+            assert any("differs from M·B_p" in v for v in local)
+            full = bad.after.validate()
+            if full:
+                assert all(v.startswith("cycle") for v in full)
+                cycles += 1
+            else:
+                bridges += 1
+    assert cycles > 50 and bridges > 10
+
+
+def sweep_steps_with_generators():
+    """Each step of the test towers with the generators on its `before`."""
+    runs = [(report.problem, report.star) for report in shared_reports()]
+    runs.append((corpus_c_problem(), corpus_c_budget_stop().star))
+    for problem, star in runs:
+        gens = build_ideal_from_support(minimal_support(problem.support), star.root).generators
+        for step in star.steps:
+            yield step, gens
+            gens = [pull_back_mfunction(g, step) for g in gens]
+
+
+@pytest.mark.parametrize("kind", ["shifted", "negative"])
+def test_local_pullback_check_fails_exactly_when_the_full_check_fails(monkeypatch, kind):
+    """Each child's pulled-back vector, corrupted in turn."""
+
+    def corrupt(vec, label):
+        entries = dict(vec.items())
+        entries[label] = entries[label] + 1 if kind == "shifted" else -1
+        return ExponentVector(entries)
+
+    checked = 0
+    for step, gens in sweep_steps_with_generators():
+        for fn in gens:
+            good = pull_back_mfunction(fn, step)
+            for cid in step.children:
+                bad_vec = corrupt(good.at(cid), step.new_label)
+                data = {**dict(good.items()), cid: bad_vec}
+                with pytest.raises(MonoresError):
+                    MFunction(step.after, data)
+                with monkeypatch.context() as mp:
+                    true_pull_back = BlowupStep.pull_back
+
+                    def corrupted_pull_back(self, vec, corner_id, cid=cid, bad_vec=bad_vec):
+                        return bad_vec if corner_id == cid else true_pull_back(self, vec, corner_id)
+
+                    mp.setattr(BlowupStep, "pull_back", corrupted_pull_back)
+                    with pytest.raises(AlgorithmInvariantViolation):
+                        pull_back_mfunction(fn, step)
+                checked += 1
+    assert checked > 200
