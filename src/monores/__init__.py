@@ -64,6 +64,7 @@ from .ideals import (
     PairState,
     PrincipalizationRun,
     adapted_standardization,
+    adapted_weights,
     center_is_uncoupled_at,
     is_locally_principal,
     local_min_data,

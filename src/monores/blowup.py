@@ -275,7 +275,10 @@ class Star:
 
 
 def blow_up(m: MonomialManifold, center: BlowupCenter) -> BlowupStep:
-    """Blow up a codimension-two center with a validated weight family."""
+    """Blow up a codimension-two center with a whole weight family, which
+    is checked on every edge (`validate_realizable`) before `apply_center`
+    reads it at the center's corners.  The sweep skips the family and
+    calls `apply_center` with `adapted_weights`."""
     if not center.pair <= m.components:
         raise DomainError(f"center {sorted(center.pair)} uses unknown components")
     holders = m.corners_with(center.pair)
@@ -285,6 +288,13 @@ def blow_up(m: MonomialManifold, center: BlowupCenter) -> BlowupStep:
         raise DomainError("the weight family is not realizable on this manifold")
     alpha_at_center = {cid: center.standardization.alpha_at(cid) for cid in holders}
     return apply_center(m, center.pair, alpha_at_center)
+
+
+def _escaped(label: str) -> str:
+    """`label` with `\\` written `\\\\` and `.` written `\\.`, so that
+    an id splits into its parent's id and the label at its last unescaped
+    dot; the identity on labels without either character."""
+    return label.replace("\\", "\\\\").replace(".", "\\.")
 
 
 def apply_center(
@@ -298,11 +308,16 @@ def apply_center(
     This is the replay entry point: the morphism matrices depend on the
     weights only at the blown-up corners, so a recorded trace carries just
     those.  Each blown corner `cid` splits into children `cid.<removed>`,
-    one per center label.  A child id that is the id of a corner the step
-    leaves untouched, or is made twice (possible when labels contain "."),
-    raises AlgorithmInvariantViolation; the id of a blown corner is free
-    again.  Edges are lifted by `_conjugate` with their inverses
-    alongside, so no matrix is inverted here.  The result passes the
+    one per center label, with `\\` and `.` in the label escaped
+    (`_escaped`).  An id then spells its root corner's id and the labels
+    removed on the way up, so over a root whose corner ids hold neither
+    `.` nor `\\`, an id names one corner throughout the tower.  A loaded
+    manifold can bring its own dotted ids, so a child id that is the id
+    of a corner the step leaves untouched, or is made twice, still raises
+    AlgorithmInvariantViolation; the id of a blown corner is free again.
+    The sweep calls this with `adapted_weights`; `blow_up` is the entry
+    point for a whole weight family.  Edges are lifted by `_conjugate`
+    with their inverses alongside, so no matrix is inverted here.  The result passes the
     step's local certificate (`BlowupStep.violations`), or
     AlgorithmInvariantViolation is raised; that proves it valid when `m`
     is, so `m` must be a validated manifold, as every manifold the
@@ -329,7 +344,7 @@ def apply_center(
     children: dict[str, ChildChart] = {}
 
     def child_id(parent: str, removed: str) -> str:
-        return f"{parent}.{removed}"
+        return f"{parent}.{_escaped(removed)}"
 
     for cid, corner in m.corners.items():
         if cid not in blown:

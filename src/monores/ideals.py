@@ -24,8 +24,14 @@ from .errors import (
 )
 from .linalg import ExponentVector, minimal_elements, vec_apply
 from .manifold import Edge, MonomialManifold
-from .standardization import GlobalStandardization, LocalStandardization, extend
-from .blowup import BlowupCenter, BlowupStep, Star, blow_up
+from .standardization import (
+    GlobalStandardization,
+    LocalStandardization,
+    extend,
+    realized_among,
+    weights_at,
+)
+from .blowup import BlowupStep, Star, apply_center
 
 DEFAULT_STEP_BUDGET = 10_000
 
@@ -176,10 +182,46 @@ def adapted_standardization(
 
     At the smallest-id corner of the center, the weights on the center pair
     are taken to be the absolute exponent differences (oriented so both are
-    positive); every other weight is 1, extended to a realizable family.
-    The defining balance  alpha_j*(lam_i - mu_i) + alpha_i*(lam_j - mu_j) = 0
-    is then re-checked at every corner of the center.
+    positive); every other weight is 1, extended to a realizable family on
+    the whole manifold.  The defining balance
+    alpha_j*(lam_i - mu_i) + alpha_i*(lam_j - mu_j) = 0
+    is then re-checked at every corner of the center.  The sweep reads
+    only the center's corners and uses `adapted_weights` instead.
     """
+    m = lam.manifold
+    holders, local = _adapted_seed(lam, mu, pair)
+    family = extend(m, local)
+    _check_balance(lam, mu, pair, {q: family.alpha_at(q) for q in holders})
+    return family
+
+
+def adapted_weights(
+    lam: MFunction, mu: MFunction, pair: frozenset[str]
+) -> dict[str, ExponentVector]:
+    """`adapted_standardization(lam, mu, pair)` at the center's corners
+    only, which is all `apply_center` reads, keyed by corner id.
+
+    Same seed, same anchors, same values (`weights_at`); checked by the
+    balance equation at every corner of the center and by
+    `validate_realizable`'s per-edge test on every edge between two of
+    them.  A failed check is a bug (AlgorithmInvariantViolation).
+    """
+    m = lam.manifold
+    holders, local = _adapted_seed(lam, mu, pair)
+    weights = weights_at(m, local, holders)
+    _check_balance(lam, mu, pair, weights)
+    if not realized_among(m, weights):
+        raise AlgorithmInvariantViolation(
+            f"adapted weights at center {sorted(pair)} do not transform by the edge diagonals"
+        )
+    return weights
+
+
+def _adapted_seed(
+    lam: MFunction, mu: MFunction, pair: frozenset[str]
+) -> tuple[list[str], LocalStandardization]:
+    """The corners of the center, and the local weights at the first: the
+    absolute exponent differences on the pair, 1 elsewhere."""
     m = lam.manifold
     holders = m.corners_with(pair)
     if not holders:
@@ -195,14 +237,21 @@ def adapted_standardization(
     entries = {lab: 1 for lab in m.corner(p).index_set}
     entries[i] = di
     entries[j] = -dj
-    family = extend(m, LocalStandardization(p, ExponentVector(entries)))
-    for q in holders:
-        a, lq, mq = family.alpha_at(q), lam.at(q), mu.at(q)
+    return holders, LocalStandardization(p, ExponentVector(entries))
+
+
+def _check_balance(
+    lam: MFunction, mu: MFunction, pair: frozenset[str], weights: Mapping[str, ExponentVector]
+) -> None:
+    """The balance equation at each corner of `weights` (symmetric in i, j,
+    so the seed's orientation does not enter)."""
+    i, j = sorted(pair)
+    for q, a in weights.items():
+        lq, mq = lam.at(q), mu.at(q)
         if a[j] * (lq[i] - mq[i]) + a[i] * (lq[j] - mq[j]) != 0:
             raise AlgorithmInvariantViolation(
                 f"adapted weights fail the balance equation at corner {q!r}"
             )
-    return family
 
 
 @dataclass(frozen=True)
@@ -251,9 +300,10 @@ def _centers_through_new_label(step: BlowupStep) -> dict[frozenset[str], str]:
 def pull_back_mfunction(fn: MFunction, step: BlowupStep) -> MFunction:
     """Total transform of a monomial function through one blow-up.
 
-    Each corner reads its image's vector through `step.pull_back`: an
-    untouched corner keeps it, a child's `ChildChart` computes `v·B` in
-    O(n).  Only what the pullback changed is checked: labels and
+    An untouched corner keeps its vector, the very object of `fn`; only a
+    child reads its parent's vector through `step.pull_back`, whose
+    `ChildChart` computes `v·B` in O(n) after checking the labels.  Only
+    what the pullback changed is checked: labels and
     nonnegativity at the children, and chart consistency across the
     step's new edges.  That suffices because `fn` is proven on
     `step.before`, an untouched corner keeps its vector and the edges
@@ -265,8 +315,10 @@ def pull_back_mfunction(fn: MFunction, step: BlowupStep) -> MFunction:
     """
     if fn.manifold is not step.before:
         raise StructuralError("the function does not live on the manifold the step blew up")
+    old, children = fn._data, step.children
     data = {
-        cid: step.pull_back(fn.at(step.lineage(cid)), cid) for cid in step.after.corner_ids()
+        cid: old[cid] if cid not in children else step.pull_back(old[children[cid].parent.id], cid)
+        for cid in step.after.corners
     }
     try:
         _check_data(step.after, data, step.children, step.new_edges)
@@ -297,9 +349,11 @@ def principalize_generators(
     """Sweep generator pairs in index order, blowing up obstructed centers.
 
     Each blow-up uses the adapted weights for the lexicographically
-    smallest obstructed center of the active pair and must reduce that
-    pair's count by exactly one; pairs already made comparable stay
-    comparable because the morphism matrices are nonnegative.  The sweep
+    smallest obstructed center of the active pair, computed at the
+    center's corners only (`adapted_weights`) and handed to
+    `apply_center`, and must reduce that pair's count by exactly one;
+    pairs already made comparable stay comparable because the morphism
+    matrices are nonnegative.  The sweep
     restarts after finishing a pair and stops when a full scan finds no
     obstructed pair.  A step budget guards the multi-generator recursion.
     """
@@ -335,8 +389,7 @@ def principalize_generators(
                     star=star,
                 )
             pair = _smallest_pair(state.omega)
-            family = adapted_standardization(gens[a], gens[b], pair)
-            step = blow_up(star.end, BlowupCenter(pair, family))
+            step = apply_center(star.end, pair, adapted_weights(gens[a], gens[b], pair))
             star = star.extended(step)
             gens = [pull_back_mfunction(g, step) for g in gens]
             witnesses = _centers_through_new_label(step)

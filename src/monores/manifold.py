@@ -136,9 +136,37 @@ class MonomialManifold:
         return list(self.corners)
 
     def corners_with(self, labels: Iterable[str]) -> list[str]:
-        """Ids of corners whose index set contains all given labels, sorted."""
+        """Ids of corners whose index set contains all given labels, sorted.
+
+        Reads the label index: the holders of the label with the fewest,
+        filtered by the other labels.  No labels means every corner.
+        """
         need = frozenset(labels)
-        return [cid for cid, c in self.corners.items() if need <= c.index_set]
+        if not need:
+            return list(self.corners)
+        shortest = min((self._holders.get(lab, ()) for lab in need), key=len)
+        return [cid for cid in shortest if need <= self.corners[cid].index_set]
+
+    @cached_property
+    def _holders(self) -> dict[str, list[str]]:
+        """Each label's corner ids in sorted order, built in one pass over
+        the corners on first use."""
+        index: dict[str, list[str]] = {}
+        for cid, c in self.corners.items():
+            for lab in c.index_set:
+                index.setdefault(lab, []).append(cid)
+        return index
+
+    def edges_among(self, corner_ids: Iterable[str]) -> list[Edge]:
+        """The edges with both endpoints among the given corners, found
+        through the corners' own adjacency lists."""
+        ids = set(corner_ids)
+        return [
+            e
+            for cid in sorted(ids)
+            for nxt, e, forward in self._adjacency[cid]
+            if forward and nxt in ids
+        ]
 
     @cached_property
     def _adjacency(self) -> dict[str, list[tuple[str, Edge, bool]]]:

@@ -6,16 +6,19 @@ such vectors, one per corner, is realizable when the weights transform
 along chart changes exactly like the diagonal of the change matrices; a
 realizable family can be produced from a single local one plus one free
 positive weight per boundary component not through that corner.
+
+`extend` builds the whole family; `weights_at` gives the same vectors at
+chosen corners only, which is what a blow-up reads (its center's corners).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from .errors import DomainError, StructuralError
 from .linalg import ExponentVector, Rat, RatLike, parse_rational
-from .manifold import MonomialManifold
+from .manifold import Edge, MonomialManifold
 
 
 @dataclass(frozen=True)
@@ -72,21 +75,26 @@ def validate_realizable(m: MonomialManifold, family: GlobalStandardization) -> b
 
     Checking edges suffices: the diagonal weights compose multiplicatively
     along edge paths, so edge-level agreement propagates to every corner
-    pair.
+    pair.  The sweep runs the same per-edge test on the edges among the
+    center's corners only (`realized_among`).
     """
     if set(family.corner_ids()) != set(m.corner_ids()):
         return False
     for cid in m.corner_ids():
         if family.alpha_at(cid).labels != m.corner(cid).index_set:
             return False
-    for e in m.edges:
-        alpha_p = family.alpha_at(e.p)
-        alpha_q = family.alpha_at(e.q)
-        for ell in e.shared:
-            # gamma^{pq}_ell is the diagonal entry of the stored edge matrix
-            if alpha_p[ell] != e.matrix.entry(ell, ell) * alpha_q[ell]:
-                return False
-    return True
+    return all(_realized_on(e, family.alpha_at(e.p), family.alpha_at(e.q)) for e in m.edges)
+
+
+def realized_among(m: MonomialManifold, weights: Mapping[str, ExponentVector]) -> bool:
+    """`validate_realizable`'s per-edge test on the edges between two of
+    the corners that `weights` covers, and on no other edge."""
+    return all(_realized_on(e, weights[e.p], weights[e.q]) for e in m.edges_among(weights))
+
+
+def _realized_on(e: Edge, alpha_p: ExponentVector, alpha_q: ExponentVector) -> bool:
+    # gamma^{pq}_ell is the diagonal entry of the stored edge matrix
+    return all(alpha_p[ell] == e.matrix.entry(ell, ell) * alpha_q[ell] for ell in e.shared)
 
 
 def extend(
@@ -94,12 +102,28 @@ def extend(
     local: LocalStandardization,
     beta: Mapping[str, RatLike] | None = None,
 ) -> GlobalStandardization:
-    """Extend one local weight vector to a realizable family on the whole manifold.
+    """Extend one local weight vector to a realizable family on the whole
+    manifold: `weights_at` on every corner.  The sweep reads only the
+    center's corners and calls `weights_at` itself."""
+    for lab in sorted(m.components):
+        if not m.corners_with([lab]):
+            raise StructuralError(f"component {lab} lies on no corner")
+    return GlobalStandardization(weights_at(m, local, m.corner_ids(), beta))
+
+
+def weights_at(
+    m: MonomialManifold,
+    local: LocalStandardization,
+    corner_ids: Iterable[str],
+    beta: Mapping[str, RatLike] | None = None,
+) -> dict[str, ExponentVector]:
+    """The weight vectors of `extend`'s family, at the given corners only.
 
     For a component through the base corner the weight there is kept; for
     any other component the free parameter `beta` (default 1) is planted at
-    the smallest-id corner on that component.  Each component's anchored
-    weight is then carried to every corner on it by one breadth-first pass
+    the smallest-id corner on that component.  Only the components of the
+    given corners are carried: each anchored weight goes to every corner
+    on its component by one breadth-first pass
     (`MonomialManifold.transport_weight`), so each weight is the anchored
     value times a product of edge diagonals, each hop multiplying or
     dividing by one diagonal entry; no chart change is multiplied out.
@@ -116,17 +140,15 @@ def extend(
         if val <= 0:
             raise DomainError(f"free parameter for {lab} must be positive")
 
-    per_corner: dict[str, dict[str, Rat]] = {cid: {} for cid in m.corner_ids()}
-    for lab in sorted(m.components):
+    per_corner: dict[str, dict[str, Rat]] = {cid: {} for cid in corner_ids}
+    labels = frozenset().union(*(m.corner(cid).index_set for cid in per_corner))
+    for lab in sorted(labels):
         if lab in base.index_set:
             anchor, value = local.corner, local.alpha[lab]
         else:
-            holders = m.corners_with([lab])
-            if not holders:
-                raise StructuralError(f"component {lab} lies on no corner")
-            anchor, value = holders[0], beta.get(lab, Rat(1))
+            anchor, value = m.corners_with([lab])[0], beta.get(lab, Rat(1))
         for cid, weight in m.transport_weight(lab, anchor, value).items():
-            per_corner[cid][lab] = weight
-    return GlobalStandardization(
-        {cid: ExponentVector(entries) for cid, entries in per_corner.items()}
-    )
+            entries = per_corner.get(cid)
+            if entries is not None:
+                entries[lab] = weight
+    return {cid: ExponentVector(entries) for cid, entries in per_corner.items()}

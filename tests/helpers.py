@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import json
 import random
 from fractions import Fraction
 
@@ -16,6 +17,7 @@ from monores import (
     support_from_rows,
     uncoupled_centers,
 )
+from monores.jsonio import canonical_dumps, manifold_from_json, manifold_to_json
 
 
 def brute_force_minimal(vectors):
@@ -105,3 +107,14 @@ def tower_manifolds():
         out.append(star.root)
         out.extend(step.after for step in star.steps)
     return out
+
+
+def dotted_id_manifold():
+    """The worked instance after its one blow-up, loaded back with corner
+    `c0.z2` renamed `c0.z1.z2`: the child of `c0.z1` that drops `z2` would
+    take that id when `c0.z1` is blown up at {E∞1, z2}."""
+    report = reduce_problem(
+        ReductionProblem(support_from_rows(("z1", "z2"), [[2, 1], [0, 2]]))
+    )
+    text = canonical_dumps(manifold_to_json(report.star.end))
+    return manifold_from_json(json.loads(text.replace('"c0.z2"', '"c0.z1.z2"')))

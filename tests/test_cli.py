@@ -10,8 +10,9 @@ import monores.jsonio
 from monores.cli import main
 from monores.errors import AlgorithmInvariantViolation
 from monores.ideals import PrincipalizationRun
-from monores.jsonio import canonical_dumps, manifold_to_json, star_to_json
+from monores.jsonio import TRACE_VERSION, canonical_dumps, manifold_to_json, star_to_json
 from monores import ReductionProblem, Star, reduce_problem, support_from_rows
+from helpers import dotted_id_manifold
 
 PROBLEM = {"variables": ["z1", "z2"], "points": [["2", "1"], ["0", "2"]]}
 IDEAL = {"dimension": 2, "labels": ["z1", "z2"], "generators": [["2", "1"], ["0", "2"]]}
@@ -259,12 +260,26 @@ def test_library_key_error_during_replay_is_not_bad_input(tmp_path, monkeypatch)
 
 
 def test_child_id_collision_exit_code(tmp_path, capsys):
+    # dotted labels no longer collide: the labels in child ids are escaped
     doc = {"variables": ["a", "a.b", "b"], "points": [["0", "1", "0"], ["1", "0", "1"]]}
     inp = write(tmp_path / "problem.json", doc)
-    assert main(["reduce", "--input", inp, "--trace", str(tmp_path / "t.json")]) == 4
+    trace = str(tmp_path / "t.json")
+    assert main(["reduce", "--input", inp, "--trace", trace]) == 0
+    assert main(["replay", "--trace", trace]) == 0
+    capsys.readouterr()
+    # a root with a dotted id of its own can still make a child collide
+    step = {
+        "center": ["E∞1", "z2"],
+        "alpha_at_centers": {"c0.z1": {"E∞1": "1", "z2": "1"}},
+        "new_label": "E∞2",
+        "B": {},
+    }
+    root = manifold_to_json(dotted_id_manifold())
+    doc = {"version": TRACE_VERSION, "root": root, "steps": [step]}
+    assert main(["replay", "--trace", write(tmp_path / "dotted.json", doc)]) == 4
     err = capsys.readouterr().err
     assert err.startswith("internal error (bug): ")
-    assert "'c0.a.b'" in err
+    assert "'c0.z1.z2'" in err
 
 
 def test_stratum_dim_flag_annotates(tmp_path):

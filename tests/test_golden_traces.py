@@ -14,7 +14,7 @@ import pytest
 from monores import BudgetExceededError, ReductionProblem, reduce_problem, support_from_rows
 from monores.cli import main
 from monores.jsonio import canonical_dumps, replay_trace, report_to_json, star_to_json
-from helpers import random_problem, shared_reports
+from helpers import corpus_c_problem, random_problem, shared_reports
 
 WORKED_DIGEST = "467404d4f2d75cdaffad07a7f03a3e9dfb5e8dfb5736f0d6ddfcafe0d780792a"
 
@@ -34,6 +34,12 @@ SHARED_DIGESTS = [
 TOWER_INDEX = 14
 TOWER_BUDGET = 5
 TOWER_DIGEST = "e44a42d9133b61ac75deb3252fdc8c04644e130af18fdbd09d4f6ec8c907ce7b"
+
+# The same tower stopped at 100 blow-ups, with 353 end corners.  Not
+# replayed here: its 12 MB trace takes seconds to rebuild.
+DEEP_BUDGET = 100
+DEEP_CORNERS = 353
+DEEP_DIGEST = "e60848e140c9d8001896e582ad0518a060f4e6532c79ffaa1d0287af92845572"
 
 # `monores principalize` on three generators in three variables: age 10,
 # 15 end corners.
@@ -83,6 +89,14 @@ def test_corpus_c_partial_trace():
     text = canonical_dumps(star_to_json(star))
     assert sha256(text) == TOWER_DIGEST
     assert_replays(text)
+
+
+def test_corpus_c_deep_partial_trace():
+    with pytest.raises(BudgetExceededError) as info:
+        reduce_problem(corpus_c_problem(), max_steps=DEEP_BUDGET)
+    star = info.value.star
+    assert (star.age, len(star.end.corners)) == (DEEP_BUDGET, DEEP_CORNERS)
+    assert sha256(canonical_dumps(star_to_json(star))) == DEEP_DIGEST
 
 
 def test_principalize_trace(tmp_path):

@@ -1,6 +1,7 @@
 """Structural model: chart changes, weight functions, validation, centers."""
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -21,6 +22,7 @@ from monores import (
     mat_mul,
     next_exceptional_label,
 )
+from helpers import tower_manifolds
 
 F = Fraction
 
@@ -248,3 +250,17 @@ def test_codim2_centers_examples():
 def test_next_exceptional_label():
     assert next_exceptional_label(["E1", "E2"]) == "E∞1"
     assert next_exceptional_label(["E1", "E∞1", "E∞3"]) == "E∞4"
+
+
+def test_corners_with_matches_a_linear_scan():
+    """The label index against a scan of every corner, for the empty set,
+    unknown labels and every label subset of size 1 to the dimension."""
+    for m in tower_manifolds():
+        holders = [(cid, c.index_set) for cid, c in sorted(m.corners.items())]
+        labels = sorted(m.components)
+        subsets = [(), ("unknown",), (labels[0], "unknown")]
+        for size in range(1, m.dimension + 1):
+            subsets.extend(combinations(labels, size))
+        for need in subsets:
+            expected = [cid for cid, index_set in holders if index_set.issuperset(need)]
+            assert m.corners_with(need) == expected

@@ -1,8 +1,11 @@
 """End-to-end driver: support in, certified singleton supports out."""
 
+import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from monores import (
     AlgorithmInvariantViolation,
@@ -10,6 +13,7 @@ from monores import (
     MIdeal,
     ReductionProblem,
     ZeroSeriesError,
+    apply_center,
     build_ideal_from_support,
     compose_star,
     is_locally_principal,
@@ -19,8 +23,8 @@ from monores import (
     root_corner_for,
     support_from_rows,
 )
-from monores.jsonio import report_to_json
-from helpers import shared_reports
+from monores.jsonio import canonical_dumps, replay_trace, report_to_json, star_to_json
+from helpers import dotted_id_manifold, shared_reports
 
 F = Fraction
 
@@ -130,9 +134,52 @@ def test_age_equals_sum_of_pair_invariants():
 
 
 def test_child_id_collision_is_reported_as_a_bug():
-    # the child of c0.a that drops b would be named c0.a.b, the id of a
-    # corner the step leaves untouched (unambiguous ids: ROADMAP item 5)
+    # The label in a child id is escaped, so the child of c0.a that drops
+    # b (c0.a.b) and the child of c0 that drops a.b (c0.a\.b) stay apart.
     rows = [[0, 1, 0], [1, 0, 1]]
-    with pytest.raises(AlgorithmInvariantViolation, match="'c0.a.b'"):
-        reduce_problem(problem(rows, labels=("a", "a.b", "b")))
+    assert reduce_problem(problem(rows, labels=("a", "a.b", "b"))).age == 2
     assert reduce_problem(problem(rows, labels=("a", "c", "b"))).age == 2
+    # A loaded manifold can bring a dotted id of its own; a child named
+    # alike is still caught.
+    m = dotted_id_manifold()
+    weights = {"c0.z1": ExponentVector({"E∞1": 1, "z2": 1})}
+    with pytest.raises(AlgorithmInvariantViolation, match="'c0.z1.z2'"):
+        apply_center(m, frozenset({"E∞1", "z2"}), weights)
+
+
+# -- corner ids under adversarial labels ----------------------------------
+
+label_text = st.text(
+    alphabet=st.sampled_from(["a", "b", ".", "\\", "E", "∞", "1", "é", "ß"]),
+    min_size=1,
+    max_size=4,
+)
+labels = st.one_of(label_text, st.integers(0, 3).map(lambda k: f"E∞{k}"))
+
+
+@st.composite
+def adversarial_problems(draw):
+    names = draw(st.lists(labels, min_size=2, max_size=3, unique=True))
+    entry = st.builds(F, st.integers(0, 8), st.integers(1, 6))
+    rows = draw(st.lists(st.lists(entry, min_size=len(names), max_size=len(names)),
+                         min_size=1, max_size=4))
+    return problem(rows, labels=names)
+
+
+@given(adversarial_problems())
+@example(problem([["0", "3/2", "1"], ["4/3", "3/5", "3/2"]], labels=("a", "a.b", "b")))
+@settings(max_examples=150, deadline=None)
+def test_corner_ids_name_one_corner_under_any_labels(prob):
+    """Labels with dots, backslashes, the exceptional shape or non-ASCII
+    letters reduce and replay, and every child id is new to its tower,
+    while an untouched corner keeps its id and its object."""
+    report = reduce_problem(prob)
+    doc = json.loads(canonical_dumps(report_to_json(report)))
+    star = replay_trace(doc)
+    assert star_to_json(star) == {k: doc[k] for k in ("version", "root", "steps")}
+    used = set(star.root.corners)
+    for step in star.steps:
+        assert used.isdisjoint(step.children)
+        used.update(step.children)
+        for cid, corner in step.after.corners.items():
+            assert cid in step.children or step.before.corners[cid] is corner

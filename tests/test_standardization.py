@@ -1,26 +1,35 @@
 """Weight families: realizability, extension, round trips, unit diagonals."""
 
+import functools
 import random
 from fractions import Fraction
 
 import pytest
 
+import monores.ideals
 from monores import (
+    DEFAULT_STEP_BUDGET,
+    AlgorithmInvariantViolation,
     BlowupCenter,
+    BudgetExceededError,
     DomainError,
     ExponentMatrix,
     ExponentVector,
     GlobalStandardization,
     LocalStandardization,
+    MonomialManifold,
     StructuralError,
+    adapted_standardization,
+    adapted_weights,
     blow_up,
     extend,
     make_corner,
     mat_inverse,
     mat_mul,
+    reduce_problem,
     validate_realizable,
 )
-from helpers import shared_reports
+from helpers import corpus_c_problem, shared_reports
 
 F = Fraction
 
@@ -180,3 +189,72 @@ def test_extend_matches_chart_change_reference_on_every_tower_manifold():
             checked += 1
     assert checked > len(shared_reports())
 
+
+# -- the sweep's weights at the center's corners only ---------------------
+
+
+def sweep_centers(problem, max_steps=DEFAULT_STEP_BUDGET):
+    """(lam, mu, pair, weights) of every center the sweep blew up, with the
+    weights `adapted_weights` handed to `apply_center`."""
+    calls = []
+    original = monores.ideals.adapted_weights
+
+    def recording(lam, mu, pair):
+        weights = original(lam, mu, pair)
+        calls.append((lam, mu, pair, weights))
+        return weights
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(monores.ideals, "adapted_weights", recording)
+        try:
+            reduce_problem(problem, max_steps=max_steps)
+        except BudgetExceededError:
+            pass
+    return calls
+
+
+@functools.lru_cache(maxsize=1)
+def tower_centers():
+    """The centers of every `shared_reports()` tower and of the corpus-C
+    budget-5 tower."""
+    calls = [c for report in shared_reports() for c in sweep_centers(report.problem)]
+    return calls + sweep_centers(corpus_c_problem(), max_steps=5)
+
+
+def test_center_weights_equal_the_whole_family_at_the_center():
+    calls = tower_centers()
+    assert len(calls) == sum(r.age for r in shared_reports()) + 5
+    for lam, mu, pair, weights in calls:
+        family = adapted_standardization(lam, mu, pair)
+        holders = lam.manifold.corners_with(pair)
+        assert list(weights) == holders
+        assert weights == {q: family.alpha_at(q) for q in holders}
+
+
+def test_a_corrupted_transported_weight_is_a_bug(monkeypatch):
+    """Every weight the sweep checks, doubled in turn as `transport_weight`
+    hands it over: the center labels at every holder, and every label an
+    edge between two holders shares."""
+    original = MonomialManifold.transport_weight
+    checked = []
+    for lam, mu, pair, weights in tower_centers():
+        m = lam.manifold
+        shared = {q: set(pair) for q in weights}
+        for e in m.edges_among(weights):
+            shared[e.p] |= e.shared
+            shared[e.q] |= e.shared
+        for q, labels in shared.items():
+            for label in sorted(labels):
+
+                def corrupted(self, lab, start, value, label=label, q=q):
+                    carried = original(self, lab, start, value)
+                    if lab == label:
+                        carried[q] *= 2
+                    return carried
+
+                monkeypatch.setattr(MonomialManifold, "transport_weight", corrupted)
+                with pytest.raises(AlgorithmInvariantViolation):
+                    adapted_weights(lam, mu, pair)
+                monkeypatch.setattr(MonomialManifold, "transport_weight", original)
+                checked.append(label in pair)
+    assert len(checked) > 50 and not all(checked)

@@ -14,10 +14,12 @@ and every child's pulled-back vector.
 """
 
 import dataclasses
+import sys
 from collections import deque
 
 import pytest
 
+import monores
 import monores.manifold
 import monores.reduction
 from monores import (
@@ -299,6 +301,26 @@ def test_the_sweep_never_validates_in_full(monkeypatch):
 
             mp.setattr(monores.reduction, "build_ideal_from_support", seed_then_forbid)
             rep = reduce_problem(report.problem)
+        assert rep.age == report.age
+        assert rep.corners == report.corners
+
+
+def test_the_sweep_builds_no_weight_family(monkeypatch):
+    """The sweep computes weights at the center's corners only: no whole
+    family is extended, validated or blown up from."""
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the sweep worked on a whole weight family")
+
+    for name in ("extend", "validate_realizable", "blow_up"):
+        original = getattr(monores, name)
+        for modname, module in list(sys.modules.items()):
+            if modname.split(".")[0] == "monores" and getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, forbidden)
+    towers = [report for report in shared_reports() if report.age > 0]
+    assert towers
+    for report in towers:
+        rep = reduce_problem(report.problem)
         assert rep.age == report.age
         assert rep.corners == report.corners
 
