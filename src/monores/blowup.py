@@ -193,15 +193,25 @@ class BlowupStep:
     @cached_property
     def new_edges(self) -> tuple[Edge, ...]:
         """The edges of `after` that touch a child: every edge the step built.
-        The others are edges of `before`, carried over as the same objects."""
-        return tuple(e for e in self.after.edges if e.p in self.children or e.q in self.children)
+        The others are edges of `before`, carried over as the same objects.
+        Read off the children's adjacency lists, each edge once (from its
+        `p` end when that is a child), in `after.edges`' order."""
+        adjacency, children = self.after._adjacency, self.children
+        touching = (
+            e
+            for cid in sorted(children)
+            for nxt, e, forward in adjacency[cid]
+            if forward or nxt not in children
+        )
+        return tuple(sorted(touching, key=Edge.key))
 
     def violations(self) -> list[str]:
         """The step's local certificate: checks what the step built, and
         returns the violations, empty if `after` is valid given that
         `before` is.
 
-        Checked, from `children` and `new_edges` only:
+        Checked, from `children` and `new_edges` only (the edges downstairs
+        are read through the adjacency lists of `before`):
         - each child's index set (size, labels, the parent's with `removed`
           replaced by `new_label`), unique among the children;
         - each new edge: every check `MonomialManifold.validate` makes of
@@ -233,15 +243,17 @@ class BlowupStep:
         bad.extend(after._edge_violations(self.new_edges))
         if bad:
             return bad
-        old = {e.key(): e.matrix for e in self.before.edges}
+        before = self.before
         for e in self.new_edges:
             p0, q0 = self.lineage(e.p), self.lineage(e.q)
-            image = self.before.corner(p0).identity if p0 == q0 else old.get((p0, q0))
-            if image is None:
+            if p0 == q0:
+                images = [before.corner(p0).identity]
+            else:
+                images = [d.matrix for d in before.edges_among((p0, q0)) if d.key() == (p0, q0)]
+            at_p, at_q = self.children.get(e.p), self.children.get(e.q)
+            if not images:
                 bad.append(f"edge {e.p}->{e.q}: lifts no edge {p0}->{q0}")
-            elif not _conjugation_holds(
-                e.matrix, image, self.children.get(e.p), self.children.get(e.q)
-            ):
+            elif not any(_conjugation_holds(e.matrix, m, at_p, at_q) for m in images):
                 bad.append(f"edge {e.p}->{e.q}: B_q·M' differs from M·B_p downstairs")
         through_new = {
             frozenset(labels) | {new}

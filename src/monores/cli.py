@@ -19,7 +19,7 @@ import sys
 from pathlib import Path
 
 from .dot import export_dot_star
-from .errors import AlgorithmInvariantViolation, BudgetExceededError, MonoresError
+from .errors import AlgorithmInvariantViolation, BudgetExceededError, DomainError, MonoresError
 from .ideals import DEFAULT_STEP_BUDGET, principalize_generators
 from .jsonio import (
     canonical_dumps,
@@ -53,6 +53,14 @@ def _write_text(path: str, text: str) -> None:
     Path(path).write_text(text, encoding="utf-8")
 
 
+def _check_samples(args) -> None:
+    """Reject `--check-numeric` with no samples before any trace is written:
+    such a check would check nothing.  A negative `--max-steps` is rejected
+    by `principalize_generators`, also before any trace."""
+    if args.check_numeric and args.samples < 1:
+        raise DomainError(f"--samples must be at least 1, got {args.samples}")
+
+
 def _maybe_check_numeric(star, args) -> None:
     if args.check_numeric:
         err = numeric_oracle(star, samples=args.samples, seed=args.seed)
@@ -69,6 +77,7 @@ def _budget_bailout(exc: BudgetExceededError, trace_path: str) -> int:
 
 
 def cmd_reduce(args) -> int:
+    _check_samples(args)
     problem = problem_from_json(_load_json(args.input), stratum_dim=args.stratum_dim)
     try:
         report = reduce_problem(problem, max_steps=args.max_steps)
@@ -89,6 +98,7 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_principalize(args) -> int:
+    _check_samples(args)
     ideal = ideal_from_json(_load_json(args.input))
     try:
         run = principalize_generators(

@@ -7,12 +7,14 @@ of codimension-two centers where the two exponent differences have
 opposite signs; blowing such a center up with a weight family tuned to
 cancel the difference removes it and creates no new one, so the count of
 obstructed centers drops by exactly one per step.  Ideals with more
-generators reduce to sweeping the generator pairs.
+generators reduce to one pass over the generator pairs, since the
+nonnegative morphisms keep a finished pair finished.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -256,17 +258,15 @@ def _check_balance(
 
 @dataclass(frozen=True)
 class PairState:
-    """Snapshot of a generator pair: its obstructed centers and their count."""
+    """A generator pair's obstructed centers and their count."""
 
-    lam: MFunction
-    mu: MFunction
     omega: frozenset[frozenset[str]]
     inv: int
 
     @classmethod
     def measure(cls, lam: MFunction, mu: MFunction) -> "PairState":
         omega = frozenset(uncoupled_centers(lam, mu))
-        return cls(lam, mu, omega, len(omega))
+        return cls(omega, len(omega))
 
     def after_blowup(
         self,
@@ -282,7 +282,7 @@ class PairState:
         its holders' exponents on its labels, so its sign."""
         fresh = {c for c, w in witnesses.items() if center_is_uncoupled_at(lam, mu, c, w)}
         omega = (self.omega - {pair}) | fresh
-        return PairState(lam, mu, frozenset(omega), len(omega))
+        return PairState(frozenset(omega), len(omega))
 
 
 def _centers_through_new_label(step: BlowupStep) -> dict[frozenset[str], str]:
@@ -346,17 +346,29 @@ def principalize_generators(
     generators: Sequence[MFunction],
     max_steps: int = DEFAULT_STEP_BUDGET,
 ) -> PrincipalizationRun:
-    """Sweep generator pairs in index order, blowing up obstructed centers.
+    """One pass over the generator pairs in index order, blowing up each
+    pair's obstructed centers until it has none.
 
     Each blow-up uses the adapted weights for the lexicographically
     smallest obstructed center of the active pair, computed at the
     center's corners only (`adapted_weights`) and handed to
-    `apply_center`, and must reduce that pair's count by exactly one;
-    pairs already made comparable stay comparable because the morphism
-    matrices are nonnegative.  The sweep
-    restarts after finishing a pair and stops when a full scan finds no
-    obstructed pair.  A step budget guards the multi-generator recursion.
+    `apply_center`, and must reduce that pair's count by exactly one.
+
+    Why one pass ends the sweep.  A pair with no obstructed center has
+    comparable exponents at every corner, and the morphism matrices are
+    nonnegative, so it stays comparable at every corner of every later
+    manifold, children included: a finished pair stays finished.  Each
+    pair is therefore measured once, when its turn comes, and there are
+    at most k(k-1)/2 phases, one per pair that starts obstructed.  A
+    phase takes exactly its start count of steps, so the age is the sum
+    of the counts in `pair_invariants`; fresh obstructions land only on
+    later pairs (`new_uncoupled_counts`) and raise their start counts.
+    The step budget is a safety net, not what stops the run.  A fresh
+    obstruction on a finished pair, which the per-step fresh count would
+    see, is a bug (AlgorithmInvariantViolation).
     """
+    if max_steps < 0:
+        raise DomainError(f"the step budget must be nonnegative, got {max_steps}")
     gens = list(generators)
     for g in gens:
         if g.manifold is not m:
@@ -365,21 +377,11 @@ def principalize_generators(
     pair_invariants: list[tuple[int, int, int]] = []
     new_uncoupled_counts: list[int] = []
     k = len(gens)
-    while True:
-        active = None
-        for a in range(k):
-            for b in range(a + 1, k):
-                state = PairState.measure(gens[a], gens[b])
-                if state.inv > 0:
-                    active = (a, b, state)
-                    break
-            if active:
-                break
-        if active is None:
-            break
-        a, b, state = active
-        pair_invariants.append((a, b, state.inv))
+    for a, b in combinations(range(k), 2):
+        state = PairState.measure(gens[a], gens[b])
         start_inv = state.inv
+        if start_inv:
+            pair_invariants.append((a, b, start_inv))
         while state.inv > 0:
             if star.age >= max_steps:
                 raise BudgetExceededError(
@@ -400,14 +402,21 @@ def principalize_generators(
                     f"from {state.inv} to {state.inv - 1}"
                 )
             # Fresh obstructions of the other pairs can likewise only sit on
-            # centers through the new exceptional label.
-            fresh = sum(
-                center_is_uncoupled_at(gens[x], gens[y], center, witness)
-                for center, witness in witnesses.items()
-                for x in range(k)
-                for y in range(x + 1, k)
+            # centers through the new exceptional label, and never on a
+            # finished pair.
+            fresh = {
+                (x, y): sum(
+                    center_is_uncoupled_at(gens[x], gens[y], c, w) for c, w in witnesses.items()
+                )
+                for x, y in combinations(range(k), 2)
                 if (x, y) != (a, b)
-            )
-            new_uncoupled_counts.append(fresh)
+            }
+            reopened = [xy for xy, hits in fresh.items() if hits and xy < (a, b)]
+            if reopened:
+                raise AlgorithmInvariantViolation(
+                    f"blow-up of {sorted(pair)} for pair ({a}, {b}) gave finished "
+                    f"pair {reopened[0]} {fresh[reopened[0]]} obstructed center(s)"
+                )
+            new_uncoupled_counts.append(sum(fresh.values()))
             state = new_state
     return PrincipalizationRun(star, gens, pair_invariants, new_uncoupled_counts)

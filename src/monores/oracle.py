@@ -23,6 +23,7 @@ import math
 import random
 
 from .blowup import BlowupStep, Star, compose_star
+from .errors import DomainError
 from .linalg import ExponentMatrix
 from .manifold import MonomialManifold
 
@@ -111,7 +112,13 @@ def _composite_checks(star: Star, rng: random.Random, samples: int) -> float:
 
 
 def numeric_oracle(star: Star, samples: int = 100, seed: int = 0) -> float:
-    """Worst relative error over all commuting-diagram checks of the tower."""
+    """Worst relative error over all commuting-diagram checks of the tower.
+
+    At least one sample is needed: with none, every check passes vacuously
+    (DomainError).
+    """
+    if samples < 1:
+        raise DomainError(f"the oracle needs at least one sample, got {samples}")
     rng = random.Random(seed)
     worst = 0.0
     for m in [star.root] + [s.after for s in star.steps]:

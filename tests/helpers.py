@@ -13,11 +13,14 @@ from monores import (
     ReductionProblem,
     make_corner,
     mfunction_from_corner,
+    minimal_support,
+    pull_back_mfunction,
     reduce_problem,
     support_from_rows,
     uncoupled_centers,
 )
 from monores.jsonio import canonical_dumps, manifold_from_json, manifold_to_json
+from monores.reduction import build_ideal_from_support
 
 
 def brute_force_minimal(vectors):
@@ -98,14 +101,28 @@ def corpus_c_budget_stop(budget=5):
     raise AssertionError("corpus C finished within the budget")
 
 
+def sample_towers():
+    """(problem, star) of every `shared_reports()` tower and of the corpus-C
+    budget-5 tower."""
+    towers = [(report.problem, report.star) for report in shared_reports()]
+    return towers + [(corpus_c_problem(), corpus_c_budget_stop().star)]
+
+
 def tower_manifolds():
-    """Every manifold of every `shared_reports()` tower and of the corpus-C
-    budget-5 tower, roots included."""
-    stars = [report.star for report in shared_reports()] + [corpus_c_budget_stop().star]
+    """Every manifold of every `sample_towers()` tower, roots included."""
     out = []
-    for star in stars:
+    for _, star in sample_towers():
         out.append(star.root)
         out.extend(step.after for step in star.steps)
+    return out
+
+
+def generators_along(problem, star):
+    """The sweep's generators on the root of `star` and after each step."""
+    gens = build_ideal_from_support(minimal_support(problem.support), star.root).generators
+    out = [list(gens)]
+    for step in star.steps:
+        out.append([pull_back_mfunction(g, step) for g in out[-1]])
     return out
 
 

@@ -103,6 +103,26 @@ def test_budget_exit_code_writes_partial_trace(tmp_path, capsys):
     assert main(["replay", "--trace", str(trace)]) == 0
 
 
+@pytest.mark.parametrize("command", ["reduce", "principalize"])
+@pytest.mark.parametrize(
+    "options, message",
+    [
+        (["--check-numeric", "--samples", "0"], "--samples must be at least 1, got 0"),
+        (["--check-numeric", "--samples", "-3"], "--samples must be at least 1, got -3"),
+        (["--max-steps", "-1"], "the step budget must be nonnegative, got -1"),
+    ],
+    ids=["no-samples", "negative-samples", "negative-budget"],
+)
+def test_meaningless_option_values_are_bad_input(tmp_path, capsys, command, options, message):
+    """Options under which the run would check or do nothing exit 1 before
+    any trace is written."""
+    inp = write(tmp_path / "in.json", PROBLEM if command == "reduce" else IDEAL)
+    trace = tmp_path / "t.json"
+    assert main([command, "--input", inp, "--trace", str(trace), *options]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not trace.exists()
+
+
 def test_bad_input_exit_code(tmp_path):
     missing = str(tmp_path / "nope.json")
     assert main(["validate", "--input", missing]) == 1

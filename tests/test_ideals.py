@@ -335,6 +335,12 @@ def test_budget_exceeded_carries_partial_star():
     assert err.value.star.age == 0
 
 
+def test_negative_budget_is_rejected():
+    m, lam, mu = worked_pair()
+    with pytest.raises(DomainError, match="step budget must be nonnegative"):
+        principalize_generators(m, [lam, mu], max_steps=-1)
+
+
 def test_budget_report_names_where_the_run_stopped():
     exc = corpus_c_budget_stop()
     assert str(exc) == (

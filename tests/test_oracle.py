@@ -3,7 +3,10 @@
 import dataclasses
 from fractions import Fraction
 
+import pytest
+
 from monores import (
+    DomainError,
     Edge,
     ExponentMatrix,
     MonomialManifold,
@@ -32,6 +35,13 @@ def test_empty_star_has_zero_error():
 def test_worked_star_error_is_float_noise():
     err = numeric_oracle(worked_star(), samples=100, seed=42)
     assert err < 1e-9
+
+
+@pytest.mark.parametrize("samples", [0, -3])
+def test_oracle_without_samples_is_rejected(samples):
+    """With no samples every check would pass vacuously."""
+    with pytest.raises(DomainError, match="at least one sample"):
+        numeric_oracle(worked_star(), samples=samples, seed=42)
 
 
 def test_oracle_is_deterministic():

@@ -43,7 +43,7 @@ from monores.errors import AlgorithmInvariantViolation, MonoresError
 from monores.ideals import MFunction
 from monores.reduction import build_ideal_from_support
 from monores.supports import minimal_support
-from helpers import corpus_c_budget_stop, corpus_c_problem, shared_reports, tower_manifolds
+from helpers import generators_along, sample_towers, shared_reports, tower_manifolds
 
 
 def reference_cycle_violations(m):
@@ -168,8 +168,7 @@ def test_single_corner_validate_builds_no_matrix(monkeypatch):
 
 
 def all_steps():
-    stars = [report.star for report in shared_reports()] + [corpus_c_budget_stop().star]
-    return [step for star in stars for step in star.steps]
+    return [step for _, star in sample_towers() for step in star.steps]
 
 
 def test_lifted_edges_equal_conjugation_and_carry_exact_inverses():
@@ -360,6 +359,19 @@ def test_local_certificate_fails_exactly_when_validate_fails():
     assert corruptions > 3 * 80
 
 
+def test_new_edges_equal_a_scan_of_every_edge():
+    """`new_edges` reads the children's adjacency lists; a scan of every
+    edge of `after` finds the same edges, in the same order."""
+    steps = all_steps()
+    for step in steps:
+        touching = tuple(
+            e for e in step.after.edges if e.p in step.children or e.q in step.children
+        )
+        assert len(step.new_edges) == len(touching)
+        assert all(a is b for a, b in zip(step.new_edges, touching))
+    assert sum(len(step.new_edges) for step in steps) > 80
+
+
 def test_local_certificate_catches_a_changed_edge_that_validate_can_miss():
     """A new edge whose matrix changes with its inverse (so the edge's own
     checks hold) breaks a cycle unless it is a bridge of the corner graph.
@@ -382,13 +394,8 @@ def test_local_certificate_catches_a_changed_edge_that_validate_can_miss():
 
 def sweep_steps_with_generators():
     """Each step of the test towers with the generators on its `before`."""
-    runs = [(report.problem, report.star) for report in shared_reports()]
-    runs.append((corpus_c_problem(), corpus_c_budget_stop().star))
-    for problem, star in runs:
-        gens = build_ideal_from_support(minimal_support(problem.support), star.root).generators
-        for step in star.steps:
-            yield step, gens
-            gens = [pull_back_mfunction(g, step) for g in gens]
+    for problem, star in sample_towers():
+        yield from zip(star.steps, generators_along(problem, star))
 
 
 @pytest.mark.parametrize("kind", ["shifted", "negative"])
