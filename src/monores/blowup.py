@@ -442,13 +442,18 @@ def compose_star(star: Star, corner_id: str) -> ExponentMatrix:
     """Composite morphism matrix at an end-manifold corner.
 
     Equals the product of the per-step matrices along the corner's lineage,
-    so pulling a vector through it matches the step-by-step pullback.
+    so pulling a vector through it matches the step-by-step pullback.  A
+    step that left the corner untouched contributes an identity, so only
+    the `ChildChart.matrix` of the steps that have the corner among their
+    `children` is multiplied; a corner no step touched gets its root
+    corner's shared identity.
     """
     if corner_id not in star.end.corners:
         raise StructuralError(f"{corner_id!r} is not a corner of the end manifold")
     acc, cur = None, corner_id
     for step in reversed(star.steps):
-        b = step.morphism(cur)
-        acc = b if acc is None else mat_mul(b, acc)
-        cur = step.lineage(cur)
+        chart = step.children.get(cur)
+        if chart is not None:
+            acc = chart.matrix if acc is None else mat_mul(chart.matrix, acc)
+            cur = chart.parent.id
     return star.root.corner(cur).identity if acc is None else acc

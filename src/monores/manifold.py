@@ -186,17 +186,18 @@ class MonomialManifold:
         Computed as the product of edge matrices along a path that stays
         inside the intersection of the components shared by `p` and `q`;
         the validated cycle identities make the result path independent.
+        The product starts from the first hop, so a one-hop path returns
+        the edge's own matrix or inverse, and `p == q` returns the
+        corner's shared `Corner.identity`.
         """
         cp = self.corner(p)
         cq = self.corner(q)
         if p == q:
-            return ExponentMatrix.identity(cp.index_set)
-        needed = cp.index_set & cq.index_set
-        path = self._edge_path(p, q, needed)
-        acc = ExponentMatrix.identity(cp.index_set)
-        for edge, forward in path:
+            return cp.identity
+        acc = None
+        for edge, forward in self._edge_path(p, q, cp.index_set & cq.index_set):
             step = edge.matrix if forward else edge.inverse
-            acc = mat_mul(step, acc)
+            acc = step if acc is None else mat_mul(step, acc)
         return acc
 
     def _edge_path(

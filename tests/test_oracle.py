@@ -1,10 +1,17 @@
 """Floating sampling oracle: near-zero error on good data, loud on corruption."""
 
 import dataclasses
+import math
+import os
+import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import monores.oracle
 from monores import (
     DomainError,
     Edge,
@@ -12,12 +19,14 @@ from monores import (
     MonomialManifold,
     ReductionProblem,
     Star,
+    compose_star,
     make_corner,
     numeric_oracle,
     reduce_problem,
     support_from_rows,
 )
-from monores.oracle import monomial_map
+from monores.oracle import SAMPLE_LOW, apply_plan, float_plan, monomial_map, monomial_map_log
+from helpers import sample_towers
 
 
 def worked_star():
@@ -49,29 +58,183 @@ def test_oracle_is_deterministic():
     assert numeric_oracle(star, samples=50, seed=7) == numeric_oracle(star, samples=50, seed=7)
 
 
-def perturbed(star: Star) -> Star:
-    """Copy the star with one edge exponent of the end manifold nudged."""
+def nudged(matrix: ExponentMatrix, row: str, col: str) -> ExponentMatrix:
+    """A copy of `matrix` with the entry at (`row`, `col`) raised by 1/7."""
+    entries = {(r, c): matrix.entry(r, c) for r in matrix.row_labels for c in matrix.col_labels}
+    entries[(row, col)] += Fraction(1, 7)
+    return ExponentMatrix(matrix.row_labels, matrix.col_labels, entries)
+
+
+def with_first_end_edge(star: Star, make_edge) -> Star:
+    """Copy the star with the first edge of the end manifold replaced by
+    `make_edge(edge)`; no check runs on the copy."""
     step = star.steps[-1]
     m = step.after
     e = m.edges[0]
-    entries = {
-        (r, c): e.matrix.entry(r, c)
-        for r in e.matrix.row_labels
-        for c in e.matrix.col_labels
-    }
-    (ell,) = list(e.shared)[:1]
-    entries[(ell, ell)] += Fraction(1, 7)
-    bad_edge = Edge(e.p, e.q, e.shared, ExponentMatrix(e.matrix.row_labels, e.matrix.col_labels, entries))
     bad_m = MonomialManifold(
-        m.dimension, m.components, m.corners.values(), [bad_edge] + [x for x in m.edges if x is not e]
+        m.dimension, m.components, m.corners.values(), [make_edge(e)] + [x for x in m.edges if x is not e]
     )
     bad_step = dataclasses.replace(step, after=bad_m)
     return Star(star.root, star.steps[:-1] + (bad_step,))
 
 
+def perturbed(star: Star) -> Star:
+    """Copy the star with one edge exponent of the end manifold nudged.
+
+    The edge's inverse is recomputed from the nudged matrix, so its round
+    trip closes and only the blow-up square through it breaks."""
+    def bad(e):
+        ell = min(e.shared)
+        return Edge(e.p, e.q, e.shared, nudged(e.matrix, ell, ell))
+
+    return with_first_end_edge(star, bad)
+
+
 def test_oracle_detects_corrupted_edge():
     bad = perturbed(worked_star())
     assert numeric_oracle(bad, samples=20, seed=1) > 1e-3
+
+
+def test_oracle_detects_a_wrong_inverse():
+    """The edge's matrix is right and its passed inverse is not: only the
+    edge round trip reads an end-manifold edge's inverse."""
+    def bad(e):
+        inv = e.inverse
+        return Edge(e.p, e.q, e.shared, e.matrix, inverse=nudged(inv, inv.sorted_rows[0], inv.sorted_cols[0]))
+
+    assert numeric_oracle(with_first_end_edge(worked_star(), bad), samples=20, seed=1) > 1e-3
+
+
+def test_oracle_detects_a_wrong_composite(monkeypatch):
+    """Every step and edge is right and the composite is not: only the
+    composite-versus-stepwise check reads `compose_star`."""
+    def bad_composite(star, cid):
+        good = compose_star(star, cid)
+        return nudged(good, good.sorted_rows[0], good.sorted_cols[0])
+
+    star = worked_star()
+    assert numeric_oracle(star, samples=20, seed=1) < 1e-9
+    monkeypatch.setattr(monores.oracle, "compose_star", bad_composite)
+    assert numeric_oracle(star, samples=20, seed=1) > 1e-3
+
+
+# -- the same checks on the same samples ---------------------------------------
+
+
+def reference_map_log(matrix, log_point):
+    """Per-entry Fraction -> float, summed in sorted label order."""
+    out = {}
+    for r in matrix.sorted_rows:
+        acc = 0.0
+        for c in matrix.sorted_cols:
+            e = matrix.entry(r, c)
+            if e:
+                acc += float(e) * log_point[c]
+        out[r] = acc
+    return out
+
+
+def reference_oracle(star, samples, seed):
+    """The oracle's checks written as plain loops over the samples, every
+    matrix converted to floats again for every sample."""
+    rng = random.Random(seed)
+
+    def point(labels):
+        return {lab: math.log(rng.uniform(SAMPLE_LOW, 1.0)) for lab in sorted(labels)}
+
+    def rel_err(a, b):
+        worst = 0.0
+        for k, la in a.items():
+            delta = la - b[k]
+            worst = max(worst, abs(math.expm1(delta)) if abs(delta) < 700.0 else math.inf)
+        return worst
+
+    worst = 0.0
+    for m in [star.root] + [s.after for s in star.steps]:
+        for e in m.edges:
+            for _ in range(samples):
+                x_p = point(m.corner(e.p).index_set)
+                back = reference_map_log(e.inverse, reference_map_log(e.matrix, x_p))
+                worst = max(worst, rel_err(x_p, back))
+    for step in star.steps:
+        for e in step.after.edges:
+            a, b = step.lineage(e.p), step.lineage(e.q)
+            across = None if a == b else step.before.change_matrix(a, b)
+            for _ in range(samples):
+                x_new_p = point(step.after.corner(e.p).index_set)
+                x_old_p = reference_map_log(step.morphism(e.p), x_new_p)
+                x_old_q = x_old_p if across is None else reference_map_log(across, x_old_p)
+                x_new_q = reference_map_log(e.matrix, x_new_p)
+                x_old_q2 = reference_map_log(step.morphism(e.q), x_new_q)
+                worst = max(worst, rel_err(x_old_q, x_old_q2))
+    if star.steps:
+        for cid in star.end.corner_ids():
+            composite = compose_star(star, cid)
+            for _ in range(samples):
+                x_top = point(star.end.corner(cid).index_set)
+                direct = reference_map_log(composite, x_top)
+                x, cur = x_top, cid
+                for step in reversed(star.steps):
+                    x = reference_map_log(step.morphism(cur), x)
+                    cur = step.lineage(cur)
+                worst = max(worst, rel_err(direct, x))
+    return worst
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+def test_oracle_equals_the_per_sample_reference(seed):
+    towers = [star for _, star in sample_towers() if star.steps]
+    assert len(towers) >= 4
+    for star in towers:
+        assert numeric_oracle(star, samples=7, seed=seed) == reference_oracle(star, 7, seed)
+
+
+def sparse_rational(rng):
+    """Zero with probability 0.6, otherwise a signed, often non-integer rational."""
+    if rng.random() < 0.6:
+        return Fraction(0)
+    return Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 7))
+
+
+def test_plans_equal_the_per_entry_sum_on_sparse_rectangular_matrices():
+    rng = random.Random(13)
+    pool = ["E1", "E2", "E3", "E∞1", "E∞2", "z1", "z2"]
+    zeros = total = 0
+    for _ in range(300):
+        rows, cols = (rng.sample(pool, rng.randint(1, 5)) for _ in range(2))
+        m = ExponentMatrix(rows, cols, {(r, c): sparse_rational(rng) for r in rows for c in cols})
+        x = {c: math.log(rng.uniform(SAMPLE_LOW, 1.0)) for c in cols}
+        plan = float_plan(m)
+        assert [r for r, _ in plan] == sorted(rows)
+        for r, terms in plan:
+            assert [c for c, _ in terms] == [c for c in sorted(cols) if m.entry(r, c)]
+        assert apply_plan(plan, x) == reference_map_log(m, x) == monomial_map_log(m, x)
+        values = [m.entry(r, c) for r in rows for c in cols]
+        zeros += values.count(0)
+        total += len(values)
+    assert zeros * 2 >= total
+
+
+_ORACLE_VALUES = """
+from helpers import sample_towers
+from monores import numeric_oracle
+print(repr([numeric_oracle(star, samples=20, seed=3) for _, star in sample_towers()]))
+"""
+
+
+def test_oracle_is_reproducible_across_processes():
+    """The value must not depend on the string hash seed, which orders
+    frozensets and so any sum taken in label-set order."""
+    tests = Path(__file__).resolve().parent
+    path = os.pathsep.join([str(tests.parent / "src"), str(tests)])
+    outs = []
+    for hash_seed in ("1", "2", "3"):
+        env = dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=hash_seed)
+        run = subprocess.run(
+            [sys.executable, "-c", _ORACLE_VALUES], env=env, capture_output=True, text=True, check=True
+        )
+        outs.append(run.stdout)
+    assert outs[0].startswith("[") and outs[1] == outs[0] and outs[2] == outs[0]
 
 
 def test_monomial_map_semantics():
