@@ -82,7 +82,7 @@ from .reduction import (
     reduce_problem,
     root_corner_for,
 )
-from .oracle import monomial_map, numeric_oracle
+from .oracle import numeric_oracle
 from .dot import export_dot, export_dot_star
 
 __version__ = "0.1.0"

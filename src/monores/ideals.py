@@ -258,7 +258,9 @@ def _check_balance(
 
 @dataclass(frozen=True)
 class PairState:
-    """A generator pair's obstructed centers and their count."""
+    """A generator pair's obstructed centers and their count, measured
+    once; the sweep's one sign scan per step proves each next state
+    (`principalize_generators`)."""
 
     omega: frozenset[frozenset[str]]
     inv: int
@@ -267,22 +269,6 @@ class PairState:
     def measure(cls, lam: MFunction, mu: MFunction) -> "PairState":
         omega = frozenset(uncoupled_centers(lam, mu))
         return cls(omega, len(omega))
-
-    def after_blowup(
-        self,
-        lam: MFunction,
-        mu: MFunction,
-        pair: frozenset[str],
-        witnesses: Mapping[frozenset[str], str],
-    ) -> "PairState":
-        """The state of the pair pulled back through the blow-up of `pair`,
-        rescanning only the centers it can change: `pair` is realized
-        nowhere after it, and `witnesses` (`_centers_through_new_label`)
-        holds every center through the new label.  Every other center keeps
-        its holders' exponents on its labels, so its sign."""
-        fresh = {c for c, w in witnesses.items() if center_is_uncoupled_at(lam, mu, c, w)}
-        omega = (self.omega - {pair}) | fresh
-        return PairState(frozenset(omega), len(omega))
 
 
 def _centers_through_new_label(step: BlowupStep) -> dict[frozenset[str], str]:
@@ -354,6 +340,16 @@ def principalize_generators(
     center's corners only (`adapted_weights`) and handed to
     `apply_center`, and must reduce that pair's count by exactly one.
 
+    One sign scan per step.  The blown-up center is realized nowhere
+    after the step, and every other old center keeps its holders'
+    exponents on its labels, so its sign.  A step can therefore change
+    only the centers through the new label, and one scan of them at
+    their witnesses (`_centers_through_new_label`) counts the fresh
+    obstructions of every pair.  A hit on the active pair means its
+    count did not drop to `inv - 1`, which is a bug
+    (AlgorithmInvariantViolation); without one its next state is
+    `(omega - {pair}, inv - 1)`.
+
     Why one pass ends the sweep.  A pair with no obstructed center has
     comparable exponents at every corner, and the morphism matrices are
     nonnegative, so it stays comparable at every corner of every later
@@ -364,8 +360,8 @@ def principalize_generators(
     of the counts in `pair_invariants`; fresh obstructions land only on
     later pairs (`new_uncoupled_counts`) and raise their start counts.
     The step budget is a safety net, not what stops the run.  A fresh
-    obstruction on a finished pair, which the per-step fresh count would
-    see, is a bug (AlgorithmInvariantViolation).
+    obstruction on a finished pair, which the per-step scan would see, is
+    a bug (AlgorithmInvariantViolation).
     """
     if max_steps < 0:
         raise DomainError(f"the step budget must be nonnegative, got {max_steps}")
@@ -395,22 +391,17 @@ def principalize_generators(
             star = star.extended(step)
             gens = [pull_back_mfunction(g, step) for g in gens]
             witnesses = _centers_through_new_label(step)
-            new_state = state.after_blowup(gens[a], gens[b], pair, witnesses)
-            if new_state.omega != state.omega - {pair} or new_state.inv != state.inv - 1:
-                raise AlgorithmInvariantViolation(
-                    f"blow-up of {sorted(pair)} did not drop the obstruction count "
-                    f"from {state.inv} to {state.inv - 1}"
-                )
-            # Fresh obstructions of the other pairs can likewise only sit on
-            # centers through the new exceptional label, and never on a
-            # finished pair.
             fresh = {
                 (x, y): sum(
                     center_is_uncoupled_at(gens[x], gens[y], c, w) for c, w in witnesses.items()
                 )
                 for x, y in combinations(range(k), 2)
-                if (x, y) != (a, b)
             }
+            if fresh.pop((a, b)):
+                raise AlgorithmInvariantViolation(
+                    f"blow-up of {sorted(pair)} did not drop the obstruction count "
+                    f"from {state.inv} to {state.inv - 1}"
+                )
             reopened = [xy for xy, hits in fresh.items() if hits and xy < (a, b)]
             if reopened:
                 raise AlgorithmInvariantViolation(
@@ -418,5 +409,5 @@ def principalize_generators(
                     f"pair {reopened[0]} {fresh[reopened[0]]} obstructed center(s)"
                 )
             new_uncoupled_counts.append(sum(fresh.values()))
-            state = new_state
+            state = PairState(state.omega - {pair}, state.inv - 1)
     return PrincipalizationRun(star, gens, pair_invariants, new_uncoupled_counts)

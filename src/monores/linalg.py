@@ -26,12 +26,14 @@ _RATIONAL = re.compile(r"[+-]?\d+(?:/\d+)?\Z")
 def parse_rational(value: RatLike) -> Fraction:
     """Parse an exact rational from "p/q" or "n" notation.
 
-    Fractions and ints pass through.  The denominator, when present, must
-    be an unsigned integer, so negative denominators are rejected.
+    Fractions and ints pass through; bools, which are ints to Python but
+    `true`/`false` in a JSON file, are rejected.  The denominator, when
+    present, must be an unsigned integer, so negative denominators are
+    rejected.
     """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
         text = value.strip()

@@ -9,7 +9,9 @@ from that data, and `validate` checks the structural constraints that
 make the derivations consistent: triangular edge matrices, exact mutual
 inverses, identity products around cycles, and connectivity of every
 realized boundary intersection.  A blow-up re-runs the per-corner and
-per-edge checks only on what it built (`BlowupStep.violations`).
+per-edge checks only on what it built (`BlowupStep.violations`).  Every
+derivation and check that searches the corner graph folds one
+breadth-first walk, `MonomialManifold._walk`.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .errors import (
     ConnectivityError,
@@ -200,28 +202,39 @@ class MonomialManifold:
             acc = step if acc is None else mat_mul(step, acc)
         return acc
 
-    def _edge_path(
-        self, start: str, goal: str, inside: frozenset[str]
-    ) -> list[tuple[Edge, bool]]:
-        """Breadth-first edge path from `start` to `goal` along edges whose
-        shared set contains `inside`; smallest-id neighbors win ties."""
-        prev: dict[str, tuple[str, Edge, bool]] = {}
+    def _walk(
+        self, start: str, inside: frozenset[str]
+    ) -> Iterator[tuple[str, str, Edge, bool]]:
+        """Breadth-first walk from `start` along edges whose shared set
+        contains `inside`, neighbors in `_adjacency` order (smallest id
+        first).  Yields each tree hop `(cur, nxt, edge, forward)` when it
+        first reaches `nxt`; `forward` says that `edge` runs `cur -> nxt`."""
         seen = {start}
         queue = deque([start])
         while queue:
             cur = queue.popleft()
-            if cur == goal:
-                break
             for nxt, edge, forward in self._adjacency[cur]:
-                if nxt in seen or not inside <= edge.shared:
-                    continue
-                seen.add(nxt)
+                if nxt not in seen and inside <= edge.shared:
+                    seen.add(nxt)
+                    queue.append(nxt)
+                    yield cur, nxt, edge, forward
+
+    def _edge_path(
+        self, start: str, goal: str, inside: frozenset[str]
+    ) -> list[tuple[Edge, bool]]:
+        """The hops of `_walk(start, inside)`'s tree from `start` to `goal`:
+        a shortest edge path inside E_inside, smallest-id neighbors winning
+        ties."""
+        prev: dict[str, tuple[str, Edge, bool]] = {}
+        if goal != start:
+            for cur, nxt, edge, forward in self._walk(start, inside):
                 prev[nxt] = (cur, edge, forward)
-                queue.append(nxt)
-        if goal not in seen:
-            raise ConnectivityError(
-                f"no edge path from {start!r} to {goal!r} inside E_{sorted(inside)}"
-            )
+                if nxt == goal:
+                    break
+            else:
+                raise ConnectivityError(
+                    f"no edge path from {start!r} to {goal!r} inside E_{sorted(inside)}"
+                )
         path = []
         cur = goal
         while cur != start:
@@ -253,22 +266,15 @@ class MonomialManifold:
     def transport_weight(self, label: str, start: str, value: Fraction) -> dict[str, Fraction]:
         """Carry a weight on `label` from `start` to every corner of E_label.
 
-        One breadth-first pass along edges whose shared set holds `label`;
-        each hop multiplies or divides by the edge's diagonal entry, as in
-        `weight_connexion`.  Raises ConnectivityError when some corner on
-        `label` is not reached.
+        One `_walk` inside E_label; each hop multiplies or divides by the
+        edge's diagonal entry, as in `weight_connexion`.  Raises
+        ConnectivityError when some corner on `label` is not reached.
         """
         found = {start: value}
-        queue = deque([start])
-        while queue:
-            cur = queue.popleft()
-            for nxt, edge, forward in self._adjacency[cur]:
-                if nxt in found or label not in edge.shared:
-                    continue
-                d = edge.diagonal(label)
-                # a forward edge runs cur -> nxt, so nxt's weight is cur's over d
-                found[nxt] = found[cur] / d if forward else found[cur] * d
-                queue.append(nxt)
+        for cur, nxt, edge, forward in self._walk(start, frozenset((label,))):
+            d = edge.diagonal(label)
+            # a forward edge runs cur -> nxt, so nxt's weight is cur's over d
+            found[nxt] = found[cur] / d if forward else found[cur] * d
         holders = self.corners_with([label])
         missing = [cid for cid in holders if cid not in found]
         if missing:
@@ -329,10 +335,10 @@ class MonomialManifold:
 
     def _edge_violations(self, edges: Iterable[Edge]) -> list[str]:
         """The checks each of the given edges must pass on its own: real and
-        distinct endpoints (no two of `edges` on one pair), the shared set,
-        the label sets, triangular form with a positive diagonal, and the
-        exact inverse.  `validate` passes every edge; a blow-up's local
-        certificate passes the edges it built."""
+        distinct endpoints of the right size (no two of `edges` on one
+        pair), the shared set, the label sets, triangular form with a
+        positive diagonal, and the exact inverse.  `validate` passes every
+        edge; a blow-up's local certificate passes the edges it built."""
         bad: list[str] = []
         n = self.dimension
         seen_pairs: set[frozenset[str]] = set()
@@ -343,6 +349,10 @@ class MonomialManifold:
                 continue
             ip = self.corners[e.p].index_set
             iq = self.corners[e.q].index_set
+            if len(ip) != n or len(iq) != n:
+                # the label checks below assume corners of the right size
+                bad.append(f"{tag}: an endpoint's index set does not have size {n}")
+                continue
             pair = frozenset((e.p, e.q))
             if pair in seen_pairs or e.p == e.q:
                 bad.append(f"{tag}: duplicate or degenerate edge")
@@ -376,10 +386,10 @@ class MonomialManifold:
     def _cycle_violations(self) -> list[str]:
         """Every cycle of chart changes must close to the identity.
 
-        One breadth-first pass from the first corner carries the chart
-        change `T_x` from the root's chart to each corner's along the BFS
-        tree, at one `mat_mul` per tree edge.  Each non-tree edge `p->q`
-        then closes its cycle iff `M·T_p == T_q`.  The root's change is the
+        One `_walk` from the first corner carries the chart change `T_x`
+        from the root's chart to each corner's along the walk's tree, at
+        one `mat_mul` per tree edge.  Each non-tree edge `p->q` then
+        closes its cycle iff `M·T_p == T_q`.  The root's change is the
         identity and is never built: edges at the root use `M` itself and
         compare with the identity entrywise, so a single-corner manifold
         does no matrix work.  Run after the exact-inverse check, which
@@ -390,17 +400,11 @@ class MonomialManifold:
         root = next(iter(self.corners))
         transport: dict[str, ExponentMatrix | None] = {root: None}
         tree_edges: set[Edge] = set()
-        queue = deque([root])
-        while queue:
-            cur = queue.popleft()
+        for cur, nxt, edge, forward in self._walk(root, frozenset()):
+            hop = edge.matrix if forward else edge.inverse
             t_cur = transport[cur]
-            for nxt, edge, forward in self._adjacency[cur]:
-                if nxt in transport:
-                    continue
-                hop = edge.matrix if forward else edge.inverse
-                transport[nxt] = hop if t_cur is None else mat_mul(hop, t_cur)
-                tree_edges.add(edge)
-                queue.append(nxt)
+            transport[nxt] = hop if t_cur is None else mat_mul(hop, t_cur)
+            tree_edges.add(edge)
         if len(transport) != len(self.corners):
             return ["corner graph is not connected"]
 
@@ -428,16 +432,8 @@ class MonomialManifold:
             holders = [c.id for c in candidates if j <= c.index_set]
             if len(holders) <= 1:
                 continue
-            seen = {holders[0]}
-            queue = deque([holders[0]])
-            while queue:
-                cur = queue.popleft()
-                for nxt, edge, _ in self._adjacency[cur]:
-                    if nxt in seen or not j <= edge.shared:
-                        continue
-                    seen.add(nxt)
-                    queue.append(nxt)
-            missing = [cid for cid in holders if cid not in seen]
+            reached = {nxt for _, nxt, _, _ in self._walk(holders[0], j)}
+            missing = [cid for cid in holders[1:] if cid not in reached]
             if missing:
                 bad.append(
                     f"E_{sorted(j)} is disconnected: {missing} unreachable from {holders[0]}"

@@ -86,20 +86,6 @@ def _sample_log_point(labels: list[str], rng: random.Random) -> dict[str, float]
     return {lab: math.log(rng.uniform(SAMPLE_LOW, 1.0)) for lab in labels}
 
 
-def monomial_map_log(matrix: ExponentMatrix, log_point: dict[str, float]) -> dict[str, float]:
-    """The monomial map in log coordinates, where it is linear."""
-    return apply_plan(float_plan(matrix), log_point)
-
-
-def monomial_map(matrix: ExponentMatrix, point: dict[str, float]) -> dict[str, float]:
-    """Evaluate the monomial map at a positive point.
-
-    Rows index the target coordinates: target_r = prod_c point_c ** M(r,c).
-    """
-    logs = {lab: math.log(point[lab]) for lab in matrix.col_labels}
-    return {r: math.exp(v) for r, v in monomial_map_log(matrix, logs).items()}
-
-
 def _rel_err_log(a: dict[str, float], b: dict[str, float]) -> float:
     """Relative error of the coordinate values, from their logarithms."""
     worst = 0.0

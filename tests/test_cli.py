@@ -88,6 +88,45 @@ def test_validate_flow(tmp_path, capsys):
     assert "violation" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "corners, edge",
+    [
+        (
+            [("c0", ["a", "b", "c"]), ("c1", ["a", "d", "e"])],
+            {
+                "from": "c0",
+                "to": "c1",
+                "matrix": {
+                    "rows": ["a", "d", "e"],
+                    "cols": ["a", "b", "c"],
+                    "entries": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+                },
+            },
+        ),
+        (
+            [("c0", ["a"]), ("c1", ["a", "b"])],
+            {
+                "from": "c0",
+                "to": "c1",
+                "matrix": {"rows": ["a", "b"], "cols": ["a"], "entries": [["1"], ["0"]]},
+            },
+        ),
+    ],
+    ids=["too-large", "too-small"],
+)
+def test_edge_at_a_wrong_size_corner_is_a_violation(tmp_path, capsys, corners, edge):
+    doc = {
+        "dimension": 2,
+        "components": sorted({lab for _, labels in corners for lab in labels}),
+        "corners": [{"id": cid, "index_set": labels} for cid, labels in corners],
+        "edges": [edge],
+    }
+    assert main(["validate", "--input", write(tmp_path / "m.json", doc)]) == 2
+    out = capsys.readouterr().out
+    assert "violation: edge c0->c1: an endpoint's index set does not have size 2" in out
+    assert "index set size" in out
+
+
 def test_budget_exit_code_writes_partial_trace(tmp_path, capsys):
     inp = write(tmp_path / "problem.json", PROBLEM)
     trace = tmp_path / "t.json"
@@ -245,6 +284,14 @@ def test_non_principal_end_after_principalize_is_a_bug(tmp_path, monkeypatch, ca
             },
             "corner 'c0' repeats a label",
         ),
+        # JSON booleans are ints to Python, but no exponent
+        ("reduce", {**PROBLEM, "points": [[True, "1"], ["0", False]]}, "out of bool"),
+        ("principalize", {**IDEAL, "generators": [["2", "1"], [False, "2"]]}, "out of bool"),
+        (
+            "replay",
+            edited(TRACE, ["steps", 0, "alpha_at_centers", "c0", "z2"], True),
+            "out of bool",
+        ),
     ],
     ids=["trace-without-root", "corner-without-index-set", "top-level-list",
          "edge-without-to", "non-integer-stratum-dim", "b-block-list", "index-set-number",
@@ -252,7 +299,8 @@ def test_non_principal_end_after_principalize_is_a_bug(tmp_path, monkeypatch, ca
          "b-rows-number", "b-entries-number", "dimension-string", "components-number",
          "edges-number", "corners-number", "entries-row-number", "dimension-null",
          "points-row-number", "variables-number", "points-number", "generators-rows-numbers",
-         "labels-number", "duplicate-corner-id", "repeated-index-label"],
+         "labels-number", "duplicate-corner-id", "repeated-index-label", "point-bool",
+         "generator-bool", "alpha-bool"],
 )
 def test_malformed_file_is_bad_input(tmp_path, capsys, command, doc, message):
     path = write(tmp_path / "in.json", doc)

@@ -62,7 +62,7 @@ def test_parse_rational_forms():
     assert format_rational(Fraction(-1, 3)) == "-1/3"
 
 
-@pytest.mark.parametrize("bad", ["1/-2", "1/0", "x", "1.5", "", "2/3/4"])
+@pytest.mark.parametrize("bad", ["1/-2", "1/0", "x", "1.5", "", "2/3/4", True, False])
 def test_parse_rational_rejects(bad):
     with pytest.raises(StructuralError):
         parse_rational(bad)

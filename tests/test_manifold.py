@@ -1,7 +1,8 @@
 """Structural model: chart changes, weight functions, validation, centers."""
 
+from collections import deque
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -264,3 +265,120 @@ def test_corners_with_matches_a_linear_scan():
         for need in subsets:
             expected = [cid for cid, index_set in holders if index_set.issuperset(need)]
             assert m.corners_with(need) == expected
+
+
+def reference_adjacency(m):
+    adjacency = {cid: [] for cid in m.corners}
+    for e in m.edges:
+        adjacency[e.p].append((e.q, e, True))
+        adjacency[e.q].append((e.p, e, False))
+    for lst in adjacency.values():
+        lst.sort(key=lambda t: t[0])
+    return adjacency
+
+
+def reference_edge_path(adjacency, start, goal, inside):
+    """The breadth-first edge path as `_edge_path` searched it before the
+    walker: stop when `goal` leaves the queue, then follow `prev` back."""
+    prev = {}
+    seen = {start}
+    queue = deque([start])
+    while queue:
+        cur = queue.popleft()
+        if cur == goal:
+            break
+        for nxt, edge, forward in adjacency[cur]:
+            if nxt in seen or not inside <= edge.shared:
+                continue
+            seen.add(nxt)
+            prev[nxt] = (cur, edge, forward)
+            queue.append(nxt)
+    assert goal in seen
+    path = []
+    cur = goal
+    while cur != start:
+        before, edge, forward = prev[cur]
+        path.append((edge, forward))
+        cur = before
+    path.reverse()
+    return path
+
+
+def reference_transport_weight(m, adjacency, label, start, value):
+    found = {start: value}
+    queue = deque([start])
+    while queue:
+        cur = queue.popleft()
+        for nxt, edge, forward in adjacency[cur]:
+            if nxt in found or label not in edge.shared:
+                continue
+            d = edge.matrix.entry(label, label)
+            found[nxt] = found[cur] / d if forward else found[cur] * d
+            queue.append(nxt)
+    return {cid: found[cid] for cid in m.corners_with([label])}
+
+
+def reference_connectivity_violations(adjacency, label_sets, corners):
+    bad = []
+    for j in sorted(label_sets, key=sorted):
+        holders = [c.id for c in corners if j <= c.index_set]
+        if len(holders) <= 1:
+            continue
+        seen = {holders[0]}
+        queue = deque([holders[0]])
+        while queue:
+            cur = queue.popleft()
+            for nxt, edge, _ in adjacency[cur]:
+                if nxt in seen or not j <= edge.shared:
+                    continue
+                seen.add(nxt)
+                queue.append(nxt)
+        missing = [cid for cid in holders if cid not in seen]
+        if missing:
+            bad.append(f"E_{sorted(j)} is disconnected: {missing} unreachable from {holders[0]}")
+    return bad
+
+
+def test_walker_reproduces_the_breadth_first_loops():
+    """Weight transport, edge paths with their chart changes and weight
+    connexions, and the connectivity check (each edge removed in turn),
+    against the loops each of them ran before they shared `_walk`."""
+    paths = disconnected = 0
+    for m in tower_manifolds():
+        adjacency = reference_adjacency(m)
+        for label in sorted(m.components):
+            start = m.corners_with([label])[0]
+            expected = reference_transport_weight(m, adjacency, label, start, F(3, 2))
+            assert m.transport_weight(label, start, F(3, 2)) == expected
+        for p, q in permutations(m.corners, 2):
+            shared = m.corners[p].index_set & m.corners[q].index_set
+            if not shared:
+                continue
+            path = reference_edge_path(adjacency, p, q, shared)
+            assert m._edge_path(p, q, shared) == path
+            chart = ExponentMatrix.identity(m.corners[p].index_set)
+            gamma = dict.fromkeys(shared, F(1))
+            for edge, forward in path:
+                chart = mat_mul(edge.matrix if forward else edge.inverse, chart)
+                for lab in shared:
+                    d = edge.matrix.entry(lab, lab)
+                    gamma[lab] = gamma[lab] * d if forward else gamma[lab] / d
+            assert m.change_matrix(p, q) == chart
+            assert m.weight_connexion(p, q) == ExponentVector(gamma)
+            paths += 1
+        realized = {
+            frozenset(s)
+            for c in m.corners.values()
+            for size in range(1, m.dimension)
+            for s in combinations(sorted(c.index_set), size)
+        }
+        for e in m.edges:
+            cut = MonomialManifold(
+                m.dimension, m.components, m.corners.values(), [x for x in m.edges if x is not e]
+            )
+            found = cut._connectivity_violations(realized, cut.corners.values())
+            assert found == reference_connectivity_violations(
+                reference_adjacency(cut), realized, list(cut.corners.values())
+            )
+            disconnected += bool(found)
+    assert paths > 500 and disconnected > 100, "the walks must be exercised"

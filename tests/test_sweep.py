@@ -141,3 +141,21 @@ def test_a_fresh_obstruction_on_a_finished_pair_exits_4(tmp_path, monkeypatch, c
     assert err.startswith("internal error (bug): ")
     assert "finished pair (0, 1)" in err
     assert not trace.exists()
+
+
+def test_a_fresh_obstruction_on_the_active_pair_is_a_bug(monkeypatch):
+    """The per-step scan covers the active pair too: a center through the
+    new label that it calls obstructed means the count did not drop."""
+    ideal = ideal_from_json(IDEAL)
+    first = PairState.measure(*ideal.generators[:2]).inv
+    true_sign = monores.ideals.center_is_uncoupled_at
+
+    def sign(lam, mu, pair, corner_id):
+        return any(lab.startswith("E∞") for lab in pair) or true_sign(lam, mu, pair, corner_id)
+
+    monkeypatch.setattr(monores.ideals, "center_is_uncoupled_at", sign)
+    with pytest.raises(
+        AlgorithmInvariantViolation,
+        match=rf"did not drop the obstruction count from {first} to {first - 1}",
+    ):
+        principalize_generators(ideal.manifold, ideal.generators)
