@@ -59,6 +59,7 @@ from .blowup import (
 )
 from .ideals import (
     DEFAULT_STEP_BUDGET,
+    CornerReport,
     MFunction,
     MIdeal,
     PairState,
@@ -74,11 +75,9 @@ from .ideals import (
     uncoupled_centers,
 )
 from .reduction import (
-    CornerReport,
     ReductionProblem,
     ReductionReport,
     build_ideal_from_support,
-    certify_end,
     reduce_problem,
     root_corner_for,
 )

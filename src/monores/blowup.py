@@ -261,7 +261,7 @@ class BlowupStep:
             for size in range(after.dimension - 1)
             for labels in combinations(sorted(child.index_set - {new}), size)
         }
-        bad.extend(after._connectivity_violations(through_new, children))
+        bad.extend(after._connectivity_violations(through_new))
         return bad
 
 

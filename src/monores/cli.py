@@ -2,7 +2,7 @@
 
 Subcommands:
   reduce        minimal support in  -> blow-up trace + per-corner certificate out
-  principalize  generator exponents in -> blow-up trace out
+  principalize  generator exponents in -> blow-up trace + per-corner certificate out
   validate      check a manifold file, print violations
   replay        rebuild a trace and verify it bit for bit
 
@@ -32,7 +32,7 @@ from .jsonio import (
     star_to_json,
 )
 from .oracle import numeric_oracle
-from .reduction import certify_end, reduce_problem
+from .reduction import reduce_problem
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 1
@@ -106,13 +106,10 @@ def cmd_principalize(args) -> int:
         )
     except BudgetExceededError as exc:
         return _budget_bailout(exc, args.trace)
-    doc = certified_trace_to_json(
-        run.star, certify_end(run), run.pair_invariants, run.new_uncoupled_counts
-    )
-    _write_text(args.trace, canonical_dumps(doc))
+    _write_text(args.trace, canonical_dumps(certified_trace_to_json(run)))
     if args.dot:
         _write_text(args.dot, export_dot_star(run.star))
-    print(f"principalized: age {run.star.age}, trace -> {args.trace}")
+    print(f"principalized: age {run.age}, trace -> {args.trace}")
     _maybe_check_numeric(run.star, args)
     return EXIT_OK
 

@@ -8,7 +8,9 @@ opposite signs; blowing such a center up with a weight family tuned to
 cancel the difference removes it and creates no new one, so the count of
 obstructed centers drops by exactly one per step.  Ideals with more
 generators reduce to one pass over the generator pairs, since the
-nonnegative morphisms keep a finished pair finished.
+nonnegative morphisms keep a finished pair finished.  The sweep certifies
+its own end: the age is the sum of the pairs' start counts, and at every
+end corner the final generators' minimal exponent is a single point.
 """
 
 from __future__ import annotations
@@ -258,17 +260,20 @@ def _check_balance(
 
 @dataclass(frozen=True)
 class PairState:
-    """A generator pair's obstructed centers and their count, measured
-    once; the sweep's one sign scan per step proves each next state
+    """A generator pair's obstructed centers, measured once; the sweep's
+    one sign scan per step proves each next state
     (`principalize_generators`)."""
 
     omega: frozenset[frozenset[str]]
-    inv: int
+
+    @property
+    def inv(self) -> int:
+        """The obstruction count."""
+        return len(self.omega)
 
     @classmethod
     def measure(cls, lam: MFunction, mu: MFunction) -> "PairState":
-        omega = frozenset(uncoupled_centers(lam, mu))
-        return cls(omega, len(omega))
+        return cls(frozenset(uncoupled_centers(lam, mu)))
 
 
 def _centers_through_new_label(step: BlowupStep) -> dict[frozenset[str], str]:
@@ -313,14 +318,51 @@ def pull_back_mfunction(fn: MFunction, step: BlowupStep) -> MFunction:
     return MFunction._proven(step.after, data)
 
 
+@dataclass(frozen=True)
+class CornerReport:
+    """Final data at one end-manifold corner: a singleton minimal support."""
+
+    corner: str
+    index_set: tuple[str, ...]
+    principal_exponent: ExponentVector
+    generator_exponents: tuple[ExponentVector, ...]
+
+
 @dataclass
 class PrincipalizationRun:
-    """Everything a principalization sweep produced, for reporting."""
+    """A certified sweep: the tower, the final generators, the run's
+    statistics, and the end certificate (`corners`, one per end corner)."""
 
     star: Star
     final_generators: list[MFunction]
     pair_invariants: list[tuple[int, int, int]]
     new_uncoupled_counts: list[int]
+    corners: list[CornerReport]
+
+    @property
+    def age(self) -> int:
+        return self.star.age
+
+
+def _certify_end(end: MonomialManifold, gens: Sequence[MFunction]) -> list[CornerReport]:
+    """One singleton minimal exponent per corner of `end`.
+
+    At each end corner the final generators hold the pulled-back
+    exponents; anything but a single minimal one means the sweep stopped
+    early: a bug, reported as AlgorithmInvariantViolation.
+    """
+    corners: list[CornerReport] = []
+    for cid, corner in end.corners.items():
+        exponents = tuple(g.at(cid) for g in gens)
+        minimal = minimal_elements(exponents)
+        if len(minimal) != 1:
+            raise AlgorithmInvariantViolation(
+                f"minimal data at end corner {cid!r} is not a singleton"
+            )
+        corners.append(
+            CornerReport(cid, tuple(sorted(corner.index_set)), minimal[0], exponents)
+        )
+    return corners
 
 
 def _smallest_pair(pairs: Iterable[frozenset[str]]) -> frozenset[str]:
@@ -348,7 +390,7 @@ def principalize_generators(
     obstructions of every pair.  A hit on the active pair means its
     count did not drop to `inv - 1`, which is a bug
     (AlgorithmInvariantViolation); without one its next state is
-    `(omega - {pair}, inv - 1)`.
+    `omega - {pair}`.
 
     Why one pass ends the sweep.  A pair with no obstructed center has
     comparable exponents at every corner, and the morphism matrices are
@@ -362,10 +404,18 @@ def principalize_generators(
     The step budget is a safety net, not what stops the run.  A fresh
     obstruction on a finished pair, which the per-step scan would see, is
     a bug (AlgorithmInvariantViolation).
+
+    The run is certified before it is returned: the age must equal the
+    sum of the start counts, and every end corner must have a single
+    minimal generator exponent (`corners`).  A failure of either is a bug
+    (AlgorithmInvariantViolation).  A budget stop raises
+    BudgetExceededError before either check.
     """
     if max_steps < 0:
         raise DomainError(f"the step budget must be nonnegative, got {max_steps}")
     gens = list(generators)
+    if not gens:
+        raise StructuralError("an ideal needs at least one generator")
     for g in gens:
         if g.manifold is not m:
             raise StructuralError("generators must live on the given manifold")
@@ -409,5 +459,10 @@ def principalize_generators(
                     f"pair {reopened[0]} {fresh[reopened[0]]} obstructed center(s)"
                 )
             new_uncoupled_counts.append(sum(fresh.values()))
-            state = PairState(state.omega - {pair}, state.inv - 1)
-    return PrincipalizationRun(star, gens, pair_invariants, new_uncoupled_counts)
+            state = PairState(state.omega - {pair})
+    if star.age != sum(inv for _, _, inv in pair_invariants):
+        raise AlgorithmInvariantViolation(
+            "tower age does not equal the sum of the pair obstruction counts"
+        )
+    corners = _certify_end(star.end, gens)
+    return PrincipalizationRun(star, gens, pair_invariants, new_uncoupled_counts, corners)

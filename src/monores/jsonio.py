@@ -10,8 +10,11 @@ corners of the center, the fresh label, and every morphism matrix, each
 read off the step with `BlowupStep.morphism`; `replay_trace` rebuilds
 the tower from the weights and insists the rebuilt matrices agree bit
 for bit, at exactly the recorded corners.  `reduce` and `principalize`
-both append the end certificate (`final_corners` and `stats`) through
-one renderer, `certified_trace_to_json`.
+both render a certified run (`PrincipalizationRun`) through one
+renderer, `certified_trace_to_json`, which appends the end certificate
+(`final_corners`) and the run's statistics (`stats`); the two differ
+only in how the ideal is seeded, and both seed it through
+`build_ideal_from_support`.
 
 Readers take every field through `_field` or `_array`, which name the
 JSON type it must have, and check every vector the same way, so a
@@ -25,14 +28,14 @@ library while rebuilding a tower still surfaces as it is.
 from __future__ import annotations
 
 import json
-from typing import Any, Mapping, Sequence
+from typing import Any, Mapping
 
 from .blowup import Star, apply_center
 from .errors import StructuralError
-from .ideals import MFunction, MIdeal
+from .ideals import MIdeal, PrincipalizationRun
 from .linalg import ExponentMatrix, ExponentVector, format_rational, parse_rational
 from .manifold import Corner, Edge, MonomialManifold
-from .reduction import CornerReport, ReductionProblem, ReductionReport, root_corner_for
+from .reduction import ReductionProblem, ReductionReport, build_ideal_from_support
 from .supports import SupportSet, support_from_rows
 
 TRACE_VERSION = "monores-trace/1"
@@ -180,11 +183,7 @@ def ideal_from_json(doc: Mapping[str, Any]) -> MIdeal:
     rows = _array(doc, "generators", "ideal", list)
     if len(labels) != dimension:
         raise StructuralError("label count does not match the dimension")
-    support = support_from_rows(labels, rows)
-    m = root_corner_for(support)
-    (cid,) = m.corner_ids()
-    gens = [MFunction(m, {cid: p}) for p in support.sorted_points()]
-    return MIdeal(m, gens)
+    return build_ideal_from_support(support_from_rows(labels, rows))
 
 
 # -- traces -------------------------------------------------------------------
@@ -240,15 +239,10 @@ def replay_trace(doc: Mapping[str, Any]) -> Star:
     return star
 
 
-def certified_trace_to_json(
-    star: Star,
-    corners: Sequence[CornerReport],
-    pair_invariants: Sequence[tuple[int, int, int]],
-    new_uncoupled_counts: Sequence[int],
-) -> dict[str, Any]:
+def certified_trace_to_json(run: PrincipalizationRun) -> dict[str, Any]:
     """Trace plus the end certificate: every end corner's generator
     exponents with their single minimal one, and the run's statistics."""
-    doc = star_to_json(star)
+    doc = star_to_json(run.star)
     doc["final_corners"] = [
         {
             "corner": c.corner,
@@ -261,22 +255,20 @@ def certified_trace_to_json(
                 for g in c.generator_exponents
             ],
         }
-        for c in corners
+        for c in run.corners
     ]
     doc["stats"] = {
-        "age": star.age,
-        "final_corner_count": len(star.end.corners),
-        "pair_invariants": [list(t) for t in pair_invariants],
-        "new_uncoupled_counts": list(new_uncoupled_counts),
+        "age": run.age,
+        "final_corner_count": len(run.star.end.corners),
+        "pair_invariants": [list(t) for t in run.pair_invariants],
+        "new_uncoupled_counts": list(run.new_uncoupled_counts),
     }
     return doc
 
 
 def report_to_json(report: ReductionReport) -> dict[str, Any]:
     """The certified trace plus the problem and the annotated centers."""
-    doc = certified_trace_to_json(
-        report.star, report.corners, report.pair_invariants, report.new_uncoupled_counts
-    )
+    doc = certified_trace_to_json(report)
     doc["problem"] = support_to_json(report.problem.support)
     doc["problem"]["stratum_dim"] = report.problem.stratum_dim
     annotation = report.problem.center_annotation

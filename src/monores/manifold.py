@@ -310,7 +310,7 @@ class MonomialManifold:
             labs = sorted(c.index_set)
             for size in range(1, self.dimension):
                 realized.update(frozenset(s) for s in combinations(labs, size))
-        bad.extend(self._connectivity_violations(realized, self.corners.values()))
+        bad.extend(self._connectivity_violations(realized))
         return bad
 
     def _corner_violations(self, corners: Iterable[Corner]) -> list[str]:
@@ -420,16 +420,15 @@ class MonomialManifold:
                 )
         return bad
 
-    def _connectivity_violations(
-        self, label_sets: Iterable[frozenset[str]], holders_among: Iterable[Corner]
-    ) -> list[str]:
+    def _connectivity_violations(self, label_sets: Iterable[frozenset[str]]) -> list[str]:
         """Each given label set J must have a connected corner graph along
-        edges whose shared set contains J; its holders are looked for among
-        `holders_among`, which must include every corner that holds J."""
-        candidates = list(holders_among)
+        edges whose shared set contains J; its holders are read off the
+        label index (`corners_with`).  A set with a label that only one
+        corner holds has at most one holder, so it is skipped unread."""
+        shared = {lab for lab, ids in self._holders.items() if len(ids) > 1}
         bad: list[str] = []
-        for j in sorted(label_sets, key=sorted):
-            holders = [c.id for c in candidates if j <= c.index_set]
+        for j in sorted((j for j in label_sets if j <= shared), key=sorted):
+            holders = self.corners_with(j)
             if len(holders) <= 1:
                 continue
             reached = {nxt for _, nxt, _, _ in self._walk(holders[0], j)}

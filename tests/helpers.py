@@ -10,6 +10,7 @@ from fractions import Fraction
 from monores import (
     BudgetExceededError,
     ExponentVector,
+    MFunction,
     ReductionProblem,
     make_corner,
     mfunction_from_corner,
@@ -20,7 +21,6 @@ from monores import (
     uncoupled_centers,
 )
 from monores.jsonio import canonical_dumps, manifold_from_json, manifold_to_json
-from monores.reduction import build_ideal_from_support
 
 
 def brute_force_minimal(vectors):
@@ -119,8 +119,8 @@ def tower_manifolds():
 
 def generators_along(problem, star):
     """The sweep's generators on the root of `star` and after each step."""
-    gens = build_ideal_from_support(minimal_support(problem.support), star.root).generators
-    out = [list(gens)]
+    points = minimal_support(problem.support).sorted_points()
+    out = [[MFunction(star.root, {"c0": p}) for p in points]]
     for step in star.steps:
         out.append([pull_back_mfunction(g, step) for g in out[-1]])
     return out

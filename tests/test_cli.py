@@ -6,12 +6,12 @@ import json
 import pytest
 
 import monores.cli
+import monores.ideals
 import monores.jsonio
 from monores.cli import main
 from monores.errors import AlgorithmInvariantViolation
-from monores.ideals import PrincipalizationRun
 from monores.jsonio import TRACE_VERSION, canonical_dumps, manifold_to_json, star_to_json
-from monores import ReductionProblem, Star, reduce_problem, support_from_rows
+from monores import ReductionProblem, reduce_problem, support_from_rows
 from helpers import dotted_id_manifold
 
 PROBLEM = {"variables": ["z1", "z2"], "points": [["2", "1"], ["0", "2"]]}
@@ -183,16 +183,17 @@ def test_internal_error_exit_code(tmp_path, monkeypatch, capsys):
 
 
 def test_non_principal_end_after_principalize_is_a_bug(tmp_path, monkeypatch, capsys):
-    def stops_early(m, generators, max_steps):
-        # the two generators (2,1) and (0,2) stay incomparable at the root
-        return PrincipalizationRun(Star(root=m), list(generators), [], [])
-
-    monkeypatch.setattr(monores.cli, "principalize_generators", stops_early)
+    # a sweep that sees no obstruction stops at once; the two generators
+    # (2,1) and (0,2) stay incomparable at the root, which the sweep's own
+    # end certificate catches
+    monkeypatch.setattr(monores.ideals, "uncoupled_centers", lambda lam, mu: set())
     inp = write(tmp_path / "ideal.json", IDEAL)
-    assert main(["principalize", "--input", inp, "--trace", str(tmp_path / "t.json")]) == 4
+    trace = tmp_path / "t.json"
+    assert main(["principalize", "--input", inp, "--trace", str(trace)]) == 4
     err = capsys.readouterr().err
     assert err.startswith("internal error (bug): ")
     assert "'c0'" in err and "not a singleton" in err
+    assert not trace.exists()
 
 
 @pytest.mark.parametrize(

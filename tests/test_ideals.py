@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import monores.ideals
 from monores import (
     AlgorithmInvariantViolation,
     BlowupCenter,
@@ -325,6 +326,20 @@ def test_principalize_single_generator_and_idempotence():
     run = principalize_generators(m2, [lam, mu])
     again = principalize_generators(run.star.end, run.final_generators)
     assert again.star.age == 0
+
+
+def test_the_sweep_certifies_its_own_end(monkeypatch):
+    """A sweep that sees no obstruction stops at once; its end certificate
+    then finds the two incomparable generators at the root."""
+    m, lam, mu = worked_pair()
+    run = principalize_generators(m, [lam, mu])
+    assert run.age == 1 == sum(inv for _, _, inv in run.pair_invariants)
+    assert [c.corner for c in run.corners] == run.star.end.corner_ids()
+    with pytest.raises(StructuralError, match="at least one generator"):
+        principalize_generators(m, [])
+    monkeypatch.setattr(monores.ideals, "uncoupled_centers", lambda lam, mu: set())
+    with pytest.raises(AlgorithmInvariantViolation, match=r"'c0' is not a singleton"):
+        principalize_generators(m, [lam, mu])
 
 
 def test_budget_exceeded_carries_partial_star():

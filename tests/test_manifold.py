@@ -376,7 +376,7 @@ def test_walker_reproduces_the_breadth_first_loops():
             cut = MonomialManifold(
                 m.dimension, m.components, m.corners.values(), [x for x in m.edges if x is not e]
             )
-            found = cut._connectivity_violations(realized, cut.corners.values())
+            found = cut._connectivity_violations(realized)
             assert found == reference_connectivity_violations(
                 reference_adjacency(cut), realized, list(cut.corners.values())
             )

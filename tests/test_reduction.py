@@ -12,15 +12,16 @@ from monores import (
     ExponentVector,
     MIdeal,
     ReductionProblem,
+    StructuralError,
     ZeroSeriesError,
     apply_center,
     build_ideal_from_support,
     compose_star,
     is_locally_principal,
     local_min_data,
+    minimal_support,
     pullback_support,
     reduce_problem,
-    root_corner_for,
     support_from_rows,
 )
 from monores.jsonio import canonical_dumps, replay_trace, report_to_json, star_to_json
@@ -35,22 +36,22 @@ def problem(rows, labels=("z1", "z2"), k=0):
 
 def test_build_ideal_examples():
     sup = support_from_rows(("z1", "z2"), [[2, 1], [0, 2]])
-    m = root_corner_for(sup)
-    ideal = build_ideal_from_support(sup, m)
+    ideal = build_ideal_from_support(sup)
     assert len(ideal.generators) == 2
+    assert ideal.manifold.corner_ids() == ["c0"]
 
     single = support_from_rows(("z1", "z2"), [[1, 1]])
-    assert len(build_ideal_from_support(single, root_corner_for(single)).generators) == 1
+    assert len(build_ideal_from_support(single).generators) == 1
 
-    # non-minimal input is reduced before generators are made
+    # every point becomes a generator; the reduction seeds the minimal support
     redundant = support_from_rows(("z1", "z2"), [[1, 0], [2, 0]])
-    ideal3 = build_ideal_from_support(redundant, root_corner_for(redundant))
+    assert len(build_ideal_from_support(redundant).generators) == 2
+    ideal3 = build_ideal_from_support(minimal_support(redundant))
     assert len(ideal3.generators) == 1
     assert ideal3.generators[0].at("c0") == ExponentVector({"z1": 1, "z2": 0})
 
-    with pytest.raises(ZeroSeriesError):
-        empty = support_from_rows(("z1",), [])
-        build_ideal_from_support(empty, root_corner_for(empty))
+    with pytest.raises(StructuralError, match="at least one generator"):
+        build_ideal_from_support(support_from_rows(("z1",), []))
 
 
 def test_reduce_worked_instance():

@@ -41,7 +41,6 @@ from monores import (
 from monores.blowup import BlowupStep, ChildChart
 from monores.errors import AlgorithmInvariantViolation, MonoresError
 from monores.ideals import MFunction
-from monores.reduction import build_ideal_from_support
 from monores.supports import minimal_support
 from helpers import generators_along, sample_towers, shared_reports, tower_manifolds
 
@@ -225,8 +224,8 @@ def test_child_charts_reproduce_the_morphism_matrices():
 def test_pull_back_mfunction_matches_the_full_matrix_product_at_every_corner():
     for report in shared_reports():
         star = report.star
-        ideal = build_ideal_from_support(minimal_support(report.problem.support), star.root)
-        gens = list(ideal.generators)
+        points = minimal_support(report.problem.support).sorted_points()
+        gens = [MFunction(star.root, {"c0": p}) for p in points]
         for step in star.steps:
             pulled = [pull_back_mfunction(g, step) for g in gens]
             for old, new in zip(gens, pulled):
