@@ -90,35 +90,41 @@ class ChildChart:
 
     def pull_back(self, vec: ExponentVector) -> ExponentVector:
         """`vec·B` in O(n): the entries carry over, `removed` becomes
-        `new_label`, and that entry gains `c` times the `other` entry."""
+        `new_label`, and that entry gains `c` times the `other` entry
+        unless that entry is 0."""
         entries = dict(vec.items())
-        entries[self.new_label] = entries.pop(self.removed) + self.c * entries[self.other]
+        top, x = entries.pop(self.removed), entries[self.other]
+        entries[self.new_label] = top + self.c * x if x else top
         return ExponentVector(entries)
 
 
 def _entries(mat: ExponentMatrix) -> dict[tuple[str, str], Fraction]:
-    return {(r, s): mat.entry(r, s) for r in mat.row_labels for s in mat.col_labels}
+    """A mutable copy of the matrix's total entry map."""
+    return dict(mat._data)
 
 
 def _column_step(entries: dict, row_labels, chart: ChildChart) -> None:
     """`X·B` in place on the entries of `X`: the new column `E` is column
-    `removed` plus `c` times column `other`, and column `removed` goes."""
+    `removed` plus `c` times column `other`, and column `removed` goes.
+    A zero entry of column `other` adds nothing and is skipped."""
     gone, other, c, new = chart.removed, chart.other, chart.c, chart.new_label
     for r in row_labels:
-        entries[(r, new)] = entries.pop((r, gone)) + c * entries[(r, other)]
+        top, x = entries.pop((r, gone)), entries[(r, other)]
+        entries[(r, new)] = top + c * x if x else top
 
 
 def _row_step(
     entries: dict, col_labels, source: str, target: str, other: str, c: Fraction
 ) -> None:
     """In place on the entries of `X`: row `source` is renamed `target`, and
-    row `other` gains `c` times it.  `B⁻¹·X` (the identity with row
-    `removed` renamed to `E` and `-c` at (`other`, `removed`)) is
-    (`removed` → `E`, `-c`); `B·X` is (`E` → `removed`, `c`)."""
+    row `other` gains `c` times it (nothing where it is 0).  `B⁻¹·X` (the
+    identity with row `removed` renamed to `E` and `-c` at (`other`,
+    `removed`)) is (`removed` → `E`, `-c`); `B·X` is (`E` → `removed`, `c`)."""
     for s in col_labels:
         top = entries.pop((source, s))
         entries[(target, s)] = top
-        entries[(other, s)] += c * top
+        if top:
+            entries[(other, s)] += c * top
 
 
 def _conjugate(

@@ -50,7 +50,10 @@ def _load_json(path: str):
 
 
 def _write_text(path: str, text: str) -> None:
-    Path(path).write_text(text, encoding="utf-8")
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise MonoresError(f"cannot write {path}: {exc}") from exc
 
 
 def _check_samples(args) -> None:

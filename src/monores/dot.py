@@ -1,4 +1,8 @@
-"""DOT rendering of corner-adjacency graphs and blow-up towers."""
+"""DOT rendering of corner-adjacency graphs and blow-up towers.
+
+Every id and label is written as a DOT quoted string, with `\\` and `"`
+escaped (`_escaped`), so any corner id or component label gives valid DOT.
+"""
 
 from __future__ import annotations
 
@@ -6,17 +10,28 @@ from .blowup import Star
 from .manifold import MonomialManifold
 
 
+def _escaped(text: str) -> str:
+    """`text` for the inside of a DOT quoted string: `\\` written `\\\\`
+    and `"` written `\\"`."""
+    return text.replace("\\", "\\\\").replace('"', '\\"')
+
+
+def _label_set(labels) -> str:
+    return ",".join(_escaped(lab) for lab in sorted(labels))
+
+
 def _node_label(cid: str, index_set) -> str:
-    return f"{cid}\\n{{{','.join(sorted(index_set))}}}"
+    return f"{_escaped(cid)}\\n{{{_label_set(index_set)}}}"
 
 
 def _manifold_body(m: MonomialManifold, prefix: str = "", indent: str = "  ") -> list[str]:
     lines = []
     for cid, corner in m.corners.items():
-        lines.append(f'{indent}"{prefix}{cid}" [label="{_node_label(cid, corner.index_set)}"];')
+        node = _escaped(prefix + cid)
+        lines.append(f'{indent}"{node}" [label="{_node_label(cid, corner.index_set)}"];')
     for e in m.edges:
-        shared = ",".join(sorted(e.shared))
-        lines.append(f'{indent}"{prefix}{e.p}" -- "{prefix}{e.q}" [label="{shared}"];')
+        p, q = _escaped(prefix + e.p), _escaped(prefix + e.q)
+        lines.append(f'{indent}"{p}" -- "{q}" [label="{_label_set(e.shared)}"];')
     return lines
 
 
@@ -35,7 +50,7 @@ def export_dot_star(star: Star) -> str:
         (f"step{k + 1}", s.after) for k, s in enumerate(star.steps)
     ]
     for k, (name, m) in enumerate(stages):
-        title = name if name == "root" else f"{name}: blow up {{{','.join(sorted(star.steps[k - 1].center_pair))}}}"
+        title = name if name == "root" else f"{name}: blow up {{{_label_set(star.steps[k - 1].center_pair)}}}"
         lines.append(f"  subgraph cluster_{k} {{")
         lines.append(f'    label="{title}";')
         lines += _manifold_body(m, prefix=f"{k}:", indent="    ")

@@ -156,10 +156,13 @@ def is_locally_principal(ideal: MIdeal) -> bool:
 def center_is_uncoupled_at(
     lam: MFunction, mu: MFunction, pair: frozenset[str], corner_id: str
 ) -> bool:
-    """Sign test at one corner: the two differences point in opposite directions."""
+    """Sign test at one corner: the two differences point in opposite
+    directions, `(lam_i - mu_i)·(lam_j - mu_j) < 0`, decided by comparing
+    the entries, with no difference or product formed."""
     i, j = sorted(pair)
     lv, mv = lam.at(corner_id), mu.at(corner_id)
-    return (lv[i] - mv[i]) * (lv[j] - mv[j]) < 0
+    a, b, x, y = lv[i], mv[i], lv[j], mv[j]
+    return (a < b and x > y) or (a > b and x < y)
 
 
 def uncoupled_centers(lam: MFunction, mu: MFunction) -> set[frozenset[str]]:

@@ -36,6 +36,7 @@ from .ideals import MIdeal, PrincipalizationRun
 from .linalg import ExponentMatrix, ExponentVector, format_rational, parse_rational
 from .manifold import Corner, Edge, MonomialManifold
 from .reduction import ReductionProblem, ReductionReport, build_ideal_from_support
+from .standardization import realized_among
 from .supports import SupportSet, support_from_rows
 
 TRACE_VERSION = "monores-trace/1"
@@ -215,7 +216,11 @@ def replay_trace(doc: Mapping[str, Any]) -> Star:
 
     The root is validated in full and every rebuilt step passes its local
     certificate in `apply_center`, so the whole tower is proven by
-    induction from the root."""
+    induction from the root.  Recorded weights that do not transform by
+    the diagonals of the edges between the center's corners
+    (`realized_among`) are bad input, rejected before `apply_center`
+    builds anything from them; weights at ids that are not corners are
+    left to `apply_center`'s own check."""
     version = _field(doc, "version", "trace", str, None)
     if version != TRACE_VERSION:
         raise StructuralError(f"unsupported trace version {version!r}")
@@ -230,7 +235,12 @@ def replay_trace(doc: Mapping[str, Any]) -> Star:
             cid: vector_from_json(v)
             for cid, v in _field(step_doc, "alpha_at_centers", "step", dict).items()
         }
-        step = apply_center(star.end, pair, alphas, _field(step_doc, "new_label", "step", str))
+        end = star.end
+        if alphas.keys() <= end.corners.keys() and not realized_among(end, alphas):
+            raise StructuralError(
+                f"step {k}: the weights at the center do not transform by the edge diagonals"
+            )
+        step = apply_center(end, pair, alphas, _field(step_doc, "new_label", "step", str))
         b_block = _field(step_doc, "B", "step", dict)
         recorded = {cid: matrix_from_json(mat) for cid, mat in b_block.items()}
         if recorded != {cid: step.morphism(cid) for cid in step.after.corners}:

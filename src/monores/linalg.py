@@ -3,6 +3,10 @@
 Vectors and matrices here are total maps from finite sets of opaque string
 labels.  There is no positional indexing, no floating point, and no
 tolerance anywhere: all arithmetic is done with `fractions.Fraction`.
+The products `mat_mul` and `vec_apply` skip the arithmetic whose result
+is known: a term with a zero factor is never formed, and a factor equal
+to 1 is not multiplied out, so each result is the same normalized
+`Fraction` with fewer operations.
 
 The componentwise partial order `div_le` (one exponent tuple divides
 another) and the extraction of its minimal elements live here too, since
@@ -265,7 +269,8 @@ def mat_mul(a: ExponentMatrix, b: ExponentMatrix) -> ExponentMatrix:
 
     Zero entries of either factor are skipped: each nonzero `a(r, m)` meets
     only the nonzero entries of row `m` of `b`, and result entries that no
-    such term reaches are exact zeros.
+    such term reaches are exact zeros.  An `a(r, m)` equal to 1 is not
+    multiplied out: the entries of row `m` of `b` are its terms as they are.
     """
     if a.col_labels != b.row_labels:
         raise StructuralError("mat_mul: inner label sets differ")
@@ -276,10 +281,12 @@ def mat_mul(a: ExponentMatrix, b: ExponentMatrix) -> ExponentMatrix:
     sums: dict[tuple[str, str], Fraction] = {}
     for (r, m), av in a._data.items():
         if av:
+            one = av == 1
             for c, bv in b_rows.get(m, ()):
+                term = bv if one else av * bv
                 key = (r, c)
                 prev = sums.get(key)
-                sums[key] = av * bv if prev is None else prev + av * bv
+                sums[key] = term if prev is None else prev + term
     zero = Fraction(0)
     entries = {(r, c): sums.get((r, c), zero) for r in a.row_labels for c in b.col_labels}
     return ExponentMatrix(a.row_labels, b.col_labels, entries)
@@ -320,16 +327,19 @@ def mat_inverse(a: ExponentMatrix) -> ExponentMatrix:
 def vec_apply(v: ExponentVector, a: ExponentMatrix) -> ExponentVector:
     """Row-vector times matrix: (vA)(j) = sum_i v(i) A(i,j).
 
-    Terms where `v(i)` or `A(i,j)` is zero are skipped.
+    Terms where `v(i)` or `A(i,j)` is zero are skipped, and a term with
+    `A(i,j)` equal to 1 is `v(i)` itself.
     """
     if v.labels != a.row_labels:
         raise StructuralError("vec_apply: vector labels differ from matrix rows")
     x = v._map
     sums: dict[str, Fraction] = {}
     for (r, c), av in a._data.items():
-        if av and x[r]:
+        xr = x[r]
+        if av and xr:
+            term = xr if av == 1 else xr * av
             prev = sums.get(c)
-            sums[c] = x[r] * av if prev is None else prev + x[r] * av
+            sums[c] = term if prev is None else prev + term
     zero = Fraction(0)
     return ExponentVector({c: sums.get(c, zero) for c in a.col_labels})
 

@@ -162,6 +162,35 @@ def test_meaningless_option_values_are_bad_input(tmp_path, capsys, command, opti
     assert not trace.exists()
 
 
+def test_replayed_weights_off_the_edge_diagonals_are_bad_input(tmp_path, capsys):
+    rep = reduce_problem(
+        ReductionProblem(support_from_rows(("z1", "z2", "z3"), [[2, 1, 0], [0, 2, 1], [1, 0, 3]]))
+    )
+    doc = star_to_json(rep.star)
+    k = next(k for k, step in enumerate(doc["steps"]) if len(step["alpha_at_centers"]) > 1)
+    cid = sorted(doc["steps"][k]["alpha_at_centers"])[0]
+    lab = doc["steps"][k]["center"][0]
+    bad = edited(doc, ["steps", k, "alpha_at_centers", cid, lab], "13/7")
+    assert main(["replay", "--trace", write(tmp_path / "t.json", bad)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: step {k}: the weights at the center") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("where", ["trace", "dot", "partial trace"])
+def test_unwritable_output_path_is_bad_input(tmp_path, capsys, where):
+    inp = write(tmp_path / "problem.json", PROBLEM)
+    missing = str(tmp_path / "missing" / "out")
+    argv = {
+        "trace": ["--trace", missing],
+        "dot": ["--trace", str(tmp_path / "t.json"), "--dot", missing],
+        "partial trace": ["--trace", missing, "--max-steps", "0"],
+    }[where]
+    assert main(["reduce", "--input", inp, *argv]) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1].startswith(f"error: cannot write {missing}: ")
+    assert "Traceback" not in err
+
+
 def test_bad_input_exit_code(tmp_path):
     missing = str(tmp_path / "nope.json")
     assert main(["validate", "--input", missing]) == 1

@@ -1,5 +1,7 @@
 """DOT export: node and edge counts match the manifold enumeration."""
 
+import re
+
 from monores import (
     BlowupCenter,
     ExponentVector,
@@ -55,3 +57,18 @@ def test_two_step_dim3_counts_match_enumeration():
     plain = export_dot(s2.after)
     assert count(plain, NODE_MARK) == 4
     assert count(plain, " -- ") == 4
+
+
+QUOTED = re.compile(r'"((?:[^"\\]|\\.)*)"')
+
+
+def test_quotes_and_backslashes_in_labels_are_escaped():
+    m = make_corner(['a"b', "c\\d"])
+    step = blow_up(m, BlowupCenter(frozenset(m.components), uniform_family(m)))
+    # blow-up ids escape the backslash once more: the child is c0.c\\d
+    for text, prefix in ((export_dot_star(Star(m, (step,))), "1:"), (export_dot(step.after), "")):
+        # every quote and backslash sits inside a well-formed quoted string
+        rest = QUOTED.sub("", text)
+        assert '"' not in rest and "\\" not in rest
+        strings = {re.sub(r"\\(.)", r"\1", q) for q in QUOTED.findall(text)}
+        assert {prefix + 'c0.a"b', prefix + "c0.c\\\\d"} <= strings

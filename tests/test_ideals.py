@@ -1,6 +1,7 @@
 """Monomial functions, obstructed centers, adapted weights, principalization."""
 
 import dataclasses
+import random
 from fractions import Fraction
 
 import pytest
@@ -165,6 +166,16 @@ def test_uncoupled_centers_examples():
     comparable = seed_fn(m, {"E1": 1, "E2": 1}), seed_fn(m, {"E1": 2, "E2": 1})
     assert uncoupled_centers(*comparable) == set()
 
+    # a tie on either label is not a pair of opposite signs, in either order
+    for tied in (
+        ({"E1": 1, "E2": 3}, {"E1": 1, "E2": 0}),
+        ({"E1": F(5, 2), "E2": 1}, {"E1": 0, "E2": 1}),
+        ({"E1": F(2, 3), "E2": 4}, {"E1": F(2, 3), "E2": 4}),
+    ):
+        lam_t, mu_t = (seed_fn(m, e) for e in tied)
+        assert uncoupled_centers(lam_t, mu_t) == set()
+        assert uncoupled_centers(mu_t, lam_t) == set()
+
     m3 = make_corner(["E1", "E2", "E3"])
     lam3 = seed_fn(m3, {"E1": 1, "E2": 0, "E3": 0})
     mu3 = seed_fn(m3, {"E1": 0, "E2": 1, "E3": 1})
@@ -172,6 +183,23 @@ def test_uncoupled_centers_examples():
         frozenset({"E1", "E2"}),
         frozenset({"E1", "E3"}),
     }
+
+
+def test_uncoupled_sign_test_matches_the_product_definition():
+    """The comparison test agrees with `(lam_i - mu_i)·(lam_j - mu_j) < 0`
+    on seeded draws from a few small values, so ties are frequent."""
+    rng = random.Random(29)
+    m = corner2()
+    pair = frozenset({"E1", "E2"})
+    values = [F(0), F(1, 2), F(1), F(3, 2), F(2)]
+    seen = set()
+    for _ in range(400):
+        le, me = ({lab: rng.choice(values) for lab in ("E1", "E2")} for _ in range(2))
+        expected = (le["E1"] - me["E1"]) * (le["E2"] - me["E2"]) < 0
+        got = center_is_uncoupled_at(seed_fn(m, le), seed_fn(m, me), pair, "c0")
+        assert got == expected, (le, me)
+        seen.add((expected, le["E1"] == me["E1"] or le["E2"] == me["E2"]))
+    assert seen == {(True, False), (False, False), (False, True)}
 
 
 def test_uncoupled_witness_independence():

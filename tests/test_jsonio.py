@@ -1,5 +1,6 @@
 """Serialization round trips and trace replay guarantees."""
 
+import copy
 import json
 from fractions import Fraction
 
@@ -143,6 +144,26 @@ def test_replay_rejects_a_b_block_over_other_corners(change):
         block["c9"] = block[some_corner]
     with pytest.raises(StructuralError, match="matrices differ from the trace"):
         replay_trace(doc)
+
+
+def test_replay_rejects_weights_that_do_not_transform_by_the_edge_diagonals():
+    """Each center weight of a step with two center corners, edited alone,
+    is bad input, caught before the blow-up is rebuilt from it."""
+    rep = reduce_problem(
+        ReductionProblem(support_from_rows(("z1", "z2", "z3"), [[2, 1, 0], [0, 2, 1], [1, 0, 3]]))
+    )
+    doc = json.loads(canonical_dumps(star_to_json(rep.star)))
+    multi = [k for k, step in enumerate(doc["steps"]) if len(step["alpha_at_centers"]) > 1]
+    assert len(multi) == 4
+    for k in multi:
+        step = doc["steps"][k]
+        for cid, alpha in step["alpha_at_centers"].items():
+            for lab in step["center"]:
+                assert alpha[lab] != "13/7"
+                bad = copy.deepcopy(doc)
+                bad["steps"][k]["alpha_at_centers"][cid][lab] = "13/7"
+                with pytest.raises(StructuralError, match=f"step {k}: the weights at the center"):
+                    replay_trace(bad)
 
 
 def test_canonical_dumps_is_stable():

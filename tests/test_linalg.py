@@ -211,9 +211,13 @@ def naive_vec_apply(v, a):
 
 
 def sparse_rational(rng):
-    """Zero with probability 0.6, otherwise a signed, often non-integer rational."""
-    if rng.random() < 0.6:
+    """Zero with probability 0.6, exactly 1 with probability 0.15 (the
+    kernels' two shortcuts), otherwise a signed, often non-integer rational."""
+    draw = rng.random()
+    if draw < 0.6:
         return Fraction(0)
+    if draw < 0.75:
+        return Fraction(1)
     return Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 7))
 
 
@@ -224,7 +228,7 @@ def random_labelled_matrix(rng, rows, cols):
 def test_kernels_match_naive_reference_on_sparse_rectangular_matrices():
     rng = random.Random(11)
     pool = ["E1", "E2", "E3", "E∞1", "E∞2", "z1", "z2"]
-    zeros = total = 0
+    zeros = ones = total = 0
     for _ in range(300):
         rows, mids, cols = (rng.sample(pool, rng.randint(1, 5)) for _ in range(3))
         a = random_labelled_matrix(rng, rows, mids)
@@ -235,8 +239,10 @@ def test_kernels_match_naive_reference_on_sparse_rectangular_matrices():
         for mat_ in (a, b):
             values = [mat_.entry(r, c) for r in mat_.row_labels for c in mat_.col_labels]
             zeros += values.count(0)
+            ones += values.count(1)
             total += len(values)
     assert zeros * 2 >= total
+    assert ones * 10 >= total
 
 
 def test_kernels_reject_mismatched_labels():
