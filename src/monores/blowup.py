@@ -62,7 +62,7 @@ class ChildChart:
     gains `new_label`.  Its morphism matrix `B` (rows = parent labels,
     columns = child labels) is the identity with column `removed` renamed
     to `new_label`, plus the entry `c` at (`other`, `new_label`); it is
-    built only when read, and then once.
+    built only when read, and then once, as `I·B`.
     """
 
     parent: Corner
@@ -73,20 +73,9 @@ class ChildChart:
 
     @cached_property
     def matrix(self) -> ExponentMatrix:
-        """`B` itself, over the parent's labels."""
-        rows = self.parent.index_set
-        cols = (rows - {self.removed}) | {self.new_label}
-        one, zero = Fraction(1), Fraction(0)
-        entries = {}
-        for r in rows:
-            for s in cols:
-                if s != self.new_label:
-                    entries[(r, s)] = one if r == s else zero
-                elif r == self.removed:
-                    entries[(r, s)] = one
-                else:
-                    entries[(r, s)] = self.c if r == self.other else zero
-        return ExponentMatrix(rows, cols, entries)
+        """`B` itself, over the parent's labels: `I·B`, the column step
+        that lifts the edges (`_conjugate`) run on the parent's identity."""
+        return _conjugate(self.parent.identity, None, self)
 
     def pull_back(self, vec: ExponentVector) -> ExponentVector:
         """`vec·B` in O(n): the entries carry over, `removed` becomes
@@ -296,16 +285,12 @@ def blow_up(m: MonomialManifold, center: BlowupCenter) -> BlowupStep:
     """Blow up a codimension-two center with a whole weight family, which
     is checked on every edge (`validate_realizable`) before `apply_center`
     reads it at the center's corners.  The sweep skips the family and
-    calls `apply_center` with `adapted_weights`."""
-    if not center.pair <= m.components:
-        raise DomainError(f"center {sorted(center.pair)} uses unknown components")
-    holders = m.corners_with(center.pair)
-    if not holders:
-        raise DomainError(f"center {sorted(center.pair)} is realized by no corner")
+    calls `apply_center` with `adapted_weights`.  The center itself is
+    checked by `apply_center`."""
     if not validate_realizable(m, center.standardization):
         raise DomainError("the weight family is not realizable on this manifold")
-    alpha_at_center = {cid: center.standardization.alpha_at(cid) for cid in holders}
-    return apply_center(m, center.pair, alpha_at_center)
+    alpha_at = center.standardization.alpha_at
+    return apply_center(m, center.pair, {cid: alpha_at(cid) for cid in m.corners_with(center.pair)})
 
 
 def _escaped(label: str) -> str:

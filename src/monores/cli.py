@@ -19,7 +19,8 @@ import sys
 from pathlib import Path
 
 from .dot import export_dot_star
-from .errors import AlgorithmInvariantViolation, BudgetExceededError, DomainError, MonoresError
+from .errors import AlgorithmInvariantViolation, BudgetExceededError, DomainError
+from .errors import MonoresError, StructuralError
 from .ideals import DEFAULT_STEP_BUDGET, principalize_generators
 from .jsonio import (
     canonical_dumps,
@@ -41,11 +42,24 @@ EXIT_BUDGET = 3
 EXIT_BUG = 4
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object's members; a repeated key is bad input, where a plain
+    `json.load` would keep its last value."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise StructuralError(f"repeated key {key!r} in a JSON object")
+        doc[key] = value
+    return doc
+
+
 def _load_json(path: str):
+    """The parsed file; an OSError or a ValueError (malformed JSON, bad
+    UTF-8, an integer too long for Python to convert) is bad input."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+            return json.load(fh, object_pairs_hook=_unique_keys)
+    except (OSError, ValueError) as exc:
         raise MonoresError(f"cannot read {path}: {exc}") from exc
 
 

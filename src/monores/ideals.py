@@ -109,7 +109,8 @@ def _check_data(
 def mfunction_from_corner(
     m: MonomialManifold, corner_id: str, vec: ExponentVector
 ) -> MFunction:
-    """Propagate exponent data from one corner to the whole manifold.
+    """Propagate exponent data from one corner to the whole manifold,
+    carried forward along one `_walk` from the seed corner.
 
     Fails with NotEffectiveError when the propagated data turns negative
     somewhere (the seed does not extend to an effective monomial function).
@@ -119,9 +120,9 @@ def mfunction_from_corner(
         raise StructuralError("seed labels do not match the corner's index set")
     if not vec.is_nonnegative():
         raise NotEffectiveError("seed exponents must be nonnegative")
-    data = {}
-    for cid in m.corner_ids():
-        data[cid] = vec_apply(vec, m.change_matrix(cid, corner_id))
+    data = {corner_id: vec}
+    for cur, nxt, edge, forward in m._walk(corner_id, frozenset()):
+        data[nxt] = vec_apply(data[cur], edge.inverse if forward else edge.matrix)
     return MFunction(m, data)
 
 
@@ -234,11 +235,11 @@ def _adapted_seed(
     if not holders:
         raise DomainError(f"center {sorted(pair)} is realized by no corner")
     p = holders[0]
+    if not center_is_uncoupled_at(lam, mu, pair, p):
+        raise DomainError(f"center {sorted(pair)} is not uncoupled for the pair")
     i, j = sorted(pair)
     lv, mv = lam.at(p), mu.at(p)
     di, dj = lv[i] - mv[i], lv[j] - mv[j]
-    if not di * dj < 0:
-        raise DomainError(f"center {sorted(pair)} is not uncoupled for the pair")
     if di < 0:
         i, j, di, dj = j, i, dj, di
     entries = {lab: 1 for lab in m.corner(p).index_set}

@@ -19,8 +19,9 @@ only in how the ideal is seeded, and both seed it through
 Readers take every field through `_field` or `_array`, which name the
 JSON type it must have, and check every vector the same way, so a
 missing key or a value of the wrong JSON type is bad input
-(StructuralError).  A manifold whose corners share an id, or whose
-corner repeats a label, is bad input too: a dict or a set would merge
+(StructuralError).  A manifold whose corners share an id, whose
+components or corner index set repeat a label, or a matrix whose rows or
+columns repeat a label, is bad input too: a dict or a set would merge
 them silently.  Only the parsing is guarded: an exception raised by the
 library while rebuilding a tower still surfaces as it is.
 """
@@ -154,6 +155,8 @@ def manifold_to_json(m: MonomialManifold) -> dict[str, Any]:
 def manifold_from_json(doc: Mapping[str, Any]) -> MonomialManifold:
     dimension = _field(doc, "dimension", "manifold", int)
     components = _array(doc, "components", "manifold", str)
+    if len(set(components)) != len(components):
+        raise StructuralError("manifold repeats a label in its components")
     corners = {}
     for c in _field(doc, "corners", "manifold", list):
         cid = _field(c, "id", "corner", str)

@@ -33,7 +33,8 @@ def parse_rational(value: RatLike) -> Fraction:
     Fractions and ints pass through; bools, which are ints to Python but
     `true`/`false` in a JSON file, are rejected.  The denominator, when
     present, must be an unsigned integer, so negative denominators are
-    rejected.
+    rejected.  A literal with more digits than Python converts to an int
+    (`sys.get_int_max_str_digits`) is rejected too.
     """
     if isinstance(value, Fraction):
         return value
@@ -47,6 +48,8 @@ def parse_rational(value: RatLike) -> Fraction:
             return Fraction(text)
         except ZeroDivisionError:
             raise StructuralError(f"zero denominator in {value!r}") from None
+        except ValueError as exc:
+            raise StructuralError(f"rational literal of {len(text)} characters: {exc}") from None
     raise StructuralError(f"cannot read a rational out of {type(value).__name__}")
 
 
@@ -173,7 +176,11 @@ class ExponentMatrix:
         col_order: Sequence[str],
         table: Sequence[Sequence[RatLike]],
     ) -> "ExponentMatrix":
-        """Build from an ordered list of rows, each an ordered list of entries."""
+        """Build from an ordered list of rows, each an ordered list of
+        entries.  A repeated row or column label is rejected: the entry map
+        would keep only its last row or column."""
+        if len(set(row_order)) != len(row_order) or len(set(col_order)) != len(col_order):
+            raise StructuralError("matrix repeats a row or column label")
         if len(table) != len(row_order):
             raise StructuralError("row count does not match row label list")
         entries = {}

@@ -9,9 +9,10 @@ from that data, and `validate` checks the structural constraints that
 make the derivations consistent: triangular edge matrices, exact mutual
 inverses, identity products around cycles, and connectivity of every
 realized boundary intersection.  A blow-up re-runs the per-corner and
-per-edge checks only on what it built (`BlowupStep.violations`).  Every
-derivation and check that searches the corner graph folds one
-breadth-first walk, `MonomialManifold._walk`.
+per-edge checks only on what it built (`BlowupStep.violations`).  The
+corner graph is searched by one breadth-first walk,
+`MonomialManifold._walk`: every derivation carries its value forward
+along it, hop by hop from its start corner, and every check folds it.
 """
 
 from __future__ import annotations
@@ -185,22 +186,27 @@ class MonomialManifold:
     def change_matrix(self, p: str, q: str) -> ExponentMatrix:
         """Chart change from the chart at `p` to the chart at `q`.
 
-        Computed as the product of edge matrices along a path that stays
-        inside the intersection of the components shared by `p` and `q`;
-        the validated cycle identities make the result path independent.
-        The product starts from the first hop, so a one-hop path returns
-        the edge's own matrix or inverse, and `p == q` returns the
-        corner's shared `Corner.identity`.
+        Carried forward along `_walk(p, shared)`, inside the intersection
+        of the components shared by `p` and `q`: each tree hop multiplies
+        the change reached so far by the edge's matrix or inverse, and the
+        walk stops when it reaches `q`.  The validated cycle identities
+        make the result path independent.  A one-hop path returns the
+        edge's own matrix or inverse, and `p == q` returns the corner's
+        shared `Corner.identity`.
         """
         cp = self.corner(p)
         cq = self.corner(q)
         if p == q:
             return cp.identity
-        acc = None
-        for edge, forward in self._edge_path(p, q, cp.index_set & cq.index_set):
-            step = edge.matrix if forward else edge.inverse
-            acc = step if acc is None else mat_mul(step, acc)
-        return acc
+        inside = cp.index_set & cq.index_set
+        carried: dict[str, ExponentMatrix | None] = {p: None}
+        for cur, nxt, edge, forward in self._walk(p, inside):
+            hop = edge.matrix if forward else edge.inverse
+            before = carried[cur]
+            carried[nxt] = hop if before is None else mat_mul(hop, before)
+            if nxt == q:
+                return carried[q]
+        raise ConnectivityError(f"no edge path from {p!r} to {q!r} inside E_{sorted(inside)}")
 
     def _walk(
         self, start: str, inside: frozenset[str]
@@ -219,49 +225,31 @@ class MonomialManifold:
                     queue.append(nxt)
                     yield cur, nxt, edge, forward
 
-    def _edge_path(
-        self, start: str, goal: str, inside: frozenset[str]
-    ) -> list[tuple[Edge, bool]]:
-        """The hops of `_walk(start, inside)`'s tree from `start` to `goal`:
-        a shortest edge path inside E_inside, smallest-id neighbors winning
-        ties."""
-        prev: dict[str, tuple[str, Edge, bool]] = {}
-        if goal != start:
-            for cur, nxt, edge, forward in self._walk(start, inside):
-                prev[nxt] = (cur, edge, forward)
-                if nxt == goal:
-                    break
-            else:
-                raise ConnectivityError(
-                    f"no edge path from {start!r} to {goal!r} inside E_{sorted(inside)}"
-                )
-        path = []
-        cur = goal
-        while cur != start:
-            before, edge, forward = prev[cur]
-            path.append((edge, forward))
-            cur = before
-        path.reverse()
-        return path
-
     def weight_connexion(self, p: str, q: str) -> ExponentVector:
         """Diagonal of the chart change on the shared labels; all entries > 0.
 
         On a shared label the column of every edge matrix is its diagonal
-        entry times a unit vector, so this diagonal is the product of the
-        edge diagonals along `_edge_path`: a forward hop multiplies by the
-        edge's diagonal entry, a backward hop divides by it.  No chart
-        change is multiplied out.
+        entry times a unit vector, so this diagonal is carried forward
+        along `_walk(p, shared)` as a product of edge diagonals, as in
+        `change_matrix`: a forward hop multiplies by the edge's diagonal
+        entry, a backward hop divides by it, and the walk stops at `q`.
+        No chart change is multiplied out.
         """
         shared = self.corner(p).index_set & self.corner(q).index_set
         if not shared:
             raise DomainError(f"corners {p!r} and {q!r} share no boundary component")
-        gamma = dict.fromkeys(shared, Fraction(1))
-        for edge, forward in self._edge_path(p, q, shared):
+        carried = {p: dict.fromkeys(shared, Fraction(1))}
+        if p == q:
+            return ExponentVector(carried[p])
+        for cur, nxt, edge, forward in self._walk(p, shared):
+            gamma = dict(carried[cur])
             for lab in shared:
                 d = edge.diagonal(lab)
                 gamma[lab] = gamma[lab] * d if forward else gamma[lab] / d
-        return ExponentVector(gamma)
+            carried[nxt] = gamma
+            if nxt == q:
+                return ExponentVector(gamma)
+        raise ConnectivityError(f"no edge path from {p!r} to {q!r} inside E_{sorted(shared)}")
 
     def transport_weight(self, label: str, start: str, value: Fraction) -> dict[str, Fraction]:
         """Carry a weight on `label` from `start` to every corner of E_label.

@@ -19,6 +19,8 @@ IDEAL = {"dimension": 2, "labels": ["z1", "z2"], "generators": [["2", "1"], ["0"
 WORKED = reduce_problem(ReductionProblem(support_from_rows(("z1", "z2"), [[2, 1], [0, 2]])))
 TRACE = star_to_json(WORKED.star)
 MANIFOLD = manifold_to_json(WORKED.star.end)
+B_C0_Z1 = TRACE["steps"][0]["B"]["c0.z1"]
+LONG = "1" + "0" * 5000
 
 
 def edited(doc, path, value):
@@ -33,7 +35,9 @@ def edited(doc, path, value):
 
 
 def write(path, doc):
-    path.write_text(canonical_dumps(doc), encoding="utf-8")
+    """Write `doc` as canonical JSON, or as it is when it is already text."""
+    text = doc if isinstance(doc, str) else canonical_dumps(doc)
+    path.write_text(text, encoding="utf-8")
     return str(path)
 
 
@@ -322,6 +326,36 @@ def test_non_principal_end_after_principalize_is_a_bug(tmp_path, monkeypatch, ca
             edited(TRACE, ["steps", 0, "alpha_at_centers", "c0", "z2"], True),
             "out of bool",
         ),
+        # a dict, a set or Python's int conversion would hide these
+        (
+            "replay",
+            canonical_dumps(TRACE).replace('"z1": "2"', '"z1": "999",\n"z1": "2"'),
+            "repeated key 'z1'",
+        ),
+        (
+            "replay",
+            edited(
+                TRACE,
+                ["steps", 0, "B", "c0.z1"],
+                {
+                    **B_C0_Z1,
+                    "rows": ["z2", *B_C0_Z1["rows"]],
+                    "entries": [["5", "5"], *B_C0_Z1["entries"]],
+                },
+            ),
+            "matrix repeats a row or column label",
+        ),
+        (
+            "validate",
+            edited(MANIFOLD, ["components"], [*MANIFOLD["components"], "z1"]),
+            "repeats a label in its components",
+        ),
+        ("reduce", {**PROBLEM, "points": [[LONG, "1"], ["0", "2"]]}, "rational literal of 5001"),
+        (
+            "validate",
+            canonical_dumps(MANIFOLD).replace('"dimension": 2', f'"dimension": {LONG}'),
+            "cannot read",
+        ),
     ],
     ids=["trace-without-root", "corner-without-index-set", "top-level-list",
          "edge-without-to", "non-integer-stratum-dim", "b-block-list", "index-set-number",
@@ -330,7 +364,8 @@ def test_non_principal_end_after_principalize_is_a_bug(tmp_path, monkeypatch, ca
          "edges-number", "corners-number", "entries-row-number", "dimension-null",
          "points-row-number", "variables-number", "points-number", "generators-rows-numbers",
          "labels-number", "duplicate-corner-id", "repeated-index-label", "point-bool",
-         "generator-bool", "alpha-bool"],
+         "generator-bool", "alpha-bool", "duplicate-key", "repeated-b-row-label",
+         "repeated-component", "long-point", "long-dimension"],
 )
 def test_malformed_file_is_bad_input(tmp_path, capsys, command, doc, message):
     path = write(tmp_path / "in.json", doc)
@@ -343,6 +378,7 @@ def test_malformed_file_is_bad_input(tmp_path, capsys, command, doc, message):
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+    assert len(err.splitlines()) == 1
     assert "Traceback" not in err
 
 

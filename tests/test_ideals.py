@@ -31,8 +31,9 @@ from monores import (
     principalize_generators,
     pull_back_mfunction,
     uncoupled_centers,
+    vec_apply,
 )
-from helpers import corpus_c_budget_stop
+from helpers import corpus_c_budget_stop, generators_along, random_vector, sample_towers
 
 F = Fraction
 
@@ -126,6 +127,36 @@ def test_mfunction_consistency_enforced():
     data["c0.E1"] = ExponentVector({"E2": 1, "E∞1": 5})
     with pytest.raises(Exception):
         MFunction(after, data)
+
+
+def reference_mfunction_from_corner(m, seed, vec):
+    """The propagation as it ran before the carry: one chart change from
+    each corner to the seed corner."""
+    return MFunction(m, {cid: vec_apply(vec, m.change_matrix(cid, seed)) for cid in m.corner_ids()})
+
+
+def test_mfunction_from_corner_matches_one_chart_change_per_corner():
+    """The carry along one walk from the seed corner against the reference,
+    on every sample manifold with every corner as the seed: both agree or
+    both raise NotEffectiveError.  A generator's vector extends; a random
+    vector seldom does."""
+    rng = random.Random(2206)
+    outcomes = {"agree": 0, "not effective": 0}
+    for problem, star in sample_towers():
+        manifolds = [star.root] + [step.after for step in star.steps]
+        for m, gens in zip(manifolds, generators_along(problem, star)):
+            for seed, corner in m.corners.items():
+                for vec in (gens[-1].at(seed), random_vector(rng, sorted(corner.index_set))):
+                    try:
+                        expected = reference_mfunction_from_corner(m, seed, vec)
+                    except NotEffectiveError:
+                        with pytest.raises(NotEffectiveError):
+                            mfunction_from_corner(m, seed, vec)
+                        outcomes["not effective"] += 1
+                    else:
+                        assert mfunction_from_corner(m, seed, vec) == expected
+                        outcomes["agree"] += 1
+    assert min(outcomes.values()) > 50, outcomes
 
 
 # -- local minimal data ----------------------------------------------------------

@@ -68,6 +68,18 @@ def test_parse_rational_rejects(bad):
         parse_rational(bad)
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["1" + "0" * 5000, "1/" + "3" * 5000, "-" + "7" * 5000],
+    ids=["integer", "denominator", "negative"],
+)
+def test_parse_rational_rejects_literals_too_long_to_convert(text):
+    """More digits than Python converts to an int is bad input, not a
+    ValueError."""
+    with pytest.raises(StructuralError, match=f"rational literal of {len(text)} characters"):
+        parse_rational(text)
+
+
 # -- division order --------------------------------------------------------
 
 
@@ -277,3 +289,17 @@ def test_vector_basics():
 def test_matrix_totality_enforced():
     with pytest.raises(StructuralError):
         ExponentMatrix(LABELS, LABELS, {("E1", "E1"): 1})
+
+
+@pytest.mark.parametrize(
+    "rows, cols, table",
+    [
+        (["E1", "E2", "E1"], LABELS, [[1, 0], [0, 1], [5, 5]]),
+        (LABELS, ["E1", "E2", "E2"], [[1, 0, 5], [0, 1, 5]]),
+    ],
+    ids=["row", "column"],
+)
+def test_from_row_table_rejects_repeated_labels(rows, cols, table):
+    """A repeated label would keep only its last row or column."""
+    with pytest.raises(StructuralError, match="repeats a row or column label"):
+        ExponentMatrix.from_row_table(rows, cols, table)

@@ -277,9 +277,9 @@ def reference_adjacency(m):
     return adjacency
 
 
-def reference_edge_path(adjacency, start, goal, inside):
-    """The breadth-first edge path as `_edge_path` searched it before the
-    walker: stop when `goal` leaves the queue, then follow `prev` back."""
+def reference_path(adjacency, start, goal, inside):
+    """The breadth-first edge path as it was searched before the walker:
+    stop when `goal` leaves the queue, then follow `prev` back."""
     prev = {}
     seen = {start}
     queue = deque([start])
@@ -294,6 +294,23 @@ def reference_edge_path(adjacency, start, goal, inside):
             prev[nxt] = (cur, edge, forward)
             queue.append(nxt)
     assert goal in seen
+    path = []
+    cur = goal
+    while cur != start:
+        before, edge, forward = prev[cur]
+        path.append((edge, forward))
+        cur = before
+    path.reverse()
+    return path
+
+
+def walk_path(m, start, goal, inside):
+    """The hops of `_walk(start, inside)`'s tree from `start` to `goal`,
+    the path along which `change_matrix` and `weight_connexion` carry
+    their products."""
+    prev = {}
+    for cur, nxt, edge, forward in m._walk(start, inside):
+        prev[nxt] = (cur, edge, forward)
     path = []
     cur = goal
     while cur != start:
@@ -354,8 +371,8 @@ def test_walker_reproduces_the_breadth_first_loops():
             shared = m.corners[p].index_set & m.corners[q].index_set
             if not shared:
                 continue
-            path = reference_edge_path(adjacency, p, q, shared)
-            assert m._edge_path(p, q, shared) == path
+            path = reference_path(adjacency, p, q, shared)
+            assert walk_path(m, p, q, shared) == path
             chart = ExponentMatrix.identity(m.corners[p].index_set)
             gamma = dict.fromkeys(shared, F(1))
             for edge, forward in path:
