@@ -33,7 +33,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
 from typing import Mapping
 
 from .errors import AlgorithmInvariantViolation, DomainError, StructuralError
@@ -250,12 +249,7 @@ class BlowupStep:
                 bad.append(f"edge {e.p}->{e.q}: lifts no edge {p0}->{q0}")
             elif not any(_conjugation_holds(e.matrix, m, at_p, at_q) for m in images):
                 bad.append(f"edge {e.p}->{e.q}: B_q·M' differs from M·B_p downstairs")
-        through_new = {
-            frozenset(labels) | {new}
-            for child in children
-            for size in range(after.dimension - 1)
-            for labels in combinations(sorted(child.index_set - {new}), size)
-        }
+        through_new = {j for j in after._label_sets(children) if new in j}
         bad.extend(after._connectivity_violations(through_new))
         return bad
 
@@ -343,7 +337,7 @@ def apply_center(
         raise StructuralError(f"exceptional label {new_label!r} already in use")
 
     blown = set(holders)
-    corners: list[Corner] = []
+    corners: dict[str, Corner] = {}
     children: dict[str, ChildChart] = {}
 
     def child_id(parent: str, removed: str) -> str:
@@ -351,7 +345,7 @@ def apply_center(
 
     for cid, corner in m.corners.items():
         if cid not in blown:
-            corners.append(corner)
+            corners[cid] = corner
             continue
         alpha = alpha_at_center[cid]
         for removed in sorted(pair):
@@ -364,55 +358,42 @@ def apply_center(
             children[nid] = ChildChart(
                 corner, removed, other, alpha[removed] / alpha[other], new_label
             )
-            corners.append(Corner(nid, (corner.index_set - {removed}) | {new_label}))
+            corners[nid] = Corner(nid, (corner.index_set - {removed}) | {new_label})
 
-    def lifted_edge(
-        old: ExponentMatrix, inverse: ExponentMatrix, new_p: str, new_q: str, shared
-    ) -> Edge:
+    def lifted_edge(old: ExponentMatrix, inverse: ExponentMatrix, new_p: str, new_q: str) -> Edge:
         """`B_q⁻¹·old·B_p` from `new_p` to `new_q`, with `B_p⁻¹·inverse·B_q`."""
         at_p, at_q = children.get(new_p), children.get(new_q)
+        shared = corners[new_p].index_set & corners[new_q].index_set
         return Edge(
             new_p, new_q, shared, _conjugate(old, at_q, at_p), _conjugate(inverse, at_p, at_q)
         )
 
     edges: list[Edge] = []
     for e in m.edges:
-        p_blown = e.p in blown
-        q_blown = e.q in blown
-        if not p_blown and not q_blown:
+        if e.p not in blown and e.q not in blown:
             edges.append(e)
             continue
-        if p_blown and q_blown:
-            for removed in sorted(pair):
-                np_, nq = child_id(e.p, removed), child_id(e.q, removed)
-                shared = (e.shared - {removed}) | {new_label}
-                edges.append(lifted_edge(e.matrix, e.inverse, np_, nq, shared))
-            continue
-        # exactly one endpoint splits: the lift removes the pair label that
-        # is not shared with the untouched side
-        outside = pair - e.shared
-        if len(outside) != 1:
-            raise AlgorithmInvariantViolation(
-                f"edge {e.p}->{e.q}: expected exactly one center label off the edge"
-            )
-        (removed,) = outside
-        if p_blown:
-            np_, nq = child_id(e.p, removed), e.q
+        if e.p in blown and e.q in blown:
+            removed_labels = pair
         else:
-            np_, nq = e.p, child_id(e.q, removed)
-        edges.append(lifted_edge(e.matrix, e.inverse, np_, nq, e.shared))
+            # exactly one endpoint splits: the lift removes the pair label
+            # that is not shared with the untouched side
+            removed_labels = pair - e.shared
+            if len(removed_labels) != 1:
+                raise AlgorithmInvariantViolation(
+                    f"edge {e.p}->{e.q}: expected exactly one center label off the edge"
+                )
+        for removed in sorted(removed_labels):
+            np_ = child_id(e.p, removed) if e.p in blown else e.p
+            nq = child_id(e.q, removed) if e.q in blown else e.q
+            edges.append(lifted_edge(e.matrix, e.inverse, np_, nq))
 
     lo, hi = sorted(pair)
     for cid in sorted(blown):
-        a, b = child_id(cid, lo), child_id(cid, hi)
-        corner = m.corner(cid)
-        edges.append(
-            lifted_edge(
-                corner.identity, corner.identity, a, b, (corner.index_set - pair) | {new_label}
-            )
-        )
+        identity = m.corner(cid).identity
+        edges.append(lifted_edge(identity, identity, child_id(cid, lo), child_id(cid, hi)))
 
-    after = MonomialManifold(m.dimension, m.components | {new_label}, corners, edges)
+    after = MonomialManifold(m.dimension, m.components | {new_label}, corners.values(), edges)
     step = BlowupStep(
         center_pair=pair,
         alpha_at_center=dict(sorted(alpha_at_center.items())),

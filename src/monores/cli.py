@@ -54,12 +54,13 @@ def _unique_keys(pairs: list) -> dict:
 
 
 def _load_json(path: str):
-    """The parsed file; an OSError or a ValueError (malformed JSON, bad
-    UTF-8, an integer too long for Python to convert) is bad input."""
+    """The parsed file; an OSError, a ValueError (malformed JSON, bad
+    UTF-8, an integer too long for Python to convert) or a RecursionError
+    (arrays or objects nested too deep for the decoder) is bad input."""
     try:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh, object_pairs_hook=_unique_keys)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise MonoresError(f"cannot read {path}: {exc}") from exc
 
 
@@ -157,8 +158,18 @@ def cmd_replay(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are bad input: `main` prints
+    one `error: <prog>: <message>` line and returns 1, where argparse
+    would print its usage and exit 2, the code for validation violations.
+    Subparsers are made of the same class."""
+
+    def error(self, message):
+        raise MonoresError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="monores",
         description="Reduce finite minimal supports to monomial type by "
         "codimension-two combinatorial blow-ups.",
@@ -196,8 +207,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except AlgorithmInvariantViolation as exc:
         print(f"internal error (bug): {exc}", file=sys.stderr)

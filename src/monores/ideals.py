@@ -170,17 +170,17 @@ def uncoupled_centers(lam: MFunction, mu: MFunction) -> set[frozenset[str]]:
     """All codimension-two centers obstructing principality of the pair.
 
     One witness corner per center suffices: the sign condition transports
-    across charts by positive diagonal factors.
+    across charts by positive diagonal factors.  Each center is tested at
+    the witness `codim2_centers` gives it, its smallest-id holder.
     """
     m = lam.manifold
     if mu.manifold is not m:
         raise StructuralError("the two functions must live on the same manifold")
-    out = set()
-    for pair in m.codim2_centers():
-        witness = m.corners_with(pair)[0]
-        if center_is_uncoupled_at(lam, mu, pair, witness):
-            out.add(pair)
-    return out
+    return {
+        pair
+        for pair, witness in m.codim2_centers().items()
+        if center_is_uncoupled_at(lam, mu, pair, witness)
+    }
 
 
 def adapted_standardization(
@@ -280,18 +280,6 @@ class PairState:
         return cls(frozenset(uncoupled_centers(lam, mu)))
 
 
-def _centers_through_new_label(step: BlowupStep) -> dict[frozenset[str], str]:
-    """Every center of `step.after` through `step.new_label`, with the
-    witness `uncoupled_centers` would use: the smallest id of a corner
-    holding it, which is a child, since only children hold the new label."""
-    new = step.new_label
-    out: dict[frozenset[str], str] = {}
-    for cid in sorted(step.children):
-        for lab in sorted(step.after.corner(cid).index_set - {new}):
-            out.setdefault(frozenset((lab, new)), cid)
-    return out
-
-
 def pull_back_mfunction(fn: MFunction, step: BlowupStep) -> MFunction:
     """Total transform of a monomial function through one blow-up.
 
@@ -389,9 +377,10 @@ def principalize_generators(
     One sign scan per step.  The blown-up center is realized nowhere
     after the step, and every other old center keeps its holders'
     exponents on its labels, so its sign.  A step can therefore change
-    only the centers through the new label, and one scan of them at
-    their witnesses (`_centers_through_new_label`) counts the fresh
-    obstructions of every pair.  A hit on the active pair means its
+    only the centers through the new label.  Only children hold it, so
+    `codim2_centers(step.children)` gives each such center its
+    smallest-id holder as witness, and one scan of them there counts the
+    fresh obstructions of every pair.  A hit on the active pair means its
     count did not drop to `inv - 1`, which is a bug
     (AlgorithmInvariantViolation); without one its next state is
     `omega - {pair}`.
@@ -417,12 +406,7 @@ def principalize_generators(
     """
     if max_steps < 0:
         raise DomainError(f"the step budget must be nonnegative, got {max_steps}")
-    gens = list(generators)
-    if not gens:
-        raise StructuralError("an ideal needs at least one generator")
-    for g in gens:
-        if g.manifold is not m:
-            raise StructuralError("generators must live on the given manifold")
+    gens = list(MIdeal(m, generators).generators)
     star = Star(root=m)
     pair_invariants: list[tuple[int, int, int]] = []
     new_uncoupled_counts: list[int] = []
@@ -444,7 +428,11 @@ def principalize_generators(
             step = apply_center(star.end, pair, adapted_weights(gens[a], gens[b], pair))
             star = star.extended(step)
             gens = [pull_back_mfunction(g, step) for g in gens]
-            witnesses = _centers_through_new_label(step)
+            witnesses = {
+                c: w
+                for c, w in step.after.codim2_centers(step.children).items()
+                if step.new_label in c
+            }
             fresh = {
                 (x, y): sum(
                     center_is_uncoupled_at(gens[x], gens[y], c, w) for c, w in witnesses.items()

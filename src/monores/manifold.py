@@ -229,34 +229,23 @@ class MonomialManifold:
         """Diagonal of the chart change on the shared labels; all entries > 0.
 
         On a shared label the column of every edge matrix is its diagonal
-        entry times a unit vector, so this diagonal is carried forward
-        along `_walk(p, shared)` as a product of edge diagonals, as in
-        `change_matrix`: a forward hop multiplies by the edge's diagonal
-        entry, a backward hop divides by it, and the walk stops at `q`.
-        No chart change is multiplied out.
+        entry times a unit vector, so the entry at `lab` is a product of
+        edge diagonals: the weight 1 at `q` carried to `p` inside E_lab by
+        `transport_weight`.  No chart change is multiplied out.
         """
         shared = self.corner(p).index_set & self.corner(q).index_set
         if not shared:
             raise DomainError(f"corners {p!r} and {q!r} share no boundary component")
-        carried = {p: dict.fromkeys(shared, Fraction(1))}
-        if p == q:
-            return ExponentVector(carried[p])
-        for cur, nxt, edge, forward in self._walk(p, shared):
-            gamma = dict(carried[cur])
-            for lab in shared:
-                d = edge.diagonal(lab)
-                gamma[lab] = gamma[lab] * d if forward else gamma[lab] / d
-            carried[nxt] = gamma
-            if nxt == q:
-                return ExponentVector(gamma)
-        raise ConnectivityError(f"no edge path from {p!r} to {q!r} inside E_{sorted(shared)}")
+        return ExponentVector(
+            {lab: self.transport_weight(lab, q, Fraction(1))[p] for lab in shared}
+        )
 
     def transport_weight(self, label: str, start: str, value: Fraction) -> dict[str, Fraction]:
         """Carry a weight on `label` from `start` to every corner of E_label.
 
         One `_walk` inside E_label; each hop multiplies or divides by the
-        edge's diagonal entry, as in `weight_connexion`.  Raises
-        ConnectivityError when some corner on `label` is not reached.
+        edge's diagonal entry.  Raises ConnectivityError when some corner
+        on `label` is not reached.
         """
         found = {start: value}
         for cur, nxt, edge, forward in self._walk(start, frozenset((label,))):
@@ -271,13 +260,25 @@ class MonomialManifold:
             )
         return {cid: found[cid] for cid in holders}
 
-    def codim2_centers(self) -> set[frozenset[str]]:
-        """All unordered label pairs realized by at least one corner."""
-        out: set[frozenset[str]] = set()
-        for c in self.corners.values():
-            for pair in combinations(sorted(c.index_set), 2):
-                out.add(frozenset(pair))
+    def codim2_centers(self, corner_ids: Iterable[str] | None = None) -> dict[frozenset[str], str]:
+        """Every unordered label pair realized at the given corners (default:
+        all), mapped to its witness: the smallest given id whose corner
+        holds the pair, found in one scan of the ids in sorted order."""
+        out: dict[frozenset[str], str] = {}
+        for cid in sorted(self.corners if corner_ids is None else corner_ids):
+            for pair in combinations(sorted(self.corners[cid].index_set), 2):
+                out.setdefault(frozenset(pair), cid)
         return out
+
+    def _label_sets(self, corners: Iterable[Corner]) -> set[frozenset[str]]:
+        """Every label set of size 1 to n-1 realized at the given corners
+        (a full-size set is a single corner, by the uniqueness check)."""
+        return {
+            frozenset(labels)
+            for c in corners
+            for size in range(1, self.dimension)
+            for labels in combinations(sorted(c.index_set), size)
+        }
 
     # -- validation -------------------------------------------------------
 
@@ -291,14 +292,7 @@ class MonomialManifold:
         if bad:
             return bad
         bad.extend(self._cycle_violations())
-        # every realized label set below the dimension (full-size sets are
-        # single corners by the uniqueness check)
-        realized: set[frozenset[str]] = set()
-        for c in self.corners.values():
-            labs = sorted(c.index_set)
-            for size in range(1, self.dimension):
-                realized.update(frozenset(s) for s in combinations(labs, size))
-        bad.extend(self._connectivity_violations(realized))
+        bad.extend(self._connectivity_violations(self._label_sets(self.corners.values())))
         return bad
 
     def _corner_violations(self, corners: Iterable[Corner]) -> list[str]:

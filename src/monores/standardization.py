@@ -18,7 +18,7 @@ from typing import Iterable, Mapping
 
 from .errors import DomainError, StructuralError
 from .linalg import ExponentVector, Rat, RatLike, parse_rational
-from .manifold import Edge, MonomialManifold
+from .manifold import MonomialManifold
 
 
 @dataclass(frozen=True)
@@ -75,26 +75,27 @@ def validate_realizable(m: MonomialManifold, family: GlobalStandardization) -> b
 
     Checking edges suffices: the diagonal weights compose multiplicatively
     along edge paths, so edge-level agreement propagates to every corner
-    pair.  The sweep runs the same per-edge test on the edges among the
-    center's corners only (`realized_among`).
+    pair.  The test is `realized_among` at every corner; the sweep runs
+    it at the center's corners only.
     """
     if set(family.corner_ids()) != set(m.corner_ids()):
         return False
     for cid in m.corner_ids():
         if family.alpha_at(cid).labels != m.corner(cid).index_set:
             return False
-    return all(_realized_on(e, family.alpha_at(e.p), family.alpha_at(e.q)) for e in m.edges)
+    return realized_among(m, dict(family.items()))
 
 
 def realized_among(m: MonomialManifold, weights: Mapping[str, ExponentVector]) -> bool:
-    """`validate_realizable`'s per-edge test on the edges between two of
-    the corners that `weights` covers, and on no other edge."""
-    return all(_realized_on(e, weights[e.p], weights[e.q]) for e in m.edges_among(weights))
-
-
-def _realized_on(e: Edge, alpha_p: ExponentVector, alpha_q: ExponentVector) -> bool:
-    # gamma^{pq}_ell is the diagonal entry of the stored edge matrix
-    return all(alpha_p[ell] == e.matrix.entry(ell, ell) * alpha_q[ell] for ell in e.shared)
+    """The per-edge test on the edges between two of the corners that
+    `weights` covers, and on no other edge: across an edge `p -> q`, the
+    weight at `p` on each shared label is the edge's diagonal entry there
+    times the weight at `q`."""
+    return all(
+        weights[e.p][ell] == e.matrix.entry(ell, ell) * weights[e.q][ell]
+        for e in m.edges_among(weights)
+        for ell in e.shared
+    )
 
 
 def extend(

@@ -166,6 +166,31 @@ def test_meaningless_option_values_are_bad_input(tmp_path, capsys, command, opti
     assert not trace.exists()
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--max-steps", "abc"], "monores reduce: argument --max-steps: invalid int value: 'abc'"),
+        (["--samples", "x"], "monores reduce: argument --samples: invalid int value: 'x'"),
+        (["--bogus"], "monores: unrecognized arguments: --bogus"),
+        (None, "monores: the following arguments are required: command"),
+    ],
+    ids=["max-steps-abc", "samples-x", "unknown-option", "no-subcommand"],
+)
+def test_malformed_command_line_is_bad_input(tmp_path, capsys, argv, message):
+    """argparse's usage errors exit 1 with one `error:` line, not 2 (the
+    code for validation violations); `--help` still exits 0."""
+    trace = tmp_path / "t.json"
+    if argv is not None:
+        inp = write(tmp_path / "in.json", PROBLEM)
+        argv = ["reduce", "--input", inp, "--trace", str(trace), *argv]
+    assert main(argv or []) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not trace.exists()
+    with pytest.raises(SystemExit) as exc:
+        main(["reduce", "--help"])
+    assert exc.value.code == 0
+
+
 def test_replayed_weights_off_the_edge_diagonals_are_bad_input(tmp_path, capsys):
     rep = reduce_problem(
         ReductionProblem(support_from_rows(("z1", "z2", "z3"), [[2, 1, 0], [0, 2, 1], [1, 0, 3]]))
@@ -356,6 +381,7 @@ def test_non_principal_end_after_principalize_is_a_bug(tmp_path, monkeypatch, ca
             canonical_dumps(MANIFOLD).replace('"dimension": 2', f'"dimension": {LONG}'),
             "cannot read",
         ),
+        ("validate", "[" * 100_000 + "]" * 100_000, "cannot read"),
     ],
     ids=["trace-without-root", "corner-without-index-set", "top-level-list",
          "edge-without-to", "non-integer-stratum-dim", "b-block-list", "index-set-number",
@@ -365,7 +391,7 @@ def test_non_principal_end_after_principalize_is_a_bug(tmp_path, monkeypatch, ca
          "points-row-number", "variables-number", "points-number", "generators-rows-numbers",
          "labels-number", "duplicate-corner-id", "repeated-index-label", "point-bool",
          "generator-bool", "alpha-bool", "duplicate-key", "repeated-b-row-label",
-         "repeated-component", "long-point", "long-dimension"],
+         "repeated-component", "long-point", "long-dimension", "deep-nesting"],
 )
 def test_malformed_file_is_bad_input(tmp_path, capsys, command, doc, message):
     path = write(tmp_path / "in.json", doc)

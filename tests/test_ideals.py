@@ -246,6 +246,27 @@ def test_uncoupled_witness_independence():
         assert len(answers) == 1
 
 
+def test_centers_at_the_children_are_the_centers_through_the_new_label():
+    """The sweep's per-step scan set, `codim2_centers(step.children)`
+    restricted to the new label, against a scan of each child's labels
+    with the new one, on every step of the sample towers."""
+
+    def through_new_label(step):
+        new = step.new_label
+        out = {}
+        for cid in sorted(step.children):
+            for lab in sorted(step.after.corner(cid).index_set - {new}):
+                out.setdefault(frozenset((lab, new)), cid)
+        return out
+
+    for _, star in sample_towers():
+        for step in star.steps:
+            centers = step.after.codim2_centers(step.children)
+            swept = {c: w for c, w in centers.items() if step.new_label in c}
+            assert swept == through_new_label(step)
+            assert all(w == step.after.corners_with(c)[0] for c, w in swept.items())
+
+
 # -- adapted weights -----------------------------------------------------------------
 
 
@@ -396,6 +417,8 @@ def test_the_sweep_certifies_its_own_end(monkeypatch):
     assert [c.corner for c in run.corners] == run.star.end.corner_ids()
     with pytest.raises(StructuralError, match="at least one generator"):
         principalize_generators(m, [])
+    with pytest.raises(StructuralError, match="same manifold"):
+        principalize_generators(make_corner(["E1", "E2"]), [lam, mu])
     monkeypatch.setattr(monores.ideals, "uncoupled_centers", lambda lam, mu: set())
     with pytest.raises(AlgorithmInvariantViolation, match=r"'c0' is not a singleton"):
         principalize_generators(m, [lam, mu])
