@@ -21,7 +21,6 @@ from .errors import (
 from .linalg import (
     ExponentMatrix,
     ExponentVector,
-    Rat,
     div_le,
     format_rational,
     mat_inverse,
@@ -50,7 +49,6 @@ from .standardization import (
     validate_realizable,
 )
 from .blowup import (
-    BlowupCenter,
     BlowupStep,
     Star,
     apply_center,
@@ -79,9 +77,8 @@ from .reduction import (
     ReductionReport,
     build_ideal_from_support,
     reduce_problem,
-    root_corner_for,
 )
 from .oracle import numeric_oracle
-from .dot import export_dot, export_dot_star
+from .dot import export_dot_star
 
 __version__ = "0.1.0"

@@ -42,18 +42,6 @@ from .standardization import GlobalStandardization, validate_realizable
 
 
 @dataclass(frozen=True)
-class BlowupCenter:
-    """A realized label pair plus the weight family used to blow it up."""
-
-    pair: frozenset[str]
-    standardization: GlobalStandardization
-
-    def __post_init__(self):
-        if len(self.pair) != 2:
-            raise DomainError("blow-up centers are unordered pairs of components")
-
-
-@dataclass(frozen=True)
 class ChildChart:
     """The morphism at a child corner: the identity plus one column.
 
@@ -275,16 +263,17 @@ class Star:
         return Star(self.root, self.steps + (step,))
 
 
-def blow_up(m: MonomialManifold, center: BlowupCenter) -> BlowupStep:
-    """Blow up a codimension-two center with a whole weight family, which
-    is checked on every edge (`validate_realizable`) before `apply_center`
+def blow_up(
+    m: MonomialManifold, pair: frozenset[str], family: GlobalStandardization
+) -> BlowupStep:
+    """Blow up the center `pair` with a whole weight family, which is
+    checked on every edge (`validate_realizable`) before `apply_center`
     reads it at the center's corners.  The sweep skips the family and
-    calls `apply_center` with `adapted_weights`.  The center itself is
+    calls `apply_center` with `adapted_weights`.  The pair itself is
     checked by `apply_center`."""
-    if not validate_realizable(m, center.standardization):
+    if not validate_realizable(m, family):
         raise DomainError("the weight family is not realizable on this manifold")
-    alpha_at = center.standardization.alpha_at
-    return apply_center(m, center.pair, {cid: alpha_at(cid) for cid in m.corners_with(center.pair)})
+    return apply_center(m, pair, {cid: family.alpha_at(cid) for cid in m.corners_with(pair)})
 
 
 def _escaped(label: str) -> str:
@@ -363,10 +352,7 @@ def apply_center(
     def lifted_edge(old: ExponentMatrix, inverse: ExponentMatrix, new_p: str, new_q: str) -> Edge:
         """`B_q⁻¹·old·B_p` from `new_p` to `new_q`, with `B_p⁻¹·inverse·B_q`."""
         at_p, at_q = children.get(new_p), children.get(new_q)
-        shared = corners[new_p].index_set & corners[new_q].index_set
-        return Edge(
-            new_p, new_q, shared, _conjugate(old, at_q, at_p), _conjugate(inverse, at_p, at_q)
-        )
+        return Edge(new_p, new_q, _conjugate(old, at_q, at_p), _conjugate(inverse, at_p, at_q))
 
     edges: list[Edge] = []
     for e in m.edges:

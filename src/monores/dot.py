@@ -1,4 +1,7 @@
-"""DOT rendering of corner-adjacency graphs and blow-up towers.
+"""DOT rendering of a blow-up tower: one cluster per stage, each the
+corner-adjacency graph of that stage's manifold, its nodes labeled by
+their index sets and its edges by their shared labels (`Edge.shared`,
+read off the edge matrix).
 
 Every id and label is written as a DOT quoted string, with `\\` and `"`
 escaped (`_escaped`), so any corner id or component label gives valid DOT.
@@ -33,14 +36,6 @@ def _manifold_body(m: MonomialManifold, prefix: str = "", indent: str = "  ") ->
         p, q = _escaped(prefix + e.p), _escaped(prefix + e.q)
         lines.append(f'{indent}"{p}" -- "{q}" [label="{_label_set(e.shared)}"];')
     return lines
-
-
-def export_dot(m: MonomialManifold) -> str:
-    """Corner graph: nodes carry index sets, edges their shared labels."""
-    lines = ["graph corners {", "  node [shape=box];"]
-    lines += _manifold_body(m)
-    lines.append("}")
-    return "\n".join(lines) + "\n"
 
 
 def export_dot_star(star: Star) -> str:

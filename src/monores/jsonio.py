@@ -172,8 +172,7 @@ def manifold_from_json(doc: Mapping[str, Any]) -> MonomialManifold:
         p, q = _field(e, "from", "edge", str), _field(e, "to", "edge", str)
         if p not in corners or q not in corners:
             raise StructuralError(f"edge {p!r}->{q!r} references a missing corner")
-        shared = corners[p].index_set & corners[q].index_set
-        edges.append(Edge(p, q, shared, matrix_from_json(_field(e, "matrix", "edge", dict))))
+        edges.append(Edge(p, q, matrix_from_json(_field(e, "matrix", "edge", dict))))
     return MonomialManifold(dimension, components, corners.values(), edges)
 
 

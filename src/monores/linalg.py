@@ -21,7 +21,6 @@ from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .errors import SingularMatrixError, StructuralError
 
-Rat = Fraction
 RatLike = Union[Fraction, int, str]
 
 _RATIONAL = re.compile(r"[+-]?\d+(?:/\d+)?\Z")
@@ -80,26 +79,9 @@ class ExponentVector:
         self._map = m
         self._items = tuple(sorted(m.items()))
 
-    @classmethod
-    def constant(cls, labels: Iterable[str], value: RatLike) -> "ExponentVector":
-        v = parse_rational(value)
-        return cls({lab: v for lab in labels})
-
-    @classmethod
-    def zero(cls, labels: Iterable[str]) -> "ExponentVector":
-        return cls.constant(labels, 0)
-
-    @classmethod
-    def ones(cls, labels: Iterable[str]) -> "ExponentVector":
-        return cls.constant(labels, 1)
-
     @property
     def labels(self) -> frozenset[str]:
         return frozenset(self._map)
-
-    @property
-    def sorted_labels(self) -> tuple[str, ...]:
-        return tuple(k for k, _ in self._items)
 
     def __getitem__(self, label: str) -> Fraction:
         try:
@@ -163,11 +145,6 @@ class ExponentMatrix:
     def identity(cls, labels: Iterable[str]) -> "ExponentMatrix":
         labs = list(labels)
         return cls(labs, labs, {(r, c): Fraction(r == c) for r in labs for c in labs})
-
-    @classmethod
-    def diagonal(cls, diag: ExponentVector) -> "ExponentMatrix":
-        labs = diag.sorted_labels
-        return cls(labs, labs, {(r, c): diag[r] if r == c else Fraction(0) for r in labs for c in labs})
 
     @classmethod
     def from_row_table(

@@ -59,26 +59,24 @@ class Edge:
 
     The stored matrix codifies the coordinates of `q` as monomials in the
     coordinates of `p` (rows indexed by the labels of `q`, columns by the
-    labels of `p`).  The reverse direction is the exact inverse.  A caller
-    that already knows it (a blow-up lifts it along with the matrix) passes
-    it as `inverse`; otherwise it is computed once, on first use, by
-    `mat_inverse`.  Either way `MonomialManifold.validate` multiplies it
-    with the matrix, so a passed inverse is checked, not trusted.
+    labels of `p`).  The shared labels are read off the matrix: those that
+    index both a row and a column, which is `I_p ∩ I_q` whenever the matrix
+    is indexed as `MonomialManifold.validate` requires.  The reverse
+    direction is the exact inverse.  A caller that already knows it (a
+    blow-up lifts it along with the matrix) passes it as `inverse`;
+    otherwise it is computed once, on first use, by `mat_inverse`.  Either
+    way `MonomialManifold.validate` multiplies it with the matrix, so a
+    passed inverse is checked, not trusted.
     """
 
     __slots__ = ("p", "q", "shared", "matrix", "__dict__")
 
     def __init__(
-        self,
-        p: str,
-        q: str,
-        shared: frozenset[str],
-        matrix: ExponentMatrix,
-        inverse: ExponentMatrix | None = None,
+        self, p: str, q: str, matrix: ExponentMatrix, inverse: ExponentMatrix | None = None
     ):
         self.p = p
         self.q = q
-        self.shared = frozenset(shared)
+        self.shared = matrix.row_labels & matrix.col_labels
         self.matrix = matrix
         if inverse is not None:
             self.__dict__["inverse"] = inverse
@@ -318,8 +316,8 @@ class MonomialManifold:
     def _edge_violations(self, edges: Iterable[Edge]) -> list[str]:
         """The checks each of the given edges must pass on its own: real and
         distinct endpoints of the right size (no two of `edges` on one
-        pair), the shared set, the label sets, triangular form with a
-        positive diagonal, and the exact inverse.  `validate` passes every
+        pair), the size of the endpoints' intersection, the label sets,
+        triangular form with a positive diagonal, and the exact inverse.  `validate` passes every
         edge; a blow-up's local certificate passes the edges it built."""
         bad: list[str] = []
         n = self.dimension
@@ -339,20 +337,18 @@ class MonomialManifold:
             if pair in seen_pairs or e.p == e.q:
                 bad.append(f"{tag}: duplicate or degenerate edge")
             seen_pairs.add(pair)
-            if e.shared != ip & iq:
-                bad.append(f"{tag}: stored shared set differs from the index intersection")
-                continue
-            if len(e.shared) != n - 1:
-                bad.append(f"{tag}: shared set has size {len(e.shared)}, expected {n - 1}")
+            shared = ip & iq
+            if len(shared) != n - 1:
+                bad.append(f"{tag}: shared set has size {len(shared)}, expected {n - 1}")
                 continue
             if e.matrix.row_labels != iq or e.matrix.col_labels != ip:
                 bad.append(f"{tag}: matrix is not indexed by (rows=q labels, cols=p labels)")
                 continue
-            (i_q,) = iq - e.shared
-            for ell in e.shared:
+            (i_q,) = iq - shared
+            for ell in shared:
                 if e.matrix.entry(ell, ell) <= 0:
                     bad.append(f"{tag}: diagonal entry at {ell} is not positive")
-                for m in e.shared:
+                for m in shared:
                     if m != ell and e.matrix.entry(ell, m) != 0:
                         bad.append(f"{tag}: off-diagonal entry ({ell},{m}) on shared labels")
                 if e.matrix.entry(i_q, ell) != 0:

@@ -28,7 +28,7 @@ from .ideals import (
     PrincipalizationRun,
     principalize_generators,
 )
-from .manifold import MonomialManifold, make_corner
+from .manifold import make_corner
 from .supports import SupportSet, minimal_support
 
 ROOT_CORNER_ID = "c0"
@@ -61,15 +61,10 @@ class ReductionReport(PrincipalizationRun):
     problem: ReductionProblem
 
 
-def root_corner_for(support: SupportSet) -> MonomialManifold:
-    """The corner chart whose boundary components are the support variables."""
-    return make_corner(support.variables, ROOT_CORNER_ID)
-
-
 def build_ideal_from_support(support: SupportSet) -> MIdeal:
     """One generator per support point, in sorted order, on the corner
-    chart of the support's variables (`root_corner_for`)."""
-    m = root_corner_for(support)
+    chart whose boundary components are the support's variables."""
+    m = make_corner(support.variables, ROOT_CORNER_ID)
     return MIdeal(m, [MFunction(m, {ROOT_CORNER_ID: p}) for p in support.sorted_points()])
 
 

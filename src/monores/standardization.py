@@ -14,10 +14,11 @@ chosen corners only, which is what a blow-up reads (its center's corners).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .errors import DomainError, StructuralError
-from .linalg import ExponentVector, Rat, RatLike, parse_rational
+from .linalg import ExponentVector, RatLike, parse_rational
 from .manifold import MonomialManifold
 
 
@@ -141,13 +142,13 @@ def weights_at(
         if val <= 0:
             raise DomainError(f"free parameter for {lab} must be positive")
 
-    per_corner: dict[str, dict[str, Rat]] = {cid: {} for cid in corner_ids}
+    per_corner: dict[str, dict[str, Fraction]] = {cid: {} for cid in corner_ids}
     labels = frozenset().union(*(m.corner(cid).index_set for cid in per_corner))
     for lab in sorted(labels):
         if lab in base.index_set:
             anchor, value = local.corner, local.alpha[lab]
         else:
-            anchor, value = m.corners_with([lab])[0], beta.get(lab, Rat(1))
+            anchor, value = m.corners_with([lab])[0], beta.get(lab, Fraction(1))
         for cid, weight in m.transport_weight(lab, anchor, value).items():
             entries = per_corner.get(cid)
             if entries is not None:

@@ -35,7 +35,7 @@ def brute_force_minimal(vectors):
         for w in vecs:
             if w == v:
                 continue
-            if all(w[lab] <= v[lab] for lab in v.sorted_labels):
+            if all(w[lab] <= v[lab] for lab in v.labels):
                 dominated = True
                 break
         if not dominated:

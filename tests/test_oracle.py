@@ -85,7 +85,7 @@ def perturbed(star: Star) -> Star:
     trip closes and only the blow-up square through it breaks."""
     def bad(e):
         ell = min(e.shared)
-        return Edge(e.p, e.q, e.shared, nudged(e.matrix, ell, ell))
+        return Edge(e.p, e.q, nudged(e.matrix, ell, ell))
 
     return with_first_end_edge(star, bad)
 
@@ -100,7 +100,7 @@ def test_oracle_detects_a_wrong_inverse():
     edge round trip reads an end-manifold edge's inverse."""
     def bad(e):
         inv = e.inverse
-        return Edge(e.p, e.q, e.shared, e.matrix, inverse=nudged(inv, inv.sorted_rows[0], inv.sorted_cols[0]))
+        return Edge(e.p, e.q, e.matrix, inverse=nudged(inv, inv.sorted_rows[0], inv.sorted_cols[0]))
 
     assert numeric_oracle(with_first_end_edge(worked_star(), bad), samples=20, seed=1) > 1e-3
 

@@ -23,7 +23,6 @@ import monores
 import monores.manifold
 import monores.reduction
 from monores import (
-    BlowupCenter,
     Edge,
     ExponentMatrix,
     ExponentVector,
@@ -111,7 +110,7 @@ def moved_corner(mat, shared):
 def corrupted(e):
     """The edge with its corner entry moved, as in
     `test_validate_catches_cycle_violation`, and its inverse computed anew."""
-    return Edge(e.p, e.q, e.shared, moved_corner(e.matrix, e.shared))
+    return Edge(e.p, e.q, moved_corner(e.matrix, e.shared))
 
 
 def with_edges(m, edges):
@@ -135,7 +134,7 @@ def two_corner_manifold():
     """Corners c0.E1 and c0.E2 of the worked blow-up, joined by one edge."""
     m = make_corner(["E1", "E2"])
     fam = extend(m, LocalStandardization("c0", ExponentVector({"E1": 2, "E2": 1})))
-    return blow_up(m, BlowupCenter(frozenset({"E1", "E2"}), fam)).after
+    return blow_up(m, frozenset({"E1", "E2"}), fam).after
 
 
 def test_cycle_check_on_non_tree_edges_at_the_root():
@@ -144,13 +143,13 @@ def test_cycle_check_on_non_tree_edges_at_the_root():
     root = next(iter(m.corners))
     assert e.p == root
     # a parallel edge back into the root: M_back · T_x must be the identity
-    back = Edge(e.q, e.p, e.shared, e.inverse)
+    back = Edge(e.q, e.p, e.inverse)
     assert with_edges(m, [e, back])._cycle_violations() == []
     bad = with_edges(m, [e, corrupted(back)])
     assert bad._cycle_violations() == reference_cycle_violations(bad)
     assert len(bad._cycle_violations()) == 1
     # a parallel edge out of the root: M_out itself must equal T_x
-    out = Edge(e.p, e.q, e.shared, e.matrix)
+    out = Edge(e.p, e.q, e.matrix)
     assert with_edges(m, [e, out])._cycle_violations() == []
     assert len(with_edges(m, [e, corrupted(out)])._cycle_violations()) == 1
 
@@ -256,9 +255,9 @@ def test_edge_given_a_wrong_inverse_fails_validate(kind):
         entries = {(r, c): inv.entry(r, c) for r in inv.row_labels for c in inv.col_labels}
         entries[next(iter(entries))] += 1
         wrong = ExponentMatrix(inv.row_labels, inv.col_labels, entries)
-    bad = with_edges(m, [Edge(e.p, e.q, e.shared, e.matrix, inverse=wrong)])
+    bad = with_edges(m, [Edge(e.p, e.q, e.matrix, inverse=wrong)])
     assert any("not an exact inverse" in v for v in bad.validate())
-    good = with_edges(m, [Edge(e.p, e.q, e.shared, e.matrix, inverse=e.inverse)])
+    good = with_edges(m, [Edge(e.p, e.q, e.matrix, inverse=e.inverse)])
     assert good.validate() == []
 
 
@@ -323,13 +322,23 @@ def test_the_sweep_builds_no_weight_family(monkeypatch):
         assert rep.corners == report.corners
 
 
+def renamed_row(mat, old, new):
+    """`mat` with row `old` relabeled `new`, entries kept."""
+    rows = (mat.row_labels - {old}) | {new}
+    entries = {
+        (new if r == old else r, c): mat.entry(r, c) for r in mat.row_labels for c in mat.col_labels
+    }
+    return ExponentMatrix(rows, mat.col_labels, entries)
+
+
 def edge_corruptions(e):
     """A new edge with its matrix (stored inverse kept), its inverse or its
-    shared set corrupted."""
+    shared set corrupted; the shared set is read off the matrix, so it is
+    corrupted by renaming a shared row to `p`'s own label."""
     (i_p,) = e.matrix.col_labels - e.shared
-    yield Edge(e.p, e.q, e.shared, moved_corner(e.matrix, e.shared), inverse=e.inverse)
-    yield Edge(e.p, e.q, e.shared, e.matrix, inverse=moved_corner(e.inverse, e.shared))
-    yield Edge(e.p, e.q, (e.shared - {min(e.shared)}) | {i_p}, e.matrix, inverse=e.inverse)
+    yield Edge(e.p, e.q, moved_corner(e.matrix, e.shared), inverse=e.inverse)
+    yield Edge(e.p, e.q, e.matrix, inverse=moved_corner(e.inverse, e.shared))
+    yield Edge(e.p, e.q, renamed_row(e.matrix, min(e.shared), i_p), inverse=e.inverse)
 
 
 def with_new_edge(step, old, new):
