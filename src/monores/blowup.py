@@ -197,7 +197,7 @@ class BlowupStep:
         - each child's index set (size, labels, the parent's with `removed`
           replaced by `new_label`), unique among the children;
         - each new edge: every check `MonomialManifold.validate` makes of
-          one edge (shared set, label sets, triangular form, positive
+          one edge (shared-set size, label sets, triangular form, positive
           diagonal, exact inverse), and the conjugation identity
           `B_q·M' == M·B_p`, where `M` is the edge downstairs that it lifts
           (the identity for the split edge between two siblings);

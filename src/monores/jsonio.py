@@ -19,10 +19,11 @@ only in how the ideal is seeded, and both seed it through
 Readers take every field through `_field` or `_array`, which name the
 JSON type it must have, and check every vector the same way, so a
 missing key or a value of the wrong JSON type is bad input
-(StructuralError).  A manifold whose corners share an id, whose
-components or corner index set repeat a label, or a matrix whose rows or
-columns repeat a label, is bad input too: a dict or a set would merge
-them silently.  Only the parsing is guarded: an exception raised by the
+(StructuralError).  So is a manifold label that is not a nonempty string
+(`_check_label`, as everywhere), and a manifold whose corners share an
+id, whose components or corner index set repeat a label, or a matrix
+whose rows or columns repeat a label, which a dict or a set would merge
+silently.  Only the parsing is guarded: an exception raised by the
 library while rebuilding a tower still surfaces as it is.
 """
 
@@ -34,7 +35,7 @@ from typing import Any, Mapping
 from .blowup import Star, apply_center
 from .errors import StructuralError
 from .ideals import MIdeal, PrincipalizationRun
-from .linalg import ExponentMatrix, ExponentVector, format_rational, parse_rational
+from .linalg import ExponentMatrix, ExponentVector, _check_label, format_rational, parse_rational
 from .manifold import Corner, Edge, MonomialManifold
 from .reduction import ReductionProblem, ReductionReport, build_ideal_from_support
 from .standardization import realized_among
@@ -154,7 +155,7 @@ def manifold_to_json(m: MonomialManifold) -> dict[str, Any]:
 
 def manifold_from_json(doc: Mapping[str, Any]) -> MonomialManifold:
     dimension = _field(doc, "dimension", "manifold", int)
-    components = _array(doc, "components", "manifold", str)
+    components = [_check_label(lab) for lab in _array(doc, "components", "manifold", str)]
     if len(set(components)) != len(components):
         raise StructuralError("manifold repeats a label in its components")
     corners = {}
@@ -162,7 +163,7 @@ def manifold_from_json(doc: Mapping[str, Any]) -> MonomialManifold:
         cid = _field(c, "id", "corner", str)
         if cid in corners:
             raise StructuralError(f"duplicate corner id {cid!r}")
-        labels = _array(c, "index_set", "corner", str)
+        labels = [_check_label(lab) for lab in _array(c, "index_set", "corner", str)]
         index_set = frozenset(labels)
         if len(index_set) != len(labels):
             raise StructuralError(f"corner {cid!r} repeats a label in its index_set")

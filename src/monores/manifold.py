@@ -270,12 +270,16 @@ class MonomialManifold:
 
     def _label_sets(self, corners: Iterable[Corner]) -> set[frozenset[str]]:
         """Every label set of size 1 to n-1 realized at the given corners
-        (a full-size set is a single corner, by the uniqueness check)."""
+        whose labels each lie on at least two corners.  A full-size set is
+        a single corner, by the uniqueness check, and a set with a label
+        that only one corner holds has at most one holder, so neither can
+        be disconnected and neither is enumerated."""
+        shared = {lab for lab, ids in self._holders.items() if len(ids) > 1}
         return {
             frozenset(labels)
             for c in corners
             for size in range(1, self.dimension)
-            for labels in combinations(sorted(c.index_set), size)
+            for labels in combinations(sorted(c.index_set & shared), size)
         }
 
     # -- validation -------------------------------------------------------
@@ -401,11 +405,9 @@ class MonomialManifold:
     def _connectivity_violations(self, label_sets: Iterable[frozenset[str]]) -> list[str]:
         """Each given label set J must have a connected corner graph along
         edges whose shared set contains J; its holders are read off the
-        label index (`corners_with`).  A set with a label that only one
-        corner holds has at most one holder, so it is skipped unread."""
-        shared = {lab for lab, ids in self._holders.items() if len(ids) > 1}
+        label index (`corners_with`)."""
         bad: list[str] = []
-        for j in sorted((j for j in label_sets if j <= shared), key=sorted):
+        for j in sorted(label_sets, key=sorted):
             holders = self.corners_with(j)
             if len(holders) <= 1:
                 continue

@@ -21,6 +21,12 @@ TRACE = star_to_json(WORKED.star)
 MANIFOLD = manifold_to_json(WORKED.star.end)
 B_C0_Z1 = TRACE["steps"][0]["B"]["c0.z1"]
 LONG = "1" + "0" * 5000
+EMPTY_LABEL_ROOT = {
+    "dimension": 2,
+    "components": ["", "b"],
+    "corners": [{"id": "c0", "index_set": ["", "b"]}],
+    "edges": [],
+}
 
 
 def edited(doc, path, value):
@@ -382,6 +388,18 @@ def test_non_principal_end_after_principalize_is_a_bug(tmp_path, monkeypatch, ca
             "cannot read",
         ),
         ("validate", "[" * 100_000 + "]" * 100_000, "cannot read"),
+        # every label is a nonempty string, in a manifold file too
+        ("validate", EMPTY_LABEL_ROOT, "labels must be nonempty strings"),
+        (
+            "replay",
+            {"version": TRACE_VERSION, "root": EMPTY_LABEL_ROOT, "steps": []},
+            "labels must be nonempty strings",
+        ),
+        (
+            "validate",
+            {**EMPTY_LABEL_ROOT, "components": ["a", "b"]},
+            "labels must be nonempty strings",
+        ),
     ],
     ids=["trace-without-root", "corner-without-index-set", "top-level-list",
          "edge-without-to", "non-integer-stratum-dim", "b-block-list", "index-set-number",
@@ -391,7 +409,8 @@ def test_non_principal_end_after_principalize_is_a_bug(tmp_path, monkeypatch, ca
          "points-row-number", "variables-number", "points-number", "generators-rows-numbers",
          "labels-number", "duplicate-corner-id", "repeated-index-label", "point-bool",
          "generator-bool", "alpha-bool", "duplicate-key", "repeated-b-row-label",
-         "repeated-component", "long-point", "long-dimension", "deep-nesting"],
+         "repeated-component", "long-point", "long-dimension", "deep-nesting",
+         "empty-label", "empty-label-root", "empty-index-label"],
 )
 def test_malformed_file_is_bad_input(tmp_path, capsys, command, doc, message):
     path = write(tmp_path / "in.json", doc)

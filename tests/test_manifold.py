@@ -22,6 +22,7 @@ from monores import (
     mat_mul,
     next_exceptional_label,
 )
+from monores.jsonio import manifold_from_json, manifold_to_json
 from helpers import tower_manifolds
 
 F = Fraction
@@ -232,6 +233,40 @@ def test_validate_catches_disconnected_component_set():
     c1 = Corner("a", frozenset({"E1", "E2"}))
     m = MonomialManifold(2, ["E1", "E2", "E9"], [c1])
     assert any("E9" in v for v in m.validate())
+
+
+def test_label_sets_are_the_sets_of_shared_labels():
+    """Only sets of labels that two or more corners hold are enumerated:
+    none on a single corner, whatever its dimension, and on two corners
+    exactly the nonempty sets of the labels they share."""
+    corner = make_corner([f"z{i}" for i in range(16)])
+    assert corner._label_sets(corner.corners.values()) == set()
+    m0 = make_corner(["E1", "E2", "E3"])
+    m = blow_up(m0, frozenset({"E1", "E2"}), uniform_family(m0)).after
+    assert m._label_sets(m.corners.values()) == {
+        frozenset({"E3"}), frozenset({"E∞1"}), frozenset({"E3", "E∞1"})
+    }
+    for m in tower_manifolds():
+        held_twice = {lab for lab in m.components if len(m.corners_with([lab])) > 1}
+        assert m._label_sets(m.corners.values()) == {
+            frozenset(s)
+            for c in m.corners.values()
+            for size in range(1, m.dimension)
+            for s in combinations(sorted(c.index_set), size)
+            if set(s) <= held_twice
+        }
+
+
+def test_edge_shared_set_is_the_index_intersection():
+    """`Edge.shared` is read off the matrix; it is `I_p ∩ I_q` on every
+    edge of the sample towers, and of each manifold loaded back from JSON."""
+    edges = 0
+    for m in tower_manifolds():
+        for loaded in (m, manifold_from_json(manifold_to_json(m))):
+            for e in loaded.edges:
+                assert e.shared == loaded.corner(e.p).index_set & loaded.corner(e.q).index_set
+                edges += 1
+    assert edges > 200
 
 
 def test_codim2_centers_examples():
