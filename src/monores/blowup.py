@@ -20,8 +20,9 @@ inverse is the same two steps, roles swapped, on the old inverse; no
 general product or inversion runs, and no `B` is built.  Each step then
 proves what it built, not the whole manifold: `BlowupStep.violations`
 checks the children and the new edges (exact inverses and the
-conjugation identity included), which makes `after` valid whenever
-`before` is.  A tower is therefore proven by induction from a root that
+conjugation identity included, and that they are exactly the lifts of
+the edges at the center), which makes `after` valid whenever `before`
+is.  A tower is therefore proven by induction from a root that
 `MonomialManifold.validate` checked in full, as `replay_trace` does; the
 sampling oracle checks it numerically.
 
@@ -36,7 +37,7 @@ from functools import cached_property
 from typing import Mapping
 
 from .errors import AlgorithmInvariantViolation, DomainError, StructuralError
-from .linalg import ExponentMatrix, ExponentVector, mat_mul
+from .linalg import ExponentMatrix, ExponentVector, _check_label, mat_mul
 from .manifold import Corner, Edge, MonomialManifold, next_exceptional_label
 from .standardization import GlobalStandardization, validate_realizable
 
@@ -68,10 +69,10 @@ class ChildChart:
         """`vec·B` in O(n): the entries carry over, `removed` becomes
         `new_label`, and that entry gains `c` times the `other` entry
         unless that entry is 0."""
-        entries = dict(vec.items())
+        entries = dict(vec._map)
         top, x = entries.pop(self.removed), entries[self.other]
         entries[self.new_label] = top + self.c * x if x else top
-        return ExponentVector(entries)
+        return ExponentVector._exact(entries)
 
 
 def _entries(mat: ExponentMatrix) -> dict[tuple[str, str], Fraction]:
@@ -116,7 +117,7 @@ def _conjugate(
     if rows is not None:
         _row_step(entries, col_labels, rows.removed, rows.new_label, rows.other, -rows.c)
         row_labels = (row_labels - {rows.removed}) | {rows.new_label}
-    return ExponentMatrix(row_labels, col_labels, entries)
+    return ExponentMatrix._exact(row_labels, col_labels, entries)
 
 
 def _conjugation_holds(
@@ -201,6 +202,9 @@ class BlowupStep:
           diagonal, exact inverse), and the conjugation identity
           `B_q·M' == M·B_p`, where `M` is the edge downstairs that it lifts
           (the identity for the split edge between two siblings);
+        - the new edges are exactly the lifts (`_lift_violations`): one
+          per edge downstairs with one blown end, two per edge with both
+          ends blown, and one split edge per blown corner;
         - connectivity of every label set through `new_label`.
 
         Why that suffices when `before` is valid.  Untouched corners and
@@ -223,6 +227,7 @@ class BlowupStep:
             if child.index_set != (chart.parent.index_set - {chart.removed}) | {new}:
                 bad.append(f"corner {child.id}: index set does not match its child chart")
         bad.extend(after._edge_violations(self.new_edges))
+        bad.extend(self._lift_violations())
         if bad:
             return bad
         before = self.before
@@ -239,6 +244,37 @@ class BlowupStep:
                 bad.append(f"edge {e.p}->{e.q}: B_q·M' differs from M·B_p downstairs")
         through_new = {j for j in after._label_sets(children) if new in j}
         bad.extend(after._connectivity_violations(through_new))
+        return bad
+
+    def _lift_violations(self) -> list[str]:
+        """The keys of `new_edges` against the lifts expected from the
+        edges of `before` at the blown corners (its adjacency lists) and
+        `children`: an edge with one blown end lifts once, at the child
+        that drops the center label off the edge; an edge with both ends
+        blown lifts twice, between the children that drop the same label;
+        and each blown corner has its split edge between its two children.
+        O(edges at the center)."""
+        kid = {(chart.parent.id, chart.removed): cid for cid, chart in self.children.items()}
+        blown = {p for p, _ in kid}
+        pair = sorted(self.center_pair)
+        expected: dict[tuple[str | None, str | None], str] = {}
+        for b in sorted(blown):
+            expected[tuple(kid.get((b, r)) for r in pair)] = f"the split edge of corner {b}"
+            for nxt, e, forward in self.before._adjacency[b]:
+                tag = f"the lift of edge {e.p}->{e.q}"
+                if nxt in blown:
+                    if forward:
+                        for r in pair:
+                            expected[(kid.get((e.p, r)), kid.get((e.q, r)))] = tag
+                    continue
+                off = self.center_pair - e.shared
+                r = next(iter(off)) if len(off) == 1 else None
+                expected[(kid.get((b, r)), nxt) if forward else (nxt, kid.get((b, r)))] = tag
+        built = {e.key() for e in self.new_edges}
+        bad = [f"{tag} is missing" for key, tag in expected.items() if key not in built]
+        bad.extend(
+            f"edge {p}->{q}: lifts no edge at the center" for p, q in sorted(built - expected.keys())
+        )
         return bad
 
 
@@ -322,6 +358,7 @@ def apply_center(
             raise DomainError(f"bad weight vector at corner {cid!r}")
     if new_label is None:
         new_label = next_exceptional_label(m.components)
+    _check_label(new_label)
     if new_label in m.components:
         raise StructuralError(f"exceptional label {new_label!r} already in use")
 

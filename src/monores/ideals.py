@@ -26,7 +26,7 @@ from .errors import (
     NotEffectiveError,
     StructuralError,
 )
-from .linalg import ExponentVector, minimal_elements, vec_apply
+from .linalg import ExponentVector, minimal_elements, vec_apply, vec_apply_equals
 from .manifold import Edge, MonomialManifold
 from .standardization import (
     GlobalStandardization,
@@ -92,7 +92,8 @@ def _check_data(
     edges: Iterable[Edge],
 ) -> None:
     """Labels and nonnegativity at `corner_ids`, chart consistency across
-    `edges`; raises StructuralError or NotEffectiveError."""
+    `edges` (`data[q]·M == data[p]`, decided by `vec_apply_equals` without
+    building the product); raises StructuralError or NotEffectiveError."""
     for cid in corner_ids:
         vec = data[cid]
         if vec.labels != manifold.corner(cid).index_set:
@@ -100,7 +101,7 @@ def _check_data(
         if not vec.is_nonnegative():
             raise NotEffectiveError(f"negative exponent at corner {cid!r}")
     for e in edges:
-        if vec_apply(data[e.q], e.matrix) != data[e.p]:
+        if not vec_apply_equals(data[e.q], e.matrix, data[e.p]):
             raise StructuralError(
                 f"exponent data is not chart consistent across edge {e.p}->{e.q}"
             )

@@ -8,6 +8,24 @@ is known: a term with a zero factor is never formed, and a factor equal
 to 1 is not multiplied out, so each result is the same normalized
 `Fraction` with fewer operations.
 
+Two decisions test an equation without building its product:
+`vec_apply_equals(v, a, w)` decides `v·A == w`, and
+`mat_mul_is_identity(a, b)` decides `A·B == I`, each row of `A` taken as
+a vector.  Both sum each entry of the product over its nonzero terms as
+an unreduced integer pair `(numerator, denominator)` (`_entry_sums`) and
+compare it with the expected entry by cross-multiplication, so no
+`Fraction` is built and no gcd is taken; the verdict is the one the
+product would give.
+
+The public constructors validate what callers pass: every label and
+every entry.  The products, the inverse and the blow-up's lifts build
+their results with the private constructors `ExponentMatrix._exact` and
+`ExponentVector._exact` instead.  Their contract: the label sets are
+taken from already-built objects (a blow-up's new label is checked once,
+by `apply_center`), and every entry is an exact `Fraction` computed from
+theirs.  Only the cheap totality count (entries == rows × columns) is
+kept, for matrices.
+
 The componentwise partial order `div_le` (one exponent tuple divides
 another) and the extraction of its minimal elements live here too, since
 every other module is built on them.
@@ -79,6 +97,15 @@ class ExponentVector:
         self._map = m
         self._items = tuple(sorted(m.items()))
 
+    @classmethod
+    def _exact(cls, entries: dict[str, Fraction]) -> "ExponentVector":
+        """Wrap exact `Fraction` entries over labels taken from already-built
+        objects, owned by the result from now on; nothing is re-checked."""
+        vec = object.__new__(cls)
+        vec._map = entries
+        vec._items = tuple(sorted(entries.items()))
+        return vec
+
     @property
     def labels(self) -> frozenset[str]:
         return frozenset(self._map)
@@ -140,6 +167,22 @@ class ExponentMatrix:
         if missing:
             raise StructuralError(f"matrix is missing {missing} entries")
         self._data = data
+
+    @classmethod
+    def _exact(
+        cls, rows: frozenset[str], cols: frozenset[str], data: dict[tuple[str, str], Fraction]
+    ) -> "ExponentMatrix":
+        """Wrap exact `Fraction` entries over label sets taken from
+        already-built objects, owned by the result from now on.  Labels and
+        entries are not re-checked; the entry count still must be
+        rows × columns."""
+        if len(data) != len(rows) * len(cols):
+            raise StructuralError(
+                f"matrix has {len(data)} entries over {len(rows)}x{len(cols)} labels"
+            )
+        mat = object.__new__(cls)
+        mat._rows, mat._cols, mat._data = rows, cols, data
+        return mat
 
     @classmethod
     def identity(cls, labels: Iterable[str]) -> "ExponentMatrix":
@@ -272,8 +315,8 @@ def mat_mul(a: ExponentMatrix, b: ExponentMatrix) -> ExponentMatrix:
                 prev = sums.get(key)
                 sums[key] = term if prev is None else prev + term
     zero = Fraction(0)
-    entries = {(r, c): sums.get((r, c), zero) for r in a.row_labels for c in b.col_labels}
-    return ExponentMatrix(a.row_labels, b.col_labels, entries)
+    entries = {(r, c): sums.get((r, c), zero) for r in a._rows for c in b._cols}
+    return ExponentMatrix._exact(a._rows, b._cols, entries)
 
 
 def mat_inverse(a: ExponentMatrix) -> ExponentMatrix:
@@ -305,7 +348,7 @@ def mat_inverse(a: ExponentMatrix) -> ExponentMatrix:
                 work[k] = [x - f * y for x, y in zip(work[k], work[i])]
                 aug[k] = [x - f * y for x, y in zip(aug[k], aug[i])]
     entries = {(cols[i], rows[j]): aug[i][j] for i in range(n) for j in range(n)}
-    return ExponentMatrix(cols, rows, entries)
+    return ExponentMatrix._exact(a._cols, a._rows, entries)
 
 
 def vec_apply(v: ExponentVector, a: ExponentMatrix) -> ExponentVector:
@@ -325,5 +368,73 @@ def vec_apply(v: ExponentVector, a: ExponentMatrix) -> ExponentVector:
             prev = sums.get(c)
             sums[c] = term if prev is None else prev + term
     zero = Fraction(0)
-    return ExponentVector({c: sums.get(c, zero) for c in a.col_labels})
+    return ExponentVector._exact({c: sums.get(c, zero) for c in a._cols})
 
+
+def _nonzero_rows(a: ExponentMatrix) -> dict[str, list[tuple[str, int, int]]]:
+    """Each row of `a` as its nonzero entries `(column, numerator,
+    denominator)`; a row of zeros is absent."""
+    rows: dict[str, list[tuple[str, int, int]]] = {}
+    for (r, c), av in a._data.items():
+        if av:
+            rows.setdefault(r, []).append((c, av.numerator, av.denominator))
+    return rows
+
+
+def _entry_sums(
+    x: Iterable[tuple[str, Fraction]], rows: Mapping[str, list[tuple[str, int, int]]]
+) -> dict[str, tuple[int, int]]:
+    """The entries of `x·A`, `A` given by its `_nonzero_rows`, each summed
+    over its nonzero terms only as an unreduced integer pair `(numerator,
+    denominator)` with a positive denominator.  An entry that no nonzero
+    term reaches is absent: it is exactly 0."""
+    sums: dict[str, tuple[int, int]] = {}
+    for r, xr in x:
+        if xr:
+            xn, xd = xr.numerator, xr.denominator
+            for c, an, ad in rows.get(r, ()):
+                n, d = xn * an, xd * ad
+                prev = sums.get(c)
+                if prev is None:
+                    sums[c] = (n, d)
+                else:
+                    pn, pd = prev
+                    sums[c] = (pn + n, pd) if pd == d else (pn * d + n * pd, pd * d)
+    return sums
+
+
+def vec_apply_equals(v: ExponentVector, a: ExponentMatrix, w: ExponentVector) -> bool:
+    """`vec_apply(v, a) == w`, decided entry by entry by cross-multiplying
+    each of `_entry_sums` with `w`'s entry; no product vector and no
+    Fraction is built.  Raises StructuralError where `vec_apply` does."""
+    if v._map.keys() != a._rows:
+        raise StructuralError("vec_apply: vector labels differ from matrix rows")
+    if w._map.keys() != a._cols:
+        return False
+    sums = _entry_sums(v._items, _nonzero_rows(a))
+    for c, wc in w._items:
+        num, den = sums.get(c, (0, 1))
+        if num * wc.denominator != wc.numerator * den:
+            return False
+    return True
+
+
+def mat_mul_is_identity(a: ExponentMatrix, b: ExponentMatrix) -> bool:
+    """`mat_mul(a, b).is_identity()`, decided row by row: each row of `a`
+    is a vector, and each entry of its product with `b` (`_entry_sums`)
+    is compared with the identity's; no product matrix and no Fraction is
+    built.  Raises StructuralError where `mat_mul` does."""
+    if a._cols != b._rows:
+        raise StructuralError("mat_mul: inner label sets differ")
+    if a._rows != b._cols:
+        return False
+    a_rows: dict[str, list[tuple[str, Fraction]]] = {r: [] for r in a._rows}
+    for (r, m), av in a._data.items():
+        a_rows[r].append((m, av))
+    b_rows = _nonzero_rows(b)
+    for r, x in a_rows.items():
+        sums = _entry_sums(x, b_rows)
+        num, den = sums.pop(r, (0, 1))
+        if num != den or any(n for n, _ in sums.values()):
+            return False
+    return True

@@ -31,7 +31,13 @@ from .errors import (
     SingularMatrixError,
     StructuralError,
 )
-from .linalg import ExponentMatrix, ExponentVector, mat_inverse, mat_mul
+from .linalg import (
+    ExponentMatrix,
+    ExponentVector,
+    mat_inverse,
+    mat_mul,
+    mat_mul_is_identity,
+)
 
 _EXC_LABEL = re.compile(r"E∞(\d+)\Z")
 
@@ -65,8 +71,9 @@ class Edge:
     direction is the exact inverse.  A caller that already knows it (a
     blow-up lifts it along with the matrix) passes it as `inverse`;
     otherwise it is computed once, on first use, by `mat_inverse`.  Either
-    way `MonomialManifold.validate` multiplies it with the matrix, so a
-    passed inverse is checked, not trusted.
+    way `MonomialManifold.validate` checks that its product with the
+    matrix is the identity (`mat_mul_is_identity`), so a passed inverse is
+    checked, not trusted.
     """
 
     __slots__ = ("p", "q", "shared", "matrix", "__dict__")
@@ -321,8 +328,10 @@ class MonomialManifold:
         """The checks each of the given edges must pass on its own: real and
         distinct endpoints of the right size (no two of `edges` on one
         pair), the size of the endpoints' intersection, the label sets,
-        triangular form with a positive diagonal, and the exact inverse.  `validate` passes every
-        edge; a blow-up's local certificate passes the edges it built."""
+        triangular form with a positive diagonal, and the exact inverse
+        (`inverse·matrix == I`, decided by `mat_mul_is_identity` without
+        building the product).  `validate` passes every edge; a blow-up's
+        local certificate passes the edges it built."""
         bad: list[str] = []
         n = self.dimension
         seen_pairs: set[frozenset[str]] = set()
@@ -359,7 +368,7 @@ class MonomialManifold:
                     bad.append(f"{tag}: new-label row has entry at shared column {ell}")
             try:
                 inverse = e.inverse
-                if inverse.col_labels != iq or not mat_mul(inverse, e.matrix).is_identity():
+                if inverse.col_labels != iq or not mat_mul_is_identity(inverse, e.matrix):
                     bad.append(f"{tag}: cached inverse is not an exact inverse")
             except SingularMatrixError:
                 bad.append(f"{tag}: matrix is singular")

@@ -11,6 +11,8 @@ from monores import (
     ExponentVector,
     LocalStandardization,
     Star,
+    StructuralError,
+    apply_center,
     blow_up,
     compose_star,
     div_le,
@@ -70,6 +72,16 @@ def test_blow_up_rejects_unrealized_center():
     m, fam = corner_with_weights({"E1": 1, "E2": 1})
     with pytest.raises(DomainError):
         blow_up(m, frozenset({"E1", "E9"}), fam)
+
+
+@pytest.mark.parametrize("label", ["", 7])
+def test_apply_center_rejects_a_new_label_that_is_no_label(label):
+    """A replayed trace names the new label; the child charts and lifted
+    edges are built without re-checking labels, so it is checked once."""
+    m = make_corner(["E1", "E2"])
+    alpha = {"c0": ExponentVector({"E1": 2, "E2": 1})}
+    with pytest.raises(StructuralError, match="labels must be nonempty strings"):
+        apply_center(m, frozenset({"E1", "E2"}), alpha, new_label=label)
 
 
 def test_step_pull_back_examples():

@@ -20,7 +20,8 @@ from monores import (
     parse_rational,
     vec_apply,
 )
-from helpers import brute_force_minimal
+from monores.linalg import mat_mul_is_identity, vec_apply_equals
+from helpers import brute_force_minimal, generators_along, sample_towers, tower_manifolds
 
 LABELS = ("E1", "E2")
 
@@ -255,6 +256,102 @@ def test_kernels_match_naive_reference_on_sparse_rectangular_matrices():
             total += len(values)
     assert zeros * 2 >= total
     assert ones * 10 >= total
+
+
+POOL = ("E1", "E2", "E3", "E∞1", "E∞2", "z1", "z2")
+label_sets = st.lists(st.sampled_from(POOL), min_size=1, max_size=5, unique=True)
+sparse_values = st.one_of(
+    st.just(Fraction(0)), st.just(Fraction(0)), st.just(Fraction(1)), signed_rationals
+)
+
+
+@st.composite
+def sparse_matrices(draw, rows, cols):
+    """Mostly zero entries, some exactly 1, negative ones, and whole rows of
+    zeros."""
+    zero_rows = draw(st.sets(st.sampled_from(rows)))
+    return ExponentMatrix(
+        rows,
+        cols,
+        {(r, c): Fraction(0) if r in zero_rows else draw(sparse_values) for r in rows for c in cols},
+    )
+
+
+def one_entry_changed(draw, vec_):
+    entries = dict(vec_.items())
+    label = draw(st.sampled_from(sorted(entries)))
+    entries[label] += draw(signed_rationals.filter(bool))
+    return ExponentVector(entries)
+
+
+@given(st.data())
+@settings(max_examples=100)
+def test_vec_apply_equals_agrees_with_the_product(data):
+    rows, cols = data.draw(label_sets), data.draw(label_sets)
+    a = data.draw(sparse_matrices(rows, cols))
+    v = ExponentVector({r: data.draw(sparse_values) for r in rows})
+    product = vec_apply(v, a)
+    for w in (product, one_entry_changed(data.draw, product)):
+        assert vec_apply_equals(v, a, w) == (vec_apply(v, a) == w)
+    assert vec_apply_equals(v, a, product)
+    with pytest.raises(StructuralError):
+        vec_apply_equals(ExponentVector({r + "'": 0 for r in rows}), a, product)
+
+
+@given(st.data())
+@settings(max_examples=100)
+def test_mat_mul_is_identity_agrees_with_the_product(data):
+    """On square matrices against their exact inverse, that inverse with one
+    entry changed, and on rectangular products, which are never the
+    identity."""
+    labels = data.draw(label_sets)
+    a = data.draw(sparse_matrices(labels, labels))
+    try:
+        inverse = mat_inverse(a)
+    except SingularMatrixError:
+        inverse = data.draw(sparse_matrices(labels, labels))
+    row = data.draw(st.sampled_from(labels))
+    changed = one_entry_changed(data.draw, ExponentVector({c: inverse.entry(row, c) for c in labels}))
+    wrong = ExponentMatrix(
+        labels,
+        labels,
+        {(r, c): changed[c] if r == row else inverse.entry(r, c) for r in labels for c in labels},
+    )
+    rows, cols = data.draw(label_sets), data.draw(label_sets)
+    left, right = data.draw(sparse_matrices(rows, labels)), data.draw(sparse_matrices(labels, cols))
+    for x, y in ((inverse, a), (a, inverse), (wrong, a), (a, wrong), (left, right)):
+        assert mat_mul_is_identity(x, y) == mat_mul(x, y).is_identity()
+    assert not mat_mul_is_identity(wrong, a)
+    with pytest.raises(StructuralError):
+        mat_mul_is_identity(a, ExponentMatrix.identity([lab + "'" for lab in labels]))
+
+
+def test_private_constructors_build_what_the_public_ones_accept():
+    """Every edge matrix, inverse and child `B` of the test towers, and
+    every pulled-back generator, rebuilt through the validating public
+    constructor, equals the object the kernels built without it."""
+    built = 0
+    for m in tower_manifolds():
+        for e in m.edges:
+            for mat_ in (e.matrix, e.inverse):
+                entries = {(r, c): mat_.entry(r, c) for r in mat_.row_labels for c in mat_.col_labels}
+                assert all(type(x) is Fraction for x in entries.values())
+                assert ExponentMatrix(mat_.row_labels, mat_.col_labels, entries) == mat_
+                built += 1
+    for problem, star in sample_towers():
+        for step, gens in zip(star.steps, generators_along(problem, star)[1:]):
+            for chart in step.children.values():
+                b = chart.matrix
+                entries = {(r, c): b.entry(r, c) for r in b.row_labels for c in b.col_labels}
+                assert ExponentMatrix(b.row_labels, b.col_labels, entries) == b
+                built += 1
+            for g in gens:
+                for cid in step.children:
+                    vec_ = g.at(cid)
+                    assert all(type(x) is Fraction for _, x in vec_.items())
+                    assert ExponentVector(dict(vec_.items())) == vec_
+                    built += 1
+    assert built > 500
 
 
 def test_kernels_reject_mismatched_labels():

@@ -277,6 +277,36 @@ def test_the_sweep_builds_no_morphism_matrix(monkeypatch):
         assert rep.corners == report.corners
 
 
+def forbid_everywhere(monkeypatch, names, message):
+    """Replace each named `monores` function, in every module that imported
+    it, by one that fails with `message`."""
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError(message)
+
+    for name in names:
+        original = getattr(monores, name)
+        for modname, module in list(sys.modules.items()):
+            if modname.split(".")[0] == "monores" and getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, forbidden)
+
+
+def test_the_sweep_forms_no_product_to_compare(monkeypatch):
+    """The step's exact checks decide their equations without a product:
+    no `mat_mul`, `vec_apply` or `mat_inverse` runs in the sweep."""
+    forbid_everywhere(
+        monkeypatch,
+        ("mat_mul", "vec_apply", "mat_inverse"),
+        "the sweep formed a product or an inverse",
+    )
+    reports = shared_reports()
+    assert any(report.age > 0 for report in reports)
+    for report in reports:
+        rep = reduce_problem(report.problem)
+        assert rep.age == report.age
+        assert rep.corners == report.corners
+
+
 def test_the_sweep_never_validates_in_full(monkeypatch):
     """Once the seed ideal is built, a step checks only what it built: no
     `MonomialManifold.validate` and no full `MFunction` check runs."""
@@ -305,15 +335,11 @@ def test_the_sweep_never_validates_in_full(monkeypatch):
 def test_the_sweep_builds_no_weight_family(monkeypatch):
     """The sweep computes weights at the center's corners only: no whole
     family is extended, validated or blown up from."""
-
-    def forbidden(*args, **kwargs):
-        raise AssertionError("the sweep worked on a whole weight family")
-
-    for name in ("extend", "validate_realizable", "blow_up"):
-        original = getattr(monores, name)
-        for modname, module in list(sys.modules.items()):
-            if modname.split(".")[0] == "monores" and getattr(module, name, None) is original:
-                monkeypatch.setattr(module, name, forbidden)
+    forbid_everywhere(
+        monkeypatch,
+        ("extend", "validate_realizable", "blow_up"),
+        "the sweep worked on a whole weight family",
+    )
     towers = [report for report in shared_reports() if report.age > 0]
     assert towers
     for report in towers:
@@ -365,6 +391,21 @@ def test_local_certificate_fails_exactly_when_validate_fails():
                 assert bad.after.validate()
                 corruptions += 1
     assert corruptions > 3 * 80
+
+
+def test_local_certificate_requires_every_lift():
+    """Each new edge of the test towers dropped in turn: the lift check
+    misses it, whether it joins a child to an untouched corner (which no
+    label set through the new label needs) or two children."""
+    kinds = {"child-untouched": 0, "child-child": 0}
+    for step in all_steps():
+        for e in step.new_edges:
+            bad = with_edges(step.after, [x for x in step.after.edges if x is not e])
+            found = dataclasses.replace(step, after=bad).violations()
+            assert any(v.endswith(" is missing") for v in found)
+            both = e.p in step.children and e.q in step.children
+            kinds["child-child" if both else "child-untouched"] += 1
+    assert kinds["child-untouched"] > 30 and kinds["child-child"] > 50
 
 
 def test_new_edges_equal_a_scan_of_every_edge():
