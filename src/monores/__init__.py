@@ -69,6 +69,7 @@ from .ideals import (
     local_min_data,
     mfunction_from_corner,
     principalize_generators,
+    pull_back_generators,
     pull_back_mfunction,
     uncoupled_centers,
 )

@@ -8,9 +8,12 @@ opposite signs; blowing such a center up with a weight family tuned to
 cancel the difference removes it and creates no new one, so the count of
 obstructed centers drops by exactly one per step.  Ideals with more
 generators reduce to one pass over the generator pairs, since the
-nonnegative morphisms keep a finished pair finished.  The sweep certifies
-its own end: the age is the sum of the pairs' start counts, and at every
-end corner the final generators' minimal exponent is a single point.
+nonnegative morphisms keep a finished pair finished.  Each blow-up pulls
+every generator back in one pass (`pull_back_generators`), which checks
+them all at the new corners and groups each new edge's matrix once for
+all of them.  The sweep certifies its own end: the age is the sum of the
+pairs' start counts, and at every end corner the final generators'
+minimal exponent is a single point.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from .errors import (
     NotEffectiveError,
     StructuralError,
 )
-from .linalg import ExponentVector, minimal_elements, vec_apply, vec_apply_equals
+from .linalg import ExponentVector, minimal_elements, vec_apply, vec_apply_all_equal
 from .manifold import Edge, MonomialManifold
 from .standardization import (
     GlobalStandardization,
@@ -44,9 +47,10 @@ class MFunction:
     """A global monomial function: one nonnegative exponent vector per corner.
 
     Construction from caller data checks chart consistency on every edge
-    (which propagates to every corner pair) and nonnegativity everywhere.
-    `pull_back_mfunction` checks only what a blow-up changed and builds
-    its result through `_proven`.
+    (which propagates to every corner pair) and nonnegativity everywhere,
+    through the same `_check_data` that `pull_back_generators` runs on
+    every generator at once; the pullback checks only what a blow-up
+    changed and builds its results through `_proven`.
     """
 
     __slots__ = ("manifold", "_data")
@@ -54,14 +58,14 @@ class MFunction:
     def __init__(self, manifold: MonomialManifold, data: Mapping[str, ExponentVector]):
         if set(data) != set(manifold.corner_ids()):
             raise StructuralError("exponent data must cover exactly the corners")
-        _check_data(manifold, data, data.keys(), manifold.edges)
+        _check_data(manifold, [data], data.keys(), manifold.edges)
         self.manifold = manifold
         self._data = {cid: data[cid] for cid in manifold.corner_ids()}
 
     @classmethod
     def _proven(cls, manifold: MonomialManifold, data: dict[str, ExponentVector]) -> "MFunction":
-        """Wrap data already proven valid on `manifold`, keyed in its corner
-        order, without checking it again."""
+        """Wrap data already proven valid on `manifold`, keyed by exactly
+        its corner ids (in any order), without checking it again."""
         fn = object.__new__(cls)
         fn.manifold = manifold
         fn._data = data
@@ -87,21 +91,25 @@ class MFunction:
 
 def _check_data(
     manifold: MonomialManifold,
-    data: Mapping[str, ExponentVector],
+    datas: Sequence[Mapping[str, ExponentVector]],
     corner_ids: Iterable[str],
     edges: Iterable[Edge],
 ) -> None:
-    """Labels and nonnegativity at `corner_ids`, chart consistency across
-    `edges` (`data[q]·M == data[p]`, decided by `vec_apply_equals` without
-    building the product); raises StructuralError or NotEffectiveError."""
+    """For every data of `datas`: labels and nonnegativity at
+    `corner_ids`, and chart consistency across `edges` (`data[q]·M ==
+    data[p]`).  Each edge is one `vec_apply_all_equal` over every data,
+    which groups its matrix once and builds no product.  Raises
+    StructuralError or NotEffectiveError."""
     for cid in corner_ids:
-        vec = data[cid]
-        if vec.labels != manifold.corner(cid).index_set:
-            raise StructuralError(f"exponent labels at {cid!r} do not match its index set")
-        if not vec.is_nonnegative():
-            raise NotEffectiveError(f"negative exponent at corner {cid!r}")
+        labels = manifold.corner(cid).index_set
+        for data in datas:
+            vec = data[cid]
+            if vec.labels != labels:
+                raise StructuralError(f"exponent labels at {cid!r} do not match its index set")
+            if not vec.is_nonnegative():
+                raise NotEffectiveError(f"negative exponent at corner {cid!r}")
     for e in edges:
-        if not vec_apply_equals(data[e.q], e.matrix, data[e.p]):
+        if not vec_apply_all_equal(e.matrix, [(data[e.q], data[e.p]) for data in datas]):
             raise StructuralError(
                 f"exponent data is not chart consistent across edge {e.p}->{e.q}"
             )
@@ -281,34 +289,49 @@ class PairState:
         return cls(frozenset(uncoupled_centers(lam, mu)))
 
 
-def pull_back_mfunction(fn: MFunction, step: BlowupStep) -> MFunction:
-    """Total transform of a monomial function through one blow-up.
+def pull_back_generators(gens: Sequence[MFunction], step: BlowupStep) -> list[MFunction]:
+    """Total transforms of monomial functions through one blow-up, in
+    the order given.
 
-    An untouched corner keeps its vector, the very object of `fn`; only a
-    child reads its parent's vector through `step.pull_back`, whose
-    `ChildChart` computes `v·B` in O(n) after checking the labels.  Only
-    what the pullback changed is checked: labels and
-    nonnegativity at the children, and chart consistency across the
-    step's new edges.  That suffices because `fn` is proven on
-    `step.before`, an untouched corner keeps its vector and the edges
-    between untouched corners stay as they were, and at a child only the
-    `removed` → `new_label` entry changes.  A function on another
-    manifold than `step.before` is caller error (StructuralError); a
-    failed check of the pulled-back data is a bug, reported as
+    An untouched corner keeps its vector, the very object of its
+    function; the blown corners go, and each child reads its parent's
+    vector through `step.pull_back`, whose `ChildChart` computes `v·B` in
+    O(n) after checking the labels.  Only what the pullback changed is
+    checked, for every function: labels and nonnegativity at the
+    children, and chart consistency across the step's new edges, each
+    edge's matrix grouped once for all the functions (`_check_data`).
+    That suffices because each function is proven on `step.before`, an
+    untouched corner keeps its vector and the edges between untouched
+    corners stay as they were, and at a child only the `removed` →
+    `new_label` entry changes.  A function on another manifold than
+    `step.before` is caller error (StructuralError); a failed check of
+    the pulled-back data is a bug, reported as
     AlgorithmInvariantViolation.
     """
-    if fn.manifold is not step.before:
+    if any(fn.manifold is not step.before for fn in gens):
         raise StructuralError("the function does not live on the manifold the step blew up")
-    old, children = fn._data, step.children
-    data = {
-        cid: old[cid] if cid not in children else step.pull_back(old[children[cid].parent.id], cid)
-        for cid in step.after.corners
-    }
+    children = step.children
+    blown = {chart.parent.id for chart in children.values()}
+    datas = []
+    for fn in gens:
+        old = fn._data
+        data = dict(old)
+        for cid in blown:
+            del data[cid]
+        for cid, chart in children.items():
+            data[cid] = step.pull_back(old[chart.parent.id], cid)
+        datas.append(data)
     try:
-        _check_data(step.after, data, step.children, step.new_edges)
+        _check_data(step.after, datas, children, step.new_edges)
     except (StructuralError, NotEffectiveError) as exc:
         raise AlgorithmInvariantViolation(f"pulled-back function is invalid: {exc}") from exc
-    return MFunction._proven(step.after, data)
+    return [MFunction._proven(step.after, data) for data in datas]
+
+
+def pull_back_mfunction(fn: MFunction, step: BlowupStep) -> MFunction:
+    """Total transform of one monomial function through one blow-up:
+    `pull_back_generators([fn], step)[0]`."""
+    return pull_back_generators([fn], step)[0]
 
 
 @dataclass(frozen=True)
@@ -428,7 +451,7 @@ def principalize_generators(
             pair = _smallest_pair(state.omega)
             step = apply_center(star.end, pair, adapted_weights(gens[a], gens[b], pair))
             star = star.extended(step)
-            gens = [pull_back_mfunction(g, step) for g in gens]
+            gens = pull_back_generators(gens, step)
             witnesses = {
                 c: w
                 for c, w in step.after.codim2_centers(step.children).items()

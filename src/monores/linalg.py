@@ -9,7 +9,8 @@ to 1 is not multiplied out, so each result is the same normalized
 `Fraction` with fewer operations.
 
 Two decisions test an equation without building its product:
-`vec_apply_equals(v, a, w)` decides `v·A == w`, and
+`vec_apply_all_equal(a, pairs)` decides `v·A == w` for each pair `(v, w)`,
+grouping `A`'s rows once for all of them, and
 `mat_mul_is_identity(a, b)` decides `A·B == I`, each row of `A` taken as
 a vector.  Both sum each entry of the product over its nonzero terms as
 an unreduced integer pair `(numerator, denominator)` (`_entry_sums`) and
@@ -18,13 +19,14 @@ compare it with the expected entry by cross-multiplication, so no
 product would give.
 
 The public constructors validate what callers pass: every label and
-every entry.  The products, the inverse and the blow-up's lifts build
-their results with the private constructors `ExponentMatrix._exact` and
-`ExponentVector._exact` instead.  Their contract: the label sets are
-taken from already-built objects (a blow-up's new label is checked once,
-by `apply_center`), and every entry is an exact `Fraction` computed from
-theirs.  Only the cheap totality count (entries == rows × columns) is
-kept, for matrices.
+every entry.  The products, the inverse, the identity and the blow-up's
+lifts build their results with the private constructors
+`ExponentMatrix._exact` and `ExponentVector._exact` instead.  Their
+contract: the label sets are taken from already-built objects or checked
+once by the caller (a blow-up's new label by `apply_center`, the
+identity's labels by `ExponentMatrix.identity`), and every entry is an
+exact `Fraction` computed from theirs or made there.  Only the cheap
+totality count (entries == rows × columns) is kept, for matrices.
 
 The componentwise partial order `div_le` (one exponent tuple divides
 another) and the extraction of its minimal elements live here too, since
@@ -123,10 +125,13 @@ class ExponentVector:
         return len(self._items)
 
     def is_nonnegative(self) -> bool:
-        return all(v >= 0 for _, v in self._items)
+        """Every entry `>= 0`, read off the numerators' signs (a
+        `Fraction`'s denominator is positive)."""
+        return all(v.numerator >= 0 for _, v in self._items)
 
     def is_positive(self) -> bool:
-        return all(v > 0 for _, v in self._items)
+        """Every entry `> 0`, read off the numerators' signs."""
+        return all(v.numerator > 0 for _, v in self._items)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ExponentVector):
@@ -186,8 +191,12 @@ class ExponentMatrix:
 
     @classmethod
     def identity(cls, labels: Iterable[str]) -> "ExponentMatrix":
-        labs = list(labels)
-        return cls(labs, labs, {(r, c): Fraction(r == c) for r in labs for c in labs})
+        """The identity over `labels`, each label checked once; the 0/1
+        entries it makes are not re-parsed (`_exact`)."""
+        labs = frozenset(_check_label(lab) for lab in labels)
+        one, zero = Fraction(1), Fraction(0)
+        entries = {(r, c): one if r == c else zero for r in labs for c in labs}
+        return cls._exact(labs, labs, entries)
 
     @classmethod
     def from_row_table(
@@ -404,18 +413,30 @@ def _entry_sums(
 
 
 def vec_apply_equals(v: ExponentVector, a: ExponentMatrix, w: ExponentVector) -> bool:
-    """`vec_apply(v, a) == w`, decided entry by entry by cross-multiplying
-    each of `_entry_sums` with `w`'s entry; no product vector and no
-    Fraction is built.  Raises StructuralError where `vec_apply` does."""
-    if v._map.keys() != a._rows:
-        raise StructuralError("vec_apply: vector labels differ from matrix rows")
-    if w._map.keys() != a._cols:
-        return False
-    sums = _entry_sums(v._items, _nonzero_rows(a))
-    for c, wc in w._items:
-        num, den = sums.get(c, (0, 1))
-        if num * wc.denominator != wc.numerator * den:
+    """`vec_apply(v, a) == w`: `vec_apply_all_equal` on one pair."""
+    return vec_apply_all_equal(a, ((v, w),))
+
+
+def vec_apply_all_equal(
+    a: ExponentMatrix, pairs: Iterable[tuple[ExponentVector, ExponentVector]]
+) -> bool:
+    """`vec_apply(v, a) == w` for every `(v, w)` of `pairs`, in order,
+    with the rows of `a` grouped once (`_nonzero_rows`) for all of them.
+    Each is decided entry by entry by cross-multiplying each of
+    `_entry_sums` with `w`'s entry; no product vector and no Fraction is
+    built.  Raises StructuralError where `vec_apply` does, at a pair
+    before the first that fails."""
+    rows = _nonzero_rows(a)
+    for v, w in pairs:
+        if v._map.keys() != a._rows:
+            raise StructuralError("vec_apply: vector labels differ from matrix rows")
+        if w._map.keys() != a._cols:
             return False
+        sums = _entry_sums(v._items, rows)
+        for c, wc in w._items:
+            num, den = sums.get(c, (0, 1))
+            if num * wc.denominator != wc.numerator * den:
+                return False
     return True
 
 

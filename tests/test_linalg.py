@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from monores import (
@@ -381,6 +381,32 @@ def test_vector_basics():
     assert v.labels == frozenset(LABELS)
     with pytest.raises(StructuralError):
         v["nope"]
+
+
+@given(st.lists(signed_rationals, min_size=1, max_size=4))
+@example([Fraction(-1, 3)])
+@example([Fraction(0)])
+@example([Fraction(1, 2)])
+@example([Fraction(0), Fraction(5, 2)])
+@example([Fraction(7), Fraction(-1, 7)])
+def test_sign_tests_agree_with_comparisons(values):
+    v = ExponentVector({f"E{i}": x for i, x in enumerate(values)})
+    assert v.is_nonnegative() == all(x >= 0 for x in values)
+    assert v.is_positive() == all(x > 0 for x in values)
+
+
+@pytest.mark.parametrize("labels", [("E1", ""), ("E1", 2), (None,)], ids=["empty", "int", "none"])
+def test_identity_rejects_bad_labels(labels):
+    with pytest.raises(StructuralError, match="labels must be nonempty strings"):
+        ExponentMatrix.identity(labels)
+
+
+@pytest.mark.parametrize("labels", [(), ("E1",), LABELS, ("a", "b", "E∞1")])
+def test_identity_equals_the_public_constructor_identity(labels):
+    ident = ExponentMatrix.identity(labels)
+    entries = {(r, c): int(r == c) for r in labels for c in labels}
+    assert ident == ExponentMatrix(labels, labels, entries)
+    assert all(type(ident.entry(r, c)) is Fraction for r in labels for c in labels)
 
 
 def test_matrix_totality_enforced():

@@ -33,6 +33,7 @@ from monores import (
     make_corner,
     mat_inverse,
     mat_mul,
+    pull_back_generators,
     pull_back_mfunction,
     reduce_problem,
     vec_apply,
@@ -476,3 +477,50 @@ def test_local_pullback_check_fails_exactly_when_the_full_check_fails(monkeypatc
                         pull_back_mfunction(fn, step)
                 checked += 1
     assert checked > 200
+
+
+def test_pull_back_generators_equals_the_per_function_pullback_at_every_corner():
+    """Every step of the test towers, all its generators at once."""
+    steps = 0
+    for step, gens in sweep_steps_with_generators():
+        pulled = pull_back_generators(gens, step)
+        assert len(pulled) == len(gens)
+        for fn, up in zip(gens, pulled):
+            assert up.manifold is step.after
+            assert {cid for cid, _ in up.items()} == set(step.after.corners)
+            assert up == pull_back_mfunction(fn, step)
+        steps += 1
+    assert steps == sum(star.age for _, star in sample_towers()) > 20
+
+
+@pytest.mark.parametrize("kind", ["shifted", "negative"])
+def test_a_fault_in_the_last_generator_alone_is_a_bug(monkeypatch, kind):
+    """One child's vector of the last of three or more generators is
+    corrupted, and no other generator's."""
+    checked = 0
+    for step, gens in sweep_steps_with_generators():
+        if len(gens) < 3:
+            continue
+        last = gens[-1]
+        good = pull_back_mfunction(last, step)
+        for cid, chart in step.children.items():
+            seen = last.at(chart.parent.id)
+            if any(g.at(chart.parent.id) is seen for g in gens[:-1]):
+                continue
+            entries = dict(good.at(cid).items())
+            label = step.new_label
+            entries[label] = entries[label] + 1 if kind == "shifted" else -1
+            bad_vec = ExponentVector(entries)
+            true_pull_back = BlowupStep.pull_back
+
+            def corrupted_pull_back(self, vec, corner_id, cid=cid, seen=seen, bad_vec=bad_vec):
+                if corner_id == cid and vec is seen:
+                    return bad_vec
+                return true_pull_back(self, vec, corner_id)
+
+            with monkeypatch.context() as mp:
+                mp.setattr(BlowupStep, "pull_back", corrupted_pull_back)
+                with pytest.raises(AlgorithmInvariantViolation):
+                    pull_back_generators(gens, step)
+            checked += 1
+    assert checked > 50

@@ -12,6 +12,7 @@ from itertools import combinations
 import pytest
 
 import monores.ideals
+import monores.linalg
 from monores import (
     AlgorithmInvariantViolation,
     BudgetExceededError,
@@ -99,7 +100,7 @@ def reopen_pair_0_1(monkeypatch):
     asked about the current generators 0 and 1 after the sweep has moved
     past that pair."""
     true_measure = PairState.measure
-    true_pull_back = monores.ideals.pull_back_mfunction
+    true_pull_back = monores.ideals.pull_back_generators
     true_sign = monores.ideals.center_is_uncoupled_at
     measured, pulled = [], []
 
@@ -107,9 +108,9 @@ def reopen_pair_0_1(monkeypatch):
         measured.append(None)
         return true_measure(lam, mu)
 
-    def pull_back(fn, step):
-        pulled.append(true_pull_back(fn, step))
-        return pulled[-1]
+    def pull_back(gens, step):
+        pulled.extend(true_pull_back(gens, step))
+        return pulled[-len(gens):]
 
     def sign(lam, mu, pair, corner_id):
         current = pulled[-len(IDEAL["generators"]):]
@@ -118,7 +119,7 @@ def reopen_pair_0_1(monkeypatch):
         return true_sign(lam, mu, pair, corner_id)
 
     monkeypatch.setattr(PairState, "measure", classmethod(measure))
-    monkeypatch.setattr(monores.ideals, "pull_back_mfunction", pull_back)
+    monkeypatch.setattr(monores.ideals, "pull_back_generators", pull_back)
     monkeypatch.setattr(monores.ideals, "center_is_uncoupled_at", sign)
 
 
@@ -159,3 +160,28 @@ def test_a_fresh_obstruction_on_the_active_pair_is_a_bug(monkeypatch):
         match=rf"did not drop the obstruction count from {first} to {first - 1}",
     ):
         principalize_generators(ideal.manifold, ideal.generators)
+
+
+def test_each_new_edge_is_grouped_twice_whatever_the_generator_count(monkeypatch):
+    """`linalg._nonzero_rows` runs once per new edge for the certificate's
+    inverse check and once for the pullback of all five generators."""
+    ideal = ideal_from_json(
+        {
+            "dimension": 3,
+            "labels": ["x", "y", "z"],
+            "generators": [
+                ["2", "1", "0"], ["0", "2", "1"], ["1", "0", "3"], ["3", "0", "1"], ["0", "3", "2"]
+            ],
+        }
+    )
+    true_rows = monores.linalg._nonzero_rows
+    calls = []
+
+    def nonzero_rows(a):
+        calls.append(None)
+        return true_rows(a)
+
+    monkeypatch.setattr(monores.linalg, "_nonzero_rows", nonzero_rows)
+    run = principalize_generators(ideal.manifold, ideal.generators)
+    assert len(ideal.generators) == 5 and run.age > 0
+    assert len(calls) == 2 * sum(len(step.new_edges) for step in run.star.steps)
