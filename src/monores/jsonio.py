@@ -8,8 +8,15 @@ The trace format is versioned ("monores-trace/1").  A trace records the
 root manifold and, per blow-up, the center pair, the weights at the
 corners of the center, the fresh label, and every morphism matrix, each
 read off the step with `BlowupStep.morphism`; `replay_trace` rebuilds
-the tower from the weights and insists the rebuilt matrices agree bit
-for bit, at exactly the recorded corners.  `reduce` and `principalize`
+the tower from the weights and insists the rebuilt matrices agree
+exactly, at exactly the recorded corners.  It first compares the
+recorded block with the rendering of the rebuilt matrices, each matrix
+object rendered once per replay; only a block that differs from it is
+parsed and compared by value.  So a trace as `star_to_json` writes it
+has no recorded matrix parsed into Fractions, while an equal entry
+written another way (`"2/2"`) or a malformed matrix gets the verdict and
+message that parsing gives.
+`reduce` and `principalize`
 both render a certified run (`PrincipalizationRun`) through one
 renderer, `certified_trace_to_json`, which appends the end certificate
 (`final_corners`) and the run's statistics (`stats`); the two differ
@@ -32,7 +39,7 @@ from __future__ import annotations
 import json
 from typing import Any, Mapping
 
-from .blowup import Star, apply_center
+from .blowup import BlowupStep, Star, apply_center
 from .errors import StructuralError
 from .ideals import MIdeal, PrincipalizationRun
 from .linalg import ExponentMatrix, ExponentVector, _check_label, format_rational, parse_rational
@@ -214,6 +221,27 @@ def star_to_json(star: Star) -> dict[str, Any]:
     }
 
 
+def _renders_as(
+    b_block: dict[str, Any],
+    step: BlowupStep,
+    rendered: dict[int, tuple[ExponentMatrix, dict[str, Any]]],
+) -> bool:
+    """Whether the recorded `B` block is, corner for corner, exactly what
+    `star_to_json` writes for the step's morphisms (`matrix_to_json`,
+    memoized per matrix object in `rendered`).  Then it parses to those
+    very matrices; otherwise the caller parses it and compares values."""
+    if b_block.keys() != step.after.corners.keys():
+        return False
+    for cid, recorded in b_block.items():
+        mat = step.morphism(cid)
+        hit = rendered.get(id(mat))
+        if hit is None:
+            hit = rendered[id(mat)] = (mat, matrix_to_json(mat))
+        if recorded != hit[1]:
+            return False
+    return True
+
+
 def replay_trace(doc: Mapping[str, Any]) -> Star:
     """Rebuild the tower from a trace, verifying the recorded matrices exactly.
 
@@ -223,7 +251,15 @@ def replay_trace(doc: Mapping[str, Any]) -> Star:
     the diagonals of the edges between the center's corners
     (`realized_among`) are bad input, rejected before `apply_center`
     builds anything from them; weights at ids that are not corners are
-    left to `apply_center`'s own check."""
+    left to `apply_center`'s own check.
+
+    A step's `B` block is compared before it is parsed: when it holds the
+    step's corners and each is exactly what `star_to_json` writes for the
+    rebuilt morphism (`_renders_as`), it parses to those very matrices and
+    is accepted.  Otherwise the whole block is parsed and compared by
+    value, as every block once was, so a malformed matrix, an equal entry
+    written another way, or a block over other corners gets the same
+    verdict and message."""
     version = _field(doc, "version", "trace", str, None)
     if version != TRACE_VERSION:
         raise StructuralError(f"unsupported trace version {version!r}")
@@ -232,7 +268,14 @@ def replay_trace(doc: Mapping[str, Any]) -> Star:
     if violations:
         raise StructuralError("trace root manifold is invalid: " + "; ".join(violations))
     star = Star(root=root)
-    for k, step_doc in enumerate(_field(doc, "steps", "trace", list, [])):
+    steps = _field(doc, "steps", "trace", list, [])
+    if not steps:
+        return star
+    # matrix_to_json of each morphism object, shared by the steps of this
+    # replay (an untouched corner keeps one identity); holds the matrix,
+    # so no id is reused
+    rendered: dict[int, tuple[ExponentMatrix, dict[str, Any]]] = {}
+    for k, step_doc in enumerate(steps):
         pair = frozenset(_array(step_doc, "center", "step", str))
         alphas = {
             cid: vector_from_json(v)
@@ -245,9 +288,10 @@ def replay_trace(doc: Mapping[str, Any]) -> Star:
             )
         step = apply_center(end, pair, alphas, _field(step_doc, "new_label", "step", str))
         b_block = _field(step_doc, "B", "step", dict)
-        recorded = {cid: matrix_from_json(mat) for cid, mat in b_block.items()}
-        if recorded != {cid: step.morphism(cid) for cid in step.after.corners}:
-            raise StructuralError(f"step {k}: rebuilt morphism matrices differ from the trace")
+        if not _renders_as(b_block, step, rendered):
+            recorded = {cid: matrix_from_json(mat) for cid, mat in b_block.items()}
+            if recorded != {cid: step.morphism(cid) for cid in step.after.corners}:
+                raise StructuralError(f"step {k}: rebuilt morphism matrices differ from the trace")
         star = star.extended(step)
     return star
 

@@ -412,11 +412,6 @@ def _entry_sums(
     return sums
 
 
-def vec_apply_equals(v: ExponentVector, a: ExponentMatrix, w: ExponentVector) -> bool:
-    """`vec_apply(v, a) == w`: `vec_apply_all_equal` on one pair."""
-    return vec_apply_all_equal(a, ((v, w),))
-
-
 def vec_apply_all_equal(
     a: ExponentMatrix, pairs: Iterable[tuple[ExponentVector, ExponentVector]]
 ) -> bool:

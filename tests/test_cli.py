@@ -427,6 +427,38 @@ def test_malformed_file_is_bad_input(tmp_path, capsys, command, doc, message):
     assert "Traceback" not in err
 
 
+B_REPEATED_ROW = {
+    **B_C0_Z1,
+    "rows": ["z2", *B_C0_Z1["rows"]],
+    "entries": [["5", "5"], *B_C0_Z1["entries"]],
+}
+
+
+@pytest.mark.parametrize(
+    "path, value, message",
+    [
+        (["steps", 0, "B"], [], "step field 'B' must be a JSON object, not list"),
+        (["steps", 0, "B", "c0.z1", "rows"], 1, "matrix field 'rows' must be an array, not int"),
+        (
+            ["steps", 0, "B", "c0.z1", "entries"],
+            5,
+            "matrix field 'entries' must be an array, not int",
+        ),
+        (["steps", 0, "B", "c0.z1"], B_REPEATED_ROW, "matrix repeats a row or column label"),
+        # after a corner whose matrix is recorded exactly as written
+        (["steps", 0, "B", "c0.z2", "cols"], 2, "matrix field 'cols' must be an array, not int"),
+    ],
+    ids=["b-block-list", "b-rows-number", "b-entries-number", "repeated-b-row-label",
+         "b-cols-number-second-corner"],
+)
+def test_malformed_b_block_keeps_its_exact_message(tmp_path, capsys, path, value, message):
+    """The whole line, not a part of it: a malformed recorded matrix is
+    reported as parsing reports it, whichever corner holds it."""
+    trace = write(tmp_path / "t.json", edited(TRACE, path, value))
+    assert main(["replay", "--trace", trace]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_library_key_error_during_replay_is_not_bad_input(tmp_path, monkeypatch):
     def broken(*args):
         raise KeyError("c0")

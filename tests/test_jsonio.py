@@ -146,6 +146,64 @@ def test_replay_rejects_a_b_block_over_other_corners(change):
         replay_trace(doc)
 
 
+def three_variable_trace():
+    """A 3-variable reduction and its trace as read back from JSON: steps
+    with untouched corners, whose morphism is their shared identity."""
+    rep = reduce_problem(
+        ReductionProblem(support_from_rows(("z1", "z2", "z3"), [[2, 1, 0], [0, 2, 1], [1, 0, 3]]))
+    )
+    return rep, json.loads(canonical_dumps(star_to_json(rep.star)))
+
+
+def test_replay_accepts_equal_entries_written_non_canonically():
+    """At every corner of every step, one `"1"` written `"2/2"` and one
+    `"0"` written `"0/3"`: the values are those of the rebuilt matrices,
+    so the trace replays to the same tower."""
+    rep, doc = three_variable_trace()
+    edited = copy.deepcopy(doc)
+    untouched = 0
+    for k, step in enumerate(edited["steps"]):
+        for cid, mat in step["B"].items():
+            cells = [(i, j) for i, row in enumerate(mat["entries"]) for j in range(len(row))]
+            for old, new in (("1", "2/2"), ("0", "0/3")):
+                i, j = next((i, j) for i, j in cells if mat["entries"][i][j] == old)
+                mat["entries"][i][j] = new
+            untouched += cid not in rep.star.steps[k].children
+    assert untouched > 0 and edited != doc
+    assert star_to_json(replay_trace(edited)) == doc
+
+
+def test_replay_rejects_a_changed_identity_at_an_untouched_corner():
+    """An untouched corner's morphism is its shared identity at every step;
+    a recorded diagonal entry of 3/2 there is rejected at its step."""
+    rep, doc = three_variable_trace()
+    k, step = next(
+        (k, step) for k, step in enumerate(rep.star.steps) if k > 0 and set(step.after.corners) - set(step.children)
+    )
+    cid = min(set(step.after.corners) - set(step.children))
+    doc["steps"][k]["B"][cid]["entries"][0][0] = "3/2"
+    with pytest.raises(StructuralError, match=f"step {k}: rebuilt morphism matrices differ"):
+        replay_trace(doc)
+
+
+@pytest.mark.parametrize("change", ["drop a corner", "add a corner", "rename a corner"])
+def test_replay_rejects_other_corner_keys_at_a_later_step(change):
+    """Every recorded matrix is right, but the block's corners are not the
+    step's."""
+    rep, doc = three_variable_trace()
+    k = len(doc["steps"]) - 1
+    block = doc["steps"][k]["B"]
+    some_corner = sorted(block)[0]
+    if change == "drop a corner":
+        del block[some_corner]
+    elif change == "add a corner":
+        block["c9"] = block[some_corner]
+    else:
+        block["c9"] = block.pop(some_corner)
+    with pytest.raises(StructuralError, match=f"step {k}: rebuilt morphism matrices differ"):
+        replay_trace(doc)
+
+
 def test_replay_rejects_weights_that_do_not_transform_by_the_edge_diagonals():
     """Each center weight of a step with two center corners, edited alone,
     is bad input, caught before the blow-up is rebuilt from it."""

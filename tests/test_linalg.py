@@ -20,7 +20,7 @@ from monores import (
     parse_rational,
     vec_apply,
 )
-from monores.linalg import mat_mul_is_identity, vec_apply_equals
+from monores.linalg import mat_mul_is_identity, vec_apply_all_equal
 from helpers import brute_force_minimal, generators_along, sample_towers, tower_manifolds
 
 LABELS = ("E1", "E2")
@@ -286,16 +286,16 @@ def one_entry_changed(draw, vec_):
 
 @given(st.data())
 @settings(max_examples=100)
-def test_vec_apply_equals_agrees_with_the_product(data):
+def test_vec_apply_all_equal_on_one_pair_agrees_with_the_product(data):
     rows, cols = data.draw(label_sets), data.draw(label_sets)
     a = data.draw(sparse_matrices(rows, cols))
     v = ExponentVector({r: data.draw(sparse_values) for r in rows})
     product = vec_apply(v, a)
     for w in (product, one_entry_changed(data.draw, product)):
-        assert vec_apply_equals(v, a, w) == (vec_apply(v, a) == w)
-    assert vec_apply_equals(v, a, product)
+        assert vec_apply_all_equal(a, [(v, w)]) == (vec_apply(v, a) == w)
+    assert vec_apply_all_equal(a, [(v, product)])
     with pytest.raises(StructuralError):
-        vec_apply_equals(ExponentVector({r + "'": 0 for r in rows}), a, product)
+        vec_apply_all_equal(a, [(ExponentVector({r + "'": 0 for r in rows}), product)])
 
 
 @given(st.data())

@@ -118,6 +118,98 @@ def test_oracle_detects_a_wrong_composite(monkeypatch):
     assert numeric_oracle(star, samples=20, seed=1) > 1e-3
 
 
+# -- what is sampled -------------------------------------------------------------
+
+
+def skipped_edges(step):
+    """The edges of `step.after` whose blow-up square the oracle skips: edge
+    objects of `step.before` between two corners the step left untouched."""
+    return [
+        e
+        for e in step.after.edges
+        if any(e is d for d in step.before.edges)
+        and e.p not in step.children
+        and e.q not in step.children
+    ]
+
+
+def test_every_skipped_square_reads_exactly_zero():
+    """Each skipped square, computed as every square is, closes exactly:
+    its two sides are the same float computation on every sample."""
+    rng = random.Random(11)
+    squares = 0
+    for _, star in sample_towers():
+        for step in star.steps:
+            for e in skipped_edges(step):
+                a, b = step.lineage(e.p), step.lineage(e.q)
+                across = float_plan(step.before.change_matrix(a, b))
+                down_p, down_q = float_plan(step.morphism(e.p)), float_plan(step.morphism(e.q))
+                up_across = float_plan(e.matrix)
+                labels = sorted(step.after.corner(e.p).index_set)
+                for _ in range(20):
+                    x_new_p = {lab: math.log(rng.uniform(SAMPLE_LOW, 1.0)) for lab in labels}
+                    x_old_q = apply_plan(across, apply_plan(down_p, x_new_p))
+                    x_old_q2 = apply_plan(down_q, apply_plan(up_across, x_new_p))
+                    assert monores.oracle._rel_err_log(x_old_q, x_old_q2) == 0.0
+                squares += 1
+    assert squares >= 50
+
+
+def with_edge_replaced(star, k, old, new):
+    """Copy the star with edge `old` of step `k`'s `after` replaced by the
+    edge `new`; no check runs on the copy."""
+    step = star.steps[k]
+    m = step.after
+    edges = [new if e is old else e for e in m.edges]
+    steps = list(star.steps)
+    steps[k] = dataclasses.replace(
+        step, after=MonomialManifold(m.dimension, m.components, m.corners.values(), edges)
+    )
+    return Star(star.root, tuple(steps))
+
+
+def test_oracle_detects_a_nudged_copy_of_a_carried_edge():
+    """A carried edge replaced by a new object is sampled again: with its
+    matrix nudged (and its inverse recomputed, so its round trip closes),
+    the blow-up square through it breaks."""
+    caught = 0
+    for _, star in sample_towers():
+        for k, step in enumerate(star.steps):
+            carried = skipped_edges(step)
+            if not carried:
+                continue
+            e = carried[0]
+            ell = min(e.shared)
+            bad = with_edge_replaced(star, k, e, Edge(e.p, e.q, nudged(e.matrix, ell, ell)))
+            assert numeric_oracle(bad, samples=5, seed=0) > 1e-3
+            caught += 1
+    assert caught >= 10
+
+
+def test_each_distinct_edge_object_gets_one_round_trip(monkeypatch):
+    """Counted with the squares and composites stubbed out, so every
+    sample drawn is a round trip's."""
+    drawn = []
+    sample = monores.oracle._sample_log_point
+
+    def counted(labels, rng):
+        drawn.append(labels)
+        return sample(labels, rng)
+
+    monkeypatch.setattr(monores.oracle, "_sample_log_point", counted)
+    monkeypatch.setattr(monores.oracle, "_blowup_squares", lambda *args: 0.0)
+    monkeypatch.setattr(monores.oracle, "_composite_checks", lambda *args: 0.0)
+    repeated = 0
+    for _, star in sample_towers():
+        manifolds = [star.root] + [s.after for s in star.steps]
+        distinct = {id(e): e for m in manifolds for e in m.edges}
+        repeated += sum(len(m.edges) for m in manifolds) - len(distinct)
+        drawn.clear()
+        numeric_oracle(star, samples=3, seed=0)
+        assert len(drawn) == 3 * len(distinct)
+    assert repeated > 0
+
+
 # -- the same checks on the same samples ---------------------------------------
 
 
@@ -136,7 +228,14 @@ def reference_map_log(matrix, log_point):
 
 def reference_oracle(star, samples, seed):
     """The oracle's checks written as plain loops over the samples, every
-    matrix converted to floats again for every sample."""
+    matrix converted to floats again for every sample.
+
+    What is sampled: each distinct edge object's round trip once, in
+    order of first appearance over the root and each step's `after`; and
+    the blow-up square of every edge of `step.after` except one that is
+    an edge object of `step.before` with both ends untouched, whose two
+    sides are the same float computation
+    (`test_every_skipped_square_reads_exactly_zero`)."""
     rng = random.Random(seed)
 
     def point(labels):
@@ -150,14 +249,21 @@ def reference_oracle(star, samples, seed):
         return worst
 
     worst = 0.0
+    seen = []
     for m in [star.root] + [s.after for s in star.steps]:
         for e in m.edges:
+            if any(e is x for x in seen):
+                continue
+            seen.append(e)
             for _ in range(samples):
                 x_p = point(m.corner(e.p).index_set)
                 back = reference_map_log(e.inverse, reference_map_log(e.matrix, x_p))
                 worst = max(worst, rel_err(x_p, back))
     for step in star.steps:
         for e in step.after.edges:
+            carried = any(e is d for d in step.before.edges)
+            if carried and e.p not in step.children and e.q not in step.children:
+                continue
             a, b = step.lineage(e.p), step.lineage(e.q)
             across = None if a == b else step.before.change_matrix(a, b)
             for _ in range(samples):
