@@ -19,10 +19,10 @@ conjugation is one column step and one row step, and the lifted edge's
 inverse is the same two steps, roles swapped, on the old inverse; no
 general product or inversion runs, and no `B` is built.  Each step then
 proves what it built, not the whole manifold: `BlowupStep.violations`
-checks the children and the new edges (exact inverses and the
-conjugation identity included, and that they are exactly the lifts of
-the edges at the center), which makes `after` valid whenever `before`
-is.  A tower is therefore proven by induction from a root that
+checks the children and each new edge against the edge it lifts
+(conjugation identity included), and reads the connectivity of the label
+sets through `E` off those lifts, which makes `after` valid whenever
+`before` is.  A tower is therefore proven by induction from a root that
 `MonomialManifold.validate` checked in full, as `replay_trace` does; the
 sampling oracle checks it numerically.
 
@@ -193,31 +193,36 @@ class BlowupStep:
         returns the violations, empty if `after` is valid given that
         `before` is.
 
-        Checked, from `children` and `new_edges` only (the edges downstairs
-        are read through the adjacency lists of `before`):
+        Checked, from `children`, `new_edges` and the edges at the center:
         - each child's index set (size, labels, the parent's with `removed`
           replaced by `new_label`), unique among the children;
         - each new edge: every check `MonomialManifold.validate` makes of
           one edge (shared-set size, label sets, triangular form, positive
-          diagonal, exact inverse), and the conjugation identity
-          `B_q·M' == M·B_p`, where `M` is the edge downstairs that it lifts
-          (the identity for the split edge between two siblings);
-        - the new edges are exactly the lifts (`_lift_violations`): one
-          per edge downstairs with one blown end, two per edge with both
-          ends blown, and one split edge per blown corner;
-        - connectivity of every label set through `new_label`.
+          diagonal, exact inverse);
+        - the new edges are exactly the lifts (`_lifts`): one per edge
+          downstairs with one blown end, two per edge with both ends
+          blown, one split edge per blown corner, and nothing else;
+        - the conjugation identity `B_q·M' == M·B_p` of each new edge with
+          the matrix `M` it lifts (the identity for a split edge).
 
         Why that suffices when `before` is valid.  Untouched corners and
         the edges between them are the objects of `before`, already
-        proven.  Only children hold `new_label`, so index sets can collide
-        only among children, and a label set through `new_label` is held
-        by children alone, joined by edges between children.  The
-        conjugation identity maps a closed walk upstairs to a closed walk
-        downstairs in which split edges are stays, so the walk's product
-        is `B⁻¹·(a closed product downstairs)·B`, the identity.  Every
-        edge downstairs lifts, and split edges join siblings, so the
-        corner graph and every label set without `new_label` stay
-        connected, and every label stays on some corner.
+        proven.  Only children hold `new_label` `E`, so index sets can
+        collide only among children.  The conjugation identity maps a
+        closed walk upstairs to a closed walk downstairs in which split
+        edges are stays, so the walk's product is `B⁻¹·(a closed product
+        downstairs)·B`, the identity.  Every edge downstairs lifts, and
+        split edges join siblings, so the corner graph and every label set
+        without `E` stay connected, and every label stays on some corner.
+        The lifts connect each set `J ∪ {E}` too, so none is enumerated
+        (center `{i, j}`; child `x.j` of `x` drops `j`):
+        - if `J` holds `i` but not `j` (or the reverse), its holders are
+          the `x.j` over the holders `x` of `J ∪ {i, j}`, connected in
+          `before`, and each edge `x–y` there lifts to `x.j–y.j`, which
+          shares `J ∪ {E}`;
+        - if `J` holds neither, both children of each such `x` hold it,
+          the split edge joins them, and `x–y` lifts to `x.i–y.i`;
+        - if `J` holds both, no corner holds it.
         """
         after, new = self.after, self.new_label
         children = [after.corner(cid) for cid in self.children]
@@ -227,55 +232,46 @@ class BlowupStep:
             if child.index_set != (chart.parent.index_set - {chart.removed}) | {new}:
                 bad.append(f"corner {child.id}: index set does not match its child chart")
         bad.extend(after._edge_violations(self.new_edges))
-        bad.extend(self._lift_violations())
+        lifts = self._lifts()
+        built = {e.key() for e in self.new_edges}
+        bad.extend(f"{tag} is missing" for key, (tag, _) in lifts.items() if key not in built)
+        bad.extend(
+            f"edge {p}->{q}: lifts no edge at the center" for p, q in sorted(built - lifts.keys())
+        )
         if bad:
             return bad
-        before = self.before
         for e in self.new_edges:
-            p0, q0 = self.lineage(e.p), self.lineage(e.q)
-            if p0 == q0:
-                images = [before.corner(p0).identity]
-            else:
-                images = [d.matrix for d in before.edges_among((p0, q0)) if d.key() == (p0, q0)]
             at_p, at_q = self.children.get(e.p), self.children.get(e.q)
-            if not images:
-                bad.append(f"edge {e.p}->{e.q}: lifts no edge {p0}->{q0}")
-            elif not any(_conjugation_holds(e.matrix, m, at_p, at_q) for m in images):
+            if not _conjugation_holds(e.matrix, lifts[e.key()][1], at_p, at_q):
                 bad.append(f"edge {e.p}->{e.q}: B_q·M' differs from M·B_p downstairs")
-        through_new = {j for j in after._label_sets(children) if new in j}
-        bad.extend(after._connectivity_violations(through_new))
         return bad
 
-    def _lift_violations(self) -> list[str]:
-        """The keys of `new_edges` against the lifts expected from the
-        edges of `before` at the blown corners (its adjacency lists) and
-        `children`: an edge with one blown end lifts once, at the child
-        that drops the center label off the edge; an edge with both ends
+    def _lifts(self) -> dict[tuple[str | None, str | None], tuple[str, ExponentMatrix]]:
+        """Every edge the step must build, by key, with a tag naming it and
+        the matrix downstairs it lifts, from the adjacency lists of `before`
+        at the blown corners: an edge with one blown end lifts once, at the
+        child that drops the center label off the edge; one with both ends
         blown lifts twice, between the children that drop the same label;
-        and each blown corner has its split edge between its two children.
-        O(edges at the center)."""
+        a blown corner's identity lifts to the split edge between its two
+        children.  O(edges at the center)."""
         kid = {(chart.parent.id, chart.removed): cid for cid, chart in self.children.items()}
         blown = {p for p, _ in kid}
         pair = sorted(self.center_pair)
-        expected: dict[tuple[str | None, str | None], str] = {}
+        lifts: dict[tuple[str | None, str | None], tuple[str, ExponentMatrix]] = {}
         for b in sorted(blown):
-            expected[tuple(kid.get((b, r)) for r in pair)] = f"the split edge of corner {b}"
+            split = (f"the split edge of corner {b}", self.before.corner(b).identity)
+            lifts[tuple(kid.get((b, r)) for r in pair)] = split
             for nxt, e, forward in self.before._adjacency[b]:
-                tag = f"the lift of edge {e.p}->{e.q}"
+                lift = (f"the lift of edge {e.p}->{e.q}", e.matrix)
                 if nxt in blown:
                     if forward:
                         for r in pair:
-                            expected[(kid.get((e.p, r)), kid.get((e.q, r)))] = tag
+                            lifts[(kid.get((e.p, r)), kid.get((e.q, r)))] = lift
                     continue
                 off = self.center_pair - e.shared
                 r = next(iter(off)) if len(off) == 1 else None
-                expected[(kid.get((b, r)), nxt) if forward else (nxt, kid.get((b, r)))] = tag
-        built = {e.key() for e in self.new_edges}
-        bad = [f"{tag} is missing" for key, tag in expected.items() if key not in built]
-        bad.extend(
-            f"edge {p}->{q}: lifts no edge at the center" for p, q in sorted(built - expected.keys())
-        )
-        return bad
+                lifts[(kid.get((b, r)), nxt) if forward else (nxt, kid.get((b, r)))] = lift
+        return lifts
 
 
 @dataclass(frozen=True)

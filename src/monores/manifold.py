@@ -275,16 +275,16 @@ class MonomialManifold:
                 out.setdefault(frozenset(pair), cid)
         return out
 
-    def _label_sets(self, corners: Iterable[Corner]) -> set[frozenset[str]]:
-        """Every label set of size 1 to n-1 realized at the given corners
-        whose labels each lie on at least two corners.  A full-size set is
+    def _label_sets(self) -> set[frozenset[str]]:
+        """Every label set of size 1 to n-1 realized at a corner whose
+        labels each lie on at least two corners.  A full-size set is
         a single corner, by the uniqueness check, and a set with a label
         that only one corner holds has at most one holder, so neither can
         be disconnected and neither is enumerated."""
         shared = {lab for lab, ids in self._holders.items() if len(ids) > 1}
         return {
             frozenset(labels)
-            for c in corners
+            for c in self.corners.values()
             for size in range(1, self.dimension)
             for labels in combinations(sorted(c.index_set & shared), size)
         }
@@ -301,7 +301,7 @@ class MonomialManifold:
         if bad:
             return bad
         bad.extend(self._cycle_violations())
-        bad.extend(self._connectivity_violations(self._label_sets(self.corners.values())))
+        bad.extend(self._connectivity_violations(self._label_sets()))
         return bad
 
     def _corner_violations(self, corners: Iterable[Corner]) -> list[str]:

@@ -16,7 +16,8 @@ tower built, not every manifold in full:
 - the blow-up square of every edge of `step.after`, except an edge
   object of `step.before` whose ends the step left untouched, whose two
   sides are the same float computation (`x·I·M` against `x·M·I`);
-- the composite against the stepwise pullback at every end corner.
+- the composite against the stepwise pullback at every end corner, over
+  the steps that made it or an ancestor (an identity is a float no-op).
 
 Monomial maps are evaluated through exp/log of positive floats.  The
 checks themselves stay in log coordinates, where the maps are linear, so
@@ -161,8 +162,10 @@ def _composite_checks(star: Star, rng: random.Random, samples: int, plan_of: Pla
         composite = plan_of(compose_star(star, cid))
         chain, cur = [], cid
         for step in reversed(star.steps):
-            chain.append(plan_of(step.morphism(cur)))
-            cur = step.lineage(cur)
+            chart = step.children.get(cur)
+            if chart is not None:
+                chain.append(plan_of(chart.matrix))
+                cur = chart.parent.id
         labels = sorted(star.end.corner(cid).index_set)
         for _ in range(samples):
             x_top = _sample_log_point(labels, rng)

@@ -28,6 +28,7 @@ from monores import (
     ExponentVector,
     LocalStandardization,
     MonomialManifold,
+    ReductionProblem,
     blow_up,
     extend,
     make_corner,
@@ -36,6 +37,7 @@ from monores import (
     pull_back_generators,
     pull_back_mfunction,
     reduce_problem,
+    support_from_rows,
     vec_apply,
 )
 from monores.blowup import BlowupStep, ChildChart
@@ -308,27 +310,42 @@ def test_the_sweep_forms_no_product_to_compare(monkeypatch):
         assert rep.corners == report.corners
 
 
+def two_point_problem(n):
+    """The one-step support `[2, 1, 1, …]`, `[0, 2, 1, …]` over `n` variables."""
+    labels = [f"z{i}" for i in range(1, n + 1)]
+    rows = [[2, 1] + [1] * (n - 2), [0, 2] + [1] * (n - 2)]
+    return ReductionProblem(support_from_rows(labels, rows))
+
+
 def test_the_sweep_never_validates_in_full(monkeypatch):
     """Once the seed ideal is built, a step checks only what it built: no
-    `MonomialManifold.validate` and no full `MFunction` check runs."""
+    `MonomialManifold.validate`, no full `MFunction` check and no
+    enumeration of label sets (`_label_sets`, `_connectivity_violations`)
+    runs.  A 20-variable step would enumerate 2^19 sets through its new
+    label."""
     build = monores.reduction.build_ideal_from_support
 
     def forbidden(*args, **kwargs):
         raise AssertionError("the sweep re-checked a whole manifold")
 
-    towers = [report for report in shared_reports() if report.age > 0]
+    wide = two_point_problem(20)
+    towers = [(report.problem, report) for report in shared_reports() if report.age > 0]
     assert towers
-    for report in towers:
+    towers.append((wide, reduce_problem(wide)))
+    assert towers[-1][1].age == 1
+    for problem, report in towers:
         with monkeypatch.context() as mp:
 
             def seed_then_forbid(*args):
                 ideal = build(*args)
                 mp.setattr(MonomialManifold, "validate", forbidden)
+                mp.setattr(MonomialManifold, "_label_sets", forbidden)
+                mp.setattr(MonomialManifold, "_connectivity_violations", forbidden)
                 mp.setattr(MFunction, "__init__", forbidden)
                 return ideal
 
             mp.setattr(monores.reduction, "build_ideal_from_support", seed_then_forbid)
-            rep = reduce_problem(report.problem)
+            rep = reduce_problem(problem)
         assert rep.age == report.age
         assert rep.corners == report.corners
 
@@ -407,6 +424,38 @@ def test_local_certificate_requires_every_lift():
             both = e.p in step.children and e.q in step.children
             kinds["child-child" if both else "child-untouched"] += 1
     assert kinds["child-untouched"] > 30 and kinds["child-child"] > 50
+
+
+def enumerated_connectivity(step):
+    """The connectivity check the step certificate made before its lifts
+    were known to imply it: every label set through the new label that
+    two or more corners hold, enumerated and walked."""
+    through_new = {j for j in step.after._label_sets() if step.new_label in j}
+    return step.after._connectivity_violations(through_new)
+
+
+def test_the_label_set_enumeration_never_finds_what_the_certificate_passes():
+    """The enumeration as an oracle for the certificate, which no longer
+    runs it: on every step and on each corruption the tests above make (a
+    dropped new edge, `edge_corruptions`, `corrupted`), it finds nothing
+    wherever the certificate passes."""
+    steps = all_steps()
+    passed = fired = 0
+    for step in steps:
+        variants = [step]
+        for e in step.new_edges:
+            dropped = with_edges(step.after, [x for x in step.after.edges if x is not e])
+            variants.append(dataclasses.replace(step, after=dropped))
+            variants.extend(with_new_edge(step, e, bad) for bad in edge_corruptions(e))
+            variants.append(with_new_edge(step, e, corrupted(e)))
+        for variant in variants:
+            found = enumerated_connectivity(variant)
+            if not variant.violations():
+                assert found == []
+                passed += 1
+            fired += bool(found)
+    assert passed >= len(steps) > 20
+    assert fired > 50, "the oracle must fire on some corruption the certificate catches"
 
 
 def test_new_edges_equal_a_scan_of_every_edge():
