@@ -8,11 +8,12 @@ corners, diagonal weight functions, codimension-two centers) is derived
 from that data, and `validate` checks the structural constraints that
 make the derivations consistent: triangular edge matrices, exact mutual
 inverses, identity products around cycles, and connectivity of every
-realized boundary intersection.  A blow-up re-runs the per-corner and
-per-edge checks only on what it built (`BlowupStep.violations`).  The
-corner graph is searched by one breadth-first walk,
-`MonomialManifold._walk`: every derivation carries its value forward
-along it, hop by hop from its start corner, and every check folds it.
+boundary intersection, walked on the labels each two corners share.  A
+blow-up re-runs the per-corner and per-edge checks only on what it built
+(`BlowupStep.violations`).  The corner graph is searched by one
+breadth-first walk, `MonomialManifold._walk`: every derivation carries
+its value forward along it, hop by hop from its start corner, and every
+check folds it.
 """
 
 from __future__ import annotations
@@ -276,17 +277,16 @@ class MonomialManifold:
         return out
 
     def _label_sets(self) -> set[frozenset[str]]:
-        """Every label set of size 1 to n-1 realized at a corner whose
-        labels each lie on at least two corners.  A full-size set is
-        a single corner, by the uniqueness check, and a set with a label
-        that only one corner holds has at most one holder, so neither can
-        be disconnected and neither is enumerated."""
-        shared = {lab for lab, ids in self._holders.items() if len(ids) > 1}
+        """The distinct `I_p ∩ I_q` of every two corners that share a label,
+        off the label index.  E_J is connected for every nonempty J exactly
+        when each such p, q are joined inside E_{I_p ∩ I_q}: a path there
+        stays inside E_J for every J ⊆ I_p ∩ I_q, and two holders of J
+        share J.  The empty J is the corner graph, walked by the cycle
+        check."""
         return {
-            frozenset(labels)
-            for c in self.corners.values()
-            for size in range(1, self.dimension)
-            for labels in combinations(sorted(c.index_set & shared), size)
+            self.corners[p].index_set & self.corners[q].index_set
+            for ids in self._holders.values()
+            for p, q in combinations(ids, 2)
         }
 
     # -- validation -------------------------------------------------------

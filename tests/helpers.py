@@ -6,6 +6,7 @@ import functools
 import json
 import random
 from fractions import Fraction
+from itertools import combinations
 
 from monores import (
     BudgetExceededError,
@@ -124,6 +125,28 @@ def generators_along(problem, star):
     for step in star.steps:
         out.append([pull_back_mfunction(g, step) for g in out[-1]])
     return out
+
+
+def enumerated_label_sets(m):
+    """The connectivity family `MonomialManifold.validate` once walked: every
+    label set of size 1 to n-1 realized at a corner whose labels each lie
+    on at least two corners, ~2^(n-1) sets once two corners share n-1
+    labels.  An oracle for the pairwise family `_label_sets`, which is a
+    subset of it."""
+    shared = {lab for lab, ids in m._holders.items() if len(ids) > 1}
+    return {
+        frozenset(labels)
+        for c in m.corners.values()
+        for size in range(1, m.dimension)
+        for labels in combinations(sorted(c.index_set & shared), size)
+    }
+
+
+def two_point_problem(n):
+    """The one-step support `[2, 1, 1, …]`, `[0, 2, 1, …]` over `n` variables."""
+    labels = [f"z{i}" for i in range(1, n + 1)]
+    rows = [[2, 1] + [1] * (n - 2), [0, 2] + [1] * (n - 2)]
+    return ReductionProblem(support_from_rows(labels, rows))
 
 
 def dotted_id_manifold():

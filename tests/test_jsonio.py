@@ -30,6 +30,7 @@ from monores.jsonio import (
     vector_from_json,
     vector_to_json,
 )
+from helpers import two_point_problem
 
 F = Fraction
 
@@ -112,6 +113,20 @@ def test_trace_replay_round_trip():
         c.index_set for c in orig.corners.values()
     }
     assert end.validate() == []
+
+
+@pytest.mark.parametrize("n", [20, 32])
+def test_a_wide_one_step_trace_replays_and_validates(n):
+    """The two children of the one step share n-1 labels, so validating
+    by every label set they share would walk 2^(n-1) - 1 sets; the
+    pairwise family walks one, and replay validates the root and the end
+    in full."""
+    rep = reduce_problem(two_point_problem(n))
+    assert rep.age == 1
+    star = replay_trace(json.loads(canonical_dumps(report_to_json(rep))))
+    end = star.end
+    assert end.validate() == []
+    assert len(end._label_sets()) == 1
 
 
 def test_trace_version_is_enforced():

@@ -236,24 +236,19 @@ def test_validate_catches_disconnected_component_set():
 
 
 def test_label_sets_are_the_sets_of_shared_labels():
-    """Only sets of labels that two or more corners hold are enumerated:
-    none on a single corner, whatever its dimension, and on two corners
-    exactly the nonempty sets of the labels they share."""
+    """The connectivity family is the intersections of every two corners
+    that share a label: none on a single corner, whatever its dimension,
+    and on two sibling children the labels they share."""
     corner = make_corner([f"z{i}" for i in range(16)])
     assert corner._label_sets() == set()
     m0 = make_corner(["E1", "E2", "E3"])
     m = blow_up(m0, frozenset({"E1", "E2"}), uniform_family(m0)).after
-    assert m._label_sets() == {
-        frozenset({"E3"}), frozenset({"E∞1"}), frozenset({"E3", "E∞1"})
-    }
+    assert m._label_sets() == {frozenset({"E3", "E∞1"})}
     for m in tower_manifolds():
-        held_twice = {lab for lab in m.components if len(m.corners_with([lab])) > 1}
         assert m._label_sets() == {
-            frozenset(s)
-            for c in m.corners.values()
-            for size in range(1, m.dimension)
-            for s in combinations(sorted(c.index_set), size)
-            if set(s) <= held_twice
+            p.index_set & q.index_set
+            for p, q in combinations(m.corners.values(), 2)
+            if p.index_set & q.index_set
         }
 
 

@@ -28,7 +28,6 @@ from monores import (
     ExponentVector,
     LocalStandardization,
     MonomialManifold,
-    ReductionProblem,
     blow_up,
     extend,
     make_corner,
@@ -37,14 +36,20 @@ from monores import (
     pull_back_generators,
     pull_back_mfunction,
     reduce_problem,
-    support_from_rows,
     vec_apply,
 )
 from monores.blowup import BlowupStep, ChildChart
 from monores.errors import AlgorithmInvariantViolation, MonoresError
 from monores.ideals import MFunction
 from monores.supports import minimal_support
-from helpers import generators_along, sample_towers, shared_reports, tower_manifolds
+from helpers import (
+    enumerated_label_sets,
+    generators_along,
+    sample_towers,
+    shared_reports,
+    tower_manifolds,
+    two_point_problem,
+)
 
 
 def reference_cycle_violations(m):
@@ -310,19 +315,11 @@ def test_the_sweep_forms_no_product_to_compare(monkeypatch):
         assert rep.corners == report.corners
 
 
-def two_point_problem(n):
-    """The one-step support `[2, 1, 1, …]`, `[0, 2, 1, …]` over `n` variables."""
-    labels = [f"z{i}" for i in range(1, n + 1)]
-    rows = [[2, 1] + [1] * (n - 2), [0, 2] + [1] * (n - 2)]
-    return ReductionProblem(support_from_rows(labels, rows))
-
-
 def test_the_sweep_never_validates_in_full(monkeypatch):
     """Once the seed ideal is built, a step checks only what it built: no
     `MonomialManifold.validate`, no full `MFunction` check and no
-    enumeration of label sets (`_label_sets`, `_connectivity_violations`)
-    runs.  A 20-variable step would enumerate 2^19 sets through its new
-    label."""
+    connectivity family (`_label_sets`, `_connectivity_violations`) runs.
+    A 20-variable step once enumerated 2^19 sets through its new label."""
     build = monores.reduction.build_ideal_from_support
 
     def forbidden(*args, **kwargs):
@@ -430,25 +427,28 @@ def enumerated_connectivity(step):
     """The connectivity check the step certificate made before its lifts
     were known to imply it: every label set through the new label that
     two or more corners hold, enumerated and walked."""
-    through_new = {j for j in step.after._label_sets() if step.new_label in j}
+    through_new = {j for j in enumerated_label_sets(step.after) if step.new_label in j}
     return step.after._connectivity_violations(through_new)
+
+
+def corrupted_steps(step):
+    """Each corruption the tests above make of a step's new edges: a
+    dropped new edge, `edge_corruptions` and `corrupted`."""
+    for e in step.new_edges:
+        dropped = with_edges(step.after, [x for x in step.after.edges if x is not e])
+        yield dataclasses.replace(step, after=dropped)
+        yield from (with_new_edge(step, e, bad) for bad in edge_corruptions(e))
+        yield with_new_edge(step, e, corrupted(e))
 
 
 def test_the_label_set_enumeration_never_finds_what_the_certificate_passes():
     """The enumeration as an oracle for the certificate, which no longer
-    runs it: on every step and on each corruption the tests above make (a
-    dropped new edge, `edge_corruptions`, `corrupted`), it finds nothing
-    wherever the certificate passes."""
+    runs it: on every step and on each of its `corrupted_steps`, it finds
+    nothing wherever the certificate passes."""
     steps = all_steps()
     passed = fired = 0
     for step in steps:
-        variants = [step]
-        for e in step.new_edges:
-            dropped = with_edges(step.after, [x for x in step.after.edges if x is not e])
-            variants.append(dataclasses.replace(step, after=dropped))
-            variants.extend(with_new_edge(step, e, bad) for bad in edge_corruptions(e))
-            variants.append(with_new_edge(step, e, corrupted(e)))
-        for variant in variants:
+        for variant in [step, *corrupted_steps(step)]:
             found = enumerated_connectivity(variant)
             if not variant.violations():
                 assert found == []
@@ -456,6 +456,28 @@ def test_the_label_set_enumeration_never_finds_what_the_certificate_passes():
             fired += bool(found)
     assert passed >= len(steps) > 20
     assert fired > 50, "the oracle must fire on some corruption the certificate catches"
+
+
+def test_pairwise_label_sets_give_the_enumeration_s_verdict():
+    """`_label_sets` (the intersections of every two corners that share a
+    label) against the enumeration it replaced in full `validate`: a
+    subset of it, with the same connectivity verdict on every manifold of
+    `tower_manifolds()`, on each of them with one edge cut, and after
+    every `corrupted_steps` variant of every step."""
+    towers = tower_manifolds()
+    cuts = [with_edges(m, [x for x in m.edges if x is not e]) for m in towers for e in m.edges]
+    variants = [variant.after for step in all_steps() for variant in corrupted_steps(step)]
+    disconnected = 0
+    for m in towers + cuts + variants:
+        family, oracle = m._label_sets(), enumerated_label_sets(m)
+        assert family <= oracle
+        found = m._connectivity_violations(family)
+        enumerated = m._connectivity_violations(oracle)
+        assert bool(found) == bool(enumerated) and set(found) <= set(enumerated)
+        disconnected += bool(found)
+    assert sum(len(m._label_sets()) for m in towers) == 248
+    assert sum(len(enumerated_label_sets(m)) for m in towers) == 479
+    assert disconnected > 100, "the cuts must disconnect some intersections"
 
 
 def test_new_edges_equal_a_scan_of_every_edge():
