@@ -63,6 +63,11 @@ def main():
     ap.add_argument("--oracle-samples", type=int, default=0,
                     help="per-tower oracle samples (0 disables the float check)")
     args = ap.parse_args()
+    for flag, value in (
+        ("--count", args.count), ("--max-vars", args.max_vars), ("--max-points", args.max_points)
+    ):
+        if value < 1:
+            ap.error(f"{flag} must be at least 1")
     if args.oracle_samples < 0:
         ap.error("--oracle-samples must be nonnegative")
 

@@ -17,14 +17,19 @@ Edge matrices upstairs are the old ones conjugated by the morphisms,
 `B_q⁻¹·M·B_p`.  Because each `B` is the identity plus one column, the
 conjugation is one column step and one row step, and the lifted edge's
 inverse is the same two steps, roles swapped, on the old inverse; no
-general product or inversion runs, and no `B` is built.  Each step then
-proves what it built, not the whole manifold: `BlowupStep.violations`
-checks the children and each new edge against the edge it lifts
-(conjugation identity included), and reads the connectivity of the label
-sets through `E` off those lifts, which makes `after` valid whenever
-`before` is.  A tower is therefore proven by induction from a root that
-`MonomialManifold.validate` checked in full, as `replay_trace` does; the
-sampling oracle checks it numerically.
+general product or inversion runs, and no `B` is built.
+
+One table defines the lifts (`_lift_table`): every edge the step must
+build, with the edge downstairs it lifts, read off the edges at the
+center.  `apply_center` builds the new edges from it, and
+`BlowupStep.violations` checks `after` against it: the edges `after`
+holds at the children must be exactly the table's, each with the checks
+`validate` makes of one edge and the conjugation identity with the edge
+it lifts.  The connectivity of the label sets through `E` is read off
+those lifts, which makes `after` valid whenever `before` is.  Each step
+so proves what it built, not the whole manifold, and a tower is proven
+by induction from a root that `MonomialManifold.validate` checked in
+full, as `replay_trace` does; the sampling oracle checks it numerically.
 
 A `Star` is the append-only record of a finite sequence of such blow-ups.
 """
@@ -134,6 +139,44 @@ def _conjugation_holds(
     return left == right
 
 
+def _lift_table(
+    m: MonomialManifold, pair: frozenset[str], children: Mapping[str, ChildChart]
+) -> dict[tuple[str, str], tuple[str, ExponentMatrix, ExponentMatrix]]:
+    """The blow-up's lift rule: every edge the step at `pair` must build,
+    by key, with a tag naming it, the matrix downstairs it lifts and that
+    matrix's inverse, from the adjacency lists of `m` at the blown corners
+    (the parents in `children`).  An edge with one blown end lifts once,
+    at the child that drops the center label off the edge; one with both
+    ends blown lifts twice, between the children that drop the same
+    label; a blown corner's identity lifts to the split edge between its
+    two children.  O(edges at the center).  An edge with one blown end
+    and not exactly one center label off it raises
+    AlgorithmInvariantViolation: `m` is not a valid manifold."""
+    kid = {(chart.parent.id, chart.removed): cid for cid, chart in children.items()}
+    blown = {p for p, _ in kid}
+    lo, hi = sorted(pair)
+    table: dict[tuple[str, str], tuple[str, ExponentMatrix, ExponentMatrix]] = {}
+    for b in sorted(blown):
+        identity = m.corner(b).identity
+        table[(kid[(b, lo)], kid[(b, hi)])] = (f"the split edge of corner {b}", identity, identity)
+        for nxt, e, forward in m._adjacency[b]:
+            if nxt in blown:
+                if not forward:
+                    continue
+                keys = [(kid[(e.p, r)], kid[(e.q, r)]) for r in (lo, hi)]
+            else:
+                off = pair - e.shared
+                if len(off) != 1:
+                    raise AlgorithmInvariantViolation(
+                        f"edge {e.p}->{e.q}: expected exactly one center label off the edge"
+                    )
+                (r,) = off
+                keys = [(kid[(b, r)], nxt) if forward else (nxt, kid[(b, r)])]
+            lift = (f"the lift of edge {e.p}->{e.q}", e.matrix, e.inverse)
+            table.update(dict.fromkeys(keys, lift))
+    return table
+
+
 @dataclass(frozen=True)
 class BlowupStep:
     """One blow-up: what was blown up, and what it changed.
@@ -199,7 +242,7 @@ class BlowupStep:
         - each new edge: every check `MonomialManifold.validate` makes of
           one edge (shared-set size, label sets, triangular form, positive
           diagonal, exact inverse);
-        - the new edges are exactly the lifts (`_lifts`): one per edge
+        - the new edges are exactly the lifts (`_lift_table`): one per edge
           downstairs with one blown end, two per edge with both ends
           blown, one split edge per blown corner, and nothing else;
         - the conjugation identity `B_q·M' == M·B_p` of each new edge with
@@ -232,9 +275,9 @@ class BlowupStep:
             if child.index_set != (chart.parent.index_set - {chart.removed}) | {new}:
                 bad.append(f"corner {child.id}: index set does not match its child chart")
         bad.extend(after._edge_violations(self.new_edges))
-        lifts = self._lifts()
+        lifts = _lift_table(self.before, self.center_pair, self.children)
         built = {e.key() for e in self.new_edges}
-        bad.extend(f"{tag} is missing" for key, (tag, _) in lifts.items() if key not in built)
+        bad.extend(f"{tag} is missing" for key, (tag, *_) in lifts.items() if key not in built)
         bad.extend(
             f"edge {p}->{q}: lifts no edge at the center" for p, q in sorted(built - lifts.keys())
         )
@@ -245,33 +288,6 @@ class BlowupStep:
             if not _conjugation_holds(e.matrix, lifts[e.key()][1], at_p, at_q):
                 bad.append(f"edge {e.p}->{e.q}: B_q·M' differs from M·B_p downstairs")
         return bad
-
-    def _lifts(self) -> dict[tuple[str | None, str | None], tuple[str, ExponentMatrix]]:
-        """Every edge the step must build, by key, with a tag naming it and
-        the matrix downstairs it lifts, from the adjacency lists of `before`
-        at the blown corners: an edge with one blown end lifts once, at the
-        child that drops the center label off the edge; one with both ends
-        blown lifts twice, between the children that drop the same label;
-        a blown corner's identity lifts to the split edge between its two
-        children.  O(edges at the center)."""
-        kid = {(chart.parent.id, chart.removed): cid for cid, chart in self.children.items()}
-        blown = {p for p, _ in kid}
-        pair = sorted(self.center_pair)
-        lifts: dict[tuple[str | None, str | None], tuple[str, ExponentMatrix]] = {}
-        for b in sorted(blown):
-            split = (f"the split edge of corner {b}", self.before.corner(b).identity)
-            lifts[tuple(kid.get((b, r)) for r in pair)] = split
-            for nxt, e, forward in self.before._adjacency[b]:
-                lift = (f"the lift of edge {e.p}->{e.q}", e.matrix)
-                if nxt in blown:
-                    if forward:
-                        for r in pair:
-                            lifts[(kid.get((e.p, r)), kid.get((e.q, r)))] = lift
-                    continue
-                off = self.center_pair - e.shared
-                r = next(iter(off)) if len(off) == 1 else None
-                lifts[(kid.get((b, r)), nxt) if forward else (nxt, kid.get((b, r)))] = lift
-        return lifts
 
 
 @dataclass(frozen=True)
@@ -334,12 +350,15 @@ def apply_center(
     of a corner the step leaves untouched, or is made twice, still raises
     AlgorithmInvariantViolation; the id of a blown corner is free again.
     The sweep calls this with `adapted_weights`; `blow_up` is the entry
-    point for a whole weight family.  Edges are lifted by `_conjugate`
-    with their inverses alongside, so no matrix is inverted here.  The result passes the
-    step's local certificate (`BlowupStep.violations`), or
-    AlgorithmInvariantViolation is raised; that proves it valid when `m`
-    is, so `m` must be a validated manifold, as every manifold the
-    library builds or replays is.
+    point for a whole weight family.  Edges with no blown end are carried
+    over as they are; every other edge is built from the lift table
+    (`_lift_table`), the one statement of which edges a step builds, by
+    `_conjugate` with its inverse alongside, so no matrix is inverted
+    here.  The result passes the step's local certificate
+    (`BlowupStep.violations`), which checks `after` against the same
+    table, or AlgorithmInvariantViolation is raised; that proves it valid
+    when `m` is, so `m` must be a validated manifold, as every manifold
+    the library builds or replays is.
     """
     pair = frozenset(pair)
     if len(pair) != 2:
@@ -362,9 +381,6 @@ def apply_center(
     corners: dict[str, Corner] = {}
     children: dict[str, ChildChart] = {}
 
-    def child_id(parent: str, removed: str) -> str:
-        return f"{parent}.{_escaped(removed)}"
-
     for cid, corner in m.corners.items():
         if cid not in blown:
             corners[cid] = corner
@@ -372,7 +388,7 @@ def apply_center(
         alpha = alpha_at_center[cid]
         for removed in sorted(pair):
             (other,) = pair - {removed}
-            nid = child_id(cid, removed)
+            nid = f"{cid}.{_escaped(removed)}"
             if nid in children or (nid in m.corners and nid not in blown):
                 raise AlgorithmInvariantViolation(
                     f"child corner id {nid!r} of {cid!r} is already in use"
@@ -382,35 +398,10 @@ def apply_center(
             )
             corners[nid] = Corner(nid, (corner.index_set - {removed}) | {new_label})
 
-    def lifted_edge(old: ExponentMatrix, inverse: ExponentMatrix, new_p: str, new_q: str) -> Edge:
-        """`B_q⁻¹·old·B_p` from `new_p` to `new_q`, with `B_p⁻¹·inverse·B_q`."""
-        at_p, at_q = children.get(new_p), children.get(new_q)
-        return Edge(new_p, new_q, _conjugate(old, at_q, at_p), _conjugate(inverse, at_p, at_q))
-
-    edges: list[Edge] = []
-    for e in m.edges:
-        if e.p not in blown and e.q not in blown:
-            edges.append(e)
-            continue
-        if e.p in blown and e.q in blown:
-            removed_labels = pair
-        else:
-            # exactly one endpoint splits: the lift removes the pair label
-            # that is not shared with the untouched side
-            removed_labels = pair - e.shared
-            if len(removed_labels) != 1:
-                raise AlgorithmInvariantViolation(
-                    f"edge {e.p}->{e.q}: expected exactly one center label off the edge"
-                )
-        for removed in sorted(removed_labels):
-            np_ = child_id(e.p, removed) if e.p in blown else e.p
-            nq = child_id(e.q, removed) if e.q in blown else e.q
-            edges.append(lifted_edge(e.matrix, e.inverse, np_, nq))
-
-    lo, hi = sorted(pair)
-    for cid in sorted(blown):
-        identity = m.corner(cid).identity
-        edges.append(lifted_edge(identity, identity, child_id(cid, lo), child_id(cid, hi)))
+    edges = [e for e in m.edges if e.p not in blown and e.q not in blown]
+    for (p, q), (_, old, inverse) in _lift_table(m, pair, children).items():
+        at_p, at_q = children.get(p), children.get(q)
+        edges.append(Edge(p, q, _conjugate(old, at_q, at_p), _conjugate(inverse, at_p, at_q)))
 
     after = MonomialManifold(m.dimension, m.components | {new_label}, corners.values(), edges)
     step = BlowupStep(

@@ -9,6 +9,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from monores import (
+    AlgorithmInvariantViolation,
     BudgetExceededError,
     ExponentVector,
     MFunction,
@@ -21,6 +22,7 @@ from monores import (
     support_from_rows,
     uncoupled_centers,
 )
+from monores.blowup import _escaped
 from monores.jsonio import canonical_dumps, manifold_from_json, manifold_to_json
 
 
@@ -140,6 +142,44 @@ def enumerated_label_sets(m):
         for size in range(1, m.dimension)
         for labels in combinations(sorted(c.index_set & shared), size)
     }
+
+
+def scanned_lifts(step):
+    """The lift rule as `apply_center` once ran it, in its own loop over
+    every edge of `before`: an edge with one blown end lifts at the child
+    that drops the one center label off the edge, one with both ends blown
+    lifts at both pairs of children that drop the same label, and each
+    blown corner's identity lifts to its split edge.  Child ids are spelled
+    from the parent's id and the removed label.  Maps each edge upstairs,
+    by key, to the matrix downstairs it lifts and that matrix's inverse:
+    an oracle for `blowup._lift_table`."""
+    m, pair = step.before, step.center_pair
+    blown = set(m.corners_with(pair))
+
+    def child_id(parent, removed):
+        return f"{parent}.{_escaped(removed)}"
+
+    lifts = {}
+    for e in m.edges:
+        if e.p not in blown and e.q not in blown:
+            continue
+        if e.p in blown and e.q in blown:
+            removed_labels = pair
+        else:
+            removed_labels = pair - e.shared
+            if len(removed_labels) != 1:
+                raise AlgorithmInvariantViolation(
+                    f"edge {e.p}->{e.q}: expected exactly one center label off the edge"
+                )
+        for removed in sorted(removed_labels):
+            np_ = child_id(e.p, removed) if e.p in blown else e.p
+            nq = child_id(e.q, removed) if e.q in blown else e.q
+            lifts[(np_, nq)] = (e.matrix, e.inverse)
+    lo, hi = sorted(pair)
+    for cid in sorted(blown):
+        identity = m.corner(cid).identity
+        lifts[(child_id(cid, lo), child_id(cid, hi))] = (identity, identity)
+    return lifts
 
 
 def two_point_problem(n):

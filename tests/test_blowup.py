@@ -6,10 +6,14 @@ from fractions import Fraction
 import pytest
 
 from monores import (
+    AlgorithmInvariantViolation,
+    Corner,
     DomainError,
+    Edge,
     ExponentMatrix,
     ExponentVector,
     LocalStandardization,
+    MonomialManifold,
     Star,
     StructuralError,
     apply_center,
@@ -82,6 +86,20 @@ def test_apply_center_rejects_a_new_label_that_is_no_label(label):
     alpha = {"c0": ExponentVector({"E1": 2, "E2": 1})}
     with pytest.raises(StructuralError, match="labels must be nonempty strings"):
         apply_center(m, frozenset({"E1", "E2"}), alpha, new_label=label)
+
+
+def test_apply_center_names_an_edge_with_no_center_label_off_it():
+    """On a manifold that was never validated, an edge from a blown corner
+    that shares no label with its other end has both center labels off it,
+    so it lifts at no one child: `apply_center` raises before it builds any
+    edge."""
+    p, u = Corner("p", frozenset("ab")), Corner("u", frozenset("cd"))
+    identity_like = ExponentMatrix.from_row_table(("c", "d"), ("a", "b"), [[1, 0], [0, 1]])
+    m = MonomialManifold(2, ("a", "b", "c", "d"), [p, u], [Edge("p", "u", identity_like)])
+    alpha = {"p": ExponentVector({"a": 1, "b": 1})}
+    with pytest.raises(AlgorithmInvariantViolation) as raised:
+        apply_center(m, frozenset({"a", "b"}), alpha)
+    assert str(raised.value) == "edge p->u: expected exactly one center label off the edge"
 
 
 def test_step_pull_back_examples():

@@ -38,7 +38,7 @@ from monores import (
     reduce_problem,
     vec_apply,
 )
-from monores.blowup import BlowupStep, ChildChart
+from monores.blowup import BlowupStep, ChildChart, _lift_table
 from monores.errors import AlgorithmInvariantViolation, MonoresError
 from monores.ideals import MFunction
 from monores.supports import minimal_support
@@ -46,6 +46,7 @@ from helpers import (
     enumerated_label_sets,
     generators_along,
     sample_towers,
+    scanned_lifts,
     shared_reports,
     tower_manifolds,
     two_point_problem,
@@ -491,6 +492,25 @@ def test_new_edges_equal_a_scan_of_every_edge():
         assert len(step.new_edges) == len(touching)
         assert all(a is b for a, b in zip(step.new_edges, touching))
     assert sum(len(step.new_edges) for step in steps) > 80
+
+
+def test_the_lift_table_equals_a_scan_of_every_edge():
+    """`_lift_table` walks the edges at the blown corners; the loop over
+    every edge of `before` that `apply_center` once ran (`scanned_lifts`)
+    finds the same edges upstairs, each lifting the same matrix and
+    inverse objects downstairs, on every step of the test towers and on
+    the 20-variable one-step tower."""
+    steps = all_steps() + list(reduce_problem(two_point_problem(20)).star.steps)
+    lifts = 0
+    for step in steps:
+        table = _lift_table(step.before, step.center_pair, step.children)
+        scanned = scanned_lifts(step)
+        assert table.keys() == scanned.keys()
+        for key, (_, old, inverse) in table.items():
+            assert old is scanned[key][0] and inverse is scanned[key][1]
+        assert {e.key() for e in step.new_edges} == table.keys()
+        lifts += len(table)
+    assert lifts == sum(len(step.new_edges) for step in steps) > 80
 
 
 def test_local_certificate_catches_a_changed_edge_that_validate_can_miss():
