@@ -64,7 +64,10 @@ def main():
                     help="per-tower oracle samples (0 disables the float check)")
     args = ap.parse_args()
     for flag, value in (
-        ("--count", args.count), ("--max-vars", args.max_vars), ("--max-points", args.max_points)
+        ("--count", args.count),
+        ("--max-vars", args.max_vars),
+        ("--max-points", args.max_points),
+        ("--jobs", args.jobs),
     ):
         if value < 1:
             ap.error(f"{flag} must be at least 1")

@@ -71,10 +71,14 @@ def _write_text(path: str, text: str) -> None:
         raise MonoresError(f"cannot write {path}: {exc}") from exc
 
 
-def _check_samples(args) -> None:
-    """Reject `--check-numeric` with no samples before any trace is written:
-    such a check would check nothing.  A negative `--max-steps` is rejected
-    by `principalize_generators`, also before any trace."""
+def _check_options(args) -> None:
+    """Reject, before the input is read: a `--dot` path that names the
+    `--trace` file, whose DOT would overwrite the trace, and
+    `--check-numeric` with no samples, which would check nothing.  A
+    negative `--max-steps` is rejected by `principalize_generators`, before
+    any trace is written."""
+    if args.dot and Path(args.dot).resolve() == Path(args.trace).resolve():
+        raise DomainError(f"--dot {args.dot} would overwrite --trace {args.trace}")
     if args.check_numeric and args.samples < 1:
         raise DomainError(f"--samples must be at least 1, got {args.samples}")
 
@@ -95,7 +99,7 @@ def _budget_bailout(exc: BudgetExceededError, trace_path: str) -> int:
 
 
 def cmd_reduce(args) -> int:
-    _check_samples(args)
+    _check_options(args)
     problem = problem_from_json(_load_json(args.input), stratum_dim=args.stratum_dim)
     try:
         report = reduce_problem(problem, max_steps=args.max_steps)
@@ -116,7 +120,7 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_principalize(args) -> int:
-    _check_samples(args)
+    _check_options(args)
     ideal = ideal_from_json(_load_json(args.input))
     try:
         run = principalize_generators(

@@ -2,21 +2,15 @@
 
 Vectors and matrices here are total maps from finite sets of opaque string
 labels.  There is no positional indexing, no floating point, and no
-tolerance anywhere: all arithmetic is done with `fractions.Fraction`.
-The products `mat_mul` and `vec_apply` skip the arithmetic whose result
-is known: a term with a zero factor is never formed, and a factor equal
-to 1 is not multiplied out, so each result is the same normalized
-`Fraction` with fewer operations.
+tolerance anywhere: all arithmetic is exact, on integers and
+`fractions.Fraction`.
 
-Two decisions test an equation without building its product:
-`vec_apply_all_equal(a, pairs)` decides `v·A == w` for each pair `(v, w)`,
-grouping `A`'s rows once for all of them, and
-`mat_mul_is_identity(a, b)` decides `A·B == I`, each row of `A` taken as
-a vector.  Both sum each entry of the product over its nonzero terms as
-an unreduced integer pair `(numerator, denominator)` (`_entry_sums`) and
-compare it with the expected entry by cross-multiplication, so no
-`Fraction` is built and no gcd is taken; the verdict is the one the
-product would give.
+Every product and every product test sums each entry over its nonzero
+terms only, as an unreduced integer pair `(numerator, denominator)`
+(`_entry_sums`).  A product (`mat_mul`, `vec_apply`) then normalizes
+each entry once into a `Fraction`; a test (`vec_apply_all_equal`,
+`mat_mul_is_identity`) cross-multiplies it with the expected entry, so
+it builds no `Fraction`, takes no gcd, and gives the product's verdict.
 
 The public constructors validate what callers pass: every label and
 every entry.  The products, the inverse, the identity and the blow-up's
@@ -303,28 +297,18 @@ def minimal_elements(vectors: Iterable[ExponentVector]) -> list[ExponentVector]:
 def mat_mul(a: ExponentMatrix, b: ExponentMatrix) -> ExponentMatrix:
     """Exact product; the column labels of `a` must equal the row labels of `b`.
 
-    Zero entries of either factor are skipped: each nonzero `a(r, m)` meets
-    only the nonzero entries of row `m` of `b`, and result entries that no
-    such term reaches are exact zeros.  An `a(r, m)` equal to 1 is not
-    multiplied out: the entries of row `m` of `b` are its terms as they are.
+    Each row of `a` is summed as a vector over `b`'s nonzero rows, grouped
+    once (`_nonzero_rows`, `_entry_sums`), and each entry is normalized
+    once (`_fractions`).
     """
     if a.col_labels != b.row_labels:
         raise StructuralError("mat_mul: inner label sets differ")
-    b_rows: dict[str, list[tuple[str, Fraction]]] = {}
-    for (m, c), bv in b._data.items():
-        if bv:
-            b_rows.setdefault(m, []).append((c, bv))
-    sums: dict[tuple[str, str], Fraction] = {}
-    for (r, m), av in a._data.items():
-        if av:
-            one = av == 1
-            for c, bv in b_rows.get(m, ()):
-                term = bv if one else av * bv
-                key = (r, c)
-                prev = sums.get(key)
-                sums[key] = term if prev is None else prev + term
-    zero = Fraction(0)
-    entries = {(r, c): sums.get((r, c), zero) for r in a._rows for c in b._cols}
+    b_rows = _nonzero_rows(b)
+    entries = {
+        (r, c): value
+        for r, x in _row_entries(a).items()
+        for c, value in _fractions(_entry_sums(x, b_rows), b._cols).items()
+    }
     return ExponentMatrix._exact(a._rows, b._cols, entries)
 
 
@@ -361,23 +345,19 @@ def mat_inverse(a: ExponentMatrix) -> ExponentMatrix:
 
 
 def vec_apply(v: ExponentVector, a: ExponentMatrix) -> ExponentVector:
-    """Row-vector times matrix: (vA)(j) = sum_i v(i) A(i,j).
-
-    Terms where `v(i)` or `A(i,j)` is zero are skipped, and a term with
-    `A(i,j)` equal to 1 is `v(i)` itself.
-    """
+    """Row-vector times matrix: (vA)(j) = sum_i v(i) A(i,j), each entry
+    summed over its nonzero terms (`_entry_sums`) and normalized once."""
     if v.labels != a.row_labels:
         raise StructuralError("vec_apply: vector labels differ from matrix rows")
-    x = v._map
-    sums: dict[str, Fraction] = {}
+    return ExponentVector._exact(_fractions(_entry_sums(v._items, _nonzero_rows(a)), a._cols))
+
+
+def _row_entries(a: ExponentMatrix) -> dict[str, list[tuple[str, Fraction]]]:
+    """Each row of `a` as its entries `(column, value)`, every row present."""
+    rows: dict[str, list[tuple[str, Fraction]]] = {r: [] for r in a._rows}
     for (r, c), av in a._data.items():
-        xr = x[r]
-        if av and xr:
-            term = xr if av == 1 else xr * av
-            prev = sums.get(c)
-            sums[c] = term if prev is None else prev + term
-    zero = Fraction(0)
-    return ExponentVector._exact({c: sums.get(c, zero) for c in a._cols})
+        rows[r].append((c, av))
+    return rows
 
 
 def _nonzero_rows(a: ExponentMatrix) -> dict[str, list[tuple[str, int, int]]]:
@@ -412,6 +392,13 @@ def _entry_sums(
     return sums
 
 
+def _fractions(sums: Mapping[str, tuple[int, int]], cols: Iterable[str]) -> dict[str, Fraction]:
+    """Each entry over `cols` of `_entry_sums` as one normalized `Fraction`;
+    an entry that no term reaches is the exact 0."""
+    zero = Fraction(0)
+    return {c: Fraction(*sums[c]) if c in sums else zero for c in cols}
+
+
 def vec_apply_all_equal(
     a: ExponentMatrix, pairs: Iterable[tuple[ExponentVector, ExponentVector]]
 ) -> bool:
@@ -444,11 +431,8 @@ def mat_mul_is_identity(a: ExponentMatrix, b: ExponentMatrix) -> bool:
         raise StructuralError("mat_mul: inner label sets differ")
     if a._rows != b._cols:
         return False
-    a_rows: dict[str, list[tuple[str, Fraction]]] = {r: [] for r in a._rows}
-    for (r, m), av in a._data.items():
-        a_rows[r].append((m, av))
     b_rows = _nonzero_rows(b)
-    for r, x in a_rows.items():
+    for r, x in _row_entries(a).items():
         sums = _entry_sums(x, b_rows)
         num, den = sums.pop(r, (0, 1))
         if num != den or any(n for n, _ in sums.values()):

@@ -172,6 +172,18 @@ def test_meaningless_option_values_are_bad_input(tmp_path, capsys, command, opti
     assert not trace.exists()
 
 
+@pytest.mark.parametrize("command", ["reduce", "principalize"])
+@pytest.mark.parametrize("trace, dot", [("out.txt", "out.txt"), ("out.txt", "./out.txt")])
+def test_dot_onto_the_trace_is_bad_input(tmp_path, monkeypatch, capsys, command, trace, dot):
+    """A `--dot` path that resolves to the `--trace` file would overwrite
+    the trace; it exits 1 before the input is read and writes nothing."""
+    monkeypatch.chdir(tmp_path)
+    argv = [command, "--input", "missing.json", "--trace", trace, "--dot", dot]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: --dot {dot} would overwrite --trace {trace}\n"
+    assert not any(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
