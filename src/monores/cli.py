@@ -65,8 +65,11 @@ def _load_json(path: str):
 
 
 def _write_text(path: str, text: str) -> None:
+    """Write `text` as UTF-8.  The text is encoded before the path is
+    opened, so text that does not encode never truncates a file."""
+    data = text.encode("utf-8")
     try:
-        Path(path).write_text(text, encoding="utf-8")
+        Path(path).write_bytes(data)
     except OSError as exc:
         raise MonoresError(f"cannot write {path}: {exc}") from exc
 

@@ -2,7 +2,13 @@
 
 All rationals travel as strings ("p/q" or "n"); label arrays fix the
 entry order inside each file; objects are dumped with sorted keys so a
-given run always produces byte-identical files.
+given run always produces byte-identical files.  The bytes are a
+contract: `canonical_dumps(doc)` is exactly
+`json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\\n"`,
+written by one recursive pass instead of json's pure-Python indenting
+encoder.  `star_to_json` formats each morphism matrix object once per
+call (`_rendering`, a memo keyed by the object) and gives each corner's
+`B` fresh lists; replay compares against the same rendering.
 
 The trace format is versioned ("monores-trace/1").  A trace records the
 root manifold and, per blow-up, the center pair, the weights at the
@@ -90,8 +96,80 @@ def _array(doc: Any, key: str, what: str, item: type) -> list:
 
 
 def canonical_dumps(doc: Any) -> str:
-    """Deterministic rendering: sorted keys, fixed separators, UTF-8 text."""
-    return json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    """The canonical text of a JSON document: exactly
+    `json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\\n"`,
+    written in one recursive pass.
+
+    `json` runs its C encoder only without `indent`, so that call walks a
+    trace through the pure-Python generator encoder; this writer makes
+    the same bytes with fewer calls.  Strings and keys are escaped by
+    `json.encoder.encode_basestring`, the escaper `json` itself uses with
+    `ensure_ascii=False`; a list of strings (a matrix row, a label list)
+    is joined in one `str.join`; an int is `int.__repr__`; `True`,
+    `False` and `None` are `true`, `false` and `null`; lists, tuples and
+    dicts get json's separators and newline-plus-indent layout, with the
+    keys of a dict in sorted order.  Keys must be `str`, and a float or
+    any other value raises TypeError: no trace holds one."""
+    out: list[str] = []
+    _write(doc, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+_escape = json.encoder.encode_basestring
+
+
+def _write(value: Any, nl: str, out: list[str]) -> None:
+    """Append the text of `value` to `out`; `nl` is the newline plus the
+    indent of the line `value` starts on."""
+    if isinstance(value, str):
+        out.append(_escape(value))
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = nl + "  "
+        sep = "{" + inner
+        # `_escape` raises TypeError at a key that is not a str, if sorting
+        # a mix of key types has not already
+        for key in sorted(value):
+            item = value[key]
+            if isinstance(item, str):
+                out.append(sep + _escape(key) + ": " + _escape(item))
+            else:
+                out.append(sep + _escape(key) + ": ")
+                _write(item, inner, out)
+            sep = "," + inner
+        out.append(nl + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = nl + "  "
+        if isinstance(value[0], str):
+            try:
+                # one join when every item is a string; `_escape` raises
+                # TypeError at the first that is not
+                out.append("[" + inner + ("," + inner).join(map(_escape, value)) + nl + "]")
+                return
+            except TypeError:
+                pass
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            _write(item, inner, out)
+            sep = "," + inner
+        out.append(nl + "]")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif value is None:
+        out.append("null")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    else:
+        raise TypeError(f"{type(value).__name__} is not a canonical JSON value")
 
 
 # -- vectors and matrices -------------------------------------------------
@@ -200,7 +278,37 @@ def ideal_from_json(doc: Mapping[str, Any]) -> MIdeal:
 # -- traces -------------------------------------------------------------------
 
 
+# matrix_to_json of each matrix object by id; holds the matrix, so no id
+# is reused while the memo lives
+_Renderings = dict[int, tuple[ExponentMatrix, dict[str, Any]]]
+
+
+def _rendering(mat: ExponentMatrix, memo: _Renderings) -> dict[str, Any]:
+    """`matrix_to_json(mat)`, formatted once per matrix object in `memo`,
+    which holds the matrix so that no id is reused.  An untouched corner
+    keeps one identity object step after step, so a tower places each
+    morphism object many times: corpus A places 2,399 `B` blocks from 889
+    objects.  The result is shared; a caller that hands it out copies it."""
+    hit = memo.get(id(mat))
+    if hit is None:
+        hit = memo[id(mat)] = (mat, matrix_to_json(mat))
+    return hit[1]
+
+
 def star_to_json(star: Star) -> dict[str, Any]:
+    """The trace of a tower.  Each morphism object is formatted once per
+    call (`_rendering`), and each corner's block gets fresh lists, so no
+    two placements share a container and editing one leaves the rest."""
+    memo: _Renderings = {}
+
+    def block(mat: ExponentMatrix) -> dict[str, Any]:
+        doc = _rendering(mat, memo)
+        return {
+            "rows": doc["rows"][:],
+            "cols": doc["cols"][:],
+            "entries": list(map(list, doc["entries"])),
+        }
+
     steps = []
     for step in star.steps:
         steps.append(
@@ -211,7 +319,7 @@ def star_to_json(star: Star) -> dict[str, Any]:
                     for cid, alpha in step.alpha_at_center.items()
                 },
                 "new_label": step.new_label,
-                "B": {cid: matrix_to_json(step.morphism(cid)) for cid in step.after.corners},
+                "B": {cid: block(step.morphism(cid)) for cid in step.after.corners},
             }
         )
     return {
@@ -221,25 +329,17 @@ def star_to_json(star: Star) -> dict[str, Any]:
     }
 
 
-def _renders_as(
-    b_block: dict[str, Any],
-    step: BlowupStep,
-    rendered: dict[int, tuple[ExponentMatrix, dict[str, Any]]],
-) -> bool:
+def _renders_as(b_block: dict[str, Any], step: BlowupStep, rendered: _Renderings) -> bool:
     """Whether the recorded `B` block is, corner for corner, exactly what
-    `star_to_json` writes for the step's morphisms (`matrix_to_json`,
-    memoized per matrix object in `rendered`).  Then it parses to those
-    very matrices; otherwise the caller parses it and compares values."""
+    `star_to_json` writes for the step's morphisms (`_rendering`, memoized
+    per matrix object in `rendered`).  Then it parses to those very
+    matrices; otherwise the caller parses it and compares values."""
     if b_block.keys() != step.after.corners.keys():
         return False
-    for cid, recorded in b_block.items():
-        mat = step.morphism(cid)
-        hit = rendered.get(id(mat))
-        if hit is None:
-            hit = rendered[id(mat)] = (mat, matrix_to_json(mat))
-        if recorded != hit[1]:
-            return False
-    return True
+    return all(
+        recorded == _rendering(step.morphism(cid), rendered)
+        for cid, recorded in b_block.items()
+    )
 
 
 def replay_trace(doc: Mapping[str, Any]) -> Star:
@@ -271,10 +371,9 @@ def replay_trace(doc: Mapping[str, Any]) -> Star:
     steps = _field(doc, "steps", "trace", list, [])
     if not steps:
         return star
-    # matrix_to_json of each morphism object, shared by the steps of this
-    # replay (an untouched corner keeps one identity); holds the matrix,
-    # so no id is reused
-    rendered: dict[int, tuple[ExponentMatrix, dict[str, Any]]] = {}
+    # the rendering of each morphism object, shared by the steps of this
+    # replay (an untouched corner keeps one identity)
+    rendered: _Renderings = {}
     for k, step_doc in enumerate(steps):
         pair = frozenset(_array(step_doc, "center", "step", str))
         alphas = {

@@ -67,16 +67,25 @@ def parse_rational(value: RatLike) -> Fraction:
 
 
 def format_rational(value: RatLike) -> str:
-    """Render a rational as "n" for integers and "p/q" otherwise."""
-    x = parse_rational(value)
+    """Render a rational as "n" for integers and "p/q" otherwise.  A
+    `Fraction`, as every entry of a built vector or matrix is, is not
+    parsed again."""
+    x = value if isinstance(value, Fraction) else parse_rational(value)
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"
 
 
 def _check_label(label) -> str:
+    """A label is a nonempty string that encodes as UTF-8, the encoding
+    every trace is written in; a lone surrogate such as "\\ud800", legal
+    in a JSON string, does not."""
     if not isinstance(label, str) or not label:
         raise StructuralError(f"labels must be nonempty strings, got {label!r}")
+    try:
+        label.encode("utf-8")
+    except UnicodeEncodeError:
+        raise StructuralError(f"labels must be UTF-8-encodable text, got {label!r}") from None
     return label
 
 

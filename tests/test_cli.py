@@ -412,6 +412,25 @@ def test_non_principal_end_after_principalize_is_a_bug(tmp_path, monkeypatch, ca
             {**EMPTY_LABEL_ROOT, "components": ["a", "b"]},
             "labels must be nonempty strings",
         ),
+        # a lone surrogate is legal in a JSON string (json.dumps escapes
+        # it, so the file is UTF-8) but has no UTF-8 encoding, so no trace
+        # could hold it
+        (
+            "reduce",
+            json.dumps({"variables": ["a", "\ud800"], "points": [["2", "1"], ["0", "2"]]}),
+            "labels must be UTF-8-encodable text",
+        ),
+        (
+            "principalize",
+            json.dumps({**IDEAL, "labels": ["a", "\udfff"]}),
+            "labels must be UTF-8-encodable text",
+        ),
+        (
+            "validate",
+            json.dumps({**EMPTY_LABEL_ROOT, "components": ["a", "\udfff"],
+                        "corners": [{"id": "c0", "index_set": ["a", "\udfff"]}]}),
+            "labels must be UTF-8-encodable text",
+        ),
     ],
     ids=["trace-without-root", "corner-without-index-set", "top-level-list",
          "edge-without-to", "non-integer-stratum-dim", "b-block-list", "index-set-number",
@@ -422,7 +441,8 @@ def test_non_principal_end_after_principalize_is_a_bug(tmp_path, monkeypatch, ca
          "labels-number", "duplicate-corner-id", "repeated-index-label", "point-bool",
          "generator-bool", "alpha-bool", "duplicate-key", "repeated-b-row-label",
          "repeated-component", "long-point", "long-dimension", "deep-nesting",
-         "empty-label", "empty-label-root", "empty-index-label"],
+         "empty-label", "empty-label-root", "empty-index-label", "surrogate-variable",
+         "surrogate-ideal-label", "surrogate-component"],
 )
 def test_malformed_file_is_bad_input(tmp_path, capsys, command, doc, message):
     path = write(tmp_path / "in.json", doc)
@@ -437,6 +457,7 @@ def test_malformed_file_is_bad_input(tmp_path, capsys, command, doc, message):
     assert err.startswith("error: ") and message in err
     assert len(err.splitlines()) == 1
     assert "Traceback" not in err
+    assert not (tmp_path / "t.json").exists()
 
 
 B_REPEATED_ROW = {
@@ -512,3 +533,13 @@ def test_stratum_dim_flag_annotates(tmp_path):
     doc = json.loads(trace.read_text(encoding="utf-8"))
     assert doc["centers"][0]["annotation"] == "ℝ^2 × Z̄"
     assert doc["problem"]["stratum_dim"] == 2
+
+
+def test_text_that_does_not_encode_leaves_an_existing_file_as_it_was(tmp_path):
+    """The text is encoded before the path is opened.  No input reaches
+    this: a label that does not encode is bad input when it is read."""
+    path = tmp_path / "t.json"
+    path.write_text("old\n", encoding="utf-8")
+    with pytest.raises(UnicodeEncodeError):
+        monores.cli._write_text(str(path), '{"a": "\ud800"}\n')
+    assert path.read_text(encoding="utf-8") == "old\n"

@@ -1,10 +1,14 @@
 """Serialization round trips and trace replay guarantees."""
 
+import collections
 import copy
+import functools
 import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from monores import (
     ExponentMatrix,
@@ -14,6 +18,7 @@ from monores import (
     reduce_problem,
     support_from_rows,
 )
+import monores.jsonio
 from monores.jsonio import (
     canonical_dumps,
     ideal_from_json,
@@ -30,7 +35,7 @@ from monores.jsonio import (
     vector_from_json,
     vector_to_json,
 )
-from helpers import two_point_problem
+from helpers import random_reports, two_point_problem
 
 F = Fraction
 
@@ -243,3 +248,120 @@ def test_canonical_dumps_is_stable():
     rep1 = worked_report()
     rep2 = worked_report()
     assert canonical_dumps(report_to_json(rep1)) == canonical_dumps(report_to_json(rep2))
+
+
+# text with everything json escapes or passes through: quotes,
+# backslashes, control characters, U+2028, non-BMP characters, `E∞`
+_TEXT = st.one_of(
+    st.text(),
+    st.text(
+        st.sampled_from(
+            ['"', "\\", "\n", "\x00", "\x1f", "\x7f", "\u2028", "😀", "E", "∞", "a"]
+        )
+    ),
+    st.sampled_from(["E∞", "E∞1"]),
+)
+_SCALARS = st.one_of(
+    _TEXT,
+    st.integers(),
+    st.integers(min_value=2**64),
+    st.integers(max_value=-(2**64)),
+    st.booleans(),
+    st.none(),
+)
+_TREES = st.recursive(
+    _SCALARS,
+    lambda kids: st.one_of(
+        st.lists(_TEXT),
+        st.lists(kids),
+        st.lists(kids).map(tuple),
+        st.dictionaries(_TEXT, kids),
+    ),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=150)
+@given(_TREES)
+def test_canonical_dumps_writes_what_json_dumps_writes(doc):
+    expected = json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    assert canonical_dumps(doc) == expected
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        1.5,
+        [1.0],
+        ["a", 2.5],
+        {"a": float("nan")},
+        {1: "a"},
+        {"a": {None: 1}},
+        {("a",): 1},
+        {"a": 1, 2: "b"},
+    ],
+    ids=["float", "float-in-list", "float-after-a-string", "nan-value", "int-key", "none-key",
+         "tuple-key", "mixed-keys"],
+)
+def test_canonical_dumps_rejects_floats_and_keys_that_are_not_str(doc):
+    with pytest.raises(TypeError):
+        canonical_dumps(doc)
+
+
+@functools.lru_cache(maxsize=1)
+def corpus_a_tower():
+    """The deepest tower of corpus A (seed 77, 100 problems): 28 steps."""
+    return max((rep.star for rep in random_reports(77, 100)), key=lambda star: star.age)
+
+
+def placements(star):
+    """(step index, corner id, morphism) of every `B` block of the trace."""
+    return [
+        (k, cid, step.morphism(cid))
+        for k, step in enumerate(star.steps)
+        for cid in step.after.corners
+    ]
+
+
+def test_each_morphism_object_is_formatted_once_per_trace(monkeypatch):
+    """An untouched corner keeps one identity object step after step, so
+    the deepest corpus-A tower places each object several times; each is
+    formatted once, and every block is what formatting it alone gives."""
+    star = corpus_a_tower()
+    placed = placements(star)
+    distinct = {id(mat) for _, _, mat in placed}
+    assert star.age == 28 and len(placed) > 3 * len(distinct)
+    formatted = []
+    to_json = monores.jsonio.matrix_to_json
+
+    def counting(mat):
+        formatted.append(id(mat))
+        return to_json(mat)
+
+    monkeypatch.setattr(monores.jsonio, "matrix_to_json", counting)
+    doc = star_to_json(star)
+    assert sorted(formatted) == sorted(distinct)
+    for k, cid, mat in placed:
+        assert doc["steps"][k]["B"][cid] == to_json(mat)
+
+
+def test_editing_one_placed_block_leaves_every_other_block():
+    """Blocks of one morphism object hold no shared list, so an edit of one
+    corner's `B` (entries, rows or columns) stays at that corner."""
+    star = corpus_a_tower()
+    placed = placements(star)
+    counts = collections.Counter(id(mat) for _, _, mat in placed)
+    k, cid, mat = max(placed, key=lambda p: counts[id(p[2])])
+    assert counts[id(mat)] > 10
+    doc = star_to_json(star)
+    block = doc["steps"][k]["B"][cid]
+    block["entries"][0][0] = "99"
+    block["entries"][-1].append("7")
+    block["rows"].append("x")
+    block["cols"][0] = "y"
+    fresh = star_to_json(star)
+    for j, step in enumerate(fresh["steps"]):
+        for other, recorded in step["B"].items():
+            if (j, other) != (k, cid):
+                assert doc["steps"][j]["B"][other] == recorded
+    assert block != fresh["steps"][k]["B"][cid]
