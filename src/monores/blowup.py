@@ -17,12 +17,16 @@ Edge matrices upstairs are the old ones conjugated by the morphisms,
 `B_q⁻¹·M·B_p`.  Because each `B` is the identity plus one column, the
 conjugation is one column step and one row step, and the lifted edge's
 inverse is the same two steps, roles swapped, on the old inverse; no
-general product or inversion runs, and no `B` is built.
+general product or inversion runs, and no `B` is built.  Each step
+writes `top + c·x` on the integer pairs of the three entries and builds
+one normalized `Fraction` per entry it keeps (`linalg._plus_times`), as
+the pullback through a `ChildChart` does.
 
 One table defines the lifts (`_lift_table`): every edge the step must
 build, with the edge downstairs it lifts, read off the edges at the
-center.  `apply_center` builds the new edges from it, and
-`BlowupStep.violations` checks `after` against it: the edges `after`
+center.  `apply_center` computes it once, builds the new edges from it
+and checks `after` against it (`BlowupStep.violations`, which computes
+its own when called on a built step): the edges `after`
 holds at the children must be exactly the table's, each with the checks
 `validate` makes of one edge and the conjugation identity with the edge
 it lifts.  The connectivity of the label sets through `E` is read off
@@ -42,7 +46,7 @@ from functools import cached_property
 from typing import Mapping
 
 from .errors import AlgorithmInvariantViolation, DomainError, StructuralError
-from .linalg import ExponentMatrix, ExponentVector, _check_label, mat_mul
+from .linalg import ExponentMatrix, ExponentVector, _check_label, _plus_times, mat_mul
 from .manifold import Corner, Edge, MonomialManifold, next_exceptional_label
 from .standardization import GlobalStandardization, validate_realizable
 
@@ -73,10 +77,10 @@ class ChildChart:
     def pull_back(self, vec: ExponentVector) -> ExponentVector:
         """`vec·B` in O(n): the entries carry over, `removed` becomes
         `new_label`, and that entry gains `c` times the `other` entry
-        unless that entry is 0."""
+        (`_plus_times`, one new `Fraction`)."""
         entries = dict(vec._map)
-        top, x = entries.pop(self.removed), entries[self.other]
-        entries[self.new_label] = top + self.c * x if x else top
+        top = entries.pop(self.removed)
+        entries[self.new_label] = _plus_times(top, self.c, entries[self.other])
         return ExponentVector._exact(entries)
 
 
@@ -88,25 +92,26 @@ def _entries(mat: ExponentMatrix) -> dict[tuple[str, str], Fraction]:
 def _column_step(entries: dict, row_labels, chart: ChildChart) -> None:
     """`X·B` in place on the entries of `X`: the new column `E` is column
     `removed` plus `c` times column `other`, and column `removed` goes.
-    A zero entry of column `other` adds nothing and is skipped."""
+    Each new entry is one `_plus_times` on the integer pairs, which keeps
+    the old entry where column `other` is 0."""
     gone, other, c, new = chart.removed, chart.other, chart.c, chart.new_label
     for r in row_labels:
-        top, x = entries.pop((r, gone)), entries[(r, other)]
-        entries[(r, new)] = top + c * x if x else top
+        top = entries.pop((r, gone))
+        entries[(r, new)] = _plus_times(top, c, entries[(r, other)])
 
 
 def _row_step(
     entries: dict, col_labels, source: str, target: str, other: str, c: Fraction
 ) -> None:
     """In place on the entries of `X`: row `source` is renamed `target`, and
-    row `other` gains `c` times it (nothing where it is 0).  `B⁻¹·X` (the
+    row `other` gains `c` times it, each entry by one `_plus_times` on the
+    integer pairs (nothing changes where it is 0).  `B⁻¹·X` (the
     identity with row `removed` renamed to `E` and `-c` at (`other`,
     `removed`)) is (`removed` → `E`, `-c`); `B·X` is (`E` → `removed`, `c`)."""
     for s in col_labels:
         top = entries.pop((source, s))
         entries[(target, s)] = top
-        if top:
-            entries[(other, s)] += c * top
+        entries[(other, s)] = _plus_times(entries[(other, s)], c, top)
 
 
 def _conjugate(
@@ -212,7 +217,7 @@ class BlowupStep:
         the child's chart, and `vec` itself at an untouched corner."""
         chart = self.children.get(corner_id)
         image = self.after.corner(corner_id) if chart is None else chart.parent
-        if vec.labels != image.index_set:
+        if vec._map.keys() != image.index_set:
             raise StructuralError(f"vector labels do not match the image of {corner_id!r}")
         return vec if chart is None else chart.pull_back(vec)
 
@@ -248,6 +253,9 @@ class BlowupStep:
         - the conjugation identity `B_q·M' == M·B_p` of each new edge with
           the matrix `M` it lifts (the identity for a split edge).
 
+        The lift table is computed here; `apply_center` checks the step
+        against the table it built the edges from (`_violations`).
+
         Why that suffices when `before` is valid.  Untouched corners and
         the edges between them are the objects of `before`, already
         proven.  Only children hold `new_label` `E`, so index sets can
@@ -267,6 +275,13 @@ class BlowupStep:
           the split edge joins them, and `x–y` lifts to `x.i–y.i`;
         - if `J` holds both, no corner holds it.
         """
+        return self._violations(_lift_table(self.before, self.center_pair, self.children))
+
+    def _violations(
+        self, lifts: Mapping[tuple[str, str], tuple[str, ExponentMatrix, ExponentMatrix]]
+    ) -> list[str]:
+        """`violations()` against `lifts`, the `_lift_table` of `before`
+        at the center, computed by the caller."""
         after, new = self.after, self.new_label
         children = [after.corner(cid) for cid in self.children]
         bad = after._corner_violations(children)
@@ -275,7 +290,6 @@ class BlowupStep:
             if child.index_set != (chart.parent.index_set - {chart.removed}) | {new}:
                 bad.append(f"corner {child.id}: index set does not match its child chart")
         bad.extend(after._edge_violations(self.new_edges))
-        lifts = _lift_table(self.before, self.center_pair, self.children)
         built = {e.key() for e in self.new_edges}
         bad.extend(f"{tag} is missing" for key, (tag, *_) in lifts.items() if key not in built)
         bad.extend(
@@ -356,9 +370,9 @@ def apply_center(
     `_conjugate` with its inverse alongside, so no matrix is inverted
     here.  The result passes the step's local certificate
     (`BlowupStep.violations`), which checks `after` against the same
-    table, or AlgorithmInvariantViolation is raised; that proves it valid
-    when `m` is, so `m` must be a validated manifold, as every manifold
-    the library builds or replays is.
+    table, computed once per step, or AlgorithmInvariantViolation is
+    raised; that proves it valid when `m` is, so `m` must be a validated
+    manifold, as every manifold the library builds or replays is.
     """
     pair = frozenset(pair)
     if len(pair) != 2:
@@ -398,8 +412,9 @@ def apply_center(
             )
             corners[nid] = Corner(nid, (corner.index_set - {removed}) | {new_label})
 
+    lifts = _lift_table(m, pair, children)
     edges = [e for e in m.edges if e.p not in blown and e.q not in blown]
-    for (p, q), (_, old, inverse) in _lift_table(m, pair, children).items():
+    for (p, q), (_, old, inverse) in lifts.items():
         at_p, at_q = children.get(p), children.get(q)
         edges.append(Edge(p, q, _conjugate(old, at_q, at_p), _conjugate(inverse, at_p, at_q)))
 
@@ -412,7 +427,7 @@ def apply_center(
         after=after,
         children=children,
     )
-    violations = step.violations()
+    violations = step._violations(lifts)
     if violations:
         raise AlgorithmInvariantViolation(
             "blow-up produced an invalid manifold: " + "; ".join(violations)

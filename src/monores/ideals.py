@@ -29,7 +29,14 @@ from .errors import (
     NotEffectiveError,
     StructuralError,
 )
-from .linalg import ExponentVector, minimal_elements, vec_apply, vec_apply_all_equal
+from .linalg import (
+    ExponentVector,
+    _compare,
+    _compare_sums,
+    minimal_elements,
+    vec_apply,
+    vec_apply_all_equal,
+)
 from .manifold import Edge, MonomialManifold
 from .standardization import (
     GlobalStandardization,
@@ -104,7 +111,7 @@ def _check_data(
         labels = manifold.corner(cid).index_set
         for data in datas:
             vec = data[cid]
-            if vec.labels != labels:
+            if vec._map.keys() != labels:
                 raise StructuralError(f"exponent labels at {cid!r} do not match its index set")
             if not vec.is_nonnegative():
                 raise NotEffectiveError(f"negative exponent at corner {cid!r}")
@@ -167,12 +174,12 @@ def center_is_uncoupled_at(
     lam: MFunction, mu: MFunction, pair: frozenset[str], corner_id: str
 ) -> bool:
     """Sign test at one corner: the two differences point in opposite
-    directions, `(lam_i - mu_i)·(lam_j - mu_j) < 0`, decided by comparing
-    the entries, with no difference or product formed."""
+    directions, `(lam_i - mu_i)·(lam_j - mu_j) < 0`, decided by the signs
+    of the two differences, each cross-multiplied on the integer pairs
+    (`_compare`), with no difference or product formed."""
     i, j = sorted(pair)
     lv, mv = lam.at(corner_id), mu.at(corner_id)
-    a, b, x, y = lv[i], mv[i], lv[j], mv[j]
-    return (a < b and x > y) or (a > b and x < y)
+    return _compare(lv[i], mv[i]) * _compare(lv[j], mv[j]) < 0
 
 
 def uncoupled_centers(lam: MFunction, mu: MFunction) -> set[frozenset[str]]:
@@ -261,11 +268,14 @@ def _check_balance(
     lam: MFunction, mu: MFunction, pair: frozenset[str], weights: Mapping[str, ExponentVector]
 ) -> None:
     """The balance equation at each corner of `weights` (symmetric in i, j,
-    so the seed's orientation does not enter)."""
+    so the seed's orientation does not enter), written as
+    `a_j·lam_i + a_i·lam_j == a_j·mu_i + a_i·mu_j` and decided by
+    cross-multiplying the two sums (`_compare_sums`)."""
     i, j = sorted(pair)
     for q, a in weights.items():
         lq, mq = lam.at(q), mu.at(q)
-        if a[j] * (lq[i] - mq[i]) + a[i] * (lq[j] - mq[j]) != 0:
+        ai, aj = a[i], a[j]
+        if _compare_sums(((aj, lq[i]), (ai, lq[j])), ((aj, mq[i]), (ai, mq[j]))):
             raise AlgorithmInvariantViolation(
                 f"adapted weights fail the balance equation at corner {q!r}"
             )

@@ -12,6 +12,15 @@ each entry once into a `Fraction`; a test (`vec_apply_all_equal`,
 `mat_mul_is_identity`) cross-multiplies it with the expected entry, so
 it builds no `Fraction`, takes no gcd, and gives the product's verdict.
 
+The blow-up step's single entries follow the same rule, through the
+integer-pair helpers at the end of this module: a construction
+(`_plus_times`, `top + c·x`; `_scaled`, a weight carried across one
+edge) works on the numerators and denominators and builds one
+normalized `Fraction` per entry it keeps, and a sign, order or equality
+test (`_compare`, `_compare_sums`) cross-multiplies.  No `Fraction`
+operator runs in between, so `blowup`, `manifold`, `standardization` and
+`ideals` hold no arithmetic of their own.
+
 The public constructors validate what callers pass: every label and
 every entry.  The products, the inverse, the identity and the blow-up's
 lifts build their results with the private constructors
@@ -374,8 +383,9 @@ def _nonzero_rows(a: ExponentMatrix) -> dict[str, list[tuple[str, int, int]]]:
     denominator)`; a row of zeros is absent."""
     rows: dict[str, list[tuple[str, int, int]]] = {}
     for (r, c), av in a._data.items():
-        if av:
-            rows.setdefault(r, []).append((c, av.numerator, av.denominator))
+        an, ad = av.as_integer_ratio()
+        if an:
+            rows.setdefault(r, []).append((c, an, ad))
     return rows
 
 
@@ -388,8 +398,8 @@ def _entry_sums(
     term reaches is absent: it is exactly 0."""
     sums: dict[str, tuple[int, int]] = {}
     for r, xr in x:
-        if xr:
-            xn, xd = xr.numerator, xr.denominator
+        xn, xd = xr.as_integer_ratio()
+        if xn:
             for c, an, ad in rows.get(r, ()):
                 n, d = xn * an, xd * ad
                 prev = sums.get(c)
@@ -426,7 +436,8 @@ def vec_apply_all_equal(
         sums = _entry_sums(v._items, rows)
         for c, wc in w._items:
             num, den = sums.get(c, (0, 1))
-            if num * wc.denominator != wc.numerator * den:
+            wn, wd = wc.as_integer_ratio()
+            if num * wd != wn * den:
                 return False
     return True
 
@@ -438,12 +449,75 @@ def mat_mul_is_identity(a: ExponentMatrix, b: ExponentMatrix) -> bool:
     built.  Raises StructuralError where `mat_mul` does."""
     if a._cols != b._rows:
         raise StructuralError("mat_mul: inner label sets differ")
-    if a._rows != b._cols:
-        return False
-    b_rows = _nonzero_rows(b)
+    return a._rows == b._cols and _grouped_product_is_identity(a, _nonzero_rows(b))
+
+
+def _grouped_product_is_identity(
+    a: ExponentMatrix, b_rows: Mapping[str, list[tuple[str, int, int]]]
+) -> bool:
+    """`mat_mul_is_identity(a, b)` for `b` given by its `_nonzero_rows`,
+    the labels already checked: a caller that grouped `b` to read it
+    decides the product without grouping it again."""
     for r, x in _row_entries(a).items():
         sums = _entry_sums(x, b_rows)
         num, den = sums.pop(r, (0, 1))
         if num != den or any(n for n, _ in sums.values()):
             return False
     return True
+
+
+# -- integer-pair rules for single entries ---------------------------------
+
+
+def _plus_times(top: Fraction, c: Fraction, x: Fraction) -> Fraction:
+    """`top + c·x`, summed over the integer pairs and normalized once into
+    one `Fraction`; `top` itself when `x` is 0, since the term adds
+    nothing."""
+    xn, xd = x.as_integer_ratio()
+    if not xn:
+        return top
+    tn, td = top.as_integer_ratio()
+    cn, cd = c.as_integer_ratio()
+    return Fraction(tn * cd * xd + cn * xn * td, td * cd * xd)
+
+
+def _compare(a: Fraction, b: Fraction) -> int:
+    """The sign of `a − b` (-1, 0 or 1), by cross-multiplying (a
+    `Fraction`'s denominator is positive)."""
+    an, ad = a.as_integer_ratio()
+    bn, bd = b.as_integer_ratio()
+    diff = an * bd - bn * ad
+    return (diff > 0) - (diff < 0)
+
+
+def _compare_sums(
+    left: Iterable[Sequence[Fraction]], right: Iterable[Sequence[Fraction]]
+) -> int:
+    """The sign of `Σ left − Σ right`, each term the product of its
+    `Fraction`s, from one unreduced integer pair per side."""
+    ln, ld = _pair_sum(left)
+    rn, rd = _pair_sum(right)
+    diff = ln * rd - rn * ld
+    return (diff > 0) - (diff < 0)
+
+
+def _pair_sum(terms: Iterable[Sequence[Fraction]]) -> tuple[int, int]:
+    """`Σ terms`, each term the product of its `Fraction`s, as one
+    unreduced pair `(numerator, denominator)`, the denominator positive."""
+    num, den = 0, 1
+    for term in terms:
+        tn = td = 1
+        for f in term:
+            fn, fd = f.as_integer_ratio()
+            tn *= fn
+            td *= fd
+        num, den = num * td + tn * den, den * td
+    return num, den
+
+
+def _scaled(pair: tuple[int, int], x: Fraction, divide: bool) -> tuple[int, int]:
+    """The unreduced pair `pair·x`, or `pair/x` when `divide`; `x` must be
+    positive, so the denominator stays positive."""
+    n, d = pair
+    xn, xd = x.as_integer_ratio()
+    return (n * xd, d * xn) if divide else (n * xn, d * xd)

@@ -32,12 +32,14 @@ from .errors import (
     SingularMatrixError,
     StructuralError,
 )
+from . import linalg
 from .linalg import (
     ExponentMatrix,
     ExponentVector,
+    _grouped_product_is_identity,
+    _scaled,
     mat_inverse,
     mat_mul,
-    mat_mul_is_identity,
 )
 
 _EXC_LABEL = re.compile(r"E∞(\d+)\Z")
@@ -97,9 +99,11 @@ class Edge:
         return (self.p, self.q)
 
     def diagonal(self, label: str) -> Fraction:
-        """The matrix entry at (label, label) for a shared label; must be > 0."""
+        """The matrix entry at (label, label) for a shared label; must be > 0,
+        read off the numerator's sign (a `Fraction`'s denominator is
+        positive)."""
         d = self.matrix.entry(label, label)
-        if d <= 0:
+        if d.numerator <= 0:
             raise StructuralError(
                 f"nonpositive diagonal at {label} on edge {self.p}->{self.q}: corrupt chart data"
             )
@@ -249,22 +253,25 @@ class MonomialManifold:
     def transport_weight(self, label: str, start: str, value: Fraction) -> dict[str, Fraction]:
         """Carry a weight on `label` from `start` to every corner of E_label.
 
-        One `_walk` inside E_label; each hop multiplies or divides by the
-        edge's diagonal entry.  Raises ConnectivityError when some corner
-        on `label` is not reached.
+        One `_walk` inside E_label carries the weight as an unreduced
+        integer pair: each hop multiplies or divides it by the edge's
+        diagonal entry (`linalg._scaled`), whose sign `Edge.diagonal`
+        checks on the numerator, raising StructuralError when it is not
+        positive.  Each corner returned gets one normalized `Fraction`; no
+        `Fraction` operator runs.  Raises ConnectivityError when some
+        corner on `label` is not reached.
         """
-        found = {start: value}
+        found = {start: value.as_integer_ratio()}
         for cur, nxt, edge, forward in self._walk(start, frozenset((label,))):
-            d = edge.diagonal(label)
             # a forward edge runs cur -> nxt, so nxt's weight is cur's over d
-            found[nxt] = found[cur] / d if forward else found[cur] * d
+            found[nxt] = _scaled(found[cur], edge.diagonal(label), forward)
         holders = self.corners_with([label])
         missing = [cid for cid in holders if cid not in found]
         if missing:
             raise ConnectivityError(
                 f"E_{label} is disconnected: {missing} unreachable from {start!r}"
             )
-        return {cid: found[cid] for cid in holders}
+        return {cid: Fraction(*found[cid]) for cid in holders}
 
     def codim2_centers(self, corner_ids: Iterable[str] | None = None) -> dict[frozenset[str], str]:
         """Every unordered label pair realized at the given corners (default:
@@ -329,9 +336,13 @@ class MonomialManifold:
         distinct endpoints of the right size (no two of `edges` on one
         pair), the size of the endpoints' intersection, the label sets,
         triangular form with a positive diagonal, and the exact inverse
-        (`inverse·matrix == I`, decided by `mat_mul_is_identity` without
-        building the product).  `validate` passes every edge; a blow-up's
-        local certificate passes the edges it built."""
+        (`inverse·matrix == I`, decided as `mat_mul_is_identity` does,
+        without building the product).  The matrix is grouped into its
+        nonzero rows once (`linalg._nonzero_rows`): triangular form and the
+        diagonal's signs are read off that grouping, over the shared labels
+        in sorted order, and the inverse check reuses it.  `validate`
+        passes every edge; a blow-up's local certificate passes the edges
+        it built."""
         bad: list[str] = []
         n = self.dimension
         seen_pairs: set[frozenset[str]] = set()
@@ -357,18 +368,26 @@ class MonomialManifold:
             if e.matrix.row_labels != iq or e.matrix.col_labels != ip:
                 bad.append(f"{tag}: matrix is not indexed by (rows=q labels, cols=p labels)")
                 continue
+            rows = linalg._nonzero_rows(e.matrix)
             (i_q,) = iq - shared
-            for ell in shared:
-                if e.matrix.entry(ell, ell) <= 0:
+            new_row = {c for c, _, _ in rows.get(i_q, ())}
+            labels = sorted(shared)
+            for ell in labels:
+                row = {c: num for c, num, _ in rows.get(ell, ())}
+                if row.get(ell, 0) <= 0:
                     bad.append(f"{tag}: diagonal entry at {ell} is not positive")
-                for m in shared:
-                    if m != ell and e.matrix.entry(ell, m) != 0:
+                for m in labels:
+                    if m != ell and m in row:
                         bad.append(f"{tag}: off-diagonal entry ({ell},{m}) on shared labels")
-                if e.matrix.entry(i_q, ell) != 0:
+                if ell in new_row:
                     bad.append(f"{tag}: new-label row has entry at shared column {ell}")
             try:
                 inverse = e.inverse
-                if inverse.col_labels != iq or not mat_mul_is_identity(inverse, e.matrix):
+                if (
+                    inverse.col_labels != iq
+                    or inverse.row_labels != ip
+                    or not _grouped_product_is_identity(inverse, rows)
+                ):
                     bad.append(f"{tag}: cached inverse is not an exact inverse")
             except SingularMatrixError:
                 bad.append(f"{tag}: matrix is singular")

@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .errors import DomainError, StructuralError
-from .linalg import ExponentVector, RatLike, parse_rational
+from .linalg import ExponentVector, RatLike, _compare_sums, parse_rational
 from .manifold import MonomialManifold
 
 
@@ -91,9 +91,10 @@ def realized_among(m: MonomialManifold, weights: Mapping[str, ExponentVector]) -
     """The per-edge test on the edges between two of the corners that
     `weights` covers, and on no other edge: across an edge `p -> q`, the
     weight at `p` on each shared label is the edge's diagonal entry there
-    times the weight at `q`."""
-    return all(
-        weights[e.p][ell] == e.matrix.entry(ell, ell) * weights[e.q][ell]
+    times the weight at `q`, decided by cross-multiplying
+    (`_compare_sums`)."""
+    return not any(
+        _compare_sums([(weights[e.p][ell],)], [(e.matrix.entry(ell, ell), weights[e.q][ell])])
         for e in m.edges_among(weights)
         for ell in e.shared
     )
@@ -129,6 +130,9 @@ def weights_at(
     (`MonomialManifold.transport_weight`), so each weight is the anchored
     value times a product of edge diagonals, each hop multiplying or
     dividing by one diagonal entry; no chart change is multiplied out.
+    Each vector holds exactly its corner's labels, each a `Fraction` made
+    by `transport_weight`, so it is wrapped without re-parsing
+    (`ExponentVector._exact`).
     """
     base = m.corner(local.corner)
     if local.alpha.labels != base.index_set:
@@ -153,4 +157,4 @@ def weights_at(
             entries = per_corner.get(cid)
             if entries is not None:
                 entries[lab] = weight
-    return {cid: ExponentVector(entries) for cid, entries in per_corner.items()}
+    return {cid: ExponentVector._exact(entries) for cid, entries in per_corner.items()}

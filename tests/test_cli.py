@@ -2,6 +2,10 @@
 
 import copy
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -135,6 +139,57 @@ def test_edge_at_a_wrong_size_corner_is_a_violation(tmp_path, capsys, corners, e
     out = capsys.readouterr().out
     assert "violation: edge c0->c1: an endpoint's index set does not have size 2" in out
     assert "index set size" in out
+
+
+# Two corners on {a, b}, one edge whose matrix breaks triangular form on
+# both shared labels: a nonpositive diagonal, an off-diagonal entry and a
+# new-label row entry at each.
+UNSORTED_VIOLATIONS = {
+    "dimension": 3,
+    "components": ["a", "b", "c", "d"],
+    "corners": [{"id": "c0", "index_set": ["a", "b", "c"]}, {"id": "c1", "index_set": ["a", "b", "d"]}],
+    "edges": [
+        {
+            "from": "c0",
+            "to": "c1",
+            "matrix": {
+                "rows": ["a", "b", "d"],
+                "cols": ["a", "b", "c"],
+                "entries": [["-1", "5", "0"], ["7", "-2", "0"], ["3", "4", "1"]],
+            },
+        }
+    ],
+}
+
+
+def test_edge_violations_come_in_sorted_label_order(tmp_path, capsys):
+    assert main(["validate", "--input", write(tmp_path / "m.json", UNSORTED_VIOLATIONS)]) == 2
+    assert capsys.readouterr().out.splitlines() == [
+        "violation: edge c0->c1: diagonal entry at a is not positive",
+        "violation: edge c0->c1: off-diagonal entry (a,b) on shared labels",
+        "violation: edge c0->c1: new-label row has entry at shared column a",
+        "violation: edge c0->c1: diagonal entry at b is not positive",
+        "violation: edge c0->c1: off-diagonal entry (b,a) on shared labels",
+        "violation: edge c0->c1: new-label row has entry at shared column b",
+    ]
+
+
+def test_edge_violations_do_not_depend_on_the_hash_seed(tmp_path):
+    """The shared labels were once walked in frozenset order, which the
+    string hash seed decides, so two processes listed the same violations
+    in different orders."""
+    path = write(tmp_path / "m.json", UNSORTED_VIOLATIONS)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    outs = []
+    for hash_seed in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=hash_seed)
+        run = subprocess.run(
+            [sys.executable, "-m", "monores.cli", "validate", "--input", path],
+            env=env, capture_output=True, text=True,
+        )
+        assert run.returncode == 2 and run.stderr == ""
+        outs.append(run.stdout)
+    assert outs[0].count("violation:") == 6 and outs[1] == outs[0]
 
 
 def test_budget_exit_code_writes_partial_trace(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Exact vector/matrix core: examples plus algebraic property tests."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -8,20 +9,33 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from monores import (
+    Edge,
     ExponentMatrix,
     ExponentVector,
+    MonomialManifold,
     SingularMatrixError,
     StructuralError,
     div_le,
     format_rational,
+    make_corner,
     mat_inverse,
     mat_mul,
     minimal_elements,
     parse_rational,
     vec_apply,
 )
-from monores.linalg import mat_mul_is_identity, vec_apply_all_equal
+from monores.errors import AlgorithmInvariantViolation
+from monores.ideals import MFunction, _check_balance, center_is_uncoupled_at
+from monores.linalg import (
+    _compare,
+    _compare_sums,
+    _plus_times,
+    _scaled,
+    mat_mul_is_identity,
+    vec_apply_all_equal,
+)
 from helpers import brute_force_minimal, generators_along, sample_towers, tower_manifolds
+from test_manifold import reference_adjacency, reference_transport_weight
 
 LABELS = ("E1", "E2")
 
@@ -452,3 +466,147 @@ def test_from_row_table_rejects_repeated_labels(rows, cols, table):
     """A repeated label would keep only its last row or column."""
     with pytest.raises(StructuralError, match="repeats a row or column label"):
         ExponentMatrix.from_row_table(rows, cols, table)
+
+
+# -- integer-pair rules for single entries ---------------------------------
+
+# Numerators and denominators past 2^64, zero, and both signs.
+BIG = 2**70
+wide_rationals = st.one_of(
+    st.just(Fraction(0)),
+    st.fractions(max_denominator=12),
+    st.builds(
+        Fraction,
+        st.integers(min_value=-(2**80), max_value=2**80),
+        st.integers(min_value=1, max_value=2**80),
+    ),
+    st.builds(lambda n: Fraction(n * BIG + 1, 3), st.integers(min_value=-5, max_value=5)),
+)
+positive_rationals = st.builds(
+    Fraction, st.integers(min_value=1, max_value=2**80), st.integers(min_value=1, max_value=2**80)
+)
+
+
+def is_normalized(x):
+    return type(x) is Fraction and x.denominator > 0 and math.gcd(x.numerator, x.denominator) == 1
+
+
+@given(wide_rationals, wide_rationals, wide_rationals)
+@example(Fraction(0), Fraction(3, 2), Fraction(0))
+@example(Fraction(-BIG, 7), Fraction(BIG + 1, 3), Fraction(-5, BIG))
+@example(Fraction(1, 2), Fraction(0), Fraction(BIG))
+@settings(max_examples=150)
+def test_plus_times_equals_the_fraction_formula(top, c, x):
+    got = _plus_times(top, c, x)
+    assert got == top + c * x and is_normalized(got)
+
+
+@given(wide_rationals, st.data())
+@settings(max_examples=150)
+def test_compare_is_the_sign_of_the_difference(a, data):
+    b = data.draw(st.one_of(st.just(a), st.just(Fraction(a.numerator, a.denominator)), wide_rationals))
+    assert _compare(a, b) == (a > b) - (a < b)
+    assert _compare(b, a) == -_compare(a, b)
+
+
+terms = st.lists(st.lists(wide_rationals, min_size=0, max_size=3), max_size=3)
+
+
+@given(terms, terms, st.booleans())
+@settings(max_examples=100)
+def test_compare_sums_is_the_sign_of_the_difference_of_sums(left, right, tie):
+    """Each side a sum of products; an empty product is 1, an empty sum 0."""
+    if tie:
+        right = left[::-1]
+    total = sum((math.prod(t, start=Fraction(1)) for t in left), Fraction(0))
+    total -= sum((math.prod(t, start=Fraction(1)) for t in right), Fraction(0))
+    assert _compare_sums(left, right) == (total > 0) - (total < 0)
+
+
+@given(st.integers(-(2**80), 2**80), st.integers(1, 2**80), positive_rationals, st.booleans())
+@settings(max_examples=100)
+def test_scaled_carries_a_pair_across_a_positive_factor(n, d, x, divide):
+    num, den = _scaled((n, d), x, divide)
+    assert den > 0
+    assert Fraction(num, den) == (Fraction(n, d) / x if divide else Fraction(n, d) * x)
+
+
+PAIR_LABELS = ("x", "y", "z")
+exponents = st.fractions(min_value=Fraction(0), max_value=Fraction(20), max_denominator=9)
+
+
+def on_one_corner(values):
+    m = make_corner(PAIR_LABELS)
+    return MFunction(m, {"c0": ExponentVector(dict(zip(PAIR_LABELS, values)))})
+
+
+@given(st.tuples(*[exponents] * 3), st.tuples(*[exponents] * 3), st.data())
+@settings(max_examples=150)
+def test_center_sign_test_agrees_with_the_product_of_differences(lam, mu, data):
+    # half of the draws tie one coordinate, where the product is 0
+    mu = data.draw(st.one_of(st.just(mu), st.just(lam[:1] + mu[1:]), st.just(mu[:1] + lam[1:2] + mu[2:])))
+    f, g = on_one_corner(lam), on_one_corner(mu)
+    for i, j in [(0, 1), (0, 2), (1, 2)]:
+        pair = frozenset((PAIR_LABELS[i], PAIR_LABELS[j]))
+        expected = (lam[i] - mu[i]) * (lam[j] - mu[j]) < 0
+        assert center_is_uncoupled_at(f, g, pair, "c0") == expected
+
+
+@given(
+    st.tuples(*[exponents] * 3),
+    st.tuples(*[exponents] * 3),
+    positive_rationals,
+    st.sampled_from([Fraction(0), Fraction(1, BIG), Fraction(-3, 7), Fraction(BIG)]),
+)
+@settings(max_examples=150)
+def test_balance_check_agrees_with_the_balance_formula(lam, mu, a_x, perturbation):
+    """Weights that balance the pair (x, y) exactly, then moved by
+    `perturbation` on y; the check raises iff the Fraction formula is not 0."""
+    f, g = on_one_corner(lam), on_one_corner(mu)
+    d_x, d_y = lam[0] - mu[0], lam[1] - mu[1]
+    a_y = -a_x * d_y / d_x if d_x else Fraction(5, 3)
+    a_y += perturbation
+    weights = {"c0": ExponentVector({"x": a_x, "y": a_y, "z": 1})}
+    balanced = a_y * d_x + a_x * d_y == 0
+    if balanced:
+        _check_balance(f, g, frozenset("xy"), weights)
+    else:
+        with pytest.raises(AlgorithmInvariantViolation, match="balance equation at corner 'c0'"):
+            _check_balance(f, g, frozenset("xy"), weights)
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_transport_weight_equals_the_fraction_walk(data):
+    """Carried on integer pairs, the weights equal the breadth-first loop
+    that multiplied and divided Fractions hop by hop."""
+    manifolds = [m for m in tower_manifolds() if m.edges]
+    m = data.draw(st.sampled_from(manifolds))
+    label = data.draw(st.sampled_from(sorted(m.components)))
+    start = data.draw(st.sampled_from(m.corners_with([label])))
+    value = data.draw(positive_rationals | wide_rationals)
+    got = m.transport_weight(label, start, value)
+    assert got == reference_transport_weight(m, reference_adjacency(m), label, start, value)
+    assert all(is_normalized(w) for w in got.values())
+
+
+@given(st.data(), st.fractions(max_value=Fraction(0), max_denominator=7))
+@settings(max_examples=40, deadline=None)
+def test_a_nonpositive_diagonal_stops_the_transport_with_the_edge_s_message(data, bad):
+    manifolds = [m for m in tower_manifolds() if m.edges]
+    m = data.draw(st.sampled_from(manifolds))
+    e = data.draw(st.sampled_from(m.edges))
+    label = data.draw(st.sampled_from(sorted(e.shared)))
+    rows, cols = sorted(e.matrix.row_labels), sorted(e.matrix.col_labels)
+    entries = {(r, c): e.matrix.entry(r, c) for r in rows for c in cols}
+    entries[(label, label)] = bad
+    broken = Edge(e.p, e.q, ExponentMatrix(rows, cols, entries))
+    bad_m = MonomialManifold(
+        m.dimension, m.components, m.corners.values(), [broken] + [x for x in m.edges if x is not e]
+    )
+    message = f"nonpositive diagonal at {label} on edge {e.p}->{e.q}: corrupt chart data"
+    with pytest.raises(StructuralError) as from_edge:
+        broken.diagonal(label)
+    with pytest.raises(StructuralError) as from_walk:
+        bad_m.transport_weight(label, e.p, Fraction(1))
+    assert str(from_walk.value) == str(from_edge.value) == message

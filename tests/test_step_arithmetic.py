@@ -16,6 +16,7 @@ and every child's pulled-back vector.
 import dataclasses
 import sys
 from collections import deque
+from fractions import Fraction
 
 import pytest
 
@@ -39,10 +40,11 @@ from monores import (
     vec_apply,
 )
 from monores.blowup import BlowupStep, ChildChart, _lift_table
-from monores.errors import AlgorithmInvariantViolation, MonoresError
+from monores.errors import AlgorithmInvariantViolation, BudgetExceededError, MonoresError
 from monores.ideals import MFunction
 from monores.supports import minimal_support
 from helpers import (
+    corpus_c_problem,
     enumerated_label_sets,
     generators_along,
     sample_towers,
@@ -511,6 +513,55 @@ def test_the_lift_table_equals_a_scan_of_every_edge():
         assert {e.key() for e in step.new_edges} == table.keys()
         lifts += len(table)
     assert lifts == sum(len(step.new_edges) for step in steps) > 80
+
+
+def test_a_sweep_computes_each_lift_table_once(monkeypatch):
+    """`apply_center` builds the new edges from the lift table and checks
+    the step against that same table; only the public
+    `BlowupStep.violations`, called on a built step, computes it again."""
+    report = max(shared_reports(), key=lambda r: r.age)
+    true_table = monores.blowup._lift_table
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return true_table(*args)
+
+    monkeypatch.setattr(monores.blowup, "_lift_table", counted)
+    rep = reduce_problem(report.problem)
+    assert rep.age == report.age > 1
+    assert len(calls) == rep.age
+    assert rep.star.steps[-1].violations() == []
+    assert len(calls) == rep.age + 1
+
+
+FRACTION_ARITHMETIC = (
+    "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__truediv__", "__rtruediv__"
+)
+FRACTION_ORDER = ("__lt__", "__le__", "__gt__", "__ge__")
+
+
+def test_a_30_step_tower_stays_within_its_fraction_budget(monkeypatch):
+    """A step does its arithmetic on integer pairs and builds one `Fraction`
+    per entry it keeps, so a 30-step corpus-C tower runs few `Fraction`
+    operators: it ran 6,755 binary arithmetic operators and 6,871 ordered
+    comparisons when each step added, multiplied and compared Fractions."""
+    counts = dict.fromkeys(("arithmetic", "order"), 0)
+
+    def counted(kind, operator):
+        def wrapper(*args):
+            counts[kind] += 1
+            return operator(*args)
+
+        return wrapper
+
+    for kind, names in (("arithmetic", FRACTION_ARITHMETIC), ("order", FRACTION_ORDER)):
+        for name in names:
+            monkeypatch.setattr(Fraction, name, counted(kind, getattr(Fraction, name)))
+    with pytest.raises(BudgetExceededError) as stop:
+        reduce_problem(corpus_c_problem(), max_steps=30)
+    assert stop.value.star.age == 30
+    assert counts["arithmetic"] <= 500 and counts["order"] <= 150, counts
 
 
 def test_local_certificate_catches_a_changed_edge_that_validate_can_miss():
