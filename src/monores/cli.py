@@ -86,57 +86,56 @@ def _check_options(args) -> None:
         raise DomainError(f"--samples must be at least 1, got {args.samples}")
 
 
-def _maybe_check_numeric(star, args) -> None:
+def _sweep(args, run, to_json, summary) -> int:
+    """The path `reduce` and `principalize` share once the input is read:
+    sweep it (`run()`); on a budget stop write the partial trace, if any,
+    and exit 3; else write the trace (`to_json`) and DOT, print
+    `summary(result)` and, with `--check-numeric`, the oracle's error."""
+    try:
+        result = run()
+    except BudgetExceededError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        if exc.star is not None:
+            _write_text(args.trace, canonical_dumps(star_to_json(exc.star)))
+            print(f"partial trace written to {args.trace}", file=sys.stderr)
+        return EXIT_BUDGET
+    _write_text(args.trace, canonical_dumps(to_json(result)))
+    if args.dot:
+        _write_text(args.dot, export_dot_star(result.star))
+    summary(result)
     if args.check_numeric:
-        err = numeric_oracle(star, samples=args.samples, seed=args.seed)
+        err = numeric_oracle(result.star, samples=args.samples, seed=args.seed)
         print(f"numeric oracle: max relative error {err:.3e} "
               f"({args.samples} samples, seed {args.seed})")
-
-
-def _budget_bailout(exc: BudgetExceededError, trace_path: str) -> int:
-    print(f"error: {exc}", file=sys.stderr)
-    if exc.star is not None:
-        _write_text(trace_path, canonical_dumps(star_to_json(exc.star)))
-        print(f"partial trace written to {trace_path}", file=sys.stderr)
-    return EXIT_BUDGET
+    return EXIT_OK
 
 
 def cmd_reduce(args) -> int:
     _check_options(args)
     problem = problem_from_json(_load_json(args.input), stratum_dim=args.stratum_dim)
-    try:
-        report = reduce_problem(problem, max_steps=args.max_steps)
-    except BudgetExceededError as exc:
-        return _budget_bailout(exc, args.trace)
-    _write_text(args.trace, canonical_dumps(report_to_json(report)))
-    if args.dot:
-        _write_text(args.dot, export_dot_star(report.star))
-    print(
-        f"reduced: age {report.age}, {len(report.corners)} final corners, "
-        f"trace -> {args.trace}"
-    )
-    for step in report.star.steps:
-        pair = ",".join(sorted(step.center_pair))
-        print(f"  center {{{pair}}} -> {step.new_label}   [{report.problem.center_annotation}]")
-    _maybe_check_numeric(report.star, args)
-    return EXIT_OK
+
+    def summary(report) -> None:
+        print(f"reduced: age {report.age}, {len(report.corners)} final corners, "
+              f"trace -> {args.trace}")
+        for step in report.star.steps:
+            pair = ",".join(sorted(step.center_pair))
+            print(f"  center {{{pair}}} -> {step.new_label}   [{report.problem.center_annotation}]")
+
+    return _sweep(args, lambda: reduce_problem(problem, max_steps=args.max_steps),
+                  report_to_json, summary)
 
 
 def cmd_principalize(args) -> int:
     _check_options(args)
     ideal = ideal_from_json(_load_json(args.input))
-    try:
-        run = principalize_generators(
-            ideal.manifold, ideal.generators, max_steps=args.max_steps
-        )
-    except BudgetExceededError as exc:
-        return _budget_bailout(exc, args.trace)
-    _write_text(args.trace, canonical_dumps(certified_trace_to_json(run)))
-    if args.dot:
-        _write_text(args.dot, export_dot_star(run.star))
-    print(f"principalized: age {run.age}, trace -> {args.trace}")
-    _maybe_check_numeric(run.star, args)
-    return EXIT_OK
+
+    def run():
+        return principalize_generators(ideal.manifold, ideal.generators, max_steps=args.max_steps)
+
+    def summary(result) -> None:
+        print(f"principalized: age {result.age}, trace -> {args.trace}")
+
+    return _sweep(args, run, certified_trace_to_json, summary)
 
 
 def cmd_validate(args) -> int:

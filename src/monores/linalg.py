@@ -9,8 +9,9 @@ Every product and every product test sums each entry over its nonzero
 terms only, as an unreduced integer pair `(numerator, denominator)`
 (`_entry_sums`).  A product (`mat_mul`, `vec_apply`) then normalizes
 each entry once into a `Fraction`; a test (`vec_apply_all_equal`,
-`mat_mul_is_identity`) cross-multiplies it with the expected entry, so
-it builds no `Fraction`, takes no gcd, and gives the product's verdict.
+`_grouped_product_is_identity`) cross-multiplies it with the expected
+entry, so it builds no `Fraction`, takes no gcd, and gives the product's
+verdict.
 
 The blow-up step's single entries follow the same rule, through the
 integer-pair helpers at the end of this module: a construction
@@ -20,6 +21,9 @@ normalized `Fraction` per entry it keeps, and a sign, order or equality
 test (`_compare`, `_compare_sums`) cross-multiplies.  No `Fraction`
 operator runs in between, so `blowup`, `manifold`, `standardization` and
 `ideals` hold no arithmetic of their own.
+
+A vector keeps one store, its label map, which every test reads;
+`items()` sorts it on demand, as does the one sort key, `lex_key`.
 
 The public constructors validate what callers pass: every label and
 every entry.  The products, the inverse, the identity and the blow-up's
@@ -33,7 +37,9 @@ totality count (entries == rows × columns) is kept, for matrices.
 
 The componentwise partial order `div_le` (one exponent tuple divides
 another) and the extraction of its minimal elements live here too, since
-every other module is built on them.
+every other module is built on them.  A proper divisor sorts first
+under `lex_key`, so `minimal_elements` tests each vector only against
+the minima already kept.
 """
 
 from __future__ import annotations
@@ -104,12 +110,10 @@ class ExponentVector:
     Immutable and hashable; entries are accessible by label only.
     """
 
-    __slots__ = ("_items", "_map")
+    __slots__ = ("_map",)
 
     def __init__(self, entries: Mapping[str, RatLike]):
-        m = {_check_label(k): parse_rational(v) for k, v in entries.items()}
-        self._map = m
-        self._items = tuple(sorted(m.items()))
+        self._map = {_check_label(k): parse_rational(v) for k, v in entries.items()}
 
     @classmethod
     def _exact(cls, entries: dict[str, Fraction]) -> "ExponentVector":
@@ -117,7 +121,6 @@ class ExponentVector:
         objects, owned by the result from now on; nothing is re-checked."""
         vec = object.__new__(cls)
         vec._map = entries
-        vec._items = tuple(sorted(entries.items()))
         return vec
 
     @property
@@ -131,31 +134,34 @@ class ExponentVector:
             raise StructuralError(f"no entry for label {label!r}") from None
 
     def items(self) -> Iterator[tuple[str, Fraction]]:
-        return iter(self._items)
-
-    def __len__(self) -> int:
-        return len(self._items)
+        """The entries in sorted label order."""
+        return iter(sorted(self._map.items()))
 
     def is_nonnegative(self) -> bool:
         """Every entry `>= 0`, read off the numerators' signs (a
         `Fraction`'s denominator is positive)."""
-        return all(v.numerator >= 0 for _, v in self._items)
+        return all(v.numerator >= 0 for v in self._map.values())
 
     def is_positive(self) -> bool:
         """Every entry `> 0`, read off the numerators' signs."""
-        return all(v.numerator > 0 for _, v in self._items)
+        return all(v.numerator > 0 for v in self._map.values())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ExponentVector):
             return NotImplemented
-        return self._items == other._items
+        return self._map == other._map
 
     def __hash__(self) -> int:
-        return hash(self._items)
+        return hash(frozenset(self._map.items()))
 
     def __repr__(self) -> str:
-        body = ", ".join(f"{k}: {format_rational(v)}" for k, v in self._items)
+        body = ", ".join(f"{k}: {format_rational(v)}" for k, v in self.items())
         return f"ExponentVector({{{body}}})"
+
+
+def lex_key(v: ExponentVector) -> tuple[Fraction, ...]:
+    """The entries in sorted label order, the key every vector sort uses."""
+    return tuple(x for _, x in v.items())
 
 
 class ExponentMatrix:
@@ -287,27 +293,29 @@ class ExponentMatrix:
 
 def div_le(a: ExponentVector, b: ExponentVector) -> bool:
     """Componentwise order: a divides b iff a(i) <= b(i) for every label i."""
-    if a.labels != b.labels:
+    if a._map.keys() != b._map.keys():
         raise StructuralError("div_le needs vectors over the same label set")
-    return all(av <= b[k] for k, av in a.items())
+    return all(av <= b._map[k] for k, av in a._map.items())
 
 
 def minimal_elements(vectors: Iterable[ExponentVector]) -> list[ExponentVector]:
     """The elements not strictly dominated by another one; pairwise incomparable.
 
     Input vectors must share one label set.  Duplicates collapse; the result
-    is sorted for determinism.  Empty input gives an empty list.
+    is sorted (`lex_key`) for determinism.  Empty input gives an empty list.
+    One scan tests each vector against the minima kept so far: a proper
+    divisor sorts first (it is smaller at the first label where they
+    differ), and one that is not minimal is divided by a kept minimum.
     """
-    vecs = sorted(set(vectors), key=lambda v: tuple(x for _, x in v.items()))
+    vecs = sorted(set(vectors), key=lex_key)
     if not vecs:
         return []
-    labels = vecs[0].labels
+    labels = vecs[0]._map.keys()
+    if any(v._map.keys() != labels for v in vecs):
+        raise StructuralError("minimal_elements needs a single common label set")
+    out: list[ExponentVector] = []
     for v in vecs:
-        if v.labels != labels:
-            raise StructuralError("minimal_elements needs a single common label set")
-    out = []
-    for v in vecs:
-        if not any(w != v and div_le(w, v) for w in vecs):
+        if not any(div_le(w, v) for w in out):
             out.append(v)
     return out
 
@@ -365,9 +373,9 @@ def mat_inverse(a: ExponentMatrix) -> ExponentMatrix:
 def vec_apply(v: ExponentVector, a: ExponentMatrix) -> ExponentVector:
     """Row-vector times matrix: (vA)(j) = sum_i v(i) A(i,j), each entry
     summed over its nonzero terms (`_entry_sums`) and normalized once."""
-    if v.labels != a.row_labels:
+    if v._map.keys() != a._rows:
         raise StructuralError("vec_apply: vector labels differ from matrix rows")
-    return ExponentVector._exact(_fractions(_entry_sums(v._items, _nonzero_rows(a)), a._cols))
+    return ExponentVector._exact(_fractions(_entry_sums(v._map.items(), _nonzero_rows(a)), a._cols))
 
 
 def _row_entries(a: ExponentMatrix) -> dict[str, list[tuple[str, Fraction]]]:
@@ -433,8 +441,8 @@ def vec_apply_all_equal(
             raise StructuralError("vec_apply: vector labels differ from matrix rows")
         if w._map.keys() != a._cols:
             return False
-        sums = _entry_sums(v._items, rows)
-        for c, wc in w._items:
+        sums = _entry_sums(v._map.items(), rows)
+        for c, wc in w._map.items():
             num, den = sums.get(c, (0, 1))
             wn, wd = wc.as_integer_ratio()
             if num * wd != wn * den:
@@ -442,22 +450,14 @@ def vec_apply_all_equal(
     return True
 
 
-def mat_mul_is_identity(a: ExponentMatrix, b: ExponentMatrix) -> bool:
-    """`mat_mul(a, b).is_identity()`, decided row by row: each row of `a`
-    is a vector, and each entry of its product with `b` (`_entry_sums`)
-    is compared with the identity's; no product matrix and no Fraction is
-    built.  Raises StructuralError where `mat_mul` does."""
-    if a._cols != b._rows:
-        raise StructuralError("mat_mul: inner label sets differ")
-    return a._rows == b._cols and _grouped_product_is_identity(a, _nonzero_rows(b))
-
-
 def _grouped_product_is_identity(
     a: ExponentMatrix, b_rows: Mapping[str, list[tuple[str, int, int]]]
 ) -> bool:
-    """`mat_mul_is_identity(a, b)` for `b` given by its `_nonzero_rows`,
-    the labels already checked: a caller that grouped `b` to read it
-    decides the product without grouping it again."""
+    """Whether `a·b` is the identity, `b` given by its `_nonzero_rows` and
+    the labels checked by the caller (`validate` and the step certificate,
+    deciding an edge's inverse).  Each row of `a` times `b`
+    (`_entry_sums`) must be 1 at its own label and 0 elsewhere; no
+    product and no `Fraction` is built."""
     for r, x in _row_entries(a).items():
         sums = _entry_sums(x, b_rows)
         num, den = sums.pop(r, (0, 1))

@@ -75,8 +75,8 @@ class Edge:
     blow-up lifts it along with the matrix) passes it as `inverse`;
     otherwise it is computed once, on first use, by `mat_inverse`.  Either
     way `MonomialManifold.validate` checks that its product with the
-    matrix is the identity (`mat_mul_is_identity`), so a passed inverse is
-    checked, not trusted.
+    matrix is the identity (`linalg._grouped_product_is_identity`), so a
+    passed inverse is checked, not trusted.
     """
 
     __slots__ = ("p", "q", "shared", "matrix", "__dict__")
@@ -336,7 +336,7 @@ class MonomialManifold:
         distinct endpoints of the right size (no two of `edges` on one
         pair), the size of the endpoints' intersection, the label sets,
         triangular form with a positive diagonal, and the exact inverse
-        (`inverse·matrix == I`, decided as `mat_mul_is_identity` does,
+        (`inverse·matrix == I`, decided by `_grouped_product_is_identity`
         without building the product).  The matrix is grouped into its
         nonzero rows once (`linalg._nonzero_rows`): triangular form and the
         diagonal's signs are read off that grouping, over the shared labels

@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from .errors import DomainError, StructuralError
-from .linalg import ExponentMatrix, ExponentVector, minimal_elements, vec_apply
+from .linalg import ExponentMatrix, ExponentVector, lex_key, minimal_elements, vec_apply
 
 
 class SupportSet:
@@ -27,22 +27,22 @@ class SupportSet:
         if len(set(self.variables)) != len(self.variables):
             raise StructuralError("duplicate variable names")
         labels = frozenset(self.variables)
-        pts = frozenset(points)
-        for p in pts:
+        pts = list(points)
+        for p in pts:  # in the order given, so an error names the first bad point
             if p.labels != labels:
                 raise StructuralError(
                     f"point over {sorted(p.labels)} does not match variables {sorted(labels)}"
                 )
             if not p.is_nonnegative():
                 raise DomainError(f"support point with a negative entry: {p!r}")
-        self.points = pts
+        self.points = frozenset(pts)
 
     @property
     def index_set(self) -> frozenset[str]:
         return frozenset(self.variables)
 
     def sorted_points(self) -> list[ExponentVector]:
-        return sorted(self.points, key=lambda v: tuple(x for _, x in v.items()))
+        return sorted(self.points, key=lex_key)
 
     def __len__(self) -> int:
         return len(self.points)

@@ -14,6 +14,7 @@ from monores import (
     ExponentVector,
     MFunction,
     ReductionProblem,
+    div_le,
     make_corner,
     mfunction_from_corner,
     minimal_support,
@@ -44,6 +45,13 @@ def brute_force_minimal(vectors):
         if not dominated:
             out.append(v)
     return set(out)
+
+
+def all_pairs_minimal(vectors):
+    """Reference for `minimal_elements`, list and order: the all-pairs scan
+    it once ran, testing every distinct vector against every other."""
+    vecs = sorted(set(vectors), key=lambda v: tuple(x for _, x in v.items()))
+    return [v for v in vecs if not any(w != v and div_le(w, v) for w in vecs)]
 
 
 def random_vector(rng: random.Random, labels, max_num=10, max_den=8) -> ExponentVector:

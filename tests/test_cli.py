@@ -192,6 +192,37 @@ def test_edge_violations_do_not_depend_on_the_hash_seed(tmp_path):
     assert outs[0].count("violation:") == 6 and outs[1] == outs[0]
 
 
+NEGATIVE_ROWS = [["-1", "2"], ["3", "-4"], ["-5", "6"], ["7", "-8"]]
+
+
+@pytest.mark.parametrize(
+    "command, doc",
+    [
+        ("reduce", {"variables": ["a", "b"], "points": NEGATIVE_ROWS}),
+        ("principalize", {"dimension": 2, "labels": ["a", "b"], "generators": NEGATIVE_ROWS}),
+    ],
+)
+def test_negative_point_message_does_not_depend_on_the_hash_seed(tmp_path, command, doc):
+    """The points were once checked in frozenset order, so the message named
+    a different bad point under each PYTHONHASHSEED; it names the file's
+    first."""
+    path = write(tmp_path / "in.json", doc)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    errs = []
+    for hash_seed in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=hash_seed)
+        run = subprocess.run(
+            [sys.executable, "-m", "monores.cli", command, "--input", path,
+             "--trace", str(tmp_path / "t.json")],
+            env=env, capture_output=True, text=True,
+        )
+        assert run.returncode == 1 and run.stdout == ""
+        errs.append(run.stderr)
+    assert errs[0] == "error: support point with a negative entry: ExponentVector({a: -1, b: 2})\n"
+    assert errs[1] == errs[0]
+    assert not (tmp_path / "t.json").exists()
+
+
 def test_budget_exit_code_writes_partial_trace(tmp_path, capsys):
     inp = write(tmp_path / "problem.json", PROBLEM)
     trace = tmp_path / "t.json"

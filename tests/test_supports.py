@@ -1,5 +1,6 @@
 """Support-set combinatorics: reduction to minimal points and pullback."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from monores import (
     ExponentMatrix,
     ExponentVector,
     StructuralError,
+    SupportSet,
     minimal_support,
     pullback_support,
     support_from_rows,
@@ -86,3 +88,21 @@ def test_support_validation():
         support_from_rows(V2, [[1]])
     with pytest.raises(StructuralError):
         support_from_rows(("z1", "z1"), [[1, 2]])
+
+
+NEGATIVE_ROWS = [["-1", "2"], ["3", "-4"], ["-5", "6"], ["7", "-8"]]
+MISMATCHED_LABELS = [("a", "c"), ("a", "d"), ("b", "c"), ("c", "d")]
+
+
+@pytest.mark.parametrize("shift", range(4))
+def test_support_errors_name_the_first_bad_point_in_input_order(shift):
+    """The points were once frozen into a set before they were checked, so
+    the message named whichever bad point the string hash seed put first."""
+    rows = NEGATIVE_ROWS[shift:] + NEGATIVE_ROWS[:shift]
+    first = ExponentVector(dict(zip("ab", rows[0])))
+    with pytest.raises(DomainError, match=re.escape(f"negative entry: {first!r}")):
+        support_from_rows("ab", rows)
+    labels = MISMATCHED_LABELS[shift:] + MISMATCHED_LABELS[:shift]
+    points = [ExponentVector(dict.fromkeys(labs, 1)) for labs in labels]
+    with pytest.raises(StructuralError, match=re.escape(f"point over {list(labels[0])} ")):
+        SupportSet("ab", points)
