@@ -65,7 +65,6 @@ from .ideals import (
     adapted_standardization,
     adapted_weights,
     center_is_uncoupled_at,
-    is_locally_principal,
     local_min_data,
     mfunction_from_corner,
     principalize_generators,

@@ -46,9 +46,12 @@ from functools import cached_property
 from typing import Mapping
 
 from .errors import AlgorithmInvariantViolation, DomainError, StructuralError
-from .linalg import ExponentMatrix, ExponentVector, _check_label, _plus_times, mat_mul
+from .linalg import _ZERO, ExponentMatrix, ExponentVector, _check_label, _plus_times, mat_mul
 from .manifold import Corner, Edge, MonomialManifold, next_exceptional_label
 from .standardization import GlobalStandardization, validate_realizable
+
+# A matrix's nonzero rows (`ExponentMatrix._nonzero`).
+Rows = Mapping[str, Mapping[str, Fraction]]
 
 
 @dataclass(frozen=True)
@@ -84,34 +87,44 @@ class ChildChart:
         return ExponentVector._exact(entries)
 
 
-def _entries(mat: ExponentMatrix) -> dict[tuple[str, str], Fraction]:
-    """A mutable copy of the matrix's total entry map."""
-    return dict(mat._data)
-
-
-def _column_step(entries: dict, row_labels, chart: ChildChart) -> None:
-    """`X·B` in place on the entries of `X`: the new column `E` is column
+def _column_step(rows: Rows, chart: ChildChart) -> Rows:
+    """`X·B` from the nonzero rows of `X`: the new column `E` is column
     `removed` plus `c` times column `other`, and column `removed` goes.
-    Each new entry is one `_plus_times` on the integer pairs, which keeps
-    the old entry where column `other` is 0."""
+    Each new entry is one `_plus_times` on the integer pairs, kept unless
+    it cancels to 0; no row empties, since `B` is invertible.  A row that
+    holds neither column is the same dict in the result: stored rows are
+    never mutated."""
     gone, other, c, new = chart.removed, chart.other, chart.c, chart.new_label
-    for r in row_labels:
-        top = entries.pop((r, gone))
-        entries[(r, new)] = _plus_times(top, c, entries[(r, other)])
+    out = {}
+    for r, row in rows.items():
+        if gone in row or other in row:
+            row = dict(row)
+            value = _plus_times(row.pop(gone, _ZERO), c, row.get(other, _ZERO))
+            if value:
+                row[new] = value
+        out[r] = row
+    return out
 
 
-def _row_step(
-    entries: dict, col_labels, source: str, target: str, other: str, c: Fraction
-) -> None:
-    """In place on the entries of `X`: row `source` is renamed `target`, and
+def _row_step(rows: Rows, source: str, target: str, other: str, c: Fraction) -> Rows:
+    """From the nonzero rows of `X`: row `source` is renamed `target`, and
     row `other` gains `c` times it, each entry by one `_plus_times` on the
-    integer pairs (nothing changes where it is 0).  `B⁻¹·X` (the
+    integer pairs; an entry that cancels to 0 is dropped, and so is the
+    row if it empties.  Only row `other` is a new dict.  `B⁻¹·X` (the
     identity with row `removed` renamed to `E` and `-c` at (`other`,
     `removed`)) is (`removed` → `E`, `-c`); `B·X` is (`E` → `removed`, `c`)."""
-    for s in col_labels:
-        top = entries.pop((source, s))
-        entries[(target, s)] = top
-        entries[(other, s)] = _plus_times(entries[(other, s)], c, top)
+    if source not in rows:
+        return rows
+    out = dict(rows)
+    moved = out[target] = out.pop(source)
+    row = dict(out.pop(other, {}))
+    for s, top in moved.items():
+        value = _plus_times(row.pop(s, _ZERO), c, top)
+        if value:
+            row[s] = value
+    if row:
+        out[other] = row
+    return out
 
 
 def _conjugate(
@@ -119,13 +132,12 @@ def _conjugate(
 ) -> ExponentMatrix:
     """`B_rows⁻¹ · mat · B_cols`; a missing chart stands for the identity:
     one column step and one row step."""
-    row_labels, col_labels = mat.row_labels, mat.col_labels
-    entries = _entries(mat)
+    row_labels, col_labels, entries = mat.row_labels, mat.col_labels, mat._nonzero
     if cols is not None:
-        _column_step(entries, row_labels, cols)
+        entries = _column_step(entries, cols)
         col_labels = (col_labels - {cols.removed}) | {cols.new_label}
     if rows is not None:
-        _row_step(entries, col_labels, rows.removed, rows.new_label, rows.other, -rows.c)
+        entries = _row_step(entries, rows.removed, rows.new_label, rows.other, -rows.c)
         row_labels = (row_labels - {rows.removed}) | {rows.new_label}
     return ExponentMatrix._exact(row_labels, col_labels, entries)
 
@@ -133,15 +145,18 @@ def _conjugate(
 def _conjugation_holds(
     lifted: ExponentMatrix, old: ExponentMatrix, at_p: ChildChart | None, at_q: ChildChart | None
 ) -> bool:
-    """`B_q·lifted == old·B_p`, by one row step and one column step that
-    multiply by `B` (not `B⁻¹`, so this is not `_conjugate` run again)."""
-    left = _entries(lifted)
+    """`B_q·lifted == old·B_p`, labels included, by one row step and one
+    column step that multiply by `B` (not `B⁻¹`, so this is not
+    `_conjugate` run again)."""
+    left, rows = lifted._nonzero, lifted.row_labels
     if at_q is not None:
-        _row_step(left, lifted.col_labels, at_q.new_label, at_q.removed, at_q.other, at_q.c)
-    right = _entries(old)
+        left = _row_step(left, at_q.new_label, at_q.removed, at_q.other, at_q.c)
+        rows = (rows - {at_q.new_label}) | {at_q.removed}
+    right, cols = old._nonzero, old.col_labels
     if at_p is not None:
-        _column_step(right, old.row_labels, at_p)
-    return left == right
+        right = _column_step(right, at_p)
+        cols = (cols - {at_p.removed}) | {at_p.new_label}
+    return left == right and rows == old.row_labels and cols == lifted.col_labels
 
 
 def _lift_table(

@@ -90,7 +90,9 @@ def _sweep(args, run, to_json, summary) -> int:
     """The path `reduce` and `principalize` share once the input is read:
     sweep it (`run()`); on a budget stop write the partial trace, if any,
     and exit 3; else write the trace (`to_json`) and DOT, print
-    `summary(result)` and, with `--check-numeric`, the oracle's error."""
+    `summary(result)` and, with `--check-numeric`, the oracle's error.
+    A path that cannot be written is bad input (exit 1), after a budget
+    stop too."""
     try:
         result = run()
     except BudgetExceededError as exc:

@@ -10,10 +10,10 @@ obstructed centers drops by exactly one per step.  Ideals with more
 generators reduce to one pass over the generator pairs, since the
 nonnegative morphisms keep a finished pair finished.  Each blow-up pulls
 every generator back in one pass (`pull_back_generators`), which checks
-them all at the new corners and groups each new edge's matrix once for
-all of them.  The sweep certifies its own end: the age is the sum of the
-pairs' start counts, and at every end corner the final generators'
-minimal exponent is a single point.
+them all at the new corners and across each new edge, one check of the
+edge for all of them.  The sweep certifies its own end: the age is the
+sum of the pairs' start counts, and at every end corner the final
+generators' minimal exponent is a single point.
 """
 
 from __future__ import annotations
@@ -105,8 +105,8 @@ def _check_data(
     """For every data of `datas`: labels and nonnegativity at
     `corner_ids`, and chart consistency across `edges` (`data[q]·M ==
     data[p]`).  Each edge is one `vec_apply_all_equal` over every data,
-    which groups its matrix once and builds no product.  Raises
-    StructuralError or NotEffectiveError."""
+    which builds no product.  Raises StructuralError or
+    NotEffectiveError."""
     for cid in corner_ids:
         labels = manifold.corner(cid).index_set
         for data in datas:
@@ -161,13 +161,6 @@ class MIdeal:
 def local_min_data(ideal: MIdeal, corner_id: str) -> list[ExponentVector]:
     """Minimal exponents of the generators at one corner."""
     return minimal_elements(g.at(corner_id) for g in ideal.generators)
-
-
-def is_locally_principal(ideal: MIdeal) -> bool:
-    """True iff one generator divides the others at every corner."""
-    return all(
-        len(local_min_data(ideal, cid)) == 1 for cid in ideal.manifold.corner_ids()
-    )
 
 
 def center_is_uncoupled_at(
@@ -309,7 +302,7 @@ def pull_back_generators(gens: Sequence[MFunction], step: BlowupStep) -> list[MF
     O(n) after checking the labels.  Only what the pullback changed is
     checked, for every function: labels and nonnegativity at the
     children, and chart consistency across the step's new edges, each
-    edge's matrix grouped once for all the functions (`_check_data`).
+    edge checked once for all the functions (`_check_data`).
     That suffices because each function is proven on `step.before`, an
     untouched corner keeps its vector and the edges between untouched
     corners stay as they were, and at a child only the `removed` →

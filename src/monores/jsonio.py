@@ -186,12 +186,15 @@ def vector_from_json(doc: Mapping[str, Any]) -> ExponentVector:
 
 
 def matrix_to_json(mat: ExponentMatrix) -> dict[str, Any]:
+    """Every entry in sorted label order, read off the stored rows: an
+    entry they do not hold is written "0"."""
     rows = list(mat.sorted_rows)
     cols = list(mat.sorted_cols)
+    stored = [mat._nonzero.get(r, {}) for r in rows]
     return {
         "rows": rows,
         "cols": cols,
-        "entries": [[format_rational(mat.entry(r, c)) for c in cols] for r in rows],
+        "entries": [[format_rational(row[c]) if c in row else "0" for c in cols] for row in stored],
     }
 
 

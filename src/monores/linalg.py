@@ -5,13 +5,18 @@ labels.  There is no positional indexing, no floating point, and no
 tolerance anywhere: all arithmetic is exact, on integers and
 `fractions.Fraction`.
 
-Every product and every product test sums each entry over its nonzero
+A matrix keeps one store, its nonzero rows: row label -> {column label:
+nonzero `Fraction`}, where an absent row or entry is the exact 0.  Every
+reader uses that store directly; the zeros exist only as the labels.
+A vector keeps one store too, its label map, which every test reads;
+`items()` sorts it on demand, as does the one sort key, `lex_key`.
+
+Every product and every product test sums each entry over the stored
 terms only, as an unreduced integer pair `(numerator, denominator)`
 (`_entry_sums`).  A product (`mat_mul`, `vec_apply`) then normalizes
 each entry once into a `Fraction`; a test (`vec_apply_all_equal`,
-`_grouped_product_is_identity`) cross-multiplies it with the expected
-entry, so it builds no `Fraction`, takes no gcd, and gives the product's
-verdict.
+`_product_equals`) cross-multiplies it with the expected entry, so it
+builds no `Fraction`, takes no gcd, and gives the product's verdict.
 
 The blow-up step's single entries follow the same rule, through the
 integer-pair helpers at the end of this module: a construction
@@ -22,18 +27,16 @@ test (`_compare`, `_compare_sums`) cross-multiplies.  No `Fraction`
 operator runs in between, so `blowup`, `manifold`, `standardization` and
 `ideals` hold no arithmetic of their own.
 
-A vector keeps one store, its label map, which every test reads;
-`items()` sorts it on demand, as does the one sort key, `lex_key`.
-
 The public constructors validate what callers pass: every label and
-every entry.  The products, the inverse, the identity and the blow-up's
-lifts build their results with the private constructors
-`ExponentMatrix._exact` and `ExponentVector._exact` instead.  Their
-contract: the label sets are taken from already-built objects or checked
-once by the caller (a blow-up's new label by `apply_center`, the
-identity's labels by `ExponentMatrix.identity`), and every entry is an
-exact `Fraction` computed from theirs or made there.  Only the cheap
-totality count (entries == rows × columns) is kept, for matrices.
+every entry, and a matrix drops its zeros.  The products, the inverse,
+the identity and the blow-up's lifts build their results with the
+private constructors `ExponentMatrix._exact` and `ExponentVector._exact`
+instead.  Their contract: the label sets are taken from already-built
+objects or checked once by the caller (a blow-up's new label by
+`apply_center`, the identity's labels by `ExponentMatrix.identity`), and
+every entry is an exact `Fraction` computed from theirs or made there.
+Only the shape of a matrix's store is checked (`_exact`), since a kernel
+that breaks it is a bug.
 
 The componentwise partial order `div_le` (one exponent tuple divides
 another) and the extraction of its minimal elements live here too, since
@@ -48,11 +51,12 @@ import re
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
-from .errors import SingularMatrixError, StructuralError
+from .errors import AlgorithmInvariantViolation, SingularMatrixError, StructuralError
 
 RatLike = Union[Fraction, int, str]
 
 _RATIONAL = re.compile(r"[+-]?\d+(?:/\d+)?\Z")
+_ZERO = Fraction(0)
 
 
 def parse_rational(value: RatLike) -> Fraction:
@@ -169,9 +173,12 @@ class ExponentMatrix:
 
     Rows and columns are unordered label sets; any positional rendering
     (serialization, elimination) fixes an explicit label order first.
+    The one store is `_nonzero`, the nonzero rows: an absent row or
+    entry is 0, and no stored row is empty.  A stored row is never
+    mutated, so the blow-up's steps share the rows they leave unchanged.
     """
 
-    __slots__ = ("_rows", "_cols", "_data")
+    __slots__ = ("_rows", "_cols", "_nonzero")
 
     def __init__(
         self,
@@ -181,40 +188,42 @@ class ExponentMatrix:
     ):
         self._rows = frozenset(_check_label(r) for r in rows)
         self._cols = frozenset(_check_label(c) for c in cols)
-        data = {}
+        nonzero: dict[str, dict[str, Fraction]] = {}
         for (r, c), v in entries.items():
             if r not in self._rows or c not in self._cols:
                 raise StructuralError(f"entry ({r!r},{c!r}) outside {sorted(self._rows)}x{sorted(self._cols)}")
-            data[(r, c)] = parse_rational(v)
-        missing = len(self._rows) * len(self._cols) - len(data)
+            x = parse_rational(v)
+            if x:
+                nonzero.setdefault(r, {})[c] = x
+        missing = len(self._rows) * len(self._cols) - len(entries)
         if missing:
             raise StructuralError(f"matrix is missing {missing} entries")
-        self._data = data
+        self._nonzero = nonzero
 
     @classmethod
     def _exact(
-        cls, rows: frozenset[str], cols: frozenset[str], data: dict[tuple[str, str], Fraction]
+        cls, rows: frozenset[str], cols: frozenset[str], nonzero: dict[str, dict[str, Fraction]]
     ) -> "ExponentMatrix":
-        """Wrap exact `Fraction` entries over label sets taken from
-        already-built objects, owned by the result from now on.  Labels and
-        entries are not re-checked; the entry count still must be
-        rows × columns."""
-        if len(data) != len(rows) * len(cols):
-            raise StructuralError(
-                f"matrix has {len(data)} entries over {len(rows)}x{len(cols)} labels"
-            )
+        """Wrap exact nonzero rows over label sets taken from already-built
+        objects, owned by the result from now on.  The entries are not
+        re-parsed; a stored row or column outside the labels, an empty row
+        or a stored 0 is a kernel's bug (AlgorithmInvariantViolation)."""
+        for r, row in nonzero.items():
+            if r not in rows or not row or not cols.issuperset(row) or not all(row.values()):
+                raise AlgorithmInvariantViolation(
+                    f"matrix row {r!r} is not a nonzero row over {sorted(rows)}x{sorted(cols)}"
+                )
         mat = object.__new__(cls)
-        mat._rows, mat._cols, mat._data = rows, cols, data
+        mat._rows, mat._cols, mat._nonzero = rows, cols, nonzero
         return mat
 
     @classmethod
     def identity(cls, labels: Iterable[str]) -> "ExponentMatrix":
-        """The identity over `labels`, each label checked once; the 0/1
+        """The identity over `labels`, each label checked once; the 1
         entries it makes are not re-parsed (`_exact`)."""
         labs = frozenset(_check_label(lab) for lab in labels)
-        one, zero = Fraction(1), Fraction(0)
-        entries = {(r, c): one if r == c else zero for r in labs for c in labs}
-        return cls._exact(labs, labs, entries)
+        one = Fraction(1)
+        return cls._exact(labs, labs, {lab: {lab: one} for lab in labs})
 
     @classmethod
     def from_row_table(
@@ -255,37 +264,41 @@ class ExponentMatrix:
         return tuple(sorted(self._cols))
 
     def entry(self, row: str, col: str) -> Fraction:
-        try:
-            return self._data[(row, col)]
-        except KeyError:
-            raise StructuralError(f"no entry at ({row!r},{col!r})") from None
+        if row not in self._rows or col not in self._cols:
+            raise StructuralError(f"no entry at ({row!r},{col!r})")
+        return self._nonzero.get(row, {}).get(col, _ZERO)
 
     def is_nonnegative(self) -> bool:
-        return all(v >= 0 for v in self._data.values())
+        """Every entry `>= 0`, read off the stored numerators' signs."""
+        return all(v.numerator > 0 for row in self._nonzero.values() for v in row.values())
 
     def is_identity(self) -> bool:
-        """True iff rows and columns are one label set and the entries are
-        those of its identity matrix; builds no matrix."""
-        return self._rows == self._cols and all(
-            v == (1 if r == c else 0) for (r, c), v in self._data.items()
+        """True iff rows and columns are one label set and each row stores
+        just 1 at its own label; builds no matrix."""
+        return (
+            self._rows == self._cols
+            and len(self._nonzero) == len(self._rows)
+            and all(len(row) == 1 and row.get(r) == 1 for r, row in self._nonzero.items())
         )
-
-    def _key(self):
-        return tuple(sorted(self._data.items()))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ExponentMatrix):
             return NotImplemented
-        return self._rows == other._rows and self._cols == other._cols and self._data == other._data
+        return (
+            self._rows == other._rows
+            and self._cols == other._cols
+            and self._nonzero == other._nonzero
+        )
 
     def __hash__(self) -> int:
-        return hash((self._rows, self._cols, self._key()))
+        stored = frozenset((r, c, v) for r, row in self._nonzero.items() for c, v in row.items())
+        return hash((self._rows, self._cols, stored))
 
     def __repr__(self) -> str:
         rows = self.sorted_rows
         cols = self.sorted_cols
         body = "; ".join(
-            f"{r}: [" + ", ".join(format_rational(self._data[(r, c)]) for c in cols) + "]"
+            f"{r}: [" + ", ".join(format_rational(self.entry(r, c)) for c in cols) + "]"
             for r in rows
         )
         return f"ExponentMatrix(rows={list(rows)}, cols={list(cols)}, {body})"
@@ -323,19 +336,17 @@ def minimal_elements(vectors: Iterable[ExponentVector]) -> list[ExponentVector]:
 def mat_mul(a: ExponentMatrix, b: ExponentMatrix) -> ExponentMatrix:
     """Exact product; the column labels of `a` must equal the row labels of `b`.
 
-    Each row of `a` is summed as a vector over `b`'s nonzero rows, grouped
-    once (`_nonzero_rows`, `_entry_sums`), and each entry is normalized
-    once (`_fractions`).
-    """
-    if a.col_labels != b.row_labels:
+    Each stored row of `a` is summed as a vector over `b`'s stored rows
+    (`_entry_sums`), and each entry that does not cancel is normalized
+    once."""
+    if a._cols != b._rows:
         raise StructuralError("mat_mul: inner label sets differ")
-    b_rows = _nonzero_rows(b)
-    entries = {
-        (r, c): value
-        for r, x in _row_entries(a).items()
-        for c, value in _fractions(_entry_sums(x, b_rows), b._cols).items()
-    }
-    return ExponentMatrix._exact(a._rows, b._cols, entries)
+    nonzero = {}
+    for r, x in a._nonzero.items():
+        row = {c: Fraction(n, d) for c, (n, d) in _entry_sums(x.items(), b._nonzero).items() if n}
+        if row:
+            nonzero[r] = row
+    return ExponentMatrix._exact(a._rows, b._cols, nonzero)
 
 
 def mat_inverse(a: ExponentMatrix) -> ExponentMatrix:
@@ -366,49 +377,34 @@ def mat_inverse(a: ExponentMatrix) -> ExponentMatrix:
                 f = work[k][i]
                 work[k] = [x - f * y for x, y in zip(work[k], work[i])]
                 aug[k] = [x - f * y for x, y in zip(aug[k], aug[i])]
-    entries = {(cols[i], rows[j]): aug[i][j] for i in range(n) for j in range(n)}
-    return ExponentMatrix._exact(a._cols, a._rows, entries)
+    nonzero = {cols[i]: {rows[j]: x for j, x in enumerate(aug[i]) if x} for i in range(n)}
+    return ExponentMatrix._exact(a._cols, a._rows, nonzero)
 
 
 def vec_apply(v: ExponentVector, a: ExponentMatrix) -> ExponentVector:
     """Row-vector times matrix: (vA)(j) = sum_i v(i) A(i,j), each entry
-    summed over its nonzero terms (`_entry_sums`) and normalized once."""
+    summed over its nonzero terms (`_entry_sums`) and normalized once; an
+    entry that no term reaches is the exact 0."""
     if v._map.keys() != a._rows:
         raise StructuralError("vec_apply: vector labels differ from matrix rows")
-    return ExponentVector._exact(_fractions(_entry_sums(v._map.items(), _nonzero_rows(a)), a._cols))
-
-
-def _row_entries(a: ExponentMatrix) -> dict[str, list[tuple[str, Fraction]]]:
-    """Each row of `a` as its entries `(column, value)`, every row present."""
-    rows: dict[str, list[tuple[str, Fraction]]] = {r: [] for r in a._rows}
-    for (r, c), av in a._data.items():
-        rows[r].append((c, av))
-    return rows
-
-
-def _nonzero_rows(a: ExponentMatrix) -> dict[str, list[tuple[str, int, int]]]:
-    """Each row of `a` as its nonzero entries `(column, numerator,
-    denominator)`; a row of zeros is absent."""
-    rows: dict[str, list[tuple[str, int, int]]] = {}
-    for (r, c), av in a._data.items():
-        an, ad = av.as_integer_ratio()
-        if an:
-            rows.setdefault(r, []).append((c, an, ad))
-    return rows
+    sums = _entry_sums(v._map.items(), a._nonzero)
+    return ExponentVector._exact({c: Fraction(*sums[c]) if c in sums else _ZERO for c in a._cols})
 
 
 def _entry_sums(
-    x: Iterable[tuple[str, Fraction]], rows: Mapping[str, list[tuple[str, int, int]]]
+    x: Iterable[tuple[str, Fraction]], rows: Mapping[str, Mapping[str, Fraction]]
 ) -> dict[str, tuple[int, int]]:
-    """The entries of `x·A`, `A` given by its `_nonzero_rows`, each summed
+    """The entries of `x·A`, `A` given by its stored rows, each summed
     over its nonzero terms only as an unreduced integer pair `(numerator,
     denominator)` with a positive denominator.  An entry that no nonzero
     term reaches is absent: it is exactly 0."""
     sums: dict[str, tuple[int, int]] = {}
     for r, xr in x:
         xn, xd = xr.as_integer_ratio()
-        if xn:
-            for c, an, ad in rows.get(r, ()):
+        row = rows.get(r)
+        if xn and row:
+            for c, ar in row.items():
+                an, ad = ar.as_integer_ratio()
                 n, d = xn * an, xd * ad
                 prev = sums.get(c)
                 if prev is None:
@@ -419,29 +415,20 @@ def _entry_sums(
     return sums
 
 
-def _fractions(sums: Mapping[str, tuple[int, int]], cols: Iterable[str]) -> dict[str, Fraction]:
-    """Each entry over `cols` of `_entry_sums` as one normalized `Fraction`;
-    an entry that no term reaches is the exact 0."""
-    zero = Fraction(0)
-    return {c: Fraction(*sums[c]) if c in sums else zero for c in cols}
-
-
 def vec_apply_all_equal(
     a: ExponentMatrix, pairs: Iterable[tuple[ExponentVector, ExponentVector]]
 ) -> bool:
-    """`vec_apply(v, a) == w` for every `(v, w)` of `pairs`, in order,
-    with the rows of `a` grouped once (`_nonzero_rows`) for all of them.
+    """`vec_apply(v, a) == w` for every `(v, w)` of `pairs`, in order.
     Each is decided entry by entry by cross-multiplying each of
     `_entry_sums` with `w`'s entry; no product vector and no Fraction is
     built.  Raises StructuralError where `vec_apply` does, at a pair
     before the first that fails."""
-    rows = _nonzero_rows(a)
     for v, w in pairs:
         if v._map.keys() != a._rows:
             raise StructuralError("vec_apply: vector labels differ from matrix rows")
         if w._map.keys() != a._cols:
             return False
-        sums = _entry_sums(v._map.items(), rows)
+        sums = _entry_sums(v._map.items(), a._nonzero)
         for c, wc in w._map.items():
             num, den = sums.get(c, (0, 1))
             wn, wd = wc.as_integer_ratio()
@@ -450,19 +437,26 @@ def vec_apply_all_equal(
     return True
 
 
-def _grouped_product_is_identity(
-    a: ExponentMatrix, b_rows: Mapping[str, list[tuple[str, int, int]]]
-) -> bool:
-    """Whether `a·b` is the identity, `b` given by its `_nonzero_rows` and
-    the labels checked by the caller (`validate` and the step certificate,
-    deciding an edge's inverse).  Each row of `a` times `b`
-    (`_entry_sums`) must be 1 at its own label and 0 elsewhere; no
-    product and no `Fraction` is built."""
-    for r, x in _row_entries(a).items():
-        sums = _entry_sums(x, b_rows)
-        num, den = sums.pop(r, (0, 1))
-        if num != den or any(n for n, _ in sums.values()):
+def _product_equals(a: ExponentMatrix, b: ExponentMatrix, c: ExponentMatrix) -> bool:
+    """Whether `a·b == c`, the one test of a matrix product (`validate`'s
+    inverse and cycle checks, and the step certificate's inverse check).
+    Each stored row of `a` times `b` (`_entry_sums`) is cross-multiplied
+    with `c`'s row, and `c` may store no row that `a` lacks; no product
+    and no `Fraction` is built.  Raises StructuralError where `mat_mul`
+    does; other labels than `a·b`'s make `c` differ."""
+    if a._cols != b._rows:
+        raise StructuralError("mat_mul: inner label sets differ")
+    if a._rows != c._rows or b._cols != c._cols or not c._nonzero.keys() <= a._nonzero.keys():
+        return False
+    for r, x in a._nonzero.items():
+        sums = _entry_sums(x.items(), b._nonzero)
+        want = c._nonzero.get(r, {})
+        if not want.keys() <= sums.keys():
             return False
+        for col, (n, d) in sums.items():
+            wn, wd = want[col].as_integer_ratio() if col in want else (0, 1)
+            if n * wd != wn * d:
+                return False
     return True
 
 

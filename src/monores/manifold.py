@@ -32,11 +32,10 @@ from .errors import (
     SingularMatrixError,
     StructuralError,
 )
-from . import linalg
 from .linalg import (
     ExponentMatrix,
     ExponentVector,
-    _grouped_product_is_identity,
+    _product_equals,
     _scaled,
     mat_inverse,
     mat_mul,
@@ -75,8 +74,8 @@ class Edge:
     blow-up lifts it along with the matrix) passes it as `inverse`;
     otherwise it is computed once, on first use, by `mat_inverse`.  Either
     way `MonomialManifold.validate` checks that its product with the
-    matrix is the identity (`linalg._grouped_product_is_identity`), so a
-    passed inverse is checked, not trusted.
+    matrix is the identity (`linalg._product_equals`), so a passed
+    inverse is checked, not trusted.
     """
 
     __slots__ = ("p", "q", "shared", "matrix", "__dict__")
@@ -336,13 +335,11 @@ class MonomialManifold:
         distinct endpoints of the right size (no two of `edges` on one
         pair), the size of the endpoints' intersection, the label sets,
         triangular form with a positive diagonal, and the exact inverse
-        (`inverse·matrix == I`, decided by `_grouped_product_is_identity`
-        without building the product).  The matrix is grouped into its
-        nonzero rows once (`linalg._nonzero_rows`): triangular form and the
-        diagonal's signs are read off that grouping, over the shared labels
-        in sorted order, and the inverse check reuses it.  `validate`
-        passes every edge; a blow-up's local certificate passes the edges
-        it built."""
+        (`inverse·matrix == I_p`, decided by `_product_equals` without
+        building the product).  Triangular form and the diagonal's signs
+        are read off the matrix's nonzero rows, over the shared labels in
+        sorted order.  `validate` passes every edge; a blow-up's local
+        certificate passes the edges it built."""
         bad: list[str] = []
         n = self.dimension
         seen_pairs: set[frozenset[str]] = set()
@@ -368,17 +365,15 @@ class MonomialManifold:
             if e.matrix.row_labels != iq or e.matrix.col_labels != ip:
                 bad.append(f"{tag}: matrix is not indexed by (rows=q labels, cols=p labels)")
                 continue
-            rows = linalg._nonzero_rows(e.matrix)
+            rows = e.matrix._nonzero
             (i_q,) = iq - shared
-            new_row = {c for c, _, _ in rows.get(i_q, ())}
-            labels = sorted(shared)
-            for ell in labels:
-                row = {c: num for c, num, _ in rows.get(ell, ())}
-                if row.get(ell, 0) <= 0:
+            new_row = rows.get(i_q, {})
+            for ell in sorted(shared):
+                row = rows.get(ell, {})
+                if row.get(ell, 0).numerator <= 0:
                     bad.append(f"{tag}: diagonal entry at {ell} is not positive")
-                for m in labels:
-                    if m != ell and m in row:
-                        bad.append(f"{tag}: off-diagonal entry ({ell},{m}) on shared labels")
+                for m in sorted(shared.intersection(row) - {ell}):
+                    bad.append(f"{tag}: off-diagonal entry ({ell},{m}) on shared labels")
                 if ell in new_row:
                     bad.append(f"{tag}: new-label row has entry at shared column {ell}")
             try:
@@ -386,7 +381,7 @@ class MonomialManifold:
                 if (
                     inverse.col_labels != iq
                     or inverse.row_labels != ip
-                    or not _grouped_product_is_identity(inverse, rows)
+                    or not _product_equals(inverse, e.matrix, self.corners[e.p].identity)
                 ):
                     bad.append(f"{tag}: cached inverse is not an exact inverse")
             except SingularMatrixError:
@@ -398,37 +393,34 @@ class MonomialManifold:
 
         One `_walk` from the first corner carries the chart change `T_x`
         from the root's chart to each corner's along the walk's tree, at
-        one `mat_mul` per tree edge.  Each non-tree edge `p->q` then
-        closes its cycle iff `M·T_p == T_q`.  The root's change is the
-        identity and is never built: edges at the root use `M` itself and
-        compare with the identity entrywise, so a single-corner manifold
-        does no matrix work.  Run after the exact-inverse check, which
-        makes every `T_x` invertible.
+        one sparse `mat_mul` per tree edge off the root (an edge at the
+        root is its own change).  Each non-tree edge `p->q` then closes
+        its cycle iff `M·T_p == T_q`, decided by `_product_equals`; the
+        root's change is its corner's identity, read only when such an
+        edge exists, so a tree (a manifold without edges included) does
+        no matrix work.
+        Run after the exact-inverse check, which makes every `T_x`
+        invertible.
         """
         if not self.corners:
             return []
         root = next(iter(self.corners))
-        transport: dict[str, ExponentMatrix | None] = {root: None}
+        transport: dict[str, ExponentMatrix] = {}
         tree_edges: set[Edge] = set()
         for cur, nxt, edge, forward in self._walk(root, frozenset()):
             hop = edge.matrix if forward else edge.inverse
-            t_cur = transport[cur]
-            transport[nxt] = hop if t_cur is None else mat_mul(hop, t_cur)
+            transport[nxt] = hop if cur == root else mat_mul(hop, transport[cur])
             tree_edges.add(edge)
-        if len(transport) != len(self.corners):
+        if len(transport) + 1 != len(self.corners):
             return ["corner graph is not connected"]
-
-        bad: list[str] = []
-        for e in self.edges:
-            if e in tree_edges:
-                continue
-            t_p, t_q = transport[e.p], transport[e.q]
-            moved = e.matrix if t_p is None else mat_mul(e.matrix, t_p)
-            if not (moved.is_identity() if t_q is None else moved == t_q):
-                bad.append(
-                    f"cycle through edge {e.p}->{e.q}: product around the cycle is not the identity"
-                )
-        return bad
+        if len(tree_edges) == len(self.edges):
+            return []
+        transport[root] = self.corners[root].identity
+        return [
+            f"cycle through edge {e.p}->{e.q}: product around the cycle is not the identity"
+            for e in self.edges
+            if e not in tree_edges and not _product_equals(e.matrix, transport[e.p], transport[e.q])
+        ]
 
     def _connectivity_violations(self, label_sets: Iterable[frozenset[str]]) -> list[str]:
         """Each given label set J must have a connected corner graph along

@@ -54,16 +54,12 @@ Planner = Callable[[ExponentMatrix], Plan]
 
 
 def float_plan(matrix: ExponentMatrix) -> Plan:
-    """The matrix's nonzero entries as floats, rows and terms in sorted label order."""
-    cols = matrix.sorted_cols
+    """The matrix's stored (nonzero) entries as floats, every row, rows and
+    terms in sorted label order."""
     plan = []
     for r in matrix.sorted_rows:
-        terms = []
-        for c in cols:
-            e = matrix.entry(r, c)
-            if e:
-                terms.append((c, float(e)))
-        plan.append((r, tuple(terms)))
+        row = matrix._nonzero.get(r, {})
+        plan.append((r, tuple((c, float(row[c])) for c in sorted(row))))
     return tuple(plan)
 
 

@@ -324,6 +324,27 @@ def test_unwritable_output_path_is_bad_input(tmp_path, capsys, where):
     assert "Traceback" not in err
 
 
+def test_a_budget_stop_that_cannot_write_its_trace_is_bad_input(tmp_path, capsys):
+    """The stop is reported, then the unwritable path, and the run exits 1,
+    not 3: a path that cannot be written is bad input, whatever stopped
+    the run.  Nothing is written."""
+    inp = write(tmp_path / "problem.json", PROBLEM)
+    missing = str(tmp_path / "missing_dir" / "t.json")
+    try:  # the operating system's reason, which the CLI reports as it is
+        Path(missing).write_bytes(b"")
+    except OSError as exc:
+        reason = exc
+    assert main(["reduce", "--input", inp, "--trace", missing, "--max-steps", "0"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        "error: stopped after 0 blow-ups (budget 0) at generator pair (0, 1): obstruction "
+        "count 1, 1 at the pair's start; end manifold corner count 1\n"
+        f"error: cannot write {missing}: {reason}\n"
+    )
+    assert not (tmp_path / "missing_dir").exists()
+
+
 def test_bad_input_exit_code(tmp_path):
     missing = str(tmp_path / "nope.json")
     assert main(["validate", "--input", missing]) == 1

@@ -23,7 +23,6 @@ from monores import (
     center_is_uncoupled_at,
     div_le,
     extend,
-    is_locally_principal,
     local_min_data,
     make_corner,
     mfunction_from_corner,
@@ -165,12 +164,9 @@ def test_local_min_data_and_principality():
     m, lam, mu = worked_pair()
     ideal = MIdeal(m, [lam, mu])
     assert set(local_min_data(ideal, "c0")) == {lam.at("c0"), mu.at("c0")}
-    assert not is_locally_principal(ideal)
 
     chain = MIdeal(m, [seed_fn(m, {"E1": 1, "E2": 1}), seed_fn(m, {"E1": 2, "E2": 2})])
     assert local_min_data(chain, "c0") == [ExponentVector({"E1": 1, "E2": 1})]
-    assert is_locally_principal(chain)
-    assert is_locally_principal(MIdeal(m, [lam]))
 
     three = MIdeal(
         m,
@@ -392,7 +388,6 @@ def test_principalize_three_generators():
     assert run.star.age == 1
     assert run.pair_invariants == [(0, 1, 1)]
     ideal = MIdeal(run.star.end, run.final_generators)
-    assert is_locally_principal(ideal)
     for cid in run.star.end.corner_ids():
         assert len(local_min_data(ideal, cid)) == 1
 

@@ -28,12 +28,12 @@ from monores import (
 from monores.errors import AlgorithmInvariantViolation
 from monores.ideals import MFunction, _check_balance, center_is_uncoupled_at
 from monores import linalg
+from monores.jsonio import matrix_from_json, matrix_to_json
 from monores.linalg import (
     _compare,
     _compare_sums,
-    _grouped_product_is_identity,
-    _nonzero_rows,
     _plus_times,
+    _product_equals,
     _scaled,
     vec_apply_all_equal,
 )
@@ -405,33 +405,108 @@ def test_vec_apply_all_equal_on_one_pair_agrees_with_the_product(data):
         vec_apply_all_equal(a, [(ExponentVector({r + "'": 0 for r in rows}), product)])
 
 
+def one_stored_entry_changed(draw, a):
+    """`a` with one entry of one row changed by a nonzero rational."""
+    row = draw(st.sampled_from(a.sorted_rows))
+    changed = one_entry_changed(draw, ExponentVector({c: a.entry(row, c) for c in a.col_labels}))
+    return ExponentMatrix(
+        a.row_labels,
+        a.col_labels,
+        {(r, c): changed[c] if r == row else a.entry(r, c) for r in a.row_labels for c in a.col_labels},
+    )
+
+
 @given(st.data())
 @settings(max_examples=100)
 def test_mat_mul_is_identity_agrees_with_the_product(data):
-    """`_grouped_product_is_identity`, the decider `validate` and the step
-    certificate run, against the naive product: on square matrices against
-    their exact inverse, that inverse with one entry changed, and on
-    rectangular products, which are never the identity.  Its callers check
-    the labels first (`_edge_violations`), and so does the test."""
+    """`_product_equals(x, y, I)`, the inverse check `validate` and the
+    step certificate run, against the naive product: on square matrices
+    against their exact inverse, that inverse with one entry changed, and
+    on rectangular products, which are never the identity.  Its callers
+    check the labels first (`_edge_violations`), and so does the test."""
     labels = data.draw(label_sets)
     a = data.draw(sparse_matrices(labels, labels))
     try:
         inverse = mat_inverse(a)
     except SingularMatrixError:
         inverse = data.draw(sparse_matrices(labels, labels))
-    row = data.draw(st.sampled_from(labels))
-    changed = one_entry_changed(data.draw, ExponentVector({c: inverse.entry(row, c) for c in labels}))
-    wrong = ExponentMatrix(
-        labels,
-        labels,
-        {(r, c): changed[c] if r == row else inverse.entry(r, c) for r in labels for c in labels},
-    )
+    wrong = one_stored_entry_changed(data.draw, inverse)
     rows, cols = data.draw(label_sets), data.draw(label_sets)
     left, right = data.draw(sparse_matrices(rows, labels)), data.draw(sparse_matrices(labels, cols))
     for x, y in ((inverse, a), (a, inverse), (wrong, a), (a, wrong), (left, right)):
-        decided = x.row_labels == y.col_labels and _grouped_product_is_identity(x, _nonzero_rows(y))
+        identity = ExponentMatrix.identity(x.row_labels)
+        decided = x.row_labels == y.col_labels and _product_equals(x, y, identity)
         assert decided == naive_mat_mul(x, y).is_identity()
-    assert not _grouped_product_is_identity(wrong, _nonzero_rows(a))
+    assert not _product_equals(wrong, a, ExponentMatrix.identity(labels))
+
+
+@given(st.data())
+@settings(max_examples=100)
+def test_product_equals_agrees_with_the_naive_product(data):
+    """`_product_equals(a, b, c)` is `naive_mat_mul(a, b) == c`: for `c` an
+    identity, the exact product, the product with one entry changed, a
+    random matrix over the product's labels and one over other row
+    labels; and for `a` an inverse, exact or with one entry changed, and
+    `c` the identity.  Mismatched inner labels raise, as in `mat_mul`."""
+    rows, mids, cols = data.draw(label_sets), data.draw(label_sets), data.draw(label_sets)
+    a = data.draw(sparse_matrices(rows, mids))
+    b = data.draw(sparse_matrices(mids, cols))
+    product = naive_mat_mul(a, b)
+    candidates = [
+        ExponentMatrix.identity(rows),
+        product,
+        one_stored_entry_changed(data.draw, product),
+        data.draw(sparse_matrices(rows, cols)),
+        data.draw(sparse_matrices(data.draw(label_sets), cols)),
+    ]
+    for c in candidates:
+        assert _product_equals(a, b, c) == (product == c)
+    square = data.draw(sparse_matrices(mids, mids))
+    try:
+        inverse = mat_inverse(square)
+    except SingularMatrixError:
+        inverse = square
+    for x in (inverse, one_stored_entry_changed(data.draw, inverse)):
+        assert _product_equals(x, square, ExponentMatrix.identity(mids)) == (
+            naive_mat_mul(x, square) == ExponentMatrix.identity(mids)
+        )
+    with pytest.raises(StructuralError):
+        _product_equals(a, ExponentMatrix.identity([m + "'" for m in mids]), product)
+
+
+def test_every_stored_matrix_keeps_only_nonzero_rows():
+    """Every edge matrix and inverse of the test towers stores no zero and
+    no empty row, and equals, in value and hash, its rebuild through the
+    public constructor from `matrix_to_json`."""
+    checked = 0
+    for m in tower_manifolds():
+        for e in m.edges:
+            for mat_ in (e.matrix, e.inverse):
+                for r, row in mat_._nonzero.items():
+                    assert r in mat_.row_labels and row and set(row) <= mat_.col_labels
+                    assert all(type(x) is Fraction and x != 0 for x in row.values())
+                rebuilt = matrix_from_json(matrix_to_json(mat_))
+                assert rebuilt == mat_ and hash(rebuilt) == hash(mat_)
+                checked += 1
+    assert checked > 300
+
+
+@pytest.mark.parametrize(
+    "nonzero, message",
+    [
+        ({"E3": {"E1": Fraction(1)}}, "row 'E3'"),
+        ({"E1": {"E3": Fraction(1)}}, "row 'E1'"),
+        ({"E1": {"E1": Fraction(0)}}, "row 'E1'"),
+        ({"E2": {}}, "row 'E2'"),
+    ],
+)
+def test_a_bad_private_matrix_is_a_bug_not_bad_input(nonzero, message):
+    """`ExponentMatrix._exact` is fed only by the library's kernels, so a
+    store with a row or column outside the labels, a stored 0 or an empty
+    row is an AlgorithmInvariantViolation (exit 4), not bad input."""
+    labels = frozenset(LABELS)
+    with pytest.raises(AlgorithmInvariantViolation, match=message):
+        ExponentMatrix._exact(labels, labels, nonzero)
 
 
 def test_private_constructors_build_what_the_public_ones_accept():
@@ -460,6 +535,22 @@ def test_private_constructors_build_what_the_public_ones_accept():
                     assert ExponentVector(dict(vec_.items())) == vec_
                     built += 1
     assert built > 500
+
+
+def test_public_matrix_constructor_checks_every_entry_and_drops_zeros():
+    """Every entry is still required and checked, with the same messages;
+    the zeros are read back from the labels, not stored."""
+    with pytest.raises(StructuralError, match=r"^matrix is missing 1 entries$"):
+        ExponentMatrix(LABELS, LABELS, {("E1", "E1"): 1, ("E1", "E2"): 0, ("E2", "E1"): 0})
+    with pytest.raises(StructuralError, match=r"^entry \('E3','E1'\) outside \['E1', 'E2'\]x"):
+        ExponentMatrix(LABELS, LABELS, {("E3", "E1"): 1})
+    m = mat([[2, 0], [0, Fraction(1, 2)]])
+    assert m._nonzero == {"E1": {"E1": 2}, "E2": {"E2": Fraction(1, 2)}}
+    assert m.entry("E1", "E2") == 0 and type(m.entry("E1", "E2")) is Fraction
+    with pytest.raises(StructuralError, match=r"^no entry at \('E1','E3'\)$"):
+        m.entry("E1", "E3")
+    assert repr(m) == "ExponentMatrix(rows=['E1', 'E2'], cols=['E1', 'E2'], E1: [2, 0]; E2: [0, 1/2])"
+    assert m == mat([[2, 0], [0, Fraction(1, 2)]]) and m != mat([[2, 0], [1, Fraction(1, 2)]])
 
 
 def test_kernels_reject_mismatched_labels():

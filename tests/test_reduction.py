@@ -17,7 +17,6 @@ from monores import (
     apply_center,
     build_ideal_from_support,
     compose_star,
-    is_locally_principal,
     local_min_data,
     minimal_support,
     pullback_support,
@@ -111,7 +110,7 @@ def test_generator_pullback_agrees_with_support_pullback():
             )
             assert via_generators == set(pulled.points)
             assert len(pulled) == 1
-        assert is_locally_principal(ideal)
+        assert all(len(local_min_data(ideal, cid)) == 1 for cid in star.end.corner_ids())
 
 
 def _final_generators(rep):

@@ -12,7 +12,6 @@ from itertools import combinations
 import pytest
 
 import monores.ideals
-import monores.linalg
 from monores import (
     AlgorithmInvariantViolation,
     BudgetExceededError,
@@ -160,28 +159,3 @@ def test_a_fresh_obstruction_on_the_active_pair_is_a_bug(monkeypatch):
         match=rf"did not drop the obstruction count from {first} to {first - 1}",
     ):
         principalize_generators(ideal.manifold, ideal.generators)
-
-
-def test_each_new_edge_is_grouped_twice_whatever_the_generator_count(monkeypatch):
-    """`linalg._nonzero_rows` runs once per new edge for the certificate's
-    inverse check and once for the pullback of all five generators."""
-    ideal = ideal_from_json(
-        {
-            "dimension": 3,
-            "labels": ["x", "y", "z"],
-            "generators": [
-                ["2", "1", "0"], ["0", "2", "1"], ["1", "0", "3"], ["3", "0", "1"], ["0", "3", "2"]
-            ],
-        }
-    )
-    true_rows = monores.linalg._nonzero_rows
-    calls = []
-
-    def nonzero_rows(a):
-        calls.append(None)
-        return true_rows(a)
-
-    monkeypatch.setattr(monores.linalg, "_nonzero_rows", nonzero_rows)
-    run = principalize_generators(ideal.manifold, ideal.generators)
-    assert len(ideal.generators) == 5 and run.age > 0
-    assert len(calls) == 2 * sum(len(step.new_edges) for step in run.star.steps)
