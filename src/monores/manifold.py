@@ -250,27 +250,31 @@ class MonomialManifold:
         )
 
     def transport_weight(self, label: str, start: str, value: Fraction) -> dict[str, Fraction]:
-        """Carry a weight on `label` from `start` to every corner of E_label.
+        """Carry a weight on `label` from `start` to every corner of E_label:
+        `_carry_weight`'s pairs, each one normalized `Fraction`."""
+        carried = self._carry_weight(label, start, value)
+        return {cid: Fraction(*carried[cid]) for cid in self.corners_with([label])}
 
-        One `_walk` inside E_label carries the weight as an unreduced
-        integer pair: each hop multiplies or divides it by the edge's
-        diagonal entry (`linalg._scaled`), whose sign `Edge.diagonal`
-        checks on the numerator, raising StructuralError when it is not
-        positive.  Each corner returned gets one normalized `Fraction`; no
-        `Fraction` operator runs.  Raises ConnectivityError when some
-        corner on `label` is not reached.
+    def _carry_weight(self, label: str, start: str, value: Fraction) -> dict[str, tuple[int, int]]:
+        """The weight on `label` at every corner of E_label, carried from
+        `start` as an unreduced integer pair.
+
+        One `_walk` inside E_label: each hop multiplies or divides the pair
+        by the edge's diagonal entry (`linalg._scaled`), whose sign
+        `Edge.diagonal` checks on the numerator, raising StructuralError
+        when it is not positive.  No `Fraction` is made.  Raises
+        ConnectivityError when some corner on `label` is not reached.
         """
         found = {start: value.as_integer_ratio()}
         for cur, nxt, edge, forward in self._walk(start, frozenset((label,))):
             # a forward edge runs cur -> nxt, so nxt's weight is cur's over d
             found[nxt] = _scaled(found[cur], edge.diagonal(label), forward)
-        holders = self.corners_with([label])
-        missing = [cid for cid in holders if cid not in found]
+        missing = [cid for cid in self.corners_with([label]) if cid not in found]
         if missing:
             raise ConnectivityError(
                 f"E_{label} is disconnected: {missing} unreachable from {start!r}"
             )
-        return {cid: Fraction(*found[cid]) for cid in holders}
+        return found
 
     def codim2_centers(self, corner_ids: Iterable[str] | None = None) -> dict[frozenset[str], str]:
         """Every unordered label pair realized at the given corners (default:

@@ -127,12 +127,13 @@ def weights_at(
     the smallest-id corner on that component.  Only the components of the
     given corners are carried: each anchored weight goes to every corner
     on its component by one breadth-first pass
-    (`MonomialManifold.transport_weight`), so each weight is the anchored
-    value times a product of edge diagonals, each hop multiplying or
-    dividing by one diagonal entry; no chart change is multiplied out.
-    Each vector holds exactly its corner's labels, each a `Fraction` made
-    by `transport_weight`, so it is wrapped without re-parsing
-    (`ExponentVector._exact`).
+    (`MonomialManifold._carry_weight`, which checks the component is
+    connected), so each weight is the anchored value times a product of
+    edge diagonals, each hop multiplying or dividing by one diagonal
+    entry; no chart change is multiplied out.  The walk carries integer
+    pairs, and a `Fraction` is made only at the given corners.  Each
+    vector holds exactly its corner's labels, so it is wrapped without
+    re-parsing (`ExponentVector._exact`).
     """
     base = m.corner(local.corner)
     if local.alpha.labels != base.index_set:
@@ -153,8 +154,9 @@ def weights_at(
             anchor, value = local.corner, local.alpha[lab]
         else:
             anchor, value = m.corners_with([lab])[0], beta.get(lab, Fraction(1))
-        for cid, weight in m.transport_weight(lab, anchor, value).items():
-            entries = per_corner.get(cid)
-            if entries is not None:
-                entries[lab] = weight
+        carried = m._carry_weight(lab, anchor, value)
+        for cid, entries in per_corner.items():
+            pair = carried.get(cid)
+            if pair is not None:
+                entries[lab] = Fraction(*pair)
     return {cid: ExponentVector._exact(entries) for cid, entries in per_corner.items()}

@@ -1,11 +1,13 @@
 """Floating sampling oracle: near-zero error on good data, loud on corruption."""
 
 import dataclasses
+import hashlib
 import math
 import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -19,6 +21,7 @@ from monores import (
     MonomialManifold,
     ReductionProblem,
     Star,
+    StructuralError,
     compose_star,
     make_corner,
     numeric_oracle,
@@ -26,7 +29,7 @@ from monores import (
     support_from_rows,
 )
 from monores.oracle import SAMPLE_LOW, apply_plan, float_plan
-from helpers import sample_towers
+from helpers import random_reports, sample_towers
 
 
 def worked_star():
@@ -106,16 +109,40 @@ def test_oracle_detects_a_wrong_inverse():
 
 
 def test_oracle_detects_a_wrong_composite(monkeypatch):
-    """Every step and edge is right and the composite is not: only the
-    composite-versus-stepwise check reads `compose_star`."""
-    def bad_composite(star, cid):
-        good = compose_star(star, cid)
-        return nudged(good, good.sorted_rows[0], good.sorted_cols[0])
+    """Every step and edge is right and the composites are not: only the
+    composite-versus-stepwise check reads `_end_composites`."""
+    end_composites = monores.oracle._end_composites
+
+    def bad_composites(star):
+        return {
+            cid: (nudged(good, good.sorted_rows[0], good.sorted_cols[0]), charts)
+            for cid, (good, charts) in end_composites(star).items()
+        }
 
     star = worked_star()
     assert numeric_oracle(star, samples=20, seed=1) < 1e-9
-    monkeypatch.setattr(monores.oracle, "compose_star", bad_composite)
+    monkeypatch.setattr(monores.oracle, "_end_composites", bad_composites)
     assert numeric_oracle(star, samples=20, seed=1) > 1e-3
+
+
+def test_forward_composites_equal_compose_star():
+    """The composite carried forward over the steps is `compose_star`'s,
+    and its charts are the morphisms of the steps that touched the corner
+    or an ancestor, the latest first."""
+    corners = 0
+    for _, star in sample_towers():
+        composites = monores.oracle._end_composites(star)
+        assert composites.keys() == star.end.corners.keys()
+        for cid, (matrix, charts) in composites.items():
+            assert matrix == compose_star(star, cid)
+            expected, cur = [], cid
+            for step in reversed(star.steps):
+                if cur in step.children:
+                    expected.append(step.morphism(cur))
+                cur = step.lineage(cur)
+            assert list(charts) == expected
+            corners += 1
+    assert corners >= 40
 
 
 # -- what is sampled -------------------------------------------------------------
@@ -133,6 +160,11 @@ def skipped_edges(step):
     ]
 
 
+def sampled_columns(rng, labels, count):
+    """`count` points over `labels` as columns, one per label."""
+    return [[math.log(rng.uniform(SAMPLE_LOW, 1.0)) for _ in range(count)] for _ in labels]
+
+
 def test_every_skipped_square_reads_exactly_zero():
     """Each skipped square, computed as every square is, closes exactly:
     its two sides are the same float computation on every sample."""
@@ -145,12 +177,12 @@ def test_every_skipped_square_reads_exactly_zero():
                 across = float_plan(step.before.change_matrix(a, b))
                 down_p, down_q = float_plan(step.morphism(e.p)), float_plan(step.morphism(e.q))
                 up_across = float_plan(e.matrix)
-                labels = sorted(step.after.corner(e.p).index_set)
-                for _ in range(20):
-                    x_new_p = {lab: math.log(rng.uniform(SAMPLE_LOW, 1.0)) for lab in labels}
-                    x_old_q = apply_plan(across, apply_plan(down_p, x_new_p))
-                    x_old_q2 = apply_plan(down_q, apply_plan(up_across, x_new_p))
-                    assert monores.oracle._rel_err_log(x_old_q, x_old_q2) == 0.0
+                labels = tuple(sorted(step.after.corner(e.p).index_set))
+                x_new_p = sampled_columns(rng, labels, 20)
+                x_old_q = apply_plan(across, *apply_plan(down_p, labels, x_new_p))
+                x_old_q2 = apply_plan(down_q, *apply_plan(up_across, labels, x_new_p))
+                assert monores.oracle._rel_err_log(*x_old_q, *x_old_q2) == 0.0
+                assert x_old_q == x_old_q2
                 squares += 1
     assert squares >= 50
 
@@ -190,13 +222,14 @@ def test_each_distinct_edge_object_gets_one_round_trip(monkeypatch):
     """Counted with the squares and composites stubbed out, so every
     sample drawn is a round trip's."""
     drawn = []
-    sample = monores.oracle._sample_log_point
+    sample = monores.oracle._sample_blocks
 
-    def counted(labels, rng):
-        drawn.append(labels)
-        return sample(labels, rng)
+    def counted(labels, samples, rng):
+        for block in sample(labels, samples, rng):
+            drawn.extend(zip(*block))
+            yield block
 
-    monkeypatch.setattr(monores.oracle, "_sample_log_point", counted)
+    monkeypatch.setattr(monores.oracle, "_sample_blocks", counted)
     monkeypatch.setattr(monores.oracle, "_blowup_squares", lambda *args: 0.0)
     monkeypatch.setattr(monores.oracle, "_composite_checks", lambda *args: 0.0)
     repeated = 0
@@ -309,12 +342,16 @@ def test_plans_equal_the_per_entry_sum_on_sparse_rectangular_matrices():
     for _ in range(300):
         rows, cols = (rng.sample(pool, rng.randint(1, 5)) for _ in range(2))
         m = ExponentMatrix(rows, cols, {(r, c): sparse_rational(rng) for r in rows for c in cols})
-        x = {c: math.log(rng.uniform(SAMPLE_LOW, 1.0)) for c in cols}
         plan = float_plan(m)
-        assert [r for r, _ in plan] == sorted(rows)
-        for r, terms in plan:
-            assert [c for c, _ in terms] == [c for c in sorted(cols) if m.entry(r, c)]
-        assert apply_plan(plan, x) == reference_map_log(m, x)
+        assert plan.cols == tuple(sorted(cols)) and plan.rows == tuple(sorted(rows))
+        for r, terms in zip(plan.rows, plan.terms, strict=True):
+            assert [plan.cols[j] for j, _ in terms] == [c for c in sorted(cols) if m.entry(r, c)]
+        xs = sampled_columns(rng, plan.cols, 3)
+        out_rows, out = apply_plan(plan, plan.cols, xs)
+        assert out_rows == plan.rows
+        for k in range(3):
+            x = {c: xs[j][k] for j, c in enumerate(plan.cols)}
+            assert {r: col[k] for r, col in zip(out_rows, out, strict=True)} == reference_map_log(m, x)
         values = [m.entry(r, c) for r in rows for c in cols]
         zeros += values.count(0)
         total += len(values)
@@ -341,3 +378,98 @@ def test_oracle_is_reproducible_across_processes():
         )
         outs.append(run.stdout)
     assert outs[0].startswith("[") and outs[1] == outs[0] and outs[2] == outs[0]
+
+
+# -- values pinned, and the cases evaluating in blocks could change ---------------
+
+
+def values_digest(values):
+    return hashlib.sha256(repr(values).encode()).hexdigest()
+
+
+def test_oracle_values_are_pinned_on_corpus_a():
+    """Corpus A (seed 77, 100 problems) at 10 samples, seed = problem index."""
+    values = [numeric_oracle(rep.star, samples=10, seed=i) for i, rep in enumerate(random_reports(77, 100))]
+    assert values_digest(values) == "6f13c8539d8d9165036fe9d8618a26e88613b0b19c21b8f7b985556c548d7446"
+
+
+def test_oracle_values_are_pinned_on_the_sample_towers():
+    """`sample_towers()` at 100 samples, seed = tower index."""
+    values = [numeric_oracle(star, samples=100, seed=i) for i, (_, star) in enumerate(sample_towers())]
+    assert values_digest(values) == "0ab88e06dd2738bca6f1e9f6eb35934775a99dcab0b63c40a9252a6503a04cfd"
+
+
+def reference_rel_err(delta):
+    """The per-delta rule: `|expm1(delta)|` below 700 in size, else infinite."""
+    return abs(math.expm1(delta)) if abs(delta) < 700.0 else math.inf
+
+
+@pytest.mark.parametrize(
+    "delta",
+    [
+        math.nan,
+        math.inf,
+        -math.inf,
+        700.0,
+        -700.0,
+        math.nextafter(700.0, 0.0),
+        -math.nextafter(700.0, 0.0),
+        1e-300,
+        -3.5,
+    ],
+)
+@pytest.mark.parametrize("where", [0, 1, 4])
+def test_each_delta_reads_as_the_per_sample_rule(delta, where):
+    """A block's error is the largest of its deltas' errors by the per-delta
+    rule, wherever the delta sits: a NaN or infinite delta, or one of size
+    700 or more, reads infinite, though `max` over a NaN would skip it."""
+    a = [[0.5] * 5, [0.25] * 5]
+    b = [[0.5] * 5, [0.25] * 5]
+    b[1][where] = 0.25 - delta
+    deltas = [x - y for xs, ys in zip(a, b) for x, y in zip(xs, ys)]
+    expected = max(reference_rel_err(d) for d in deltas)
+    got = monores.oracle._rel_err_log(("u", "v"), a, ("u", "v"), b)
+    assert got == expected
+    assert (got == math.inf) == (not abs(deltas[5 + where]) < 700.0)
+
+
+@pytest.mark.parametrize("samples", [1, monores.oracle.BLOCK + 3])
+def test_short_and_ragged_blocks_equal_the_per_sample_reference(samples):
+    """One sample, and a count that leaves a short last block, give the
+    per-sample value."""
+    towers = [star for _, star in sample_towers() if star.steps]
+    if samples > monores.oracle.BLOCK:
+        towers = [worked_star(), min(towers, key=lambda star: len(star.end.corners))]
+    for star in towers:
+        assert numeric_oracle(star, samples=samples, seed=4) == reference_oracle(star, samples, 4)
+
+
+def test_plans_whose_labels_do_not_chain_are_rejected():
+    """A plan applied to columns over other labels, or two blocks over other
+    labels compared, is a StructuralError, not a silent misreading."""
+    m = ExponentMatrix.from_row_table(["a", "b"], ["a", "c"], [[1, 2], [0, 1]])
+    plan = float_plan(m)
+    xs = [[0.1, 0.2], [0.3, 0.4]]
+    rows, out = apply_plan(plan, ("a", "c"), xs)
+    with pytest.raises(StructuralError, match="applied to"):
+        apply_plan(plan, rows, out)
+    with pytest.raises(StructuralError, match="applied to"):
+        apply_plan(plan, ("a", "b", "c"), xs + [[0.5, 0.6]])
+    with pytest.raises(StructuralError, match="compared"):
+        monores.oracle._rel_err_log(("a", "c"), xs, rows, out)
+
+
+def test_memory_does_not_grow_with_the_sample_count():
+    """Samples are evaluated a block at a time: 20,000 of them on the worked
+    example stay under a fixed peak, where holding them all as columns
+    would take several MB."""
+    star = worked_star()
+    numeric_oracle(star, samples=1, seed=0)  # build every lazy matrix first
+    tracemalloc.start()
+    try:
+        err = numeric_oracle(star, samples=20_000, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert err < 1e-9
+    assert peak < 500_000

@@ -237,10 +237,10 @@ def test_center_weights_equal_the_whole_family_at_the_center():
 
 
 def test_a_corrupted_transported_weight_is_a_bug(monkeypatch):
-    """Every weight the sweep checks, doubled in turn as `transport_weight`
+    """Every weight the sweep checks, doubled in turn as `_carry_weight`
     hands it over: the center labels at every holder, and every label an
     edge between two holders shares."""
-    original = MonomialManifold.transport_weight
+    original = MonomialManifold._carry_weight
     checked = []
     for lam, mu, pair, weights in tower_centers():
         m = lam.manifold
@@ -254,12 +254,13 @@ def test_a_corrupted_transported_weight_is_a_bug(monkeypatch):
                 def corrupted(self, lab, start, value, label=label, q=q):
                     carried = original(self, lab, start, value)
                     if lab == label:
-                        carried[q] *= 2
+                        n, d = carried[q]
+                        carried[q] = (2 * n, d)
                     return carried
 
-                monkeypatch.setattr(MonomialManifold, "transport_weight", corrupted)
+                monkeypatch.setattr(MonomialManifold, "_carry_weight", corrupted)
                 with pytest.raises(AlgorithmInvariantViolation):
                     adapted_weights(lam, mu, pair)
-                monkeypatch.setattr(MonomialManifold, "transport_weight", original)
+                monkeypatch.setattr(MonomialManifold, "_carry_weight", original)
                 checked.append(label in pair)
     assert len(checked) > 50 and not all(checked)
