@@ -17,10 +17,14 @@ Edge matrices upstairs are the old ones conjugated by the morphisms,
 `B_q⁻¹·M·B_p`.  Because each `B` is the identity plus one column, the
 conjugation is one column step and one row step, and the lifted edge's
 inverse is the same two steps, roles swapped, on the old inverse; no
-general product or inversion runs, and no `B` is built.  Each step
-writes `top + c·x` on the integer pairs of the three entries and builds
-one normalized `Fraction` per entry it keeps (`linalg._plus_times`), as
-the pullback through a `ChildChart` does.
+general product or inversion runs, and no `B` is built.  Every entry
+is a normalized integer pair (see `linalg`): each step writes `top + c·x`
+on the pairs of the three entries and normalizes each entry it keeps
+once (`linalg._plus_times`), as the pullback through a `ChildChart`
+does.  A chart's `c` is divided on the weights' pairs by `apply_center`,
+kept as the `Fraction` that `ChildChart.c` shows, and read as a pair once
+per chart (`ChildChart._c`), so the steps, the pullback and the step's
+checks build and unpack no `Fraction`.
 
 One table defines the lifts (`_lift_table`): every edge the step must
 build, with the edge downstairs it lifts, read off the edges at the
@@ -46,12 +50,21 @@ from functools import cached_property
 from typing import Mapping
 
 from .errors import AlgorithmInvariantViolation, DomainError, StructuralError
-from .linalg import _ZERO, ExponentMatrix, ExponentVector, _check_label, _plus_times, mat_mul
+from .linalg import (
+    _ZERO,
+    ExponentMatrix,
+    ExponentVector,
+    Pair,
+    _check_label,
+    _plus_times,
+    _scaled,
+    mat_mul,
+)
 from .manifold import Corner, Edge, MonomialManifold, next_exceptional_label
 from .standardization import GlobalStandardization, validate_realizable
 
 # A matrix's nonzero rows (`ExponentMatrix._nonzero`).
-Rows = Mapping[str, Mapping[str, Fraction]]
+Rows = Mapping[str, Mapping[str, Pair]]
 
 
 @dataclass(frozen=True)
@@ -72,6 +85,11 @@ class ChildChart:
     new_label: str
 
     @cached_property
+    def _c(self) -> Pair:
+        """`c` as the integer pair the steps read, unpacked once."""
+        return self.c.as_integer_ratio()
+
+    @cached_property
     def matrix(self) -> ExponentMatrix:
         """`B` itself, over the parent's labels: `I·B`, the column step
         that lifts the edges (`_conjugate`) run on the parent's identity."""
@@ -80,10 +98,10 @@ class ChildChart:
     def pull_back(self, vec: ExponentVector) -> ExponentVector:
         """`vec·B` in O(n): the entries carry over, `removed` becomes
         `new_label`, and that entry gains `c` times the `other` entry
-        (`_plus_times`, one new `Fraction`)."""
+        (`_plus_times`, one new pair)."""
         entries = dict(vec._map)
         top = entries.pop(self.removed)
-        entries[self.new_label] = _plus_times(top, self.c, entries[self.other])
+        entries[self.new_label] = _plus_times(top, self._c, entries[self.other])
         return ExponentVector._exact(entries)
 
 
@@ -94,19 +112,19 @@ def _column_step(rows: Rows, chart: ChildChart) -> Rows:
     it cancels to 0; no row empties, since `B` is invertible.  A row that
     holds neither column is the same dict in the result: stored rows are
     never mutated."""
-    gone, other, c, new = chart.removed, chart.other, chart.c, chart.new_label
+    gone, other, c, new = chart.removed, chart.other, chart._c, chart.new_label
     out = {}
     for r, row in rows.items():
         if gone in row or other in row:
             row = dict(row)
             value = _plus_times(row.pop(gone, _ZERO), c, row.get(other, _ZERO))
-            if value:
+            if value[0]:
                 row[new] = value
         out[r] = row
     return out
 
 
-def _row_step(rows: Rows, source: str, target: str, other: str, c: Fraction) -> Rows:
+def _row_step(rows: Rows, source: str, target: str, other: str, c: Pair) -> Rows:
     """From the nonzero rows of `X`: row `source` is renamed `target`, and
     row `other` gains `c` times it, each entry by one `_plus_times` on the
     integer pairs; an entry that cancels to 0 is dropped, and so is the
@@ -120,7 +138,7 @@ def _row_step(rows: Rows, source: str, target: str, other: str, c: Fraction) -> 
     row = dict(out.pop(other, {}))
     for s, top in moved.items():
         value = _plus_times(row.pop(s, _ZERO), c, top)
-        if value:
+        if value[0]:
             row[s] = value
     if row:
         out[other] = row
@@ -137,7 +155,8 @@ def _conjugate(
         entries = _column_step(entries, cols)
         col_labels = (col_labels - {cols.removed}) | {cols.new_label}
     if rows is not None:
-        entries = _row_step(entries, rows.removed, rows.new_label, rows.other, -rows.c)
+        cn, cd = rows._c
+        entries = _row_step(entries, rows.removed, rows.new_label, rows.other, (-cn, cd))
         row_labels = (row_labels - {rows.removed}) | {rows.new_label}
     return ExponentMatrix._exact(row_labels, col_labels, entries)
 
@@ -150,7 +169,7 @@ def _conjugation_holds(
     `_conjugate` run again)."""
     left, rows = lifted._nonzero, lifted.row_labels
     if at_q is not None:
-        left = _row_step(left, at_q.new_label, at_q.removed, at_q.other, at_q.c)
+        left = _row_step(left, at_q.new_label, at_q.removed, at_q.other, at_q._c)
         rows = (rows - {at_q.new_label}) | {at_q.removed}
     right, cols = old._nonzero, old.col_labels
     if at_p is not None:
@@ -414,7 +433,7 @@ def apply_center(
         if cid not in blown:
             corners[cid] = corner
             continue
-        alpha = alpha_at_center[cid]
+        weights = alpha_at_center[cid]._map
         for removed in sorted(pair):
             (other,) = pair - {removed}
             nid = f"{cid}.{_escaped(removed)}"
@@ -422,9 +441,10 @@ def apply_center(
                 raise AlgorithmInvariantViolation(
                     f"child corner id {nid!r} of {cid!r} is already in use"
                 )
-            children[nid] = ChildChart(
-                corner, removed, other, alpha[removed] / alpha[other], new_label
-            )
+            # alpha[removed] / alpha[other], divided on the pairs (the
+            # weights are positive) and normalized once
+            c = Fraction(*_scaled(weights[removed], weights[other], True))
+            children[nid] = ChildChart(corner, removed, other, c, new_label)
             corners[nid] = Corner(nid, (corner.index_set - {removed}) | {new_label})
 
     lifts = _lift_table(m, pair, children)

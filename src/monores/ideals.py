@@ -30,9 +30,11 @@ from .errors import (
     StructuralError,
 )
 from .linalg import (
+    _ONE,
     ExponentVector,
     _compare,
     _compare_sums,
+    _plus_times,
     minimal_elements,
     vec_apply,
     vec_apply_all_equal,
@@ -172,7 +174,7 @@ def center_is_uncoupled_at(
     (`_compare`), with no difference or product formed."""
     i, j = sorted(pair)
     lv, mv = lam.at(corner_id), mu.at(corner_id)
-    return _compare(lv[i], mv[i]) * _compare(lv[j], mv[j]) < 0
+    return _compare(lv._entry(i), mv._entry(i)) * _compare(lv._entry(j), mv._entry(j)) < 0
 
 
 def uncoupled_centers(lam: MFunction, mu: MFunction) -> set[frozenset[str]]:
@@ -238,7 +240,9 @@ def _adapted_seed(
     lam: MFunction, mu: MFunction, pair: frozenset[str]
 ) -> tuple[list[str], LocalStandardization]:
     """The corners of the center, and the local weights at the first: the
-    absolute exponent differences on the pair, 1 elsewhere."""
+    absolute exponent differences on the pair, 1 elsewhere.  Each
+    difference is one `_plus_times` on the pairs (`lam + (-1)·mu`), and
+    its sign and negation are read off the numerator."""
     m = lam.manifold
     holders = m.corners_with(pair)
     if not holders:
@@ -248,13 +252,13 @@ def _adapted_seed(
         raise DomainError(f"center {sorted(pair)} is not uncoupled for the pair")
     i, j = sorted(pair)
     lv, mv = lam.at(p), mu.at(p)
-    di, dj = lv[i] - mv[i], lv[j] - mv[j]
-    if di < 0:
+    di, dj = (_plus_times(lv._entry(lab), (-1, 1), mv._entry(lab)) for lab in (i, j))
+    if di[0] < 0:
         i, j, di, dj = j, i, dj, di
-    entries = {lab: 1 for lab in m.corner(p).index_set}
+    entries = dict.fromkeys(m.corner(p).index_set, _ONE)
     entries[i] = di
-    entries[j] = -dj
-    return holders, LocalStandardization(p, ExponentVector(entries))
+    entries[j] = (-dj[0], dj[1])
+    return holders, LocalStandardization(p, ExponentVector._exact(entries))
 
 
 def _check_balance(
@@ -263,12 +267,13 @@ def _check_balance(
     """The balance equation at each corner of `weights` (symmetric in i, j,
     so the seed's orientation does not enter), written as
     `a_j·lam_i + a_i·lam_j == a_j·mu_i + a_i·mu_j` and decided by
-    cross-multiplying the two sums (`_compare_sums`)."""
+    cross-multiplying the two sums of pairs (`_compare_sums`)."""
     i, j = sorted(pair)
     for q, a in weights.items():
         lq, mq = lam.at(q), mu.at(q)
-        ai, aj = a[i], a[j]
-        if _compare_sums(((aj, lq[i]), (ai, lq[j])), ((aj, mq[i]), (ai, mq[j]))):
+        li, lj, mi, mj = lq._entry(i), lq._entry(j), mq._entry(i), mq._entry(j)
+        ai, aj = a._entry(i), a._entry(j)
+        if _compare_sums(((aj, li), (ai, lj)), ((aj, mi), (ai, mj))):
             raise AlgorithmInvariantViolation(
                 f"adapted weights fail the balance equation at corner {q!r}"
             )

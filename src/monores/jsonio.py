@@ -48,7 +48,7 @@ from typing import Any, Mapping
 from .blowup import BlowupStep, Star, apply_center
 from .errors import StructuralError
 from .ideals import MIdeal, PrincipalizationRun
-from .linalg import ExponentMatrix, ExponentVector, _check_label, format_rational, parse_rational
+from .linalg import ExponentMatrix, ExponentVector, _check_label, _format_pair, parse_rational
 from .manifold import Corner, Edge, MonomialManifold
 from .reduction import ReductionProblem, ReductionReport, build_ideal_from_support
 from .standardization import realized_among
@@ -176,7 +176,8 @@ def _write(value: Any, nl: str, out: list[str]) -> None:
 
 
 def vector_to_json(vec: ExponentVector) -> dict[str, str]:
-    return {lab: format_rational(val) for lab, val in vec.items()}
+    """Every entry in sorted label order, formatted off its stored pair."""
+    return {lab: _format_pair(pair) for lab, pair in sorted(vec._map.items())}
 
 
 def vector_from_json(doc: Mapping[str, Any]) -> ExponentVector:
@@ -186,15 +187,15 @@ def vector_from_json(doc: Mapping[str, Any]) -> ExponentVector:
 
 
 def matrix_to_json(mat: ExponentMatrix) -> dict[str, Any]:
-    """Every entry in sorted label order, read off the stored rows: an
-    entry they do not hold is written "0"."""
+    """Every entry in sorted label order, formatted off the stored pairs
+    of the nonzero rows: an entry they do not hold is written "0"."""
     rows = list(mat.sorted_rows)
     cols = list(mat.sorted_cols)
     stored = [mat._nonzero.get(r, {}) for r in rows]
     return {
         "rows": rows,
         "cols": cols,
-        "entries": [[format_rational(row[c]) if c in row else "0" for c in cols] for row in stored],
+        "entries": [[_format_pair(row[c]) if c in row else "0" for c in cols] for row in stored],
     }
 
 
@@ -214,7 +215,7 @@ def support_to_json(s: SupportSet) -> dict[str, Any]:
     return {
         "variables": ordered,
         "points": sorted(
-            [[format_rational(p[v]) for v in ordered] for p in s.points]
+            [[_format_pair(p._entry(v)) for v in ordered] for p in s.points]
         ),
     }
 
@@ -400,17 +401,18 @@ def replay_trace(doc: Mapping[str, Any]) -> Star:
 
 def certified_trace_to_json(run: PrincipalizationRun) -> dict[str, Any]:
     """Trace plus the end certificate: every end corner's generator
-    exponents with their single minimal one, and the run's statistics."""
+    exponents with their single minimal one, formatted off the stored
+    pairs, and the run's statistics."""
     doc = star_to_json(run.star)
     doc["final_corners"] = [
         {
             "corner": c.corner,
             "index_set": list(c.index_set),
             "principal_exponent": [
-                format_rational(c.principal_exponent[lab]) for lab in c.index_set
+                _format_pair(c.principal_exponent._entry(lab)) for lab in c.index_set
             ],
             "all_generator_exponents": [
-                [format_rational(g[lab]) for lab in c.index_set]
+                [_format_pair(g._entry(lab)) for lab in c.index_set]
                 for g in c.generator_exponents
             ],
         }

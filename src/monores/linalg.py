@@ -2,41 +2,45 @@
 
 Vectors and matrices here are total maps from finite sets of opaque string
 labels.  There is no positional indexing, no floating point, and no
-tolerance anywhere: all arithmetic is exact, on integers and
-`fractions.Fraction`.
+tolerance anywhere: all arithmetic is exact, on integers.
 
-A matrix keeps one store, its nonzero rows: row label -> {column label:
-nonzero `Fraction`}, where an absent row or entry is the exact 0.  Every
-reader uses that store directly; the zeros exist only as the labels.
-A vector keeps one store too, its label map, which every test reads;
-`items()` sorts it on demand, as does the one sort key, `lex_key`.
+Every entry is stored once, as a normalized integer pair `(n, d)`: `d > 0`
+and `gcd(n, d) == 1`, so 0 is `(0, 1)` and two entries are equal exactly
+when their pairs are.  A matrix keeps one store, its nonzero rows: row
+label -> {column label: pair with `n != 0`}, where an absent row or entry
+is the exact 0.  A vector keeps one store too, its label map.  Every
+reader in the library uses the pairs directly.  A `fractions.Fraction` is
+built only on demand, by the public accessors (`vec[label]`, `items()`,
+`lex_key`, `ExponentMatrix.entry`); `mat_inverse` converts at its two
+ends.
 
 Every product and every product test sums each entry over the stored
-terms only, as an unreduced integer pair `(numerator, denominator)`
-(`_entry_sums`).  A product (`mat_mul`, `vec_apply`) then normalizes
-each entry once into a `Fraction`; a test (`vec_apply_all_equal`,
-`_product_equals`) cross-multiplies it with the expected entry, so it
-builds no `Fraction`, takes no gcd, and gives the product's verdict.
+terms only, as an unreduced pair (`_entry_sums`).  A product (`mat_mul`,
+`vec_apply`) then normalizes each entry once (`_normalized`, one gcd); a
+test (`vec_apply_all_equal`, `_product_equals`) cross-multiplies it with
+the expected entry, so it takes no gcd and gives the product's verdict.
 
 The blow-up step's single entries follow the same rule, through the
 integer-pair helpers at the end of this module: a construction
-(`_plus_times`, `top + c·x`; `_scaled`, a weight carried across one
-edge) works on the numerators and denominators and builds one
-normalized `Fraction` per entry it keeps, and a sign, order or equality
-test (`_compare`, `_compare_sums`) cross-multiplies.  No `Fraction`
-operator runs in between, so `blowup`, `manifold`, `standardization` and
-`ideals` hold no arithmetic of their own.
+(`_plus_times`, `top + c·x`) normalizes each entry it keeps once, a
+weight carried across one edge (`_scaled`) stays unreduced until its walk
+ends, and a sign, order or equality test (`_compare`, `_compare_sums`,
+`div_le`) cross-multiplies.  So `blowup`, `manifold`, `standardization`
+and `ideals` hold no arithmetic of their own and run no `Fraction`
+operator.
 
-The public constructors validate what callers pass: every label and
-every entry, and a matrix drops its zeros.  The products, the inverse,
-the identity and the blow-up's lifts build their results with the
-private constructors `ExponentMatrix._exact` and `ExponentVector._exact`
-instead.  Their contract: the label sets are taken from already-built
-objects or checked once by the caller (a blow-up's new label by
-`apply_center`, the identity's labels by `ExponentMatrix.identity`), and
-every entry is an exact `Fraction` computed from theirs or made there.
-Only the shape of a matrix's store is checked (`_exact`), since a kernel
-that breaks it is a bug.
+The public constructors validate what callers pass: every label, and
+every entry, parsed from any `RatLike` by `parse_rational`; a matrix
+drops its zeros.  The products, the inverse, the identity and the
+blow-up's lifts build their results with the private constructors
+`ExponentMatrix._exact` and `ExponentVector._exact` instead.  Their
+contract: the label sets are taken from already-built objects or checked
+once by the caller (a blow-up's new label by `apply_center`, the
+identity's labels by `ExponentMatrix.identity`), and every entry is a
+normalized pair computed from theirs or made there.  Only the shape of a
+matrix's store is checked (`_exact`): a stored row or column outside the
+labels, an empty row, or a stored pair with a zero numerator, whatever
+its denominator, is a kernel's bug.
 
 The componentwise partial order `div_le` (one exponent tuple divides
 another) and the extraction of its minimal elements live here too, since
@@ -49,14 +53,18 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .errors import AlgorithmInvariantViolation, SingularMatrixError, StructuralError
 
 RatLike = Union[Fraction, int, str]
+# A stored entry: a normalized integer pair (numerator, denominator).
+Pair = tuple[int, int]
 
 _RATIONAL = re.compile(r"[+-]?\d+(?:/\d+)?\Z")
-_ZERO = Fraction(0)
+_ZERO: Pair = (0, 1)
+_ONE: Pair = (1, 1)
 
 
 def parse_rational(value: RatLike) -> Fraction:
@@ -87,12 +95,22 @@ def parse_rational(value: RatLike) -> Fraction:
 
 def format_rational(value: RatLike) -> str:
     """Render a rational as "n" for integers and "p/q" otherwise.  A
-    `Fraction`, as every entry of a built vector or matrix is, is not
-    parsed again."""
+    `Fraction` is not parsed again."""
     x = value if isinstance(value, Fraction) else parse_rational(value)
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+    return _format_pair(x.as_integer_ratio())
+
+
+def _fraction(pair: Pair) -> Fraction:
+    """The `Fraction` of a stored pair, built when a public accessor reads
+    it; an integer takes `Fraction`'s one-argument path."""
+    n, d = pair
+    return Fraction(n) if d == 1 else Fraction(n, d)
+
+
+def _format_pair(pair: Pair) -> str:
+    """A stored pair rendered as `format_rational` renders its value."""
+    n, d = pair
+    return str(n) if d == 1 else f"{n}/{d}"
 
 
 def _check_label(label) -> str:
@@ -111,17 +129,20 @@ def _check_label(label) -> str:
 class ExponentVector:
     """A total map from a finite label set to exact rationals.
 
-    Immutable and hashable; entries are accessible by label only.
+    Immutable and hashable; entries are accessible by label only.  The one
+    store, `_map`, maps each label to its normalized pair.
     """
 
     __slots__ = ("_map",)
 
     def __init__(self, entries: Mapping[str, RatLike]):
-        self._map = {_check_label(k): parse_rational(v) for k, v in entries.items()}
+        self._map = {
+            _check_label(k): parse_rational(v).as_integer_ratio() for k, v in entries.items()
+        }
 
     @classmethod
-    def _exact(cls, entries: dict[str, Fraction]) -> "ExponentVector":
-        """Wrap exact `Fraction` entries over labels taken from already-built
+    def _exact(cls, entries: dict[str, Pair]) -> "ExponentVector":
+        """Wrap normalized pairs over labels taken from already-built
         objects, owned by the result from now on; nothing is re-checked."""
         vec = object.__new__(cls)
         vec._map = entries
@@ -131,24 +152,27 @@ class ExponentVector:
     def labels(self) -> frozenset[str]:
         return frozenset(self._map)
 
-    def __getitem__(self, label: str) -> Fraction:
+    def _entry(self, label: str) -> Pair:
+        """The stored pair at `label`, which the library reads."""
         try:
             return self._map[label]
         except KeyError:
             raise StructuralError(f"no entry for label {label!r}") from None
 
+    def __getitem__(self, label: str) -> Fraction:
+        return _fraction(self._entry(label))
+
     def items(self) -> Iterator[tuple[str, Fraction]]:
-        """The entries in sorted label order."""
-        return iter(sorted(self._map.items()))
+        """The entries in sorted label order, as `Fraction`s."""
+        return ((k, _fraction(pair)) for k, pair in sorted(self._map.items()))
 
     def is_nonnegative(self) -> bool:
-        """Every entry `>= 0`, read off the numerators' signs (a
-        `Fraction`'s denominator is positive)."""
-        return all(v.numerator >= 0 for v in self._map.values())
+        """Every entry `>= 0`, read off the numerators' signs."""
+        return all(n >= 0 for n, _ in self._map.values())
 
     def is_positive(self) -> bool:
         """Every entry `> 0`, read off the numerators' signs."""
-        return all(v.numerator > 0 for v in self._map.values())
+        return all(n > 0 for n, _ in self._map.values())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ExponentVector):
@@ -159,13 +183,13 @@ class ExponentVector:
         return hash(frozenset(self._map.items()))
 
     def __repr__(self) -> str:
-        body = ", ".join(f"{k}: {format_rational(v)}" for k, v in self.items())
+        body = ", ".join(f"{k}: {_format_pair(v)}" for k, v in sorted(self._map.items()))
         return f"ExponentVector({{{body}}})"
 
 
 def lex_key(v: ExponentVector) -> tuple[Fraction, ...]:
     """The entries in sorted label order, the key every vector sort uses."""
-    return tuple(x for _, x in v.items())
+    return tuple([_fraction(pair) for _, pair in sorted(v._map.items())])
 
 
 class ExponentMatrix:
@@ -173,8 +197,8 @@ class ExponentMatrix:
 
     Rows and columns are unordered label sets; any positional rendering
     (serialization, elimination) fixes an explicit label order first.
-    The one store is `_nonzero`, the nonzero rows: an absent row or
-    entry is 0, and no stored row is empty.  A stored row is never
+    The one store is `_nonzero`, the nonzero rows of normalized pairs: an
+    absent row or entry is 0, and no stored row is empty.  A stored row is never
     mutated, so the blow-up's steps share the rows they leave unchanged.
     """
 
@@ -188,13 +212,13 @@ class ExponentMatrix:
     ):
         self._rows = frozenset(_check_label(r) for r in rows)
         self._cols = frozenset(_check_label(c) for c in cols)
-        nonzero: dict[str, dict[str, Fraction]] = {}
+        nonzero: dict[str, dict[str, Pair]] = {}
         for (r, c), v in entries.items():
             if r not in self._rows or c not in self._cols:
                 raise StructuralError(f"entry ({r!r},{c!r}) outside {sorted(self._rows)}x{sorted(self._cols)}")
             x = parse_rational(v)
             if x:
-                nonzero.setdefault(r, {})[c] = x
+                nonzero.setdefault(r, {})[c] = x.as_integer_ratio()
         missing = len(self._rows) * len(self._cols) - len(entries)
         if missing:
             raise StructuralError(f"matrix is missing {missing} entries")
@@ -202,14 +226,21 @@ class ExponentMatrix:
 
     @classmethod
     def _exact(
-        cls, rows: frozenset[str], cols: frozenset[str], nonzero: dict[str, dict[str, Fraction]]
+        cls, rows: frozenset[str], cols: frozenset[str], nonzero: dict[str, dict[str, Pair]]
     ) -> "ExponentMatrix":
-        """Wrap exact nonzero rows over label sets taken from already-built
-        objects, owned by the result from now on.  The entries are not
-        re-parsed; a stored row or column outside the labels, an empty row
-        or a stored 0 is a kernel's bug (AlgorithmInvariantViolation)."""
+        """Wrap nonzero rows of normalized pairs over label sets taken from
+        already-built objects, owned by the result from now on.  The
+        entries are not re-parsed; a stored row or column outside the
+        labels, an empty row or a stored pair with a zero numerator,
+        whatever its denominator, is a kernel's bug
+        (AlgorithmInvariantViolation)."""
         for r, row in nonzero.items():
-            if r not in rows or not row or not cols.issuperset(row) or not all(row.values()):
+            if (
+                r not in rows
+                or not row
+                or not cols.issuperset(row)
+                or not all(n for n, _ in row.values())
+            ):
                 raise AlgorithmInvariantViolation(
                     f"matrix row {r!r} is not a nonzero row over {sorted(rows)}x{sorted(cols)}"
                 )
@@ -222,8 +253,7 @@ class ExponentMatrix:
         """The identity over `labels`, each label checked once; the 1
         entries it makes are not re-parsed (`_exact`)."""
         labs = frozenset(_check_label(lab) for lab in labels)
-        one = Fraction(1)
-        return cls._exact(labs, labs, {lab: {lab: one} for lab in labs})
+        return cls._exact(labs, labs, {lab: {lab: _ONE} for lab in labs})
 
     @classmethod
     def from_row_table(
@@ -263,14 +293,19 @@ class ExponentMatrix:
     def sorted_cols(self) -> tuple[str, ...]:
         return tuple(sorted(self._cols))
 
-    def entry(self, row: str, col: str) -> Fraction:
+    def _entry(self, row: str, col: str) -> Pair:
+        """The pair at (`row`, `col`), which the library reads: the stored
+        one, or `(0, 1)`."""
         if row not in self._rows or col not in self._cols:
             raise StructuralError(f"no entry at ({row!r},{col!r})")
         return self._nonzero.get(row, {}).get(col, _ZERO)
 
+    def entry(self, row: str, col: str) -> Fraction:
+        return _fraction(self._entry(row, col))
+
     def is_nonnegative(self) -> bool:
         """Every entry `>= 0`, read off the stored numerators' signs."""
-        return all(v.numerator > 0 for row in self._nonzero.values() for v in row.values())
+        return all(n > 0 for row in self._nonzero.values() for n, _ in row.values())
 
     def is_identity(self) -> bool:
         """True iff rows and columns are one label set and each row stores
@@ -278,7 +313,7 @@ class ExponentMatrix:
         return (
             self._rows == self._cols
             and len(self._nonzero) == len(self._rows)
-            and all(len(row) == 1 and row.get(r) == 1 for r, row in self._nonzero.items())
+            and all(len(row) == 1 and row.get(r) == _ONE for r, row in self._nonzero.items())
         )
 
     def __eq__(self, other) -> bool:
@@ -298,17 +333,23 @@ class ExponentMatrix:
         rows = self.sorted_rows
         cols = self.sorted_cols
         body = "; ".join(
-            f"{r}: [" + ", ".join(format_rational(self.entry(r, c)) for c in cols) + "]"
+            f"{r}: [" + ", ".join(_format_pair(self._entry(r, c)) for c in cols) + "]"
             for r in rows
         )
         return f"ExponentMatrix(rows={list(rows)}, cols={list(cols)}, {body})"
 
 
 def div_le(a: ExponentVector, b: ExponentVector) -> bool:
-    """Componentwise order: a divides b iff a(i) <= b(i) for every label i."""
+    """Componentwise order: a divides b iff a(i) <= b(i) for every label i,
+    each decided by cross-multiplying the pairs."""
     if a._map.keys() != b._map.keys():
         raise StructuralError("div_le needs vectors over the same label set")
-    return all(av <= b._map[k] for k, av in a._map.items())
+    other = b._map
+    for k, (an, ad) in a._map.items():
+        bn, bd = other[k]
+        if an * bd > bn * ad:
+            return False
+    return True
 
 
 def minimal_elements(vectors: Iterable[ExponentVector]) -> list[ExponentVector]:
@@ -343,7 +384,8 @@ def mat_mul(a: ExponentMatrix, b: ExponentMatrix) -> ExponentMatrix:
         raise StructuralError("mat_mul: inner label sets differ")
     nonzero = {}
     for r, x in a._nonzero.items():
-        row = {c: Fraction(n, d) for c, (n, d) in _entry_sums(x.items(), b._nonzero).items() if n}
+        sums = _entry_sums(x.items(), b._nonzero)
+        row = {c: _normalized(n, d) for c, (n, d) in sums.items() if n}
         if row:
             nonzero[r] = row
     return ExponentMatrix._exact(a._rows, b._cols, nonzero)
@@ -353,7 +395,9 @@ def mat_inverse(a: ExponentMatrix) -> ExponentMatrix:
     """Exact inverse by Gauss-Jordan elimination.
 
     For `a` with rows I and columns J (same cardinality), the result has
-    rows J and columns I, and both products with `a` are identities.
+    rows J and columns I, and both products with `a` are identities.  The
+    elimination runs on `Fraction`s, read in through `entry` and stored
+    back as pairs.
     """
     rows = a.sorted_rows
     cols = a.sorted_cols
@@ -377,7 +421,10 @@ def mat_inverse(a: ExponentMatrix) -> ExponentMatrix:
                 f = work[k][i]
                 work[k] = [x - f * y for x, y in zip(work[k], work[i])]
                 aug[k] = [x - f * y for x, y in zip(aug[k], aug[i])]
-    nonzero = {cols[i]: {rows[j]: x for j, x in enumerate(aug[i]) if x} for i in range(n)}
+    nonzero = {
+        cols[i]: {rows[j]: x.as_integer_ratio() for j, x in enumerate(aug[i]) if x}
+        for i in range(n)
+    }
     return ExponentMatrix._exact(a._cols, a._rows, nonzero)
 
 
@@ -388,23 +435,23 @@ def vec_apply(v: ExponentVector, a: ExponentMatrix) -> ExponentVector:
     if v._map.keys() != a._rows:
         raise StructuralError("vec_apply: vector labels differ from matrix rows")
     sums = _entry_sums(v._map.items(), a._nonzero)
-    return ExponentVector._exact({c: Fraction(*sums[c]) if c in sums else _ZERO for c in a._cols})
+    return ExponentVector._exact(
+        {c: _normalized(*sums[c]) if c in sums else _ZERO for c in a._cols}
+    )
 
 
 def _entry_sums(
-    x: Iterable[tuple[str, Fraction]], rows: Mapping[str, Mapping[str, Fraction]]
-) -> dict[str, tuple[int, int]]:
+    x: Iterable[tuple[str, Pair]], rows: Mapping[str, Mapping[str, Pair]]
+) -> dict[str, Pair]:
     """The entries of `x·A`, `A` given by its stored rows, each summed
     over its nonzero terms only as an unreduced integer pair `(numerator,
     denominator)` with a positive denominator.  An entry that no nonzero
     term reaches is absent: it is exactly 0."""
-    sums: dict[str, tuple[int, int]] = {}
-    for r, xr in x:
-        xn, xd = xr.as_integer_ratio()
+    sums: dict[str, Pair] = {}
+    for r, (xn, xd) in x:
         row = rows.get(r)
         if xn and row:
-            for c, ar in row.items():
-                an, ad = ar.as_integer_ratio()
+            for c, (an, ad) in row.items():
                 n, d = xn * an, xd * ad
                 prev = sums.get(c)
                 if prev is None:
@@ -420,8 +467,8 @@ def vec_apply_all_equal(
 ) -> bool:
     """`vec_apply(v, a) == w` for every `(v, w)` of `pairs`, in order.
     Each is decided entry by entry by cross-multiplying each of
-    `_entry_sums` with `w`'s entry; no product vector and no Fraction is
-    built.  Raises StructuralError where `vec_apply` does, at a pair
+    `_entry_sums` with `w`'s entry; no product vector is built and no
+    gcd taken.  Raises StructuralError where `vec_apply` does, at a pair
     before the first that fails."""
     for v, w in pairs:
         if v._map.keys() != a._rows:
@@ -429,9 +476,8 @@ def vec_apply_all_equal(
         if w._map.keys() != a._cols:
             return False
         sums = _entry_sums(v._map.items(), a._nonzero)
-        for c, wc in w._map.items():
-            num, den = sums.get(c, (0, 1))
-            wn, wd = wc.as_integer_ratio()
+        for c, (wn, wd) in w._map.items():
+            num, den = sums.get(c, _ZERO)
             if num * wd != wn * den:
                 return False
     return True
@@ -442,7 +488,7 @@ def _product_equals(a: ExponentMatrix, b: ExponentMatrix, c: ExponentMatrix) -> 
     inverse and cycle checks, and the step certificate's inverse check).
     Each stored row of `a` times `b` (`_entry_sums`) is cross-multiplied
     with `c`'s row, and `c` may store no row that `a` lacks; no product
-    and no `Fraction` is built.  Raises StructuralError where `mat_mul`
+    is built and no gcd taken.  Raises StructuralError where `mat_mul`
     does; other labels than `a·b`'s make `c` differ."""
     if a._cols != b._rows:
         raise StructuralError("mat_mul: inner label sets differ")
@@ -454,7 +500,7 @@ def _product_equals(a: ExponentMatrix, b: ExponentMatrix, c: ExponentMatrix) -> 
         if not want.keys() <= sums.keys():
             return False
         for col, (n, d) in sums.items():
-            wn, wd = want[col].as_integer_ratio() if col in want else (0, 1)
+            wn, wd = want.get(col, _ZERO)
             if n * wd != wn * d:
                 return False
     return True
@@ -463,55 +509,58 @@ def _product_equals(a: ExponentMatrix, b: ExponentMatrix, c: ExponentMatrix) -> 
 # -- integer-pair rules for single entries ---------------------------------
 
 
-def _plus_times(top: Fraction, c: Fraction, x: Fraction) -> Fraction:
-    """`top + c·x`, summed over the integer pairs and normalized once into
-    one `Fraction`; `top` itself when `x` is 0, since the term adds
-    nothing."""
-    xn, xd = x.as_integer_ratio()
+def _normalized(n: int, d: int) -> Pair:
+    """The normalized pair of `n/d`, for `d > 0`: one gcd, and 0 is
+    `(0, 1)`."""
+    g = gcd(n, d)
+    return (n // g, d // g) if g != 1 else (n, d)
+
+
+def _plus_times(top: Pair, c: Pair, x: Pair) -> Pair:
+    """`top + c·x`, summed over the pairs and normalized once; `top`
+    itself when `x` is 0, since the term adds nothing."""
+    xn, xd = x
     if not xn:
         return top
-    tn, td = top.as_integer_ratio()
-    cn, cd = c.as_integer_ratio()
-    return Fraction(tn * cd * xd + cn * xn * td, td * cd * xd)
+    tn, td = top
+    cn, cd = c
+    return _normalized(tn * cd * xd + cn * xn * td, td * cd * xd)
 
 
-def _compare(a: Fraction, b: Fraction) -> int:
-    """The sign of `a − b` (-1, 0 or 1), by cross-multiplying (a
-    `Fraction`'s denominator is positive)."""
-    an, ad = a.as_integer_ratio()
-    bn, bd = b.as_integer_ratio()
+def _compare(a: Pair, b: Pair) -> int:
+    """The sign of `a − b` (-1, 0 or 1), by cross-multiplying (the
+    denominators are positive)."""
+    an, ad = a
+    bn, bd = b
     diff = an * bd - bn * ad
     return (diff > 0) - (diff < 0)
 
 
-def _compare_sums(
-    left: Iterable[Sequence[Fraction]], right: Iterable[Sequence[Fraction]]
-) -> int:
-    """The sign of `Σ left − Σ right`, each term the product of its
-    `Fraction`s, from one unreduced integer pair per side."""
+def _compare_sums(left: Iterable[Sequence[Pair]], right: Iterable[Sequence[Pair]]) -> int:
+    """The sign of `Σ left − Σ right`, each term the product of its pairs,
+    from one unreduced pair per side."""
     ln, ld = _pair_sum(left)
     rn, rd = _pair_sum(right)
     diff = ln * rd - rn * ld
     return (diff > 0) - (diff < 0)
 
 
-def _pair_sum(terms: Iterable[Sequence[Fraction]]) -> tuple[int, int]:
-    """`Σ terms`, each term the product of its `Fraction`s, as one
-    unreduced pair `(numerator, denominator)`, the denominator positive."""
+def _pair_sum(terms: Iterable[Sequence[Pair]]) -> Pair:
+    """`Σ terms`, each term the product of its pairs, as one unreduced
+    pair `(numerator, denominator)`, the denominator positive."""
     num, den = 0, 1
     for term in terms:
         tn = td = 1
-        for f in term:
-            fn, fd = f.as_integer_ratio()
+        for fn, fd in term:
             tn *= fn
             td *= fd
         num, den = num * td + tn * den, den * td
     return num, den
 
 
-def _scaled(pair: tuple[int, int], x: Fraction, divide: bool) -> tuple[int, int]:
+def _scaled(pair: Pair, x: Pair, divide: bool) -> Pair:
     """The unreduced pair `pair·x`, or `pair/x` when `divide`; `x` must be
     positive, so the denominator stays positive."""
     n, d = pair
-    xn, xd = x.as_integer_ratio()
+    xn, xd = x
     return (n * xd, d * xn) if divide else (n * xn, d * xd)

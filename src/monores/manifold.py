@@ -33,8 +33,11 @@ from .errors import (
     StructuralError,
 )
 from .linalg import (
+    _ZERO,
     ExponentMatrix,
     ExponentVector,
+    Pair,
+    _fraction,
     _product_equals,
     _scaled,
     mat_inverse,
@@ -98,11 +101,14 @@ class Edge:
         return (self.p, self.q)
 
     def diagonal(self, label: str) -> Fraction:
-        """The matrix entry at (label, label) for a shared label; must be > 0,
-        read off the numerator's sign (a `Fraction`'s denominator is
-        positive)."""
-        d = self.matrix.entry(label, label)
-        if d.numerator <= 0:
+        """The matrix entry at (label, label) for a shared label; must be > 0."""
+        return _fraction(self._diagonal(label))
+
+    def _diagonal(self, label: str) -> Pair:
+        """`diagonal` as its integer pair, its sign read off the numerator
+        (the denominator is positive)."""
+        d = self.matrix._entry(label, label)
+        if d[0] <= 0:
             raise StructuralError(
                 f"nonpositive diagonal at {label} on edge {self.p}->{self.q}: corrupt chart data"
             )
@@ -252,23 +258,23 @@ class MonomialManifold:
     def transport_weight(self, label: str, start: str, value: Fraction) -> dict[str, Fraction]:
         """Carry a weight on `label` from `start` to every corner of E_label:
         `_carry_weight`'s pairs, each one normalized `Fraction`."""
-        carried = self._carry_weight(label, start, value)
+        carried = self._carry_weight(label, start, value.as_integer_ratio())
         return {cid: Fraction(*carried[cid]) for cid in self.corners_with([label])}
 
-    def _carry_weight(self, label: str, start: str, value: Fraction) -> dict[str, tuple[int, int]]:
+    def _carry_weight(self, label: str, start: str, value: Pair) -> dict[str, Pair]:
         """The weight on `label` at every corner of E_label, carried from
-        `start` as an unreduced integer pair.
+        `start`, where it is the pair `value`, as an unreduced integer pair.
 
         One `_walk` inside E_label: each hop multiplies or divides the pair
-        by the edge's diagonal entry (`linalg._scaled`), whose sign
-        `Edge.diagonal` checks on the numerator, raising StructuralError
-        when it is not positive.  No `Fraction` is made.  Raises
-        ConnectivityError when some corner on `label` is not reached.
+        by the edge's diagonal pair (`linalg._scaled`), whose sign
+        `Edge._diagonal` checks on the numerator, raising StructuralError
+        when it is not positive.  Raises ConnectivityError when some corner
+        on `label` is not reached.
         """
-        found = {start: value.as_integer_ratio()}
+        found = {start: value}
         for cur, nxt, edge, forward in self._walk(start, frozenset((label,))):
             # a forward edge runs cur -> nxt, so nxt's weight is cur's over d
-            found[nxt] = _scaled(found[cur], edge.diagonal(label), forward)
+            found[nxt] = _scaled(found[cur], edge._diagonal(label), forward)
         missing = [cid for cid in self.corners_with([label]) if cid not in found]
         if missing:
             raise ConnectivityError(
@@ -292,11 +298,20 @@ class MonomialManifold:
         when each such p, q are joined inside E_{I_p ∩ I_q}: a path there
         stays inside E_J for every J ⊆ I_p ∩ I_q, and two holders of J
         share J.  The empty J is the corner graph, walked by the cycle
-        check."""
+        check.  Each such pair is intersected once, from its smaller id:
+        the holders after `p` of each of its labels are gathered into one
+        set first, so two corners that share several labels are not
+        intersected once per label."""
+        corners = self.corners
+        later: dict[str, set[str]] = {}
+        for ids in self._holders.values():
+            for k in range(len(ids) - 1):
+                later.setdefault(ids[k], set()).update(ids[k + 1 :])
         return {
-            self.corners[p].index_set & self.corners[q].index_set
-            for ids in self._holders.values()
-            for p, q in combinations(ids, 2)
+            ip & corners[q].index_set
+            for p, qs in later.items()
+            for ip in (corners[p].index_set,)
+            for q in qs
         }
 
     # -- validation -------------------------------------------------------
@@ -342,7 +357,9 @@ class MonomialManifold:
         (`inverse·matrix == I_p`, decided by `_product_equals` without
         building the product).  Triangular form and the diagonal's signs
         are read off the matrix's nonzero rows, over the shared labels in
-        sorted order.  `validate` passes every edge; a blow-up's local
+        sorted order; a row that stores nothing but its diagonal and its
+        entry at `p`'s own label holds no off-diagonal entry, so no set is
+        built for it.  `validate` passes every edge; a blow-up's local
         certificate passes the edges it built."""
         bad: list[str] = []
         n = self.dimension
@@ -371,13 +388,15 @@ class MonomialManifold:
                 continue
             rows = e.matrix._nonzero
             (i_q,) = iq - shared
+            (i_p,) = ip - shared
             new_row = rows.get(i_q, {})
             for ell in sorted(shared):
                 row = rows.get(ell, {})
-                if row.get(ell, 0).numerator <= 0:
+                if row.get(ell, _ZERO)[0] <= 0:
                     bad.append(f"{tag}: diagonal entry at {ell} is not positive")
-                for m in sorted(shared.intersection(row) - {ell}):
-                    bad.append(f"{tag}: off-diagonal entry ({ell},{m}) on shared labels")
+                if len(row) > (ell in row) + (i_p in row):
+                    for m in sorted(shared.intersection(row) - {ell}):
+                        bad.append(f"{tag}: off-diagonal entry ({ell},{m}) on shared labels")
                 if ell in new_row:
                     bad.append(f"{tag}: new-label row has entry at shared column {ell}")
             try:

@@ -89,8 +89,7 @@ def float_plan(matrix: ExponentMatrix) -> Plan:
     terms = []
     for r in rows:
         row = []
-        for c, v in sorted(nonzero.get(r, {}).items()):
-            n, d = v.as_integer_ratio()
+        for c, (n, d) in sorted(nonzero.get(r, {}).items()):
             row.append((at[c], n / d))
         terms.append(tuple(row))
     return Plan(cols, rows, tuple(terms))

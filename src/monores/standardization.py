@@ -14,11 +14,18 @@ chosen corners only, which is what a blow-up reads (its center's corners).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .errors import DomainError, StructuralError
-from .linalg import ExponentVector, RatLike, _compare_sums, parse_rational
+from .linalg import (
+    _ONE,
+    ExponentVector,
+    Pair,
+    RatLike,
+    _compare_sums,
+    _normalized,
+    parse_rational,
+)
 from .manifold import MonomialManifold
 
 
@@ -91,10 +98,13 @@ def realized_among(m: MonomialManifold, weights: Mapping[str, ExponentVector]) -
     """The per-edge test on the edges between two of the corners that
     `weights` covers, and on no other edge: across an edge `p -> q`, the
     weight at `p` on each shared label is the edge's diagonal entry there
-    times the weight at `q`, decided by cross-multiplying
+    times the weight at `q`, decided by cross-multiplying the pairs
     (`_compare_sums`)."""
     return not any(
-        _compare_sums([(weights[e.p][ell],)], [(e.matrix.entry(ell, ell), weights[e.q][ell])])
+        _compare_sums(
+            [(weights[e.p]._entry(ell),)],
+            [(e.matrix._entry(ell, ell), weights[e.q]._entry(ell))],
+        )
         for e in m.edges_among(weights)
         for ell in e.shared
     )
@@ -130,33 +140,33 @@ def weights_at(
     (`MonomialManifold._carry_weight`, which checks the component is
     connected), so each weight is the anchored value times a product of
     edge diagonals, each hop multiplying or dividing by one diagonal
-    entry; no chart change is multiplied out.  The walk carries integer
-    pairs, and a `Fraction` is made only at the given corners.  Each
-    vector holds exactly its corner's labels, so it is wrapped without
+    entry; no chart change is multiplied out.  The walk carries unreduced
+    integer pairs, normalized only at the given corners.  Each vector
+    holds exactly its corner's labels, so it is wrapped without
     re-parsing (`ExponentVector._exact`).
     """
     base = m.corner(local.corner)
     if local.alpha.labels != base.index_set:
         raise StructuralError("local weights do not match the corner's index set")
     free = m.components - base.index_set
-    beta = {k: parse_rational(v) for k, v in (beta or {}).items()}
+    beta = {k: parse_rational(v).as_integer_ratio() for k, v in (beta or {}).items()}
     unknown = set(beta) - free
     if unknown:
         raise StructuralError(f"free parameters for unknown components {sorted(unknown)}")
-    for lab, val in beta.items():
-        if val <= 0:
+    for lab, (n, _) in beta.items():
+        if n <= 0:
             raise DomainError(f"free parameter for {lab} must be positive")
 
-    per_corner: dict[str, dict[str, Fraction]] = {cid: {} for cid in corner_ids}
+    per_corner: dict[str, dict[str, Pair]] = {cid: {} for cid in corner_ids}
     labels = frozenset().union(*(m.corner(cid).index_set for cid in per_corner))
     for lab in sorted(labels):
         if lab in base.index_set:
-            anchor, value = local.corner, local.alpha[lab]
+            anchor, value = local.corner, local.alpha._map[lab]
         else:
-            anchor, value = m.corners_with([lab])[0], beta.get(lab, Fraction(1))
+            anchor, value = m.corners_with([lab])[0], beta.get(lab, _ONE)
         carried = m._carry_weight(lab, anchor, value)
         for cid, entries in per_corner.items():
             pair = carried.get(cid)
             if pair is not None:
-                entries[lab] = Fraction(*pair)
+                entries[lab] = _normalized(*pair)
     return {cid: ExponentVector._exact(entries) for cid, entries in per_corner.items()}

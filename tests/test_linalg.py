@@ -476,15 +476,16 @@ def test_product_equals_agrees_with_the_naive_product(data):
 
 def test_every_stored_matrix_keeps_only_nonzero_rows():
     """Every edge matrix and inverse of the test towers stores no zero and
-    no empty row, and equals, in value and hash, its rebuild through the
-    public constructor from `matrix_to_json`."""
+    no empty row, each entry a normalized pair, and equals, in value and
+    hash, its rebuild through the public constructor from
+    `matrix_to_json`."""
     checked = 0
     for m in tower_manifolds():
         for e in m.edges:
             for mat_ in (e.matrix, e.inverse):
                 for r, row in mat_._nonzero.items():
                     assert r in mat_.row_labels and row and set(row) <= mat_.col_labels
-                    assert all(type(x) is Fraction and x != 0 for x in row.values())
+                    assert all(is_normalized_pair(x) and x[0] != 0 for x in row.values())
                 rebuilt = matrix_from_json(matrix_to_json(mat_))
                 assert rebuilt == mat_ and hash(rebuilt) == hash(mat_)
                 checked += 1
@@ -494,16 +495,18 @@ def test_every_stored_matrix_keeps_only_nonzero_rows():
 @pytest.mark.parametrize(
     "nonzero, message",
     [
-        ({"E3": {"E1": Fraction(1)}}, "row 'E3'"),
-        ({"E1": {"E3": Fraction(1)}}, "row 'E1'"),
-        ({"E1": {"E1": Fraction(0)}}, "row 'E1'"),
+        ({"E3": {"E1": (1, 1)}}, "row 'E3'"),
+        ({"E1": {"E3": (1, 1)}}, "row 'E1'"),
+        ({"E1": {"E1": (0, 1)}}, "row 'E1'"),
         ({"E2": {}}, "row 'E2'"),
+        ({"E1": {"E1": (0, 5)}}, "row 'E1'"),
     ],
 )
 def test_a_bad_private_matrix_is_a_bug_not_bad_input(nonzero, message):
     """`ExponentMatrix._exact` is fed only by the library's kernels, so a
     store with a row or column outside the labels, a stored 0 or an empty
-    row is an AlgorithmInvariantViolation (exit 4), not bad input."""
+    row is an AlgorithmInvariantViolation (exit 4), not bad input.  A
+    stored 0 is any pair with a zero numerator, normalized or not."""
     labels = frozenset(LABELS)
     with pytest.raises(AlgorithmInvariantViolation, match=message):
         ExponentMatrix._exact(labels, labels, nonzero)
@@ -537,6 +540,42 @@ def test_private_constructors_build_what_the_public_ones_accept():
     assert built > 500
 
 
+def test_every_stored_entry_is_a_normalized_pair_read_out_as_a_fraction():
+    """Every edge matrix, inverse and child `B` of the test towers, and
+    every pulled-back generator: each stored entry is a normalized pair
+    (a matrix stores no 0), and `entry()`, `vec[label]` and `items()`
+    give `Fraction`s equal to what the public constructor parses from the
+    pair written as "n/d"."""
+
+    def parsed(pair):
+        return parse_rational(f"{pair[0]}/{pair[1]}")
+
+    matrices_, vectors_ = [], []
+    for m in tower_manifolds():
+        for e in m.edges:
+            matrices_ += [e.matrix, e.inverse]
+    for problem, star in sample_towers():
+        for step, gens in zip(star.steps, generators_along(problem, star)[1:]):
+            matrices_ += [chart.matrix for chart in step.children.values()]
+            vectors_ += [g.at(cid) for g in gens for cid in step.children]
+    for mat_ in matrices_:
+        for r in mat_.row_labels:
+            for c in mat_.col_labels:
+                stored = mat_._nonzero.get(r, {}).get(c)
+                assert stored is None or (is_normalized_pair(stored) and stored[0] != 0)
+                x = mat_.entry(r, c)
+                assert type(x) is Fraction and x == (0 if stored is None else parsed(stored))
+    for vec_ in vectors_:
+        assert all(is_normalized_pair(pair) for pair in vec_._map.values())
+        items = list(vec_.items())
+        assert [lab for lab, _ in items] == sorted(vec_.labels)
+        for lab, x in items:
+            expected = parsed(vec_._map[lab])
+            assert type(x) is Fraction and type(vec_[lab]) is Fraction
+            assert x == vec_[lab] == expected
+    assert len(matrices_) > 300 and len(vectors_) > 200
+
+
 def test_public_matrix_constructor_checks_every_entry_and_drops_zeros():
     """Every entry is still required and checked, with the same messages;
     the zeros are read back from the labels, not stored."""
@@ -545,7 +584,8 @@ def test_public_matrix_constructor_checks_every_entry_and_drops_zeros():
     with pytest.raises(StructuralError, match=r"^entry \('E3','E1'\) outside \['E1', 'E2'\]x"):
         ExponentMatrix(LABELS, LABELS, {("E3", "E1"): 1})
     m = mat([[2, 0], [0, Fraction(1, 2)]])
-    assert m._nonzero == {"E1": {"E1": 2}, "E2": {"E2": Fraction(1, 2)}}
+    assert m._nonzero == {"E1": {"E1": (2, 1)}, "E2": {"E2": (1, 2)}}
+    assert m.entry("E2", "E2") == Fraction(1, 2) and type(m.entry("E2", "E2")) is Fraction
     assert m.entry("E1", "E2") == 0 and type(m.entry("E1", "E2")) is Fraction
     with pytest.raises(StructuralError, match=r"^no entry at \('E1','E3'\)$"):
         m.entry("E1", "E3")
@@ -576,20 +616,24 @@ def test_nonnegative_matrices_preserve_division_order(lam, delta, b):
 
 @given(st.dictionaries(st.sampled_from(POOL), signed_rationals, min_size=1), st.randoms())
 def test_vectors_from_reordered_entries_are_one_vector(entries, rnd):
-    """A vector keeps its label map only: built in any insertion order,
-    through the public or the private constructor, it compares and hashes
-    as one vector and yields its items in sorted label order."""
+    """A vector keeps its label map of normalized pairs only: built in any
+    insertion order, through the public constructor from `Fraction`s or
+    the private one from pairs, it compares and hashes as one vector and
+    yields its items, as `Fraction`s, in sorted label order."""
     shuffled = list(entries.items())
     rnd.shuffle(shuffled)
+    pairs = [(k, x.as_integer_ratio()) for k, x in shuffled]
     built = [
         ExponentVector(entries),
         ExponentVector(dict(shuffled)),
-        ExponentVector._exact(dict(shuffled)),
-        ExponentVector._exact(dict(reversed(shuffled))),
+        ExponentVector._exact(dict(pairs)),
+        ExponentVector._exact(dict(reversed(pairs))),
     ]
     for v in built:
         assert v == built[0] and hash(v) == hash(built[0])
+        assert v._map == dict(pairs)
         assert list(v.items()) == sorted(entries.items())
+        assert all(type(x) is Fraction for _, x in v.items())
     assert ExponentVector.__slots__ == ("_map",)
 
 
@@ -669,22 +713,35 @@ def is_normalized(x):
     return type(x) is Fraction and x.denominator > 0 and math.gcd(x.numerator, x.denominator) == 1
 
 
+def is_normalized_pair(x):
+    """A stored entry: two ints, the denominator positive and coprime to
+    the numerator, so 0 is (0, 1)."""
+    return (
+        type(x) is tuple
+        and len(x) == 2
+        and all(type(v) is int for v in x)
+        and x[1] > 0
+        and math.gcd(*x) == 1
+    )
+
+
 @given(wide_rationals, wide_rationals, wide_rationals)
 @example(Fraction(0), Fraction(3, 2), Fraction(0))
 @example(Fraction(-BIG, 7), Fraction(BIG + 1, 3), Fraction(-5, BIG))
 @example(Fraction(1, 2), Fraction(0), Fraction(BIG))
 @settings(max_examples=150)
 def test_plus_times_equals_the_fraction_formula(top, c, x):
-    got = _plus_times(top, c, x)
-    assert got == top + c * x and is_normalized(got)
+    got = _plus_times(top.as_integer_ratio(), c.as_integer_ratio(), x.as_integer_ratio())
+    assert got == (top + c * x).as_integer_ratio() and is_normalized_pair(got)
 
 
 @given(wide_rationals, st.data())
 @settings(max_examples=150)
 def test_compare_is_the_sign_of_the_difference(a, data):
     b = data.draw(st.one_of(st.just(a), st.just(Fraction(a.numerator, a.denominator)), wide_rationals))
-    assert _compare(a, b) == (a > b) - (a < b)
-    assert _compare(b, a) == -_compare(a, b)
+    pa, pb = a.as_integer_ratio(), b.as_integer_ratio()
+    assert _compare(pa, pb) == (a > b) - (a < b)
+    assert _compare(pb, pa) == -_compare(pa, pb)
 
 
 terms = st.lists(st.lists(wide_rationals, min_size=0, max_size=3), max_size=3)
@@ -698,13 +755,14 @@ def test_compare_sums_is_the_sign_of_the_difference_of_sums(left, right, tie):
         right = left[::-1]
     total = sum((math.prod(t, start=Fraction(1)) for t in left), Fraction(0))
     total -= sum((math.prod(t, start=Fraction(1)) for t in right), Fraction(0))
+    left, right = ([[f.as_integer_ratio() for f in t] for t in side] for side in (left, right))
     assert _compare_sums(left, right) == (total > 0) - (total < 0)
 
 
 @given(st.integers(-(2**80), 2**80), st.integers(1, 2**80), positive_rationals, st.booleans())
 @settings(max_examples=100)
 def test_scaled_carries_a_pair_across_a_positive_factor(n, d, x, divide):
-    num, den = _scaled((n, d), x, divide)
+    num, den = _scaled((n, d), x.as_integer_ratio(), divide)
     assert den > 0
     assert Fraction(num, den) == (Fraction(n, d) / x if divide else Fraction(n, d) * x)
 

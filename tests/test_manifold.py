@@ -238,17 +238,26 @@ def test_validate_catches_disconnected_component_set():
 def test_label_sets_are_the_sets_of_shared_labels():
     """The connectivity family is the intersections of every two corners
     that share a label: none on a single corner, whatever its dimension,
-    and on two sibling children the labels they share."""
+    and on two sibling children the labels they share.  On the test
+    towers it is both the set over all corner pairs and the set the
+    per-label walk over every two holders of every label once built,
+    which formed each pair once per label the two corners share."""
     corner = make_corner([f"z{i}" for i in range(16)])
     assert corner._label_sets() == set()
     m0 = make_corner(["E1", "E2", "E3"])
     m = blow_up(m0, frozenset({"E1", "E2"}), uniform_family(m0)).after
     assert m._label_sets() == {frozenset({"E3", "E∞1"})}
     for m in tower_manifolds():
-        assert m._label_sets() == {
+        found = m._label_sets()
+        assert found == {
             p.index_set & q.index_set
             for p, q in combinations(m.corners.values(), 2)
             if p.index_set & q.index_set
+        }
+        assert found == {
+            m.corners[p].index_set & m.corners[q].index_set
+            for ids in m._holders.values()
+            for p, q in combinations(ids, 2)
         }
 
 

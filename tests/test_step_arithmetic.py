@@ -542,10 +542,16 @@ FRACTION_ORDER = ("__lt__", "__le__", "__gt__", "__ge__")
 
 
 def test_a_30_step_tower_stays_within_its_fraction_budget(monkeypatch):
-    """A step does its arithmetic on integer pairs and builds one `Fraction`
-    per entry it keeps, so a 30-step corpus-C tower runs few `Fraction`
-    operators: it ran 6,755 binary arithmetic operators and 6,871 ordered
-    comparisons when each step added, multiplied and compared Fractions."""
+    """Every entry is stored as a normalized integer pair and a step does
+    its arithmetic on the pairs, so a 30-step corpus-C tower runs no
+    `Fraction` arithmetic operator.  It ran 6,755 binary arithmetic
+    operators and 6,871 ordered comparisons when each step added,
+    multiplied and compared Fractions, and 208 and 82 while the entries
+    were stored as Fractions.  The comparisons left are those of the two
+    `lex_key` sorts of the problem's six points before the first step
+    (`minimal_support`, `sorted_points`): one per tuple comparison, their
+    number set by the points' set order, which the hash seed decides (15
+    to 20 seen), at most 12 for a sort of six."""
     counts = dict.fromkeys(("arithmetic", "order"), 0)
 
     def counted(kind, operator):
@@ -561,7 +567,7 @@ def test_a_30_step_tower_stays_within_its_fraction_budget(monkeypatch):
     with pytest.raises(BudgetExceededError) as stop:
         reduce_problem(corpus_c_problem(), max_steps=30)
     assert stop.value.star.age == 30
-    assert counts["arithmetic"] <= 500 and counts["order"] <= 150, counts
+    assert counts["arithmetic"] == 0 and counts["order"] <= 24, counts
 
 
 def test_local_certificate_catches_a_changed_edge_that_validate_can_miss():
