@@ -101,6 +101,24 @@ def corpus_c_problem() -> ReductionProblem:
     return problems[14]
 
 
+def wide_probe_problem() -> ReductionProblem:
+    """The third 6 x 3 wide probe (ROADMAP's wide corpus, drawn from
+    `random.Random(2206)`): age 57, 403 end corners."""
+    labels = [f"z{i}" for i in range(1, 7)]
+    rows = [
+        ["6/5", "3/5", "1/2", "2", "6", "3/4"],
+        ["1/2", "1", "3", "1", "7/4", "1/2"],
+        ["1", "3/5", "2", "2", "1/3", "3"],
+    ]
+    return ReductionProblem(support_from_rows(labels, rows))
+
+
+@functools.lru_cache(maxsize=1)
+def wide_probe_report():
+    """`wide_probe_problem()` reduced once, shared across test modules."""
+    return reduce_problem(wide_probe_problem())
+
+
 @functools.lru_cache(maxsize=1)
 def corpus_c_budget_stop(budget=5):
     """Corpus C stopped by the step budget; returns the raised

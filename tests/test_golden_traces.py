@@ -14,7 +14,7 @@ import pytest
 from monores import BudgetExceededError, ReductionProblem, reduce_problem, support_from_rows
 from monores.cli import main
 from monores.jsonio import canonical_dumps, replay_trace, report_to_json, star_to_json
-from helpers import corpus_c_problem, random_problem, shared_reports
+from helpers import corpus_c_problem, random_problem, shared_reports, wide_probe_report
 
 WORKED_DIGEST = "467404d4f2d75cdaffad07a7f03a3e9dfb5e8dfb5736f0d6ddfcafe0d780792a"
 
@@ -40,6 +40,13 @@ TOWER_DIGEST = "e44a42d9133b61ac75deb3252fdc8c04644e130af18fdbd09d4f6ec8c907ce7b
 DEEP_BUDGET = 100
 DEEP_CORNERS = 353
 DEEP_DIGEST = "e60848e140c9d8001896e582ad0518a060f4e6532c79ffaa1d0287af92845572"
+
+# The wide probe (`helpers.wide_probe_problem`), 6 variables x 3 points:
+# each of its steps adds tens of corners, where corpus C adds about five.
+# Not replayed here: its 11.7 MB trace takes seconds to rebuild.
+WIDE_AGE = 57
+WIDE_CORNERS = 403
+WIDE_DIGEST = "7b3745aa57592c5e4134c9ac7dd266ddac15c94a2f31636afc0cb9c6bd888564"
 
 # `monores principalize` on three generators in three variables: age 10,
 # 15 end corners.
@@ -97,6 +104,12 @@ def test_corpus_c_deep_partial_trace():
     star = info.value.star
     assert (star.age, len(star.end.corners)) == (DEEP_BUDGET, DEEP_CORNERS)
     assert sha256(canonical_dumps(star_to_json(star))) == DEEP_DIGEST
+
+
+def test_wide_probe_trace():
+    report = wide_probe_report()
+    assert (report.age, len(report.star.end.corners)) == (WIDE_AGE, WIDE_CORNERS)
+    assert sha256(canonical_dumps(report_to_json(report))) == WIDE_DIGEST
 
 
 def test_principalize_trace(tmp_path):
