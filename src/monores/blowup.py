@@ -60,7 +60,7 @@ from .linalg import (
     _scaled,
     mat_mul,
 )
-from .manifold import Corner, Edge, MonomialManifold, next_exceptional_label
+from .manifold import Corner, Edge, MonomialManifold
 from .standardization import GlobalStandardization, validate_realizable
 
 # A matrix's nonzero rows (`ExponentMatrix._nonzero`).
@@ -402,11 +402,17 @@ def apply_center(
     over as they are; every other edge is built from the lift table
     (`_lift_table`), the one statement of which edges a step builds, by
     `_conjugate` with its inverse alongside, so no matrix is inverted
-    here.  The result passes the step's local certificate
-    (`BlowupStep.violations`), which checks `after` against the same
-    table, computed once per step, or AlgorithmInvariantViolation is
-    raised; that proves it valid when `m` is, so `m` must be a validated
-    manifold, as every manifold the library builds or replays is.
+    here.  `after` is derived from `m` and that delta
+    (`MonomialManifold._derived`): the step touches the blown corners,
+    their edges and their labels' holders, never loops over an untouched
+    corner or edge, and the default new label is `m`'s top exceptional
+    index plus one, kept on each manifold, which is
+    `next_exceptional_label(m.components)`.  The result passes the
+    step's local certificate (`BlowupStep.violations`), which checks
+    `after` against the same table, computed once per step, or
+    AlgorithmInvariantViolation is raised; that proves it valid when `m`
+    is, so `m` must be a validated manifold, as every manifold the
+    library builds or replays is.
     """
     pair = frozenset(pair)
     if len(pair) != 2:
@@ -420,19 +426,16 @@ def apply_center(
         if alpha.labels != m.corner(cid).index_set or not alpha.is_positive():
             raise DomainError(f"bad weight vector at corner {cid!r}")
     if new_label is None:
-        new_label = next_exceptional_label(m.components)
+        new_label = f"E∞{m._exceptional_top + 1}"
     _check_label(new_label)
     if new_label in m.components:
         raise StructuralError(f"exceptional label {new_label!r} already in use")
 
     blown = set(holders)
-    corners: dict[str, Corner] = {}
+    kids: list[Corner] = []
     children: dict[str, ChildChart] = {}
-
-    for cid, corner in m.corners.items():
-        if cid not in blown:
-            corners[cid] = corner
-            continue
+    for cid in holders:
+        corner = m.corners[cid]
         weights = alpha_at_center[cid]._map
         for removed in sorted(pair):
             (other,) = pair - {removed}
@@ -445,15 +448,15 @@ def apply_center(
             # weights are positive) and normalized once
             c = Fraction(*_scaled(weights[removed], weights[other], True))
             children[nid] = ChildChart(corner, removed, other, c, new_label)
-            corners[nid] = Corner(nid, (corner.index_set - {removed}) | {new_label})
+            kids.append(Corner(nid, (corner.index_set - {removed}) | {new_label}))
 
     lifts = _lift_table(m, pair, children)
-    edges = [e for e in m.edges if e.p not in blown and e.q not in blown]
+    edges = []
     for (p, q), (_, old, inverse) in lifts.items():
         at_p, at_q = children.get(p), children.get(q)
         edges.append(Edge(p, q, _conjugate(old, at_q, at_p), _conjugate(inverse, at_p, at_q)))
 
-    after = MonomialManifold(m.dimension, m.components | {new_label}, corners.values(), edges)
+    after = MonomialManifold._derived(m, new_label, blown, kids, edges)
     step = BlowupStep(
         center_pair=pair,
         alpha_at_center=dict(sorted(alpha_at_center.items())),

@@ -177,6 +177,23 @@ def center_is_uncoupled_at(
     return _compare(lv._entry(i), mv._entry(i)) * _compare(lv._entry(j), mv._entry(j)) < 0
 
 
+def _uncoupled_pairs_at(
+    gens: Sequence[MFunction], pair: frozenset[str], corner_id: str
+) -> list[tuple[int, int]]:
+    """The generator index pairs `(x, y)`, `x < y`, in `combinations`
+    order, for which `center_is_uncoupled_at(gens[x], gens[y], pair,
+    corner_id)` holds: each generator's two entries at the corner are read
+    once, and every pair is decided from them by the same two `_compare`
+    signs."""
+    i, j = sorted(pair)
+    entries = [(v._entry(i), v._entry(j)) for v in (g.at(corner_id) for g in gens)]
+    return [
+        (x, y)
+        for (x, (xi, xj)), (y, (yi, yj)) in combinations(enumerate(entries), 2)
+        if _compare(xi, yi) * _compare(xj, yj) < 0
+    ]
+
+
 def uncoupled_centers(lam: MFunction, mu: MFunction) -> set[frozenset[str]]:
     """All codimension-two centers obstructing principality of the pair.
 
@@ -412,8 +429,9 @@ def principalize_generators(
     only the centers through the new label.  Only children hold it, so
     `codim2_centers(step.children)` gives each such center its
     smallest-id holder as witness, and one scan of them there counts the
-    fresh obstructions of every pair.  A hit on the active pair means its
-    count did not drop to `inv - 1`, which is a bug
+    fresh obstructions of every pair, reading each generator's two
+    entries at each witness once (`_uncoupled_pairs_at`).  A hit on the
+    active pair means its count did not drop to `inv - 1`, which is a bug
     (AlgorithmInvariantViolation); without one its next state is
     `omega - {pair}`.
 
@@ -465,12 +483,10 @@ def principalize_generators(
                 for c, w in step.after.codim2_centers(step.children).items()
                 if step.new_label in c
             }
-            fresh = {
-                (x, y): sum(
-                    center_is_uncoupled_at(gens[x], gens[y], c, w) for c, w in witnesses.items()
-                )
-                for x, y in combinations(range(k), 2)
-            }
+            fresh = dict.fromkeys(combinations(range(k), 2), 0)
+            for c, w in witnesses.items():
+                for xy in _uncoupled_pairs_at(gens, c, w):
+                    fresh[xy] += 1
             if fresh.pop((a, b)):
                 raise AlgorithmInvariantViolation(
                     f"blow-up of {sorted(pair)} did not drop the obstruction count "

@@ -11,8 +11,7 @@ label -> {column label: pair with `n != 0`}, where an absent row or entry
 is the exact 0.  A vector keeps one store too, its label map.  Every
 reader in the library uses the pairs directly.  A `fractions.Fraction` is
 built only on demand, by the public accessors (`vec[label]`, `items()`,
-`lex_key`, `ExponentMatrix.entry`); `mat_inverse` converts at its two
-ends.
+`ExponentMatrix.entry`); `mat_inverse` converts at its two ends.
 
 Every product and every product test sums each entry over the stored
 terms only, as an unreduced pair (`_entry_sums`).  A product (`mat_mul`,
@@ -44,16 +43,17 @@ its denominator, is a kernel's bug.
 
 The componentwise partial order `div_le` (one exponent tuple divides
 another) and the extraction of its minimal elements live here too, since
-every other module is built on them.  A proper divisor sorts first
-under `lex_key`, so `minimal_elements` tests each vector only against
-the minima already kept.
+every other module is built on them.  Vectors are ordered by their
+entries in sorted label order (`_sorted_vectors`, on integer keys); a
+proper divisor sorts first, so `minimal_elements` tests each vector only
+against the minima already kept.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .errors import AlgorithmInvariantViolation, SingularMatrixError, StructuralError
@@ -187,9 +187,23 @@ class ExponentVector:
         return f"ExponentVector({{{body}}})"
 
 
-def lex_key(v: ExponentVector) -> tuple[Fraction, ...]:
-    """The entries in sorted label order, the key every vector sort uses."""
-    return tuple([_fraction(pair) for _, pair in sorted(v._map.items())])
+def _sorted_vectors(vectors: Iterable[ExponentVector]) -> list[ExponentVector]:
+    """Vectors over one label set, ordered by their entries in sorted label
+    order, compared as rationals: the order every vector sort uses.  The
+    keys are integers, each label's numerators scaled to the lcm of that
+    label's denominators over `vectors`, which orders that label's entries
+    as their values; no `Fraction` is built."""
+    vecs = list(vectors)
+    if not vecs:
+        return vecs
+    labels = sorted(vecs[0]._map)
+    scales = [(lab, lcm(*[v._map[lab][1] for v in vecs])) for lab in labels]
+
+    def key(v: ExponentVector) -> tuple[int, ...]:
+        entries = v._map
+        return tuple([n * (s // d) for lab, s in scales for n, d in (entries[lab],)])
+
+    return sorted(vecs, key=key)
 
 
 class ExponentMatrix:
@@ -356,17 +370,19 @@ def minimal_elements(vectors: Iterable[ExponentVector]) -> list[ExponentVector]:
     """The elements not strictly dominated by another one; pairwise incomparable.
 
     Input vectors must share one label set.  Duplicates collapse; the result
-    is sorted (`lex_key`) for determinism.  Empty input gives an empty list.
-    One scan tests each vector against the minima kept so far: a proper
-    divisor sorts first (it is smaller at the first label where they
-    differ), and one that is not minimal is divided by a kept minimum.
+    is sorted (`_sorted_vectors`) for determinism.  Empty input gives an
+    empty list.  One scan tests each vector against the minima kept so
+    far: a proper divisor sorts first (it is smaller at the first label
+    where they differ), and one that is not minimal is divided by a kept
+    minimum.
     """
-    vecs = sorted(set(vectors), key=lex_key)
+    vecs = list(set(vectors))
     if not vecs:
         return []
     labels = vecs[0]._map.keys()
     if any(v._map.keys() != labels for v in vecs):
         raise StructuralError("minimal_elements needs a single common label set")
+    vecs = _sorted_vectors(vecs)
     out: list[ExponentVector] = []
     for v in vecs:
         if not any(div_le(w, v) for w in out):

@@ -14,17 +14,28 @@ blow-up re-runs the per-corner and per-edge checks only on what it built
 breadth-first walk, `MonomialManifold._walk`: every derivation carries
 its value forward along it, hop by hop from its start corner, and every
 check folds it.
+
+A blow-up builds its manifold from its parent plus what it changed
+(`MonomialManifold._derived`): the corner and edge orders are the
+parent's with the blown corners and their edges spliced out and the new
+ones merged in, and the adjacency lists and the label index are shallow
+copies of the parent's with new lists only where the step touched.  No
+list is ever mutated once stored, so parent and child share the rest,
+and a step's bookkeeping costs what it built, plus C-level copies of the
+parent's dicts and tuple.
 """
 
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
-from typing import Iterable, Iterator
+from operator import attrgetter, itemgetter
+from typing import Callable, Collection, Iterable, Iterator, Sequence, TypeVar
 
 from .errors import (
     ConnectivityError,
@@ -45,6 +56,7 @@ from .linalg import (
 )
 
 _EXC_LABEL = re.compile(r"E∞(\d+)\Z")
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -118,10 +130,42 @@ class Edge:
         return f"Edge({self.p!r} -> {self.q!r}, shared={sorted(self.shared)})"
 
 
+# The sort keys of the corner and edge orders, as C-level getters.
+_corner_id = attrgetter("id")
+_edge_key = attrgetter("p", "q")
+_neighbour = itemgetter(0)
+
+
+def _spliced(
+    items: Sequence[T], gone: Sequence[T], new: Sequence[T], key: Callable | None = None
+) -> list[T]:
+    """`items`, sorted by `key` (default: themselves) with distinct keys,
+    without the items of `gone` and merged with those of `new`, both
+    sorted the same way: one bisect per gone or new item and slice copies
+    between them, so no key is computed for an item that stays."""
+    kept: list[T] = []
+    start = 0
+    for x in gone:
+        i = bisect_left(items, x if key is None else key(x), start, key=key)
+        kept += items[start:i]
+        start = i + 1
+    kept += items[start:]
+    out: list[T] = []
+    start = 0
+    for x in new:
+        i = bisect_left(kept, x if key is None else key(x), start, key=key)
+        out += kept[start:i]
+        out.append(x)
+        start = i
+    out += kept[start:]
+    return out
+
+
 class MonomialManifold:
     """Corners plus edges; immutable once constructed.
 
-    Blow-ups build new manifolds rather than mutating.
+    Blow-ups build new manifolds rather than mutating, each from its
+    parent (`_derived`).
     """
 
     def __init__(
@@ -140,7 +184,85 @@ class MonomialManifold:
             if c.id in self.corners:
                 raise StructuralError(f"duplicate corner id {c.id!r}")
             self.corners[c.id] = c
-        self.edges = tuple(sorted(edges, key=Edge.key))
+        self.edges = tuple(sorted(edges, key=_edge_key))
+
+    @classmethod
+    def _derived(
+        cls,
+        parent: "MonomialManifold",
+        new_label: str,
+        blown: Collection[str],
+        children: Iterable[Corner],
+        new_edges: Iterable[Edge],
+    ) -> "MonomialManifold":
+        """The manifold a blow-up of `parent` builds, from the step's delta:
+        the blown corner ids, the children (their ids new or blown ones)
+        and the new edges, every edge with an end at a child.  It equals
+        the public constructor's manifold on the same corners and edges,
+        its two caches included:
+        - the corner and edge orders are `parent`'s without the blown
+          corners and the edges at them, merged with the sorted new ones
+          (`_spliced`);
+        - `_adjacency` is a shallow copy of `parent`'s, with new lists at
+          the children and at the untouched neighbours of blown corners;
+        - `_holders` is a shallow copy of `parent`'s, with new lists for
+          the labels of the blown corners and of the children;
+        - `_exceptional_top` is `parent`'s, raised to the new label's
+          index.
+        Every other list is `parent`'s own; none is mutated.  Both caches
+        go in the instance dict, where `cached_property` looks first.  The
+        caller vouches for the delta (`apply_center` builds it from the
+        lift table and checks the result against it).
+        """
+        m = object.__new__(cls)
+        m.dimension = parent.dimension
+        m.components = parent.components | {new_label}
+        gone = sorted(blown)
+        kids = sorted(children, key=_corner_id)
+        built = sorted(new_edges, key=_edge_key)
+        old_corners, old_adjacency = parent.corners, parent._adjacency
+        ids = _spliced(list(old_corners), gone, [c.id for c in kids])
+        lookup = old_corners | {c.id: c for c in kids}
+        m.corners = dict(zip(ids, map(lookup.__getitem__, ids)))
+        at_blown = {e for b in gone for _, e, _ in old_adjacency[b]}
+        m.edges = tuple(
+            _spliced(parent.edges, sorted(at_blown, key=_edge_key), built, _edge_key)
+        )
+
+        adjacency = dict(old_adjacency)
+        for b in gone:
+            del adjacency[b]
+        rebuilt: dict[str, list[tuple[str, Edge, bool]]] = {c.id: [] for c in kids}
+        for b in gone:
+            for nxt, _, _ in old_adjacency[b]:
+                if nxt not in blown and nxt not in rebuilt:
+                    rebuilt[nxt] = [t for t in adjacency[nxt] if t[0] not in blown]
+        for e in built:
+            rebuilt[e.p].append((e.q, e, True))
+            rebuilt[e.q].append((e.p, e, False))
+        for lst in rebuilt.values():
+            lst.sort(key=_neighbour)
+        adjacency.update(rebuilt)
+
+        drop: dict[str, list[str]] = {}
+        for b in gone:
+            for lab in old_corners[b].index_set:
+                drop.setdefault(lab, []).append(b)
+        add: dict[str, list[str]] = {}
+        for c in kids:
+            for lab in c.index_set:
+                add.setdefault(lab, []).append(c.id)
+        holders = dict(parent._holders)
+        for lab in sorted(drop.keys() | add.keys()):
+            # a blown corner's label stays on a child, so no list empties
+            holders[lab] = _spliced(holders.get(lab, ()), drop.get(lab, ()), add.get(lab, ()))
+
+        m.__dict__["_adjacency"] = adjacency
+        m.__dict__["_holders"] = holders
+        m.__dict__["_exceptional_top"] = max(
+            parent._exceptional_top, _exceptional_index(new_label)
+        )
+        return m
 
     # -- basic accessors ------------------------------------------------
 
@@ -168,7 +290,7 @@ class MonomialManifold:
     @cached_property
     def _holders(self) -> dict[str, list[str]]:
         """Each label's corner ids in sorted order, built in one pass over
-        the corners on first use."""
+        the corners on first use (or by `_derived`)."""
         index: dict[str, list[str]] = {}
         for cid, c in self.corners.items():
             for lab in c.index_set:
@@ -188,13 +310,22 @@ class MonomialManifold:
 
     @cached_property
     def _adjacency(self) -> dict[str, list[tuple[str, Edge, bool]]]:
+        """Each corner's `(neighbour, edge, forward)` entries, sorted by
+        neighbour id, built in one pass over the edges on first use (or by
+        `_derived`)."""
         adj: dict[str, list[tuple[str, Edge, bool]]] = {cid: [] for cid in self.corners}
         for e in self.edges:
             adj[e.p].append((e.q, e, True))
             adj[e.q].append((e.p, e, False))
         for lst in adj.values():
-            lst.sort(key=lambda t: t[0])
+            lst.sort(key=_neighbour)
         return adj
+
+    @cached_property
+    def _exceptional_top(self) -> int:
+        """The largest index `k` of a component `E∞k`, 0 if none: the index
+        `next_exceptional_label` reads, kept by `_derived`."""
+        return max(map(_exceptional_index, self.components), default=0)
 
     # -- derived chart data ----------------------------------------------
 
@@ -258,24 +389,35 @@ class MonomialManifold:
     def transport_weight(self, label: str, start: str, value: Fraction) -> dict[str, Fraction]:
         """Carry a weight on `label` from `start` to every corner of E_label:
         `_carry_weight`'s pairs, each one normalized `Fraction`."""
-        carried = self._carry_weight(label, start, value.as_integer_ratio())
-        return {cid: Fraction(*carried[cid]) for cid in self.corners_with([label])}
+        holders = self.corners_with([label])
+        carried = self._carry_weight(label, start, value.as_integer_ratio(), holders)
+        return {cid: Fraction(*carried[cid]) for cid in holders}
 
-    def _carry_weight(self, label: str, start: str, value: Pair) -> dict[str, Pair]:
-        """The weight on `label` at every corner of E_label, carried from
-        `start`, where it is the pair `value`, as an unreduced integer pair.
+    def _carry_weight(
+        self, label: str, start: str, value: Pair, targets: Sequence[str]
+    ) -> dict[str, Pair]:
+        """The weight on `label`, carried from `start`, where it is the pair
+        `value`, as an unreduced integer pair at every corner the walk
+        reaches: at least the `targets`, corners of E_label.
 
         One `_walk` inside E_label: each hop multiplies or divides the pair
         by the edge's diagonal pair (`linalg._scaled`), whose sign
         `Edge._diagonal` checks on the numerator, raising StructuralError
-        when it is not positive.  Raises ConnectivityError when some corner
-        on `label` is not reached.
+        when it is not positive.  The walk stops once it has reached every
+        target, so with every corner of E_label as targets it checks every
+        hop of the full walk.  Raises ConnectivityError when a target is
+        not reached.
         """
         found = {start: value}
-        for cur, nxt, edge, forward in self._walk(start, frozenset((label,))):
-            # a forward edge runs cur -> nxt, so nxt's weight is cur's over d
-            found[nxt] = _scaled(found[cur], edge._diagonal(label), forward)
-        missing = [cid for cid in self.corners_with([label]) if cid not in found]
+        left = set(targets) - {start}
+        if left:
+            for cur, nxt, edge, forward in self._walk(start, frozenset((label,))):
+                # a forward edge runs cur -> nxt, so nxt's weight is cur's over d
+                found[nxt] = _scaled(found[cur], edge._diagonal(label), forward)
+                left.discard(nxt)
+                if not left:
+                    break
+        missing = [cid for cid in targets if cid not in found]
         if missing:
             raise ConnectivityError(
                 f"E_{label} is disconnected: {missing} unreachable from {start!r}"
@@ -478,11 +620,12 @@ def make_corner(labels: Iterable[str], corner_id: str = "c0") -> MonomialManifol
     return MonomialManifold(len(labs), labs, [corner])
 
 
+def _exceptional_index(label: str) -> int:
+    """`k` for a label `E∞k`, 0 for any other label."""
+    m = _EXC_LABEL.match(label)
+    return int(m.group(1)) if m else 0
+
+
 def next_exceptional_label(components: Iterable[str]) -> str:
     """Fresh label E∞k with k one past the largest exceptional index in use."""
-    top = 0
-    for lab in components:
-        m = _EXC_LABEL.match(lab)
-        if m:
-            top = max(top, int(m.group(1)))
-    return f"E∞{top + 1}"
+    return f"E∞{max(map(_exceptional_index, components), default=0) + 1}"

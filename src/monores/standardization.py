@@ -135,13 +135,17 @@ def weights_at(
     For a component through the base corner the weight there is kept; for
     any other component the free parameter `beta` (default 1) is planted at
     the smallest-id corner on that component.  Only the components of the
-    given corners are carried: each anchored weight goes to every corner
-    on its component by one breadth-first pass
-    (`MonomialManifold._carry_weight`, which checks the component is
-    connected), so each weight is the anchored value times a product of
-    edge diagonals, each hop multiplying or dividing by one diagonal
-    entry; no chart change is multiplied out.  The walk carries unreduced
-    integer pairs, normalized only at the given corners.  Each vector
+    given corners are carried: each anchored weight goes along its
+    component by one breadth-first pass (`MonomialManifold._carry_weight`),
+    which stops once it has reached every given corner on that component,
+    so each weight is the anchored value times a product of edge
+    diagonals, each hop multiplying or dividing by one diagonal entry; no
+    chart change is multiplied out.  `extend` gives every corner, so its
+    walks are whole and check that each component is connected and each
+    diagonal they cross positive; the sweep gives the center's corners on
+    a manifold its step certificate has proven, where the rest of a walk
+    would re-derive only that proven connectivity.  The walk carries
+    unreduced integer pairs, normalized only at the given corners.  Each vector
     holds exactly its corner's labels, so it is wrapped without
     re-parsing (`ExponentVector._exact`).
     """
@@ -164,9 +168,8 @@ def weights_at(
             anchor, value = local.corner, local.alpha._map[lab]
         else:
             anchor, value = m.corners_with([lab])[0], beta.get(lab, _ONE)
-        carried = m._carry_weight(lab, anchor, value)
-        for cid, entries in per_corner.items():
-            pair = carried.get(cid)
-            if pair is not None:
-                entries[lab] = _normalized(*pair)
+        on_lab = [cid for cid in per_corner if lab in m.corners[cid].index_set]
+        carried = m._carry_weight(lab, anchor, value, on_lab)
+        for cid in on_lab:
+            per_corner[cid][lab] = _normalized(*carried[cid])
     return {cid: ExponentVector._exact(entries) for cid, entries in per_corner.items()}

@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from .errors import DomainError, StructuralError
-from .linalg import ExponentMatrix, ExponentVector, lex_key, minimal_elements, vec_apply
+from .linalg import ExponentMatrix, ExponentVector, _sorted_vectors, minimal_elements, vec_apply
 
 
 class SupportSet:
@@ -42,7 +42,8 @@ class SupportSet:
         return frozenset(self.variables)
 
     def sorted_points(self) -> list[ExponentVector]:
-        return sorted(self.points, key=lex_key)
+        """The points ordered by their entries in sorted label order."""
+        return _sorted_vectors(self.points)
 
     def __len__(self) -> int:
         return len(self.points)

@@ -156,6 +156,29 @@ def test_minimal_elements_against_brute_force(vs):
         assert any(div_le(g, v) for g in got)
 
 
+@st.composite
+def signed_vector_lists(draw):
+    """Vectors over three labels, given out of sorted order, whose entries
+    come from a small pool with zero, negative and above-2^64 numerators,
+    so that vectors repeat and tie on leading entries."""
+    wide = st.builds(
+        Fraction, st.integers(-(2**70), 2**70), st.integers(1, 2**70)
+    )
+    entry = st.sampled_from([Fraction(0), Fraction(-1, 3), Fraction(2**65 + 1, 3)]) | wide
+    pool = draw(st.lists(entry, min_size=1, max_size=4))
+    rows = draw(st.lists(st.tuples(*[st.sampled_from(pool)] * 3), max_size=10))
+    return [ExponentVector(dict(zip(("z", "a", "m"), row))) for row in rows]
+
+
+@given(signed_vector_lists())
+@example([vec(2**64 + 1, 0), vec(Fraction(2**65 + 1, 2), -1), vec(2**64 + 1, 0), vec(-5, 7)])
+def test_vectors_sort_on_integers_as_on_fraction_tuples(vs):
+    """`_sorted_vectors` orders vectors as a sort of their entries in sorted
+    label order, read as `Fraction`s, does."""
+    reference = sorted(vs, key=lambda v: tuple(x for _, x in v.items()))
+    assert linalg._sorted_vectors(vs) == reference
+
+
 def counting_div_le(run):
     """`run()` and the number of `div_le` calls it made."""
     calls = 0

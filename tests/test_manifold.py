@@ -1,5 +1,6 @@
 """Structural model: chart changes, weight functions, validation, centers."""
 
+import json
 from collections import deque
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -22,8 +23,9 @@ from monores import (
     mat_mul,
     next_exceptional_label,
 )
-from monores.jsonio import manifold_from_json, manifold_to_json
-from helpers import tower_manifolds
+from monores.blowup import _escaped, apply_center
+from monores.jsonio import canonical_dumps, manifold_from_json, manifold_to_json
+from helpers import sample_towers, tower_manifolds, wide_probe_report
 
 F = Fraction
 
@@ -449,3 +451,96 @@ def test_walker_reproduces_the_breadth_first_loops():
             )
             disconnected += bool(found)
     assert paths > 500 and disconnected > 100, "the walks must be exercised"
+
+
+# -- a blow-up's manifold, derived from its parent ---------------------------
+
+
+def assert_derived_as_built(step):
+    """`step.after`, derived from `step.before` (`MonomialManifold._derived`),
+    equals the manifold the public constructor builds from its corners and
+    edges: corner order, edge order (the same objects), every adjacency
+    list (neighbour, edge object and direction, in order), the label index
+    and the next exceptional label.  The lists the step did not touch are
+    `before`'s own objects."""
+    after, before = step.after, step.before
+    assert {"_adjacency", "_holders", "_exceptional_top"} <= after.__dict__.keys()
+    built = MonomialManifold(after.dimension, after.components, after.corners.values(), after.edges)
+    assert list(after.corners.items()) == list(built.corners.items())
+    assert after.edges == built.edges
+    assert after._adjacency.keys() == built._adjacency.keys()
+    for cid, entries in built._adjacency.items():
+        assert after._adjacency[cid] == entries, cid
+    assert after._holders == built._holders
+    label = f"E∞{after._exceptional_top + 1}"
+    assert label == next_exceptional_label(after.components)
+    assert after._exceptional_top == built._exceptional_top
+    blown = {chart.parent.id for chart in step.children.values()}
+    near = {nxt for b in blown for nxt, _, _ in before._adjacency[b]}
+    for cid in after.corners.keys() - step.children.keys() - near:
+        assert after._adjacency[cid] is before._adjacency[cid]
+    touched = {lab for b in blown for lab in before.corners[b].index_set}
+    for lab in before._holders.keys() - touched:
+        assert after._holders[lab] is before._holders[lab]
+
+
+def test_every_derived_manifold_equals_one_built_from_scratch():
+    """Checked once every tower is built, so a parent list mutated by a
+    later step would differ from its own rebuild."""
+    steps = [step for _, star in sample_towers() for step in star.steps]
+    steps += wide_probe_report().star.steps
+    assert max(len(step.children) for step in steps) >= 20
+    for step in steps:
+        assert_derived_as_built(step)
+
+
+def spliced_root():
+    """A chain of five corners whose ids sort on both sides of the
+    children of `c0`: `-` sorts before `.`, and `/` after it.  Each edge
+    keeps the shared label and sends the new one to the old corner's own
+    label."""
+    ids = ["c0-0", "c0-1", "c0", "c0/1", "c0/2"]
+    labels = ["x", "a", "b", "c", "d", "y"]
+    corners = [Corner(cid, frozenset(labels[k : k + 2])) for k, cid in enumerate(ids)]
+    edges = []
+    for k in range(len(ids) - 1):
+        own, shared, new = labels[k : k + 3]
+        entries = {(shared, own): 0, (shared, shared): 1, (new, own): 1, (new, shared): 0}
+        edges.append(Edge(ids[k], ids[k + 1], ExponentMatrix([shared, new], [own, shared], entries)))
+    return MonomialManifold(2, labels, corners, edges)
+
+
+def test_children_are_merged_between_untouched_ids():
+    root = spliced_root()
+    assert root.validate() == []
+    step = apply_center(root, frozenset("bc"), {"c0": ExponentVector({"b": 1, "c": 2})})
+    assert list(step.after.corners) == ["c0-0", "c0-1", "c0.b", "c0.c", "c0/1", "c0/2"]
+    assert [e.key() for e in step.after.edges] == [
+        ("c0-0", "c0-1"),
+        ("c0-1", "c0.c"),
+        ("c0.b", "c0.c"),
+        ("c0.b", "c0/1"),
+        ("c0/1", "c0/2"),
+    ]
+    assert step.after.validate() == []
+    assert_derived_as_built(step)
+
+
+def test_a_child_may_take_the_id_of_a_blown_corner():
+    """A loaded manifold whose second blown corner is named like the first
+    one's child: the child takes the freed id, in the corner and edge
+    orders, the adjacency lists and the label index alike."""
+    step = next(
+        s for _, star in sample_towers() for s in star.steps if len(s.alpha_at_center) >= 2
+    )
+    first, second = sorted(step.alpha_at_center)[:2]
+    taken = f"{first}.{_escaped(min(step.center_pair))}"
+    text = canonical_dumps(manifold_to_json(step.before))
+    assert f'"{taken}"' not in text
+    m = manifold_from_json(json.loads(text.replace(f'"{second}"', f'"{taken}"')))
+    assert m.validate() == []
+    weights = {(taken if cid == second else cid): a for cid, a in step.alpha_at_center.items()}
+    renamed = apply_center(m, step.center_pair, weights)
+    assert renamed.children[taken].parent.id == first
+    assert renamed.after.validate() == []
+    assert_derived_as_built(renamed)

@@ -251,8 +251,8 @@ def test_a_corrupted_transported_weight_is_a_bug(monkeypatch):
         for q, labels in shared.items():
             for label in sorted(labels):
 
-                def corrupted(self, lab, start, value, label=label, q=q):
-                    carried = original(self, lab, start, value)
+                def corrupted(self, lab, start, value, targets, label=label, q=q):
+                    carried = original(self, lab, start, value, targets)
                     if lab == label:
                         n, d = carried[q]
                         carried[q] = (2 * n, d)

@@ -16,6 +16,7 @@ from monores import (
     AlgorithmInvariantViolation,
     BudgetExceededError,
     PairState,
+    center_is_uncoupled_at,
     minimal_support,
     principalize_generators,
     reduce_problem,
@@ -95,12 +96,12 @@ def test_pairs_before_the_active_one_stay_finished(monkeypatch):
 
 
 def reopen_pair_0_1(monkeypatch):
-    """Patch the sign test to call pair (0, 1) obstructed wherever it is
-    asked about the current generators 0 and 1 after the sweep has moved
-    past that pair."""
+    """Patch the sweep's per-witness scan to call pair (0, 1) obstructed
+    wherever it is asked about the current generators after the sweep has
+    moved past that pair."""
     true_measure = PairState.measure
     true_pull_back = monores.ideals.pull_back_generators
-    true_sign = monores.ideals.center_is_uncoupled_at
+    true_scan = monores.ideals._uncoupled_pairs_at
     measured, pulled = [], []
 
     def measure(cls, lam, mu):
@@ -111,15 +112,16 @@ def reopen_pair_0_1(monkeypatch):
         pulled.extend(true_pull_back(gens, step))
         return pulled[-len(gens):]
 
-    def sign(lam, mu, pair, corner_id):
+    def scan(gens, pair, corner_id):
+        hits = true_scan(gens, pair, corner_id)
         current = pulled[-len(IDEAL["generators"]):]
-        if len(measured) >= 2 and current and lam is current[0] and mu is current[1]:
-            return True
-        return true_sign(lam, mu, pair, corner_id)
+        if len(measured) >= 2 and current and gens[0] is current[0] and gens[1] is current[1]:
+            return [(0, 1)] + [xy for xy in hits if xy != (0, 1)]
+        return hits
 
     monkeypatch.setattr(PairState, "measure", classmethod(measure))
     monkeypatch.setattr(monores.ideals, "pull_back_generators", pull_back)
-    monkeypatch.setattr(monores.ideals, "center_is_uncoupled_at", sign)
+    monkeypatch.setattr(monores.ideals, "_uncoupled_pairs_at", scan)
 
 
 def test_a_fresh_obstruction_on_a_finished_pair_is_a_bug(monkeypatch):
@@ -148,14 +150,44 @@ def test_a_fresh_obstruction_on_the_active_pair_is_a_bug(monkeypatch):
     new label that it calls obstructed means the count did not drop."""
     ideal = ideal_from_json(IDEAL)
     first = PairState.measure(*ideal.generators[:2]).inv
-    true_sign = monores.ideals.center_is_uncoupled_at
+    true_scan = monores.ideals._uncoupled_pairs_at
 
-    def sign(lam, mu, pair, corner_id):
-        return any(lab.startswith("E∞") for lab in pair) or true_sign(lam, mu, pair, corner_id)
+    def scan(gens, pair, corner_id):
+        if any(lab.startswith("E∞") for lab in pair):
+            return list(combinations(range(len(gens)), 2))
+        return true_scan(gens, pair, corner_id)
 
-    monkeypatch.setattr(monores.ideals, "center_is_uncoupled_at", sign)
+    monkeypatch.setattr(monores.ideals, "_uncoupled_pairs_at", scan)
     with pytest.raises(
         AlgorithmInvariantViolation,
         match=rf"did not drop the obstruction count from {first} to {first - 1}",
     ):
         principalize_generators(ideal.manifold, ideal.generators)
+
+
+def test_the_per_witness_scan_counts_what_the_sign_test_counts():
+    """At every step of the test towers, the sweep's fresh count of each
+    generator pair (`_uncoupled_pairs_at`, each witness read once) equals
+    the sum of `center_is_uncoupled_at` over the step's witnesses."""
+    scanned = hits = 0
+    for problem, star in sample_towers():
+        for step, gens in zip(star.steps, generators_along(problem, star)[1:]):
+            witnesses = {
+                c: w
+                for c, w in step.after.codim2_centers(step.children).items()
+                if step.new_label in c
+            }
+            pairs = list(combinations(range(len(gens)), 2))
+            counts = dict.fromkeys(pairs, 0)
+            for c, w in witnesses.items():
+                for xy in monores.ideals._uncoupled_pairs_at(gens, c, w):
+                    counts[xy] += 1
+            assert counts == {
+                (x, y): sum(
+                    center_is_uncoupled_at(gens[x], gens[y], c, w) for c, w in witnesses.items()
+                )
+                for x, y in pairs
+            }
+            scanned += len(witnesses) * len(pairs)
+            hits += sum(counts.values())
+    assert scanned > 100 and hits > 0, (scanned, hits)
