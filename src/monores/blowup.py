@@ -24,7 +24,12 @@ once (`linalg._plus_times`), as the pullback through a `ChildChart`
 does.  A chart's `c` is divided on the weights' pairs by `apply_center`,
 kept as the `Fraction` that `ChildChart.c` shows, and read as a pair once
 per chart (`ChildChart._c`), so the steps, the pullback and the step's
-checks build and unpack no `Fraction`.
+checks build and unpack no `Fraction`.  Nor does a step build label
+sets per matrix: each child's index set is made once, held by its
+`ChildChart` and its `Corner` as one frozenset, and every matrix built
+at the child takes that set whenever the input's labels are its
+parent's, as on every validated manifold (`_child_labels`); other
+labels are relabeled by set algebra.
 
 One table defines the lifts (`_lift_table`): every edge the step must
 build, with the edge downstairs it lifts, read off the edges at the
@@ -33,7 +38,10 @@ and checks `after` against it (`BlowupStep.violations`, which computes
 its own when called on a built step): the edges `after`
 holds at the children must be exactly the table's, each with the checks
 `validate` makes of one edge and the conjugation identity with the edge
-it lifts.  The connectivity of the label sets through `E` is read off
+it lifts.  Construction and that identity share one column step: each
+lift's `M·B_p` (`_times_b`) is computed once, the new edge is `B_q⁻¹`
+times it, and the certificate checks `B_q·M'` against it, a row step
+that multiplies by `B_q`, not by its inverse.  The connectivity of the label sets through `E` is read off
 those lifts, which makes `after` valid whenever `before` is.  Each step
 so proves what it built, not the whole manifold, and a tower is proven
 by induction from a root that `MonomialManifold.validate` checked in
@@ -75,7 +83,9 @@ class ChildChart:
     gains `new_label`.  Its morphism matrix `B` (rows = parent labels,
     columns = child labels) is the identity with column `removed` renamed
     to `new_label`, plus the entry `c` at (`other`, `new_label`); it is
-    built only when read, and then once, as `I·B`.
+    built only when read, and then once, as `I·B`.  `index_set` is the
+    child's, the very frozenset its `Corner` holds, so every matrix the
+    step builds at the child carries it (`_child_labels`).
     """
 
     parent: Corner
@@ -83,6 +93,7 @@ class ChildChart:
     other: str
     c: Fraction
     new_label: str
+    index_set: frozenset[str]
 
     @cached_property
     def _c(self) -> Pair:
@@ -103,6 +114,16 @@ class ChildChart:
         top = entries.pop(self.removed)
         entries[self.new_label] = _plus_times(top, self._c, entries[self.other])
         return ExponentVector._exact(entries)
+
+
+def _child_labels(labels: frozenset[str], chart: ChildChart) -> frozenset[str]:
+    """`labels` with `removed` replaced by `new_label`: the child's own
+    `index_set` when `labels` are its parent's, as they are on a
+    validated manifold, and otherwise a new set, so a corrupted input
+    keeps the labels it would have had."""
+    if labels == chart.parent.index_set:
+        return chart.index_set
+    return (labels - {chart.removed}) | {chart.new_label}
 
 
 def _column_step(rows: Rows, chart: ChildChart) -> Rows:
@@ -145,36 +166,56 @@ def _row_step(rows: Rows, source: str, target: str, other: str, c: Pair) -> Rows
     return out
 
 
+# A matrix times `B` (`_times_b`): its column labels and nonzero rows.
+TimesB = tuple[frozenset[str], Rows]
+
+
+def _times_b(mat: ExponentMatrix, chart: ChildChart | None) -> TimesB:
+    """`mat·B` by one column step (`mat` itself when `chart` is None), as
+    column labels and nonzero rows: the half of a lift that
+    `apply_center` computes once for the new edge and for its
+    conjugation identity."""
+    if chart is None:
+        return mat.col_labels, mat._nonzero
+    return _child_labels(mat.col_labels, chart), _column_step(mat._nonzero, chart)
+
+
+def _inverse_b_times(
+    row_labels: frozenset[str], x: TimesB, chart: ChildChart | None
+) -> ExponentMatrix:
+    """`B⁻¹·X` for `X` given by `row_labels` and `_times_b`'s column
+    labels and rows (`X` itself when `chart` is None): one row step."""
+    col_labels, entries = x
+    if chart is not None:
+        cn, cd = chart._c
+        entries = _row_step(entries, chart.removed, chart.new_label, chart.other, (-cn, cd))
+        row_labels = _child_labels(row_labels, chart)
+    return ExponentMatrix._exact(row_labels, col_labels, entries)
+
+
 def _conjugate(
     mat: ExponentMatrix, rows: ChildChart | None, cols: ChildChart | None
 ) -> ExponentMatrix:
     """`B_rows⁻¹ · mat · B_cols`; a missing chart stands for the identity:
     one column step and one row step."""
-    row_labels, col_labels, entries = mat.row_labels, mat.col_labels, mat._nonzero
-    if cols is not None:
-        entries = _column_step(entries, cols)
-        col_labels = (col_labels - {cols.removed}) | {cols.new_label}
-    if rows is not None:
-        cn, cd = rows._c
-        entries = _row_step(entries, rows.removed, rows.new_label, rows.other, (-cn, cd))
-        row_labels = (row_labels - {rows.removed}) | {rows.new_label}
-    return ExponentMatrix._exact(row_labels, col_labels, entries)
+    return _inverse_b_times(mat.row_labels, _times_b(mat, cols), rows)
 
 
 def _conjugation_holds(
-    lifted: ExponentMatrix, old: ExponentMatrix, at_p: ChildChart | None, at_q: ChildChart | None
+    lifted: ExponentMatrix, old: ExponentMatrix, old_b_p: TimesB, at_q: ChildChart | None
 ) -> bool:
-    """`B_q·lifted == old·B_p`, labels included, by one row step and one
-    column step that multiply by `B` (not `B⁻¹`, so this is not
+    """`B_q·lifted == old·B_p`, labels included, given `old·B_p`
+    (`_times_b`, the column step the new edge was built from): one row
+    step that multiplies by `B_q` (not `B_q⁻¹`, so this is not
     `_conjugate` run again)."""
     left, rows = lifted._nonzero, lifted.row_labels
     if at_q is not None:
         left = _row_step(left, at_q.new_label, at_q.removed, at_q.other, at_q._c)
-        rows = (rows - {at_q.new_label}) | {at_q.removed}
-    right, cols = old._nonzero, old.col_labels
-    if at_p is not None:
-        right = _column_step(right, at_p)
-        cols = (cols - {at_p.removed}) | {at_p.new_label}
+        if rows == at_q.index_set:
+            rows = at_q.parent.index_set
+        else:
+            rows = (rows - {at_q.new_label}) | {at_q.removed}
+    cols, right = old_b_p
     return left == right and rows == old.row_labels and cols == lifted.col_labels
 
 
@@ -287,8 +328,9 @@ class BlowupStep:
         - the conjugation identity `B_q·M' == M·B_p` of each new edge with
           the matrix `M` it lifts (the identity for a split edge).
 
-        The lift table is computed here; `apply_center` checks the step
-        against the table it built the edges from (`_violations`).
+        The lift table and each lift's `M·B_p` (`_times_b`) are computed
+        here; `apply_center` checks the step against the table and the
+        column steps it built the edges from (`_violations`).
 
         Why that suffices when `before` is valid.  Untouched corners and
         the edges between them are the objects of `before`, already
@@ -309,13 +351,19 @@ class BlowupStep:
           the split edge joins them, and `x–y` lifts to `x.i–y.i`;
         - if `J` holds both, no corner holds it.
         """
-        return self._violations(_lift_table(self.before, self.center_pair, self.children))
+        lifts = _lift_table(self.before, self.center_pair, self.children)
+        children = self.children
+        old_b_p = {key: _times_b(old, children.get(key[0])) for key, (_, old, _) in lifts.items()}
+        return self._violations(lifts, old_b_p)
 
     def _violations(
-        self, lifts: Mapping[tuple[str, str], tuple[str, ExponentMatrix, ExponentMatrix]]
+        self,
+        lifts: Mapping[tuple[str, str], tuple[str, ExponentMatrix, ExponentMatrix]],
+        old_b_p: Mapping[tuple[str, str], TimesB],
     ) -> list[str]:
         """`violations()` against `lifts`, the `_lift_table` of `before`
-        at the center, computed by the caller."""
+        at the center, and `old_b_p`, each lift's `M·B_p` by key, both
+        computed by the caller."""
         after, new = self.after, self.new_label
         children = [after.corner(cid) for cid in self.children]
         bad = after._corner_violations(children)
@@ -332,8 +380,8 @@ class BlowupStep:
         if bad:
             return bad
         for e in self.new_edges:
-            at_p, at_q = self.children.get(e.p), self.children.get(e.q)
-            if not _conjugation_holds(e.matrix, lifts[e.key()][1], at_p, at_q):
+            key, at_q = e.key(), self.children.get(e.q)
+            if not _conjugation_holds(e.matrix, lifts[key][1], old_b_p[key], at_q):
                 bad.append(f"edge {e.p}->{e.q}: B_q·M' differs from M·B_p downstairs")
         return bad
 
@@ -447,14 +495,18 @@ def apply_center(
             # alpha[removed] / alpha[other], divided on the pairs (the
             # weights are positive) and normalized once
             c = Fraction(*_scaled(weights[removed], weights[other], True))
-            children[nid] = ChildChart(corner, removed, other, c, new_label)
-            kids.append(Corner(nid, (corner.index_set - {removed}) | {new_label}))
+            index_set = (corner.index_set - {removed}) | {new_label}
+            children[nid] = ChildChart(corner, removed, other, c, new_label, index_set)
+            kids.append(Corner(nid, index_set))
 
     lifts = _lift_table(m, pair, children)
     edges = []
+    old_b_p: dict[tuple[str, str], TimesB] = {}
     for (p, q), (_, old, inverse) in lifts.items():
         at_p, at_q = children.get(p), children.get(q)
-        edges.append(Edge(p, q, _conjugate(old, at_q, at_p), _conjugate(inverse, at_p, at_q)))
+        right = old_b_p[(p, q)] = _times_b(old, at_p)
+        matrix = _inverse_b_times(old.row_labels, right, at_q)
+        edges.append(Edge(p, q, matrix, _conjugate(inverse, at_p, at_q)))
 
     after = MonomialManifold._derived(m, new_label, blown, kids, edges)
     step = BlowupStep(
@@ -465,7 +517,7 @@ def apply_center(
         after=after,
         children=children,
     )
-    violations = step._violations(lifts)
+    violations = step._violations(lifts, old_b_p)
     if violations:
         raise AlgorithmInvariantViolation(
             "blow-up produced an invalid manifold: " + "; ".join(violations)

@@ -106,9 +106,10 @@ def _check_data(
 ) -> None:
     """For every data of `datas`: labels and nonnegativity at
     `corner_ids`, and chart consistency across `edges` (`data[q]·M ==
-    data[p]`).  Each edge is one `vec_apply_all_equal` over every data,
-    which builds no product.  Raises StructuralError or
-    NotEffectiveError."""
+    data[p]`).  Each edge is one `vec_apply_all_equal` over every data:
+    the edge's matrix is grouped by column once and every data checked
+    against that plan, and no product is built.  Raises StructuralError
+    or NotEffectiveError."""
     for cid in corner_ids:
         labels = manifold.corner(cid).index_set
         for data in datas:
@@ -298,8 +299,9 @@ def _check_balance(
 
 @dataclass(frozen=True)
 class PairState:
-    """A generator pair's obstructed centers, measured once; the sweep's
-    one sign scan per step proves each next state
+    """A generator pair's obstructed centers, measured once, when the
+    pair's phase starts; the sweep's one sign scan per step proves that
+    each blow-up removes exactly its center and no other
     (`principalize_generators`)."""
 
     omega: frozenset[frozenset[str]]
@@ -406,10 +408,6 @@ def _certify_end(end: MonomialManifold, gens: Sequence[MFunction]) -> list[Corne
     return corners
 
 
-def _smallest_pair(pairs: Iterable[frozenset[str]]) -> frozenset[str]:
-    return min(pairs, key=lambda p: tuple(sorted(p)))
-
-
 def principalize_generators(
     m: MonomialManifold,
     generators: Sequence[MFunction],
@@ -422,6 +420,9 @@ def principalize_generators(
     smallest obstructed center of the active pair, computed at the
     center's corners only (`adapted_weights`) and handed to
     `apply_center`, and must reduce that pair's count by exactly one.
+    Each step removes exactly that center and adds none to the active
+    pair, so a phase blows up its measured centers in sorted order,
+    sorted once when the pair is measured.
 
     One sign scan per step.  The blown-up center is realized nowhere
     after the step, and every other old center keeps its holders'
@@ -432,8 +433,8 @@ def principalize_generators(
     fresh obstructions of every pair, reading each generator's two
     entries at each witness once (`_uncoupled_pairs_at`).  A hit on the
     active pair means its count did not drop to `inv - 1`, which is a bug
-    (AlgorithmInvariantViolation); without one its next state is
-    `omega - {pair}`.
+    (AlgorithmInvariantViolation); without one the phase goes on to its
+    next center.
 
     Why one pass ends the sweep.  A pair with no obstructed center has
     comparable exponents at every corner, and the morphism matrices are
@@ -466,15 +467,16 @@ def principalize_generators(
         start_inv = state.inv
         if start_inv:
             pair_invariants.append((a, b, start_inv))
-        while state.inv > 0:
+        centers = sorted(state.omega, key=sorted)
+        for done, pair in enumerate(centers):
+            inv = start_inv - done
             if star.age >= max_steps:
                 raise BudgetExceededError(
                     f"stopped after {star.age} blow-ups (budget {max_steps}) at generator "
-                    f"pair ({a}, {b}): obstruction count {state.inv}, {start_inv} at the "
+                    f"pair ({a}, {b}): obstruction count {inv}, {start_inv} at the "
                     f"pair's start; end manifold corner count {len(star.end.corners)}",
                     star=star,
                 )
-            pair = _smallest_pair(state.omega)
             step = apply_center(star.end, pair, adapted_weights(gens[a], gens[b], pair))
             star = star.extended(step)
             gens = pull_back_generators(gens, step)
@@ -490,7 +492,7 @@ def principalize_generators(
             if fresh.pop((a, b)):
                 raise AlgorithmInvariantViolation(
                     f"blow-up of {sorted(pair)} did not drop the obstruction count "
-                    f"from {state.inv} to {state.inv - 1}"
+                    f"from {inv} to {inv - 1}"
                 )
             reopened = [xy for xy, hits in fresh.items() if hits and xy < (a, b)]
             if reopened:
@@ -499,7 +501,6 @@ def principalize_generators(
                     f"pair {reopened[0]} {fresh[reopened[0]]} obstructed center(s)"
                 )
             new_uncoupled_counts.append(sum(fresh.values()))
-            state = PairState(state.omega - {pair})
     if star.age != sum(inv for _, _, inv in pair_invariants):
         raise AlgorithmInvariantViolation(
             "tower age does not equal the sum of the pair obstruction counts"

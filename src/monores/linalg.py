@@ -18,6 +18,11 @@ terms only, as an unreduced pair (`_entry_sums`).  A product (`mat_mul`,
 `vec_apply`) then normalizes each entry once (`_normalized`, one gcd); a
 test (`vec_apply_all_equal`, `_product_equals`) cross-multiplies it with
 the expected entry, so it takes no gcd and gives the product's verdict.
+`_product_equals(a, b)` without a third matrix tests `a·b` against the
+identity on `b`'s columns, read off the labels, so an inverse check
+builds no identity.  `vec_apply_all_equal` checks many vectors against
+one matrix, so it groups the matrix's stored entries by column once (a
+column plan) and sums each vector's entries along it.
 
 The blow-up step's single entries follow the same rule, through the
 integer-pair helpers at the end of this module: a construction
@@ -35,7 +40,8 @@ blow-up's lifts build their results with the private constructors
 `ExponentMatrix._exact` and `ExponentVector._exact` instead.  Their
 contract: the label sets are taken from already-built objects or checked
 once by the caller (a blow-up's new label by `apply_center`, the
-identity's labels by `ExponentMatrix.identity`), and every entry is a
+identity's labels by `ExponentMatrix.identity`; a blow-up's lifts take
+their corners' own index sets), and every entry is a
 normalized pair computed from theirs or made there.  Only the shape of a
 matrix's store is checked (`_exact`): a stored row or column outside the
 labels, an empty row, or a stored pair with a zero numerator, whatever
@@ -54,6 +60,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import gcd, lcm
+from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .errors import AlgorithmInvariantViolation, SingularMatrixError, StructuralError
@@ -253,7 +260,7 @@ class ExponentMatrix:
                 r not in rows
                 or not row
                 or not cols.issuperset(row)
-                or not all(n for n, _ in row.values())
+                or not all(map(itemgetter(0), row.values()))
             ):
                 raise AlgorithmInvariantViolation(
                     f"matrix row {r!r} is not a nonzero row over {sorted(rows)}x{sorted(cols)}"
@@ -265,8 +272,15 @@ class ExponentMatrix:
     @classmethod
     def identity(cls, labels: Iterable[str]) -> "ExponentMatrix":
         """The identity over `labels`, each label checked once; the 1
-        entries it makes are not re-parsed (`_exact`)."""
-        labs = frozenset(_check_label(lab) for lab in labels)
+        entries it makes are not re-parsed (`_exact`).  Given a
+        frozenset, its rows and columns are that very set, so a corner's
+        identity carries the corner's index set."""
+        if isinstance(labels, frozenset):
+            labs = labels
+            for lab in labs:
+                _check_label(lab)
+        else:
+            labs = frozenset(_check_label(lab) for lab in labels)
         return cls._exact(labs, labs, {lab: {lab: _ONE} for lab in labs})
 
     @classmethod
@@ -482,32 +496,58 @@ def vec_apply_all_equal(
     a: ExponentMatrix, pairs: Iterable[tuple[ExponentVector, ExponentVector]]
 ) -> bool:
     """`vec_apply(v, a) == w` for every `(v, w)` of `pairs`, in order.
-    Each is decided entry by entry by cross-multiplying each of
-    `_entry_sums` with `w`'s entry; no product vector is built and no
-    gcd taken.  Raises StructuralError where `vec_apply` does, at a pair
-    before the first that fails."""
+
+    `a`'s stored entries are grouped by column once, into a plan of
+    `(row, numerator, denominator)` terms per column, and every pair is
+    checked against that plan: each entry of `v·a` is summed over its
+    column's terms as an unreduced pair and cross-multiplied with `w`'s
+    entry, stopping at the first that differs.  No product vector is
+    built and no gcd taken.  Raises StructuralError where `vec_apply`
+    does, at a pair before the first that fails."""
+    rows, cols = a._rows, a._cols
+    plan: dict[str, list[tuple[str, int, int]]] = {c: [] for c in cols}
+    for r, row in a._nonzero.items():
+        for c, (n, d) in row.items():
+            plan[c].append((r, n, d))
     for v, w in pairs:
-        if v._map.keys() != a._rows:
+        x = v._map
+        if x.keys() != rows:
             raise StructuralError("vec_apply: vector labels differ from matrix rows")
-        if w._map.keys() != a._cols:
+        if w._map.keys() != cols:
             return False
-        sums = _entry_sums(v._map.items(), a._nonzero)
         for c, (wn, wd) in w._map.items():
-            num, den = sums.get(c, _ZERO)
+            num, den = 0, 1
+            for r, an, ad in plan[c]:
+                xn, xd = x[r]
+                if xn:
+                    n, d = xn * an, xd * ad
+                    num, den = (num + n, den) if den == d else (num * d + n * den, den * d)
             if num * wd != wn * den:
                 return False
     return True
 
 
-def _product_equals(a: ExponentMatrix, b: ExponentMatrix, c: ExponentMatrix) -> bool:
+def _product_equals(a: ExponentMatrix, b: ExponentMatrix, c: ExponentMatrix | None = None) -> bool:
     """Whether `a·b == c`, the one test of a matrix product (`validate`'s
     inverse and cycle checks, and the step certificate's inverse check).
     Each stored row of `a` times `b` (`_entry_sums`) is cross-multiplied
     with `c`'s row, and `c` may store no row that `a` lacks; no product
-    is built and no gcd taken.  Raises StructuralError where `mat_mul`
-    does; other labels than `a·b`'s make `c` differ."""
+    is built and no gcd taken.  With `c` omitted it is the identity on
+    `b`'s columns, read off the labels and never built: `a`'s rows must
+    be `b`'s columns and every one stored, and each row's sums must be 1
+    at its own label and 0 elsewhere.  Raises StructuralError where
+    `mat_mul` does; other labels than `a·b`'s make `c` differ."""
     if a._cols != b._rows:
         raise StructuralError("mat_mul: inner label sets differ")
+    if c is None:
+        if a._rows != b._cols or len(a._nonzero) != len(a._rows):
+            return False
+        for r, x in a._nonzero.items():
+            sums = _entry_sums(x.items(), b._nonzero)
+            n, d = sums.pop(r, _ZERO)
+            if n != d or any(map(itemgetter(0), sums.values())):
+                return False
+        return True
     if a._rows != c._rows or b._cols != c._cols or not c._nonzero.keys() <= a._nonzero.keys():
         return False
     for r, x in a._nonzero.items():

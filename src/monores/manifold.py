@@ -68,11 +68,14 @@ class Corner:
 
     @cached_property
     def identity(self) -> ExponentMatrix:
-        """The identity on the corner's labels, built once per corner.
+        """The identity on the corner's labels, built once per corner and
+        labeled by the corner's own `index_set` object.
 
         A corner that a blow-up leaves untouched is carried into the new
         manifold as the same object, so every step it survives shares
-        this one matrix as its morphism.
+        this one matrix as its morphism.  The inverse check of an edge
+        does not build it: it tests against the identity without one
+        (`linalg._product_equals`).
         """
         return ExponentMatrix.identity(self.index_set)
 
@@ -496,37 +499,42 @@ class MonomialManifold:
         distinct endpoints of the right size (no two of `edges` on one
         pair), the size of the endpoints' intersection, the label sets,
         triangular form with a positive diagonal, and the exact inverse
-        (`inverse·matrix == I_p`, decided by `_product_equals` without
-        building the product).  Triangular form and the diagonal's signs
-        are read off the matrix's nonzero rows, over the shared labels in
-        sorted order; a row that stores nothing but its diagonal and its
-        entry at `p`'s own label holds no off-diagonal entry, so no set is
-        built for it.  `validate` passes every edge; a blow-up's local
+        (`inverse·matrix == I_p`, decided by `_product_equals`'s identity
+        form, which builds neither the product nor `I_p`).  Triangular
+        form and the diagonal's signs are read off the matrix's nonzero
+        rows, over the shared labels in sorted order; a row that stores
+        nothing but its diagonal and its entry at `p`'s own label holds no
+        off-diagonal entry, so no set is built for it.  An edge's
+        `edge p->q` tag is formatted only when a violation is reported
+        (`flag`).  `validate` passes every edge; a blow-up's local
         certificate passes the edges it built."""
         bad: list[str] = []
         n = self.dimension
         seen_pairs: set[frozenset[str]] = set()
+
+        def flag(message: str) -> None:
+            bad.append(f"edge {e.p}->{e.q}: {message}")
+
         for e in edges:
-            tag = f"edge {e.p}->{e.q}"
             if e.p not in self.corners or e.q not in self.corners:
-                bad.append(f"{tag}: endpoint is not a corner")
+                flag("endpoint is not a corner")
                 continue
             ip = self.corners[e.p].index_set
             iq = self.corners[e.q].index_set
             if len(ip) != n or len(iq) != n:
                 # the label checks below assume corners of the right size
-                bad.append(f"{tag}: an endpoint's index set does not have size {n}")
+                flag(f"an endpoint's index set does not have size {n}")
                 continue
             pair = frozenset((e.p, e.q))
             if pair in seen_pairs or e.p == e.q:
-                bad.append(f"{tag}: duplicate or degenerate edge")
+                flag("duplicate or degenerate edge")
             seen_pairs.add(pair)
             shared = ip & iq
             if len(shared) != n - 1:
-                bad.append(f"{tag}: shared set has size {len(shared)}, expected {n - 1}")
+                flag(f"shared set has size {len(shared)}, expected {n - 1}")
                 continue
             if e.matrix.row_labels != iq or e.matrix.col_labels != ip:
-                bad.append(f"{tag}: matrix is not indexed by (rows=q labels, cols=p labels)")
+                flag("matrix is not indexed by (rows=q labels, cols=p labels)")
                 continue
             rows = e.matrix._nonzero
             (i_q,) = iq - shared
@@ -535,22 +543,22 @@ class MonomialManifold:
             for ell in sorted(shared):
                 row = rows.get(ell, {})
                 if row.get(ell, _ZERO)[0] <= 0:
-                    bad.append(f"{tag}: diagonal entry at {ell} is not positive")
+                    flag(f"diagonal entry at {ell} is not positive")
                 if len(row) > (ell in row) + (i_p in row):
                     for m in sorted(shared.intersection(row) - {ell}):
-                        bad.append(f"{tag}: off-diagonal entry ({ell},{m}) on shared labels")
+                        flag(f"off-diagonal entry ({ell},{m}) on shared labels")
                 if ell in new_row:
-                    bad.append(f"{tag}: new-label row has entry at shared column {ell}")
+                    flag(f"new-label row has entry at shared column {ell}")
             try:
                 inverse = e.inverse
                 if (
                     inverse.col_labels != iq
                     or inverse.row_labels != ip
-                    or not _product_equals(inverse, e.matrix, self.corners[e.p].identity)
+                    or not _product_equals(inverse, e.matrix)
                 ):
-                    bad.append(f"{tag}: cached inverse is not an exact inverse")
+                    flag("cached inverse is not an exact inverse")
             except SingularMatrixError:
-                bad.append(f"{tag}: matrix is singular")
+                flag("matrix is singular")
         return bad
 
     def _cycle_violations(self) -> list[str]:

@@ -497,6 +497,87 @@ def test_product_equals_agrees_with_the_naive_product(data):
         _product_equals(a, ExponentMatrix.identity([m + "'" for m in mids]), product)
 
 
+def one_row_zeroed(draw, a):
+    """`a` with one of its rows set to 0, so its store lacks that row."""
+    row = draw(st.sampled_from(a.sorted_rows))
+    return ExponentMatrix(
+        a.row_labels,
+        a.col_labels,
+        {(r, c): 0 if r == row else a.entry(r, c) for r in a.row_labels for c in a.col_labels},
+    )
+
+
+@given(st.data())
+@settings(max_examples=100)
+def test_product_equals_without_c_tests_against_the_identity(data):
+    """`_product_equals(a, b)` is `_product_equals(a, b, I)` for `I` the
+    identity on `b`'s columns, which the two-matrix form never builds:
+    for `a` the exact inverse of a square `b`, that inverse with one
+    entry changed or one row missing from its store, a shear times it
+    (a product that is 1 on the diagonal but not 0 off it), and matrices
+    whose rows differ from `b`'s columns, square `b` or not.  An
+    inner-label mismatch raises StructuralError in both forms."""
+    labels = data.draw(st.lists(st.sampled_from(POOL), min_size=2, max_size=5, unique=True))
+    b = data.draw(sparse_matrices(labels, labels))
+    try:
+        inverse = mat_inverse(b)
+    except SingularMatrixError:
+        inverse = data.draw(sparse_matrices(labels, labels))
+    identity = ExponentMatrix.identity(labels)
+    r, s = data.draw(st.permutations(labels))[:2]
+    shear = ExponentMatrix(
+        labels, labels, {(x, y): 1 if x == y else 2 if (x, y) == (r, s) else 0 for x in labels for y in labels}
+    )
+    for a in (
+        inverse,
+        one_stored_entry_changed(data.draw, inverse),
+        one_row_zeroed(data.draw, inverse),
+        mat_mul(shear, inverse),
+        data.draw(sparse_matrices(labels, labels)),
+        data.draw(sparse_matrices(data.draw(label_sets), labels)),
+    ):
+        assert _product_equals(a, b) == _product_equals(a, b, identity)
+    rows, mids, cols = data.draw(label_sets), data.draw(label_sets), data.draw(label_sets)
+    a = data.draw(sparse_matrices(rows, mids))
+    wide = data.draw(sparse_matrices(mids, cols))
+    assert _product_equals(a, wide) == _product_equals(a, wide, ExponentMatrix.identity(cols))
+    assert _product_equals(a, wide) == (naive_mat_mul(a, wide) == ExponentMatrix.identity(cols))
+    other = ExponentMatrix.identity([m + "'" for m in mids])
+    for c in (None, ExponentMatrix.identity(mids)):
+        with pytest.raises(StructuralError):
+            _product_equals(a, other, c)
+
+
+@given(st.data())
+@settings(max_examples=100)
+def test_vec_apply_all_equal_agrees_with_each_pair_in_order(data):
+    """`vec_apply_all_equal(a, pairs)` is `all(vec_apply(v, a) == w for
+    v, w in pairs)` on 1 to 6 pairs, with one pair wrong first, in the
+    middle or last.  A vector over other labels than `a`'s rows raises
+    StructuralError when it comes before the first wrong pair, and the
+    verdict is False when it comes after."""
+    rows, cols = data.draw(label_sets), data.draw(label_sets)
+    a = data.draw(sparse_matrices(rows, cols))
+    count = data.draw(st.integers(1, 6))
+    vs = [ExponentVector({r: data.draw(sparse_values) for r in rows}) for _ in range(count)]
+    pairs = [(v, naive_vec_apply(v, a)) for v in vs]
+    assert vec_apply_all_equal(a, pairs)
+    mismatch = (ExponentVector({r + "'": 0 for r in rows}), pairs[0][1])
+    for at in sorted({0, count // 2, count - 1}):
+        v, w = pairs[at]
+        failing = pairs[:at] + [(v, one_entry_changed(data.draw, w))] + pairs[at + 1 :]
+        expected = all(vec_apply(v, a) == w for v, w in failing)
+        assert not expected
+        assert vec_apply_all_equal(a, failing) == expected
+        for where in range(count + 1):
+            mixed = failing[:where] + [mismatch] + failing[where:]
+            if where <= at:
+                with pytest.raises(StructuralError):
+                    vec_apply_all_equal(a, mixed)
+            else:
+                assert not vec_apply_all_equal(a, mixed)
+
+
 def test_every_stored_matrix_keeps_only_nonzero_rows():
     """Every edge matrix and inverse of the test towers stores no zero and
     no empty row, each entry a normalized pair, and equals, in value and

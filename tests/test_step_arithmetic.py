@@ -39,7 +39,7 @@ from monores import (
     reduce_problem,
     vec_apply,
 )
-from monores.blowup import BlowupStep, ChildChart, _lift_table
+from monores.blowup import BlowupStep, ChildChart, _conjugate, _lift_table
 from monores.errors import AlgorithmInvariantViolation, BudgetExceededError, MonoresError
 from monores.ideals import MFunction
 from monores.supports import minimal_support
@@ -52,6 +52,7 @@ from helpers import (
     shared_reports,
     tower_manifolds,
     two_point_problem,
+    wide_probe_report,
 )
 
 
@@ -195,6 +196,45 @@ def test_lifted_edges_equal_conjugation_and_carry_exact_inverses():
             assert e.matrix == mat_mul(mat_inverse(b_q), mat_mul(old, b_p))
             checked += 1
     assert checked == sum(len(step.after.edges) for step in all_steps()) > 100
+
+
+def test_built_matrices_carry_their_corners_index_sets():
+    """Every new edge's matrix and inverse, and every child's `B`, on
+    the test towers and the wide probe, is labeled by the very
+    frozensets its corners hold, not by equal copies."""
+    steps = all_steps() + list(wide_probe_report().star.steps)
+    edges = 0
+    for step in steps:
+        corners = step.after.corners
+        for e in step.new_edges:
+            ip, iq = corners[e.p].index_set, corners[e.q].index_set
+            assert e.matrix.row_labels is iq and e.matrix.col_labels is ip
+            assert e.inverse.row_labels is ip and e.inverse.col_labels is iq
+            edges += 1
+        for cid, chart in step.children.items():
+            assert chart.index_set is corners[cid].index_set
+            b = chart.matrix
+            assert b.row_labels is chart.parent.index_set and b.col_labels is chart.index_set
+    assert edges > 1000
+
+
+def test_conjugate_relabels_other_labels_by_set_algebra():
+    """`_conjugate` takes a child's own index set only for labels equal to
+    its parent's; a matrix over other labels (here one label more) gets
+    the parent's relabeling rule, `removed` replaced by `new_label`, as a
+    new set.  Equal labels in another frozenset still take the child's."""
+    charts = [chart for step in all_steps() for chart in step.children.values()]
+    for chart in charts:
+        labels = chart.parent.index_set | {"w"}
+        lifted = _conjugate(ExponentMatrix.identity(labels), chart, chart)
+        expected = (labels - {chart.removed}) | {chart.new_label}
+        assert lifted == ExponentMatrix.identity(expected)
+        assert lifted.row_labels is not chart.index_set
+        assert lifted.col_labels is not chart.index_set
+        copy = frozenset(set(chart.parent.index_set))
+        same = _conjugate(ExponentMatrix.identity(copy), chart, chart)
+        assert same.row_labels is chart.index_set and same.col_labels is chart.index_set
+    assert len(charts) > 50
 
 
 def identity_plus_one_column(parent_labels, removed, other, c, new_label):
