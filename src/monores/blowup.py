@@ -15,10 +15,11 @@ and the pullback of exponent data are all read off that one record.
 
 Edge matrices upstairs are the old ones conjugated by the morphisms,
 `B_q⁻¹·M·B_p`.  Because each `B` is the identity plus one column, the
-conjugation is one column step and one row step, and the lifted edge's
-inverse is the same two steps, roles swapped, on the old inverse; no
-general product or inversion runs, and no `B` is built.  Every entry
-is a normalized integer pair (see `linalg`): each step writes `top + c·x`
+conjugation is one column step and one row step; no general product
+runs, and no `B` is built.  A new edge holds no inverse: the sweep never
+reads one, and a reader of `Edge.inverse` gets it on first read, in
+closed form (`linalg.mat_inverse`).  Every entry is a normalized integer
+pair (see `linalg`): each step writes `top + c·x`
 on the pairs of the three entries and normalizes each entry it keeps
 once (`linalg._plus_times`), as the pullback through a `ChildChart`
 does.  A chart's `c` is divided on the weights' pairs by `apply_center`,
@@ -37,15 +38,17 @@ center.  `apply_center` computes it once, builds the new edges from it
 and checks `after` against it (`BlowupStep.violations`, which computes
 its own when called on a built step): the edges `after`
 holds at the children must be exactly the table's, each with the checks
-`validate` makes of one edge and the conjugation identity with the edge
-it lifts.  Construction and that identity share one column step: each
-lift's `M·B_p` (`_times_b`) is computed once, the new edge is `B_q⁻¹`
-times it, and the certificate checks `B_q·M'` against it, a row step
-that multiplies by `B_q`, not by its inverse.  The connectivity of the label sets through `E` is read off
-those lifts, which makes `after` valid whenever `before` is.  Each step
-so proves what it built, not the whole manifold, and a tower is proven
-by induction from a root that `MonomialManifold.validate` checked in
-full, as `replay_trace` does; the sampling oracle checks it numerically.
+`validate` makes of one edge (its inverse only if it holds one) and the
+conjugation identity with the edge it lifts, which makes it invertible.
+Construction and that identity share one column step: each lift's
+`M·B_p` (`_times_b`) is computed once, the new edge is `B_q⁻¹` times it,
+and the certificate checks `B_q·M'` against it, a row step that
+multiplies by `B_q`, not by its inverse.  The connectivity of the label
+sets through `E` is read off those lifts, which makes `after` valid
+whenever `before` is.  Each step so proves what it built, not the whole
+manifold, and a tower is proven by induction from a root that
+`MonomialManifold.validate` checked in full, as `replay_trace` does; the
+sampling oracle checks it numerically.
 
 A `Star` is the append-only record of a finite sequence of such blow-ups.
 """
@@ -221,11 +224,11 @@ def _conjugation_holds(
 
 def _lift_table(
     m: MonomialManifold, pair: frozenset[str], children: Mapping[str, ChildChart]
-) -> dict[tuple[str, str], tuple[str, ExponentMatrix, ExponentMatrix]]:
+) -> dict[tuple[str, str], tuple[str, ExponentMatrix]]:
     """The blow-up's lift rule: every edge the step at `pair` must build,
-    by key, with a tag naming it, the matrix downstairs it lifts and that
-    matrix's inverse, from the adjacency lists of `m` at the blown corners
-    (the parents in `children`).  An edge with one blown end lifts once,
+    by key, with a tag naming it and the matrix downstairs it lifts, from
+    the adjacency lists of `m` at the blown corners (the parents in
+    `children`).  An edge with one blown end lifts once,
     at the child that drops the center label off the edge; one with both
     ends blown lifts twice, between the children that drop the same
     label; a blown corner's identity lifts to the split edge between its
@@ -235,10 +238,10 @@ def _lift_table(
     kid = {(chart.parent.id, chart.removed): cid for cid, chart in children.items()}
     blown = {p for p, _ in kid}
     lo, hi = sorted(pair)
-    table: dict[tuple[str, str], tuple[str, ExponentMatrix, ExponentMatrix]] = {}
+    table: dict[tuple[str, str], tuple[str, ExponentMatrix]] = {}
     for b in sorted(blown):
-        identity = m.corner(b).identity
-        table[(kid[(b, lo)], kid[(b, hi)])] = (f"the split edge of corner {b}", identity, identity)
+        split = (f"the split edge of corner {b}", m.corner(b).identity)
+        table[(kid[(b, lo)], kid[(b, hi)])] = split
         for nxt, e, forward in m._adjacency[b]:
             if nxt in blown:
                 if not forward:
@@ -252,7 +255,7 @@ def _lift_table(
                     )
                 (r,) = off
                 keys = [(kid[(b, r)], nxt) if forward else (nxt, kid[(b, r)])]
-            lift = (f"the lift of edge {e.p}->{e.q}", e.matrix, e.inverse)
+            lift = (f"the lift of edge {e.p}->{e.q}", e.matrix)
             table.update(dict.fromkeys(keys, lift))
     return table
 
@@ -321,7 +324,8 @@ class BlowupStep:
           replaced by `new_label`), unique among the children;
         - each new edge: every check `MonomialManifold.validate` makes of
           one edge (shared-set size, label sets, triangular form, positive
-          diagonal, exact inverse);
+          diagonal), and the exact inverse only of an edge that already
+          holds one, passed in or read before: none is built here;
         - the new edges are exactly the lifts (`_lift_table`): one per edge
           downstairs with one blown end, two per edge with both ends
           blown, one split edge per blown corner, and nothing else;
@@ -334,13 +338,18 @@ class BlowupStep:
 
         Why that suffices when `before` is valid.  Untouched corners and
         the edges between them are the objects of `before`, already
-        proven.  Only children hold `new_label` `E`, so index sets can
-        collide only among children.  The conjugation identity maps a
-        closed walk upstairs to a closed walk downstairs in which split
-        edges are stays, so the walk's product is `B⁻¹·(a closed product
-        downstairs)·B`, the identity.  Every edge downstairs lifts, and
-        split edges join siblings, so the corner graph and every label set
-        without `E` stay connected, and every label stays on some corner.
+        proven.  A new edge `M'` is invertible, so its inverse is neither
+        built nor checked: its conjugation identity `B_q·M' == M·B_p`
+        holds with `M` (an edge of `before` or an identity), `B_p` and
+        `B_q` (each the identity plus one column, determinant ±1)
+        invertible, so `M' = B_q⁻¹·M·B_p`.  Only children hold
+        `new_label` `E`, so index sets can collide only among children.
+        The conjugation identity maps a closed walk upstairs to a closed
+        walk downstairs in which split edges are stays, so the walk's
+        product is `B⁻¹·(a closed product downstairs)·B`, the identity.
+        Every edge downstairs lifts, and split edges join siblings, so the
+        corner graph and every label set without `E` stay connected, and
+        every label stays on some corner.
         The lifts connect each set `J ∪ {E}` too, so none is enumerated
         (center `{i, j}`; child `x.j` of `x` drops `j`):
         - if `J` holds `i` but not `j` (or the reverse), its holders are
@@ -353,12 +362,12 @@ class BlowupStep:
         """
         lifts = _lift_table(self.before, self.center_pair, self.children)
         children = self.children
-        old_b_p = {key: _times_b(old, children.get(key[0])) for key, (_, old, _) in lifts.items()}
+        old_b_p = {key: _times_b(old, children.get(key[0])) for key, (_, old) in lifts.items()}
         return self._violations(lifts, old_b_p)
 
     def _violations(
         self,
-        lifts: Mapping[tuple[str, str], tuple[str, ExponentMatrix, ExponentMatrix]],
+        lifts: Mapping[tuple[str, str], tuple[str, ExponentMatrix]],
         old_b_p: Mapping[tuple[str, str], TimesB],
     ) -> list[str]:
         """`violations()` against `lifts`, the `_lift_table` of `before`
@@ -371,9 +380,9 @@ class BlowupStep:
             chart = self.children[child.id]
             if child.index_set != (chart.parent.index_set - {chart.removed}) | {new}:
                 bad.append(f"corner {child.id}: index set does not match its child chart")
-        bad.extend(after._edge_violations(self.new_edges))
+        bad.extend(after._edge_violations(self.new_edges, held_inverses_only=True))
         built = {e.key() for e in self.new_edges}
-        bad.extend(f"{tag} is missing" for key, (tag, *_) in lifts.items() if key not in built)
+        bad.extend(f"{tag} is missing" for key, (tag, _) in lifts.items() if key not in built)
         bad.extend(
             f"edge {p}->{q}: lifts no edge at the center" for p, q in sorted(built - lifts.keys())
         )
@@ -449,8 +458,8 @@ def apply_center(
     point for a whole weight family.  Edges with no blown end are carried
     over as they are; every other edge is built from the lift table
     (`_lift_table`), the one statement of which edges a step builds, by
-    `_conjugate` with its inverse alongside, so no matrix is inverted
-    here.  `after` is derived from `m` and that delta
+    conjugation and with no inverse, so no matrix is inverted here.
+    `after` is derived from `m` and that delta
     (`MonomialManifold._derived`): the step touches the blown corners,
     their edges and their labels' holders, never loops over an untouched
     corner or edge, and the default new label is `m`'s top exceptional
@@ -502,11 +511,9 @@ def apply_center(
     lifts = _lift_table(m, pair, children)
     edges = []
     old_b_p: dict[tuple[str, str], TimesB] = {}
-    for (p, q), (_, old, inverse) in lifts.items():
-        at_p, at_q = children.get(p), children.get(q)
-        right = old_b_p[(p, q)] = _times_b(old, at_p)
-        matrix = _inverse_b_times(old.row_labels, right, at_q)
-        edges.append(Edge(p, q, matrix, _conjugate(inverse, at_p, at_q)))
+    for (p, q), (_, old) in lifts.items():
+        right = old_b_p[(p, q)] = _times_b(old, children.get(p))
+        edges.append(Edge(p, q, _inverse_b_times(old.row_labels, right, children.get(q))))
 
     after = MonomialManifold._derived(m, new_label, blown, kids, edges)
     step = BlowupStep(

@@ -11,7 +11,13 @@ label -> {column label: pair with `n != 0`}, where an absent row or entry
 is the exact 0.  A vector keeps one store too, its label map.  Every
 reader in the library uses the pairs directly.  A `fractions.Fraction` is
 built only on demand, by the public accessors (`vec[label]`, `items()`,
-`ExponentMatrix.entry`); `mat_inverse` converts at its two ends.
+`ExponentMatrix.entry`), and by `mat_inverse` on its general path only.
+
+`mat_inverse` inverts a chart change between two adjacent corners, the
+shape every edge matrix has, in closed form: O(n) on the integer pairs,
+each entry normalized once (`_chart_change_inverse`).  Any other square
+matrix takes Gauss-Jordan elimination on `Fraction`s, which converts at
+its two ends.
 
 Every product and every product test sums each entry over the stored
 terms only, as an unreduced pair (`_entry_sums`).  A product (`mat_mul`,
@@ -422,18 +428,27 @@ def mat_mul(a: ExponentMatrix, b: ExponentMatrix) -> ExponentMatrix:
 
 
 def mat_inverse(a: ExponentMatrix) -> ExponentMatrix:
-    """Exact inverse by Gauss-Jordan elimination.
+    """Exact inverse.
 
     For `a` with rows I and columns J (same cardinality), the result has
-    rows J and columns I, and both products with `a` are identities.  The
-    elimination runs on `Fraction`s, read in through `entry` and stored
-    back as pairs.
+    rows J and columns I, its label sets `a`'s own objects, and both
+    products with `a` are identities.
+
+    A chart change between two adjacent corners is inverted in closed
+    form (`_chart_change_inverse`), in O(n) on the integer pairs: the
+    shape `MonomialManifold.validate` requires of an edge, read off
+    `a`'s store.  Every other square matrix is inverted by Gauss-Jordan
+    elimination on `Fraction`s, read in through `entry` and stored back
+    as pairs; it raises SingularMatrixError when no inverse exists.
     """
+    if len(a._rows) != len(a._cols):
+        raise StructuralError("mat_inverse needs a square matrix")
+    closed = _chart_change_inverse(a)
+    if closed is not None:
+        return closed
     rows = a.sorted_rows
     cols = a.sorted_cols
     n = len(rows)
-    if n != len(cols):
-        raise StructuralError("mat_inverse needs a square matrix")
     work = [[a.entry(r, c) for c in cols] for r in rows]
     aug = [[Fraction(i == j) for j in range(n)] for i in range(n)]
     for i in range(n):
@@ -456,6 +471,45 @@ def mat_inverse(a: ExponentMatrix) -> ExponentMatrix:
         for i in range(n)
     }
     return ExponentMatrix._exact(a._cols, a._rows, nonzero)
+
+
+def _chart_change_inverse(a: ExponentMatrix) -> ExponentMatrix | None:
+    """The inverse of a chart change in closed form, or None when `a`
+    does not have its shape.
+
+    The shape: rows `S ∪ {i_q}` and columns `S ∪ {i_p}` of a square `a`,
+    where `S` is the shared labels and `i_q`, `i_p` are one label each;
+    every row `ℓ ∈ S` stores `d_ℓ` at `ℓ` and at most `u_ℓ` at `i_p`, and
+    row `i_q` stores only `a` at `i_p`.  Its inverse has row `ℓ` equal to
+    `{ℓ: 1/d_ℓ, i_q: −u_ℓ/(d_ℓ·a)}` and row `i_p` equal to `{i_q: 1/a}`.
+    Each entry is one integer pair normalized once: a reciprocal only
+    moves its numerator's sign, and `−u_ℓ/(d_ℓ·a)` takes one gcd."""
+    rows, cols, store = a._rows, a._cols, a._nonzero
+    extra_rows, extra_cols = rows - cols, cols - rows
+    if len(extra_rows) != 1 or len(extra_cols) != 1 or len(store) != len(rows):
+        return None
+    (i_q,) = extra_rows
+    (i_p,) = extra_cols
+    corner = store[i_q]
+    if len(corner) != 1 or i_p not in corner:
+        return None
+    an, ad = corner[i_p]
+    inverse = {i_p: {i_q: _reciprocal(an, ad)}}
+    for ell, row in store.items():
+        if ell == i_q:
+            continue
+        diagonal = row.get(ell)
+        if diagonal is None or len(row) != 1 + (i_p in row):
+            return None
+        dn, dd = diagonal
+        out = {ell: _reciprocal(dn, dd)}
+        u = row.get(i_p)
+        if u is not None:
+            un, ud = u
+            num, den = un * dd * ad, ud * dn * an
+            out[i_q] = _normalized(-num, den) if den > 0 else _normalized(num, -den)
+        inverse[ell] = out
+    return ExponentMatrix._exact(cols, rows, inverse)
 
 
 def vec_apply(v: ExponentVector, a: ExponentMatrix) -> ExponentVector:
@@ -570,6 +624,12 @@ def _normalized(n: int, d: int) -> Pair:
     `(0, 1)`."""
     g = gcd(n, d)
     return (n // g, d // g) if g != 1 else (n, d)
+
+
+def _reciprocal(n: int, d: int) -> Pair:
+    """The normalized pair of `d/n` for the normalized pair `(n, d)`,
+    `n != 0`: the sign moves to the numerator, and no gcd is needed."""
+    return (d, n) if n > 0 else (-d, -n)
 
 
 def _plus_times(top: Pair, c: Pair, x: Pair) -> Pair:

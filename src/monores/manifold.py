@@ -10,10 +10,12 @@ make the derivations consistent: triangular edge matrices, exact mutual
 inverses, identity products around cycles, and connectivity of every
 boundary intersection, walked on the labels each two corners share.  A
 blow-up re-runs the per-corner and per-edge checks only on what it built
-(`BlowupStep.violations`).  The corner graph is searched by one
-breadth-first walk, `MonomialManifold._walk`: every derivation carries
-its value forward along it, hop by hop from its start corner, and every
-check folds it.
+(`BlowupStep.violations`), and checks an edge's inverse only if the edge
+already holds one; `validate` checks every edge's inverse, computed on
+first read in closed form (`Edge.inverse`).  The corner graph is
+searched by one breadth-first walk, `MonomialManifold._walk`: every
+derivation carries its value forward along it, hop by hop from its start
+corner, and every check folds it.
 
 A blow-up builds its manifold from its parent plus what it changed
 (`MonomialManifold._derived`): the corner and edge orders are the
@@ -88,9 +90,10 @@ class Edge:
     labels of `p`).  The shared labels are read off the matrix: those that
     index both a row and a column, which is `I_p ∩ I_q` whenever the matrix
     is indexed as `MonomialManifold.validate` requires.  The reverse
-    direction is the exact inverse.  A caller that already knows it (a
-    blow-up lifts it along with the matrix) passes it as `inverse`;
-    otherwise it is computed once, on first use, by `mat_inverse`.  Either
+    direction is the exact inverse.  A caller that already knows it may
+    pass it as `inverse`; otherwise it is computed once, on first read, by
+    `mat_inverse`, in closed form for a matrix of the shape `validate`
+    requires.  A blow-up passes none, and the sweep reads none.  Either
     way `MonomialManifold.validate` checks that its product with the
     matrix is the identity (`linalg._product_equals`), so a passed
     inverse is checked, not trusted.
@@ -494,20 +497,24 @@ class MonomialManifold:
                 seen_index_sets[c.index_set] = c.id
         return bad
 
-    def _edge_violations(self, edges: Iterable[Edge]) -> list[str]:
+    def _edge_violations(
+        self, edges: Iterable[Edge], held_inverses_only: bool = False
+    ) -> list[str]:
         """The checks each of the given edges must pass on its own: real and
         distinct endpoints of the right size (no two of `edges` on one
         pair), the size of the endpoints' intersection, the label sets,
         triangular form with a positive diagonal, and the exact inverse
         (`inverse·matrix == I_p`, decided by `_product_equals`'s identity
-        form, which builds neither the product nor `I_p`).  Triangular
-        form and the diagonal's signs are read off the matrix's nonzero
-        rows, over the shared labels in sorted order; a row that stores
-        nothing but its diagonal and its entry at `p`'s own label holds no
-        off-diagonal entry, so no set is built for it.  An edge's
-        `edge p->q` tag is formatted only when a violation is reported
-        (`flag`).  `validate` passes every edge; a blow-up's local
-        certificate passes the edges it built."""
+        form, which builds neither the product nor `I_p`).  With
+        `held_inverses_only`, as a blow-up's local certificate runs it,
+        only an inverse the edge already holds is checked, and none is
+        computed.  Triangular form and the diagonal's signs are read off
+        the matrix's nonzero rows, over the shared labels in sorted
+        order; a row that stores nothing but its diagonal and its entry
+        at `p`'s own label holds no off-diagonal entry, so no set is
+        built for it.  An edge's `edge p->q` tag is formatted only when a
+        violation is reported (`flag`).  `validate` passes every edge; a
+        blow-up's local certificate passes the edges it built."""
         bad: list[str] = []
         n = self.dimension
         seen_pairs: set[frozenset[str]] = set()
@@ -549,6 +556,8 @@ class MonomialManifold:
                         flag(f"off-diagonal entry ({ell},{m}) on shared labels")
                 if ell in new_row:
                     flag(f"new-label row has entry at shared column {ell}")
+            if held_inverses_only and "inverse" not in e.__dict__:
+                continue
             try:
                 inverse = e.inverse
                 if (

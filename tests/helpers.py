@@ -177,8 +177,8 @@ def scanned_lifts(step):
     lifts at both pairs of children that drop the same label, and each
     blown corner's identity lifts to its split edge.  Child ids are spelled
     from the parent's id and the removed label.  Maps each edge upstairs,
-    by key, to the matrix downstairs it lifts and that matrix's inverse:
-    an oracle for `blowup._lift_table`."""
+    by key, to the matrix downstairs it lifts: an oracle for
+    `blowup._lift_table`."""
     m, pair = step.before, step.center_pair
     blown = set(m.corners_with(pair))
 
@@ -200,11 +200,10 @@ def scanned_lifts(step):
         for removed in sorted(removed_labels):
             np_ = child_id(e.p, removed) if e.p in blown else e.p
             nq = child_id(e.q, removed) if e.q in blown else e.q
-            lifts[(np_, nq)] = (e.matrix, e.inverse)
+            lifts[(np_, nq)] = e.matrix
     lo, hi = sorted(pair)
     for cid in sorted(blown):
-        identity = m.corner(cid).identity
-        lifts[(child_id(cid, lo), child_id(cid, hi))] = (identity, identity)
+        lifts[(child_id(cid, lo), child_id(cid, hi))] = m.corner(cid).identity
     return lifts
 
 

@@ -950,3 +950,122 @@ def test_a_nonpositive_diagonal_stops_the_transport_with_the_edge_s_message(data
     with pytest.raises(StructuralError) as from_walk:
         bad_m.transport_weight(label, e.p, Fraction(1))
     assert str(from_walk.value) == str(from_edge.value) == message
+
+
+# -- closed-form inverse of a chart change ---------------------------------
+
+
+def gauss_jordan_reference(a):
+    """`a`'s inverse by `Fraction` Gauss-Jordan elimination over sorted
+    labels (rows `a`'s columns, columns `a`'s rows), or
+    SingularMatrixError: the reference for `mat_inverse`."""
+    rows, cols = a.sorted_rows, a.sorted_cols
+    n = len(rows)
+    work = [
+        [a.entry(r, c) for c in cols] + [Fraction(i == j) for j in range(n)]
+        for i, r in enumerate(rows)
+    ]
+    for i in range(n):
+        pivot = next((k for k in range(i, n) if work[k][i]), None)
+        if pivot is None:
+            raise SingularMatrixError("singular")
+        work[i], work[pivot] = work[pivot], work[i]
+        p = work[i][i]
+        work[i] = [x / p for x in work[i]]
+        for k in range(n):
+            f = work[k][i]
+            if k != i and f:
+                work[k] = [x - f * y for x, y in zip(work[k], work[i])]
+    return ExponentMatrix(
+        cols, rows, {(cols[i], rows[j]): work[i][n + j] for i in range(n) for j in range(n)}
+    )
+
+
+nonzero_wide = wide_rationals.filter(bool)
+
+
+def chart_change(shared, i_q, i_p, diagonal, corner, a):
+    """Rows `shared ∪ {i_q}`, columns `shared ∪ {i_p}`: `diagonal[ℓ]` at
+    (ℓ, ℓ), `corner[ℓ]` (0 when absent) at (ℓ, i_p), `a` at (i_q, i_p)."""
+    rows, cols = [*shared, i_q], [*shared, i_p]
+    entries = {(r, c): 0 for r in rows for c in cols}
+    for ell in shared:
+        entries[(ell, ell)] = diagonal[ell]
+        entries[(ell, i_p)] = corner.get(ell, 0)
+    entries[(i_q, i_p)] = a
+    return ExponentMatrix(rows, cols, entries)
+
+
+@st.composite
+def chart_changes(draw):
+    """A chart change over n = 2..6 labels each side: diagonals and `a` of
+    either sign, numerators and denominators past 2^64, each `u_ℓ`
+    present or absent."""
+    n = draw(st.integers(min_value=2, max_value=6))
+    labels = draw(st.lists(st.sampled_from(POOL), min_size=n + 1, max_size=n + 1, unique=True))
+    shared, i_q, i_p = labels[: n - 1], labels[n - 1], labels[n]
+    diagonal = {ell: draw(nonzero_wide) for ell in shared}
+    corner = {ell: draw(nonzero_wide) for ell in shared if draw(st.booleans())}
+    return chart_change(shared, i_q, i_p, diagonal, corner, draw(nonzero_wide))
+
+
+BIG_CHART = chart_change(
+    ["E1", "E2"],
+    "z1",
+    "z2",
+    {"E1": Fraction(-(2**65) - 1, 3), "E2": Fraction(7, 2**66 + 1)},
+    {"E2": Fraction(2**64 + 5, -7)},
+    Fraction(-(2**70) + 3, 2**65 + 1),
+)
+
+
+@given(chart_changes())
+@example(BIG_CHART)
+@settings(max_examples=150, deadline=None)
+def test_a_chart_change_is_inverted_in_closed_form(a):
+    """`mat_inverse` takes the closed form on every chart change and gives
+    the reference's inverse, over `a`'s own column and row label
+    objects, with every entry a normalized pair; its product with `a` is
+    the identity on both sides."""
+    closed = linalg._chart_change_inverse(a)
+    assert closed is not None
+    inverse = mat_inverse(a)
+    assert inverse == closed == gauss_jordan_reference(a)
+    assert inverse.row_labels is a.col_labels and inverse.col_labels is a.row_labels
+    assert all(is_normalized_pair(x) for row in inverse._nonzero.values() for x in row.values())
+    assert _product_equals(inverse, a) and _product_equals(a, inverse)
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_a_near_chart_change_takes_the_general_path(data):
+    """A chart change with an off-diagonal entry on shared labels, an entry
+    of row `i_q` at a shared column, or row `i_q` emptied is not inverted
+    in closed form: `mat_inverse` gives the reference's inverse, or both
+    raise SingularMatrixError."""
+    a = data.draw(chart_changes())
+    (i_q,) = a.row_labels - a.col_labels
+    (i_p,) = a.col_labels - a.row_labels
+    shared = sorted(a.row_labels & a.col_labels)
+    kinds = ["new row at a shared column", "empty new row"]
+    if len(shared) > 1:
+        kinds.append("off-diagonal")
+    kind = data.draw(st.sampled_from(kinds))
+    entries = {(r, c): a.entry(r, c) for r in a.row_labels for c in a.col_labels}
+    if kind == "off-diagonal":
+        ell, m = data.draw(st.permutations(shared))[:2]
+        entries[(ell, m)] = data.draw(nonzero_wide)
+    elif kind == "new row at a shared column":
+        entries[(i_q, data.draw(st.sampled_from(shared)))] = data.draw(nonzero_wide)
+    else:
+        entries[(i_q, i_p)] = 0
+    b = ExponentMatrix(a.row_labels, a.col_labels, entries)
+    assert linalg._chart_change_inverse(b) is None
+    try:
+        expected = gauss_jordan_reference(b)
+    except SingularMatrixError:
+        with pytest.raises(SingularMatrixError):
+            mat_inverse(b)
+        assert kind != "off-diagonal"
+        return
+    assert mat_inverse(b) == expected

@@ -1,6 +1,6 @@
 """The arithmetic of one blow-up step against the general-purpose reference.
 
-`apply_center` lifts edges by row and column steps with inherited inverses
+`apply_center` lifts edges by row and column steps, building no inverse,
 and records each child's morphism as a `ChildChart`, `pull_back_mfunction`
 pulls back in O(n) through it, and `_cycle_violations` carries one chart
 change per corner from the root.  Each is checked here against the slower
@@ -328,6 +328,27 @@ def test_the_sweep_builds_no_morphism_matrix(monkeypatch):
         assert rep.corners == report.corners
 
 
+def test_the_sweep_builds_no_edge_inverse(monkeypatch):
+    """A step builds and checks no inverse for the edges it makes: only a
+    reader of `Edge.inverse` (`validate`, the oracle, `change_matrix`)
+    computes one, on first read."""
+
+    def forbidden(edge):
+        raise AssertionError("the sweep read an edge's inverse")
+
+    monkeypatch.setattr(Edge, "inverse", property(forbidden))
+    reports = shared_reports()
+    edges = 0
+    for report in reports:
+        rep = reduce_problem(report.problem)
+        assert rep.age == report.age
+        assert rep.corners == report.corners
+        for step in rep.star.steps:
+            assert all("inverse" not in e.__dict__ for e in step.after.edges)
+            edges += len(step.new_edges)
+    assert edges > 50
+
+
 def forbid_everywhere(monkeypatch, names, message):
     """Replace each named `monores` function, in every module that imported
     it, by one that fails with `message`."""
@@ -415,14 +436,27 @@ def renamed_row(mat, old, new):
     return ExponentMatrix(rows, mat.col_labels, entries)
 
 
+def emptied_row(mat, row):
+    """`mat` with row `row` set to 0: singular."""
+    entries = {
+        (r, c): 0 if r == row else mat.entry(r, c) for r in mat.row_labels for c in mat.col_labels
+    }
+    return ExponentMatrix(mat.row_labels, mat.col_labels, entries)
+
+
 def edge_corruptions(e):
     """A new edge with its matrix (stored inverse kept), its inverse or its
     shared set corrupted; the shared set is read off the matrix, so it is
-    corrupted by renaming a shared row to `p`'s own label."""
+    corrupted by renaming a shared row to `p`'s own label.  Last, the edge
+    with its new-label row emptied and no inverse held: singular, which
+    the certificate sees through the conjugation identity and `validate`
+    when it computes the inverse."""
     (i_p,) = e.matrix.col_labels - e.shared
+    (i_q,) = e.matrix.row_labels - e.shared
     yield Edge(e.p, e.q, moved_corner(e.matrix, e.shared), inverse=e.inverse)
     yield Edge(e.p, e.q, e.matrix, inverse=moved_corner(e.inverse, e.shared))
     yield Edge(e.p, e.q, renamed_row(e.matrix, min(e.shared), i_p), inverse=e.inverse)
+    yield Edge(e.p, e.q, emptied_row(e.matrix, i_q))
 
 
 def with_new_edge(step, old, new):
@@ -539,17 +573,17 @@ def test_new_edges_equal_a_scan_of_every_edge():
 def test_the_lift_table_equals_a_scan_of_every_edge():
     """`_lift_table` walks the edges at the blown corners; the loop over
     every edge of `before` that `apply_center` once ran (`scanned_lifts`)
-    finds the same edges upstairs, each lifting the same matrix and
-    inverse objects downstairs, on every step of the test towers and on
-    the 20-variable one-step tower."""
+    finds the same edges upstairs, each lifting the same matrix object
+    downstairs, on every step of the test towers and on the 20-variable
+    one-step tower."""
     steps = all_steps() + list(reduce_problem(two_point_problem(20)).star.steps)
     lifts = 0
     for step in steps:
         table = _lift_table(step.before, step.center_pair, step.children)
         scanned = scanned_lifts(step)
         assert table.keys() == scanned.keys()
-        for key, (_, old, inverse) in table.items():
-            assert old is scanned[key][0] and inverse is scanned[key][1]
+        for key, (_, old) in table.items():
+            assert old is scanned[key]
         assert {e.key() for e in step.new_edges} == table.keys()
         lifts += len(table)
     assert lifts == sum(len(step.new_edges) for step in steps) > 80
