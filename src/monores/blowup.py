@@ -16,11 +16,11 @@ and the pullback of exponent data are all read off that one record.
 Edge matrices upstairs are the old ones conjugated by the morphisms,
 `B_q⁻¹·M·B_p`.  Because each `B` is the identity plus one column, the
 conjugation is one column step and one row step; no general product
-runs, and no `B` is built.  A new edge holds no inverse: the sweep never
-reads one, and a reader of `Edge.inverse` gets it on first read, in
-closed form (`linalg.mat_inverse`).  Every entry is a normalized integer
-pair (see `linalg`): each step writes `top + c·x`
-on the pairs of the three entries and normalizes each entry it keeps
+runs, and no `B` is built.  A new edge is its matrix: the sweep never
+reads an inverse, and a reader of `Edge.inverse` gets it on first read,
+in closed form (`linalg.mat_inverse`).  Every entry is a normalized
+integer pair (see `linalg`): each step writes `top + c·x` on the pairs
+of the three entries and normalizes each entry it keeps
 once (`linalg._plus_times`), as the pullback through a `ChildChart`
 does.  A chart's `c` is divided on the weights' pairs by `apply_center`,
 kept as the `Fraction` that `ChildChart.c` shows, and read as a pair once
@@ -38,8 +38,9 @@ center.  `apply_center` computes it once, builds the new edges from it
 and checks `after` against it (`BlowupStep.violations`, which computes
 its own when called on a built step): the edges `after`
 holds at the children must be exactly the table's, each with the checks
-`validate` makes of one edge (its inverse only if it holds one) and the
-conjugation identity with the edge it lifts, which makes it invertible.
+`validate` makes of one edge (`MonomialManifold._edge_violations`, which
+reads invertibility off the triangular shape) and the conjugation
+identity with the edge it lifts.
 Construction and that identity share one column step: each lift's
 `M·B_p` (`_times_b`) is computed once, the new edge is `B_q⁻¹` times it,
 and the certificate checks `B_q·M'` against it, a row step that
@@ -322,10 +323,11 @@ class BlowupStep:
         Checked, from `children`, `new_edges` and the edges at the center:
         - each child's index set (size, labels, the parent's with `removed`
           replaced by `new_label`), unique among the children;
-        - each new edge: every check `MonomialManifold.validate` makes of
-          one edge (shared-set size, label sets, triangular form, positive
-          diagonal), and the exact inverse only of an edge that already
-          holds one, passed in or read before: none is built here;
+        - each new edge: the checks `MonomialManifold.validate` makes of
+          one edge, by the same rule (`_edge_violations`: shared-set size,
+          label sets, triangular form, positive diagonal, and
+          invertibility, read off that shape as a nonempty new-label row,
+          so no inverse is built here);
         - the new edges are exactly the lifts (`_lift_table`): one per edge
           downstairs with one blown end, two per edge with both ends
           blown, one split edge per blown corner, and nothing else;
@@ -338,11 +340,11 @@ class BlowupStep:
 
         Why that suffices when `before` is valid.  Untouched corners and
         the edges between them are the objects of `before`, already
-        proven.  A new edge `M'` is invertible, so its inverse is neither
-        built nor checked: its conjugation identity `B_q·M' == M·B_p`
-        holds with `M` (an edge of `before` or an identity), `B_p` and
-        `B_q` (each the identity plus one column, determinant ±1)
-        invertible, so `M' = B_q⁻¹·M·B_p`.  Only children hold
+        proven.  A new edge `M'` is invertible, as its shape shows, and
+        its conjugation identity `B_q·M' == M·B_p` holds with `M` (an edge
+        of `before` or an identity), `B_p` and `B_q` (each the identity
+        plus one column, determinant ±1) invertible, so
+        `M' = B_q⁻¹·M·B_p`.  Only children hold
         `new_label` `E`, so index sets can collide only among children.
         The conjugation identity maps a closed walk upstairs to a closed
         walk downstairs in which split edges are stays, so the walk's
@@ -380,7 +382,7 @@ class BlowupStep:
             chart = self.children[child.id]
             if child.index_set != (chart.parent.index_set - {chart.removed}) | {new}:
                 bad.append(f"corner {child.id}: index set does not match its child chart")
-        bad.extend(after._edge_violations(self.new_edges, held_inverses_only=True))
+        bad.extend(after._edge_violations(self.new_edges))
         built = {e.key() for e in self.new_edges}
         bad.extend(f"{tag} is missing" for key, (tag, _) in lifts.items() if key not in built)
         bad.extend(

@@ -17,18 +17,18 @@ built only on demand, by the public accessors (`vec[label]`, `items()`,
 shape every edge matrix has, in closed form: O(n) on the integer pairs,
 each entry normalized once (`_chart_change_inverse`).  Any other square
 matrix takes Gauss-Jordan elimination on `Fraction`s, which converts at
-its two ends.
+its two ends.  No check inverts a chart change to decide whether it is
+invertible: it is exactly when its one new-label entry is nonzero
+(`manifold.MonomialManifold._edge_violations`).
 
 Every product and every product test sums each entry over the stored
 terms only, as an unreduced pair (`_entry_sums`).  A product (`mat_mul`,
 `vec_apply`) then normalizes each entry once (`_normalized`, one gcd); a
 test (`vec_apply_all_equal`, `_product_equals`) cross-multiplies it with
 the expected entry, so it takes no gcd and gives the product's verdict.
-`_product_equals(a, b)` without a third matrix tests `a·b` against the
-identity on `b`'s columns, read off the labels, so an inverse check
-builds no identity.  `vec_apply_all_equal` checks many vectors against
-one matrix, so it groups the matrix's stored entries by column once (a
-column plan) and sums each vector's entries along it.
+`vec_apply_all_equal` checks many vectors against one matrix, so it
+groups the matrix's stored entries by column once (a column plan) and
+sums each vector's entries along it.
 
 The blow-up step's single entries follow the same rule, through the
 integer-pair helpers at the end of this module: a construction
@@ -341,15 +341,6 @@ class ExponentMatrix:
         """Every entry `>= 0`, read off the stored numerators' signs."""
         return all(n > 0 for row in self._nonzero.values() for n, _ in row.values())
 
-    def is_identity(self) -> bool:
-        """True iff rows and columns are one label set and each row stores
-        just 1 at its own label; builds no matrix."""
-        return (
-            self._rows == self._cols
-            and len(self._nonzero) == len(self._rows)
-            and all(len(row) == 1 and row.get(r) == _ONE for r, row in self._nonzero.items())
-        )
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, ExponentMatrix):
             return NotImplemented
@@ -581,27 +572,14 @@ def vec_apply_all_equal(
     return True
 
 
-def _product_equals(a: ExponentMatrix, b: ExponentMatrix, c: ExponentMatrix | None = None) -> bool:
+def _product_equals(a: ExponentMatrix, b: ExponentMatrix, c: ExponentMatrix) -> bool:
     """Whether `a·b == c`, the one test of a matrix product (`validate`'s
-    inverse and cycle checks, and the step certificate's inverse check).
-    Each stored row of `a` times `b` (`_entry_sums`) is cross-multiplied
-    with `c`'s row, and `c` may store no row that `a` lacks; no product
-    is built and no gcd taken.  With `c` omitted it is the identity on
-    `b`'s columns, read off the labels and never built: `a`'s rows must
-    be `b`'s columns and every one stored, and each row's sums must be 1
-    at its own label and 0 elsewhere.  Raises StructuralError where
-    `mat_mul` does; other labels than `a·b`'s make `c` differ."""
+    cycle check).  Each stored row of `a` times `b` (`_entry_sums`) is
+    cross-multiplied with `c`'s row, and `c` may store no row that `a`
+    lacks; no product is built and no gcd taken.  Raises StructuralError
+    where `mat_mul` does; other labels than `a·b`'s make `c` differ."""
     if a._cols != b._rows:
         raise StructuralError("mat_mul: inner label sets differ")
-    if c is None:
-        if a._rows != b._cols or len(a._nonzero) != len(a._rows):
-            return False
-        for r, x in a._nonzero.items():
-            sums = _entry_sums(x.items(), b._nonzero)
-            n, d = sums.pop(r, _ZERO)
-            if n != d or any(map(itemgetter(0), sums.values())):
-                return False
-        return True
     if a._rows != c._rows or b._cols != c._cols or not c._nonzero.keys() <= a._nonzero.keys():
         return False
     for r, x in a._nonzero.items():

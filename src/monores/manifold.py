@@ -6,13 +6,15 @@ annotated by the exact exponent matrix of the coordinate change between
 the two corner charts.  Everything else (chart changes between arbitrary
 corners, diagonal weight functions, codimension-two centers) is derived
 from that data, and `validate` checks the structural constraints that
-make the derivations consistent: triangular edge matrices, exact mutual
-inverses, identity products around cycles, and connectivity of every
-boundary intersection, walked on the labels each two corners share.  A
-blow-up re-runs the per-corner and per-edge checks only on what it built
-(`BlowupStep.violations`), and checks an edge's inverse only if the edge
-already holds one; `validate` checks every edge's inverse, computed on
-first read in closed form (`Edge.inverse`).  The corner graph is
+make the derivations consistent: triangular edge matrices with a
+positive diagonal, invertible, identity products around cycles, and
+connectivity of every boundary intersection, walked on the labels each
+two corners share.  An edge is its matrix, and one per-edge rule
+(`MonomialManifold._edge_violations`) serves `validate` and a blow-up's
+local certificate (`BlowupStep.violations`), which runs it only on the
+edges it built: an edge of the triangular shape is invertible exactly
+when its one new-label entry is nonzero, so no inverse is computed to
+decide it.  The corner graph is
 searched by one breadth-first walk, `MonomialManifold._walk`: every
 derivation carries its value forward along it, hop by hop from its start
 corner, and every check folds it.
@@ -50,7 +52,6 @@ from .linalg import (
     ExponentMatrix,
     ExponentVector,
     Pair,
-    _fraction,
     _product_equals,
     _scaled,
     mat_inverse,
@@ -75,9 +76,9 @@ class Corner:
 
         A corner that a blow-up leaves untouched is carried into the new
         manifold as the same object, so every step it survives shares
-        this one matrix as its morphism.  The inverse check of an edge
-        does not build it: it tests against the identity without one
-        (`linalg._product_equals`).
+        this one matrix as its morphism.  No edge check builds it: an
+        edge's invertibility is read off its shape
+        (`MonomialManifold._edge_violations`).
         """
         return ExponentMatrix.identity(self.index_set)
 
@@ -89,27 +90,21 @@ class Edge:
     coordinates of `p` (rows indexed by the labels of `q`, columns by the
     labels of `p`).  The shared labels are read off the matrix: those that
     index both a row and a column, which is `I_p ∩ I_q` whenever the matrix
-    is indexed as `MonomialManifold.validate` requires.  The reverse
-    direction is the exact inverse.  A caller that already knows it may
-    pass it as `inverse`; otherwise it is computed once, on first read, by
-    `mat_inverse`, in closed form for a matrix of the shape `validate`
-    requires.  A blow-up passes none, and the sweep reads none.  Either
-    way `MonomialManifold.validate` checks that its product with the
-    matrix is the identity (`linalg._product_equals`), so a passed
-    inverse is checked, not trusted.
+    is indexed as `MonomialManifold.validate` requires.  The matrix is the
+    whole edge: the reverse direction, `inverse`, is `mat_inverse(matrix)`,
+    computed on first read, in closed form for a matrix of the shape
+    `validate` requires.  Neither the sweep nor `validate`'s per-edge
+    checks read it: on that shape the matrix is invertible exactly when
+    its new-label row is nonempty (`MonomialManifold._edge_violations`).
     """
 
     __slots__ = ("p", "q", "shared", "matrix", "__dict__")
 
-    def __init__(
-        self, p: str, q: str, matrix: ExponentMatrix, inverse: ExponentMatrix | None = None
-    ):
+    def __init__(self, p: str, q: str, matrix: ExponentMatrix):
         self.p = p
         self.q = q
         self.shared = matrix.row_labels & matrix.col_labels
         self.matrix = matrix
-        if inverse is not None:
-            self.__dict__["inverse"] = inverse
 
     @cached_property
     def inverse(self) -> ExponentMatrix:
@@ -118,13 +113,10 @@ class Edge:
     def key(self) -> tuple[str, str]:
         return (self.p, self.q)
 
-    def diagonal(self, label: str) -> Fraction:
-        """The matrix entry at (label, label) for a shared label; must be > 0."""
-        return _fraction(self._diagonal(label))
-
     def _diagonal(self, label: str) -> Pair:
-        """`diagonal` as its integer pair, its sign read off the numerator
-        (the denominator is positive)."""
+        """The matrix entry at (label, label) for a shared label, as its
+        integer pair; it must be > 0, read off the numerator (the
+        denominator is positive)."""
         d = self.matrix._entry(label, label)
         if d[0] <= 0:
             raise StructuralError(
@@ -497,24 +489,22 @@ class MonomialManifold:
                 seen_index_sets[c.index_set] = c.id
         return bad
 
-    def _edge_violations(
-        self, edges: Iterable[Edge], held_inverses_only: bool = False
-    ) -> list[str]:
+    def _edge_violations(self, edges: Iterable[Edge]) -> list[str]:
         """The checks each of the given edges must pass on its own: real and
         distinct endpoints of the right size (no two of `edges` on one
         pair), the size of the endpoints' intersection, the label sets,
-        triangular form with a positive diagonal, and the exact inverse
-        (`inverse·matrix == I_p`, decided by `_product_equals`'s identity
-        form, which builds neither the product nor `I_p`).  With
-        `held_inverses_only`, as a blow-up's local certificate runs it,
-        only an inverse the edge already holds is checked, and none is
-        computed.  Triangular form and the diagonal's signs are read off
-        the matrix's nonzero rows, over the shared labels in sorted
-        order; a row that stores nothing but its diagonal and its entry
-        at `p`'s own label holds no off-diagonal entry, so no set is
-        built for it.  An edge's `edge p->q` tag is formatted only when a
-        violation is reported (`flag`).  `validate` passes every edge; a
-        blow-up's local certificate passes the edges it built."""
+        triangular form with a positive diagonal, and invertibility.
+        Triangular form and the diagonal's signs are read off the matrix's
+        nonzero rows, over the shared labels in sorted order; a row that
+        stores nothing but its diagonal and its entry at `p`'s own label
+        holds no off-diagonal entry, so no set is built for it.  An edge of
+        that shape has determinant `a·Πd_ℓ`, `a` its one new-label entry
+        (row `i_q`, column `i_p`), so it is singular exactly when its
+        new-label row is empty, and no inverse is computed.  Only an edge
+        that broke the shape is decided by `Edge.inverse` raising
+        SingularMatrixError.  An edge's `edge p->q` tag is formatted only
+        when a violation is reported (`flag`).  `validate` passes every
+        edge; a blow-up's local certificate passes the edges it built."""
         bad: list[str] = []
         n = self.dimension
         seen_pairs: set[frozenset[str]] = set()
@@ -547,6 +537,7 @@ class MonomialManifold:
             (i_q,) = iq - shared
             (i_p,) = ip - shared
             new_row = rows.get(i_q, {})
+            flagged = len(bad)
             for ell in sorted(shared):
                 row = rows.get(ell, {})
                 if row.get(ell, _ZERO)[0] <= 0:
@@ -556,17 +547,12 @@ class MonomialManifold:
                         flag(f"off-diagonal entry ({ell},{m}) on shared labels")
                 if ell in new_row:
                     flag(f"new-label row has entry at shared column {ell}")
-            if held_inverses_only and "inverse" not in e.__dict__:
-                continue
-            try:
-                inverse = e.inverse
-                if (
-                    inverse.col_labels != iq
-                    or inverse.row_labels != ip
-                    or not _product_equals(inverse, e.matrix)
-                ):
-                    flag("cached inverse is not an exact inverse")
-            except SingularMatrixError:
+            if len(bad) > flagged:
+                try:
+                    e.inverse
+                except SingularMatrixError:
+                    flag("matrix is singular")
+            elif not new_row:
                 flag("matrix is singular")
         return bad
 
@@ -581,8 +567,8 @@ class MonomialManifold:
         root's change is its corner's identity, read only when such an
         edge exists, so a tree (a manifold without edges included) does
         no matrix work.
-        Run after the exact-inverse check, which makes every `T_x`
-        invertible.
+        Run after the per-edge checks, which make every edge, and so every
+        `T_x`, invertible.
         """
         if not self.corners:
             return []

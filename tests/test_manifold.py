@@ -6,6 +6,8 @@ from fractions import Fraction
 from itertools import combinations, permutations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from monores import (
     ConnectivityError,
@@ -20,10 +22,12 @@ from monores import (
     blow_up,
     extend,
     make_corner,
+    mat_inverse,
     mat_mul,
     next_exceptional_label,
 )
 from monores.blowup import _escaped, apply_center
+from monores.errors import SingularMatrixError
 from monores.jsonio import canonical_dumps, manifold_from_json, manifold_to_json
 from helpers import sample_towers, tower_manifolds, wide_probe_report
 
@@ -235,6 +239,106 @@ def test_validate_catches_disconnected_component_set():
     c1 = Corner("a", frozenset({"E1", "E2"}))
     m = MonomialManifold(2, ["E1", "E2", "E9"], [c1])
     assert any("E9" in v for v in m.validate())
+
+
+def two_corner_manifold(shared, i_q, i_p, entries):
+    """Corners c0 (`shared` and `i_p`) and c1 (`shared` and `i_q`), joined
+    by the edge c0->c1 with the given entries over rows `shared ∪ {i_q}`
+    and columns `shared ∪ {i_p}` (0 where none is given)."""
+    rows, cols = [*shared, i_q], [*shared, i_p]
+    matrix = ExponentMatrix(rows, cols, {(r, c): entries.get((r, c), 0) for r in rows for c in cols})
+    corners = [Corner("c0", frozenset(cols)), Corner("c1", frozenset(rows))]
+    return MonomialManifold(len(rows), {*rows, *cols}, corners, [Edge("c0", "c1", matrix)])
+
+
+small_entries = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+
+
+@st.composite
+def two_corner_manifolds(draw):
+    """n = 2..6: a chart change with diagonals and corner entries of either
+    sign and `a` zero or nonzero, or, half the time, that matrix with one
+    to three nonzero entries where the shape allows none (off the
+    diagonal on shared labels, or in the new-label row at a shared
+    column)."""
+    n = draw(st.integers(min_value=2, max_value=6))
+    labels = draw(st.lists(st.sampled_from("abcdefghij"), min_size=n + 1, max_size=n + 1, unique=True))
+    shared, i_q, i_p = labels[: n - 1], labels[n - 1], labels[n]
+    positive = st.fractions(min_value=F(1, 3), max_value=4, max_denominator=3)
+    entries = {(i_q, i_p): draw(st.just(0) | small_entries)}
+    for ell in shared:
+        entries[(ell, ell)] = draw(positive | small_entries)
+        entries[(ell, i_p)] = draw(small_entries)
+    if draw(st.booleans()):
+        cells = [(r, c) for r in [*shared, i_q] for c in shared if r != c]
+        for cell in draw(st.lists(st.sampled_from(cells), min_size=1, max_size=3, unique=True)):
+            entries[cell] = draw(small_entries.filter(bool))
+    return two_corner_manifold(shared, i_q, i_p, entries)
+
+
+def inverting_edge_violations(m):
+    """The per-edge rule as an inverse check, for a manifold of one edge
+    whose labels are right: the triangular-form messages over the shared
+    labels in sorted order, then `mat_inverse`, SingularMatrixError, and
+    the product with the matrix compared with the identity."""
+    (e,) = m.edges
+    shared = sorted(e.shared)
+    (i_q,) = e.matrix.row_labels - e.matrix.col_labels
+    bad = []
+    for ell in shared:
+        if e.matrix.entry(ell, ell) <= 0:
+            bad.append(f"diagonal entry at {ell} is not positive")
+        bad.extend(
+            f"off-diagonal entry ({ell},{x}) on shared labels"
+            for x in shared
+            if x != ell and e.matrix.entry(ell, x)
+        )
+        if e.matrix.entry(i_q, ell):
+            bad.append(f"new-label row has entry at shared column {ell}")
+    try:
+        inverse = mat_inverse(e.matrix)
+        if mat_mul(inverse, e.matrix) != ExponentMatrix.identity(e.matrix.col_labels):
+            bad.append("cached inverse is not an exact inverse")
+    except SingularMatrixError:
+        bad.append("matrix is singular")
+    return [f"edge {e.p}->{e.q}: {v}" for v in bad]
+
+
+# A malformed singular edge (two equal rows), a chart change with `a = 0`
+# and an invertible chart change.
+MALFORMED_SINGULAR = two_corner_manifold(
+    ["a", "b"], "d", "c", {("a", "a"): 1, ("a", "b"): 1, ("b", "a"): 1, ("b", "b"): 1, ("d", "c"): 1}
+)
+EMPTY_NEW_ROW = two_corner_manifold(["a"], "c", "b", {("a", "a"): 1})
+INVERTIBLE = two_corner_manifold(
+    ["a", "b"], "d", "c", {("a", "a"): 2, ("b", "b"): F(1, 3), ("b", "c"): -1, ("d", "c"): -3}
+)
+
+
+@given(two_corner_manifolds())
+@example(MALFORMED_SINGULAR)
+@example(EMPTY_NEW_ROW)
+@example(INVERTIBLE)
+@settings(max_examples=300, deadline=None)
+def test_validate_reads_invertibility_off_the_shape(m):
+    """`validate` of a two-corner manifold returns exactly the inverting
+    reference's messages: an edge of the triangular shape is singular
+    exactly when its new-label entry is 0, and any other edge is decided
+    by elimination."""
+    assert m.validate() == inverting_edge_violations(m)
+
+
+def test_edge_checks_never_read_an_inverse(monkeypatch):
+    """The per-edge checks of every manifold of the test towers hold and
+    compute no inverse: `Edge.inverse` is patched to fail."""
+
+    def forbidden(edge):
+        raise AssertionError("an edge check read an inverse")
+
+    manifolds = tower_manifolds()
+    monkeypatch.setattr(Edge, "inverse", property(forbidden))
+    for m in manifolds:
+        assert m._edge_violations(m.edges) == []
 
 
 def test_label_sets_are_the_sets_of_shared_labels():

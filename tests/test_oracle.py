@@ -98,14 +98,20 @@ def test_oracle_detects_corrupted_edge():
     assert numeric_oracle(bad, samples=20, seed=1) > 1e-3
 
 
-def test_oracle_detects_a_wrong_inverse():
-    """The edge's matrix is right and its passed inverse is not: only the
-    edge round trip reads an end-manifold edge's inverse."""
+def test_oracle_detects_a_wrong_inverse(monkeypatch):
+    """The edge's matrix is right and the inverse in its cached slot is
+    not: only the edge round trip reads an end-manifold edge's inverse, so
+    the oracle passes the star once the round trips are skipped."""
     def bad(e):
         inv = e.inverse
-        return Edge(e.p, e.q, e.matrix, inverse=nudged(inv, inv.sorted_rows[0], inv.sorted_cols[0]))
+        edge = Edge(e.p, e.q, e.matrix)
+        edge.__dict__["inverse"] = nudged(inv, inv.sorted_rows[0], inv.sorted_cols[0])
+        return edge
 
-    assert numeric_oracle(with_first_end_edge(worked_star(), bad), samples=20, seed=1) > 1e-3
+    star = with_first_end_edge(worked_star(), bad)
+    assert numeric_oracle(star, samples=20, seed=1) > 1e-3
+    monkeypatch.setattr(monores.oracle, "_edge_round_trips", lambda *args: 0.0)
+    assert numeric_oracle(star, samples=20, seed=1) < 1e-9
 
 
 def test_oracle_detects_a_wrong_composite(monkeypatch):

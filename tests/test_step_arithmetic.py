@@ -287,31 +287,6 @@ def test_pull_back_mfunction_matches_the_full_matrix_product_at_every_corner():
             assert tuple(g.at(corner.corner) for g in gens) == corner.generator_exponents
 
 
-def test_is_identity_reads_entries_and_labels():
-    ident = ExponentMatrix.identity(("a", "b"))
-    assert ident.is_identity()
-    assert not ExponentMatrix.from_row_table(("a", "b"), ("a", "b"), [[1, 1], [0, 1]]).is_identity()
-    assert not ExponentMatrix.from_row_table(("a", "b"), ("a", "c"), [[1, 0], [0, 1]]).is_identity()
-    assert not ExponentMatrix.from_row_table(("a",), ("a", "b"), [[1, 0]]).is_identity()
-
-
-@pytest.mark.parametrize("kind", ["wrong entry", "wrong labels"])
-def test_edge_given_a_wrong_inverse_fails_validate(kind):
-    m = two_corner_manifold()
-    (e,) = m.edges
-    if kind == "wrong labels":
-        wrong = e.matrix
-    else:
-        inv = e.inverse
-        entries = {(r, c): inv.entry(r, c) for r in inv.row_labels for c in inv.col_labels}
-        entries[next(iter(entries))] += 1
-        wrong = ExponentMatrix(inv.row_labels, inv.col_labels, entries)
-    bad = with_edges(m, [Edge(e.p, e.q, e.matrix, inverse=wrong)])
-    assert any("not an exact inverse" in v for v in bad.validate())
-    good = with_edges(m, [Edge(e.p, e.q, e.matrix, inverse=e.inverse)])
-    assert good.validate() == []
-
-
 def test_the_sweep_builds_no_morphism_matrix(monkeypatch):
     """A step records each child as a `ChildChart`; only a reader of `B`
     (a trace, the oracle, `compose_star`) builds it."""
@@ -444,19 +419,26 @@ def emptied_row(mat, row):
     return ExponentMatrix(mat.row_labels, mat.col_labels, entries)
 
 
+def nonpositive_diagonal(mat, label):
+    """`mat` with its diagonal entry at the shared `label` set to 0:
+    singular, and off the triangular shape."""
+    entries = {(r, c): mat.entry(r, c) for r in mat.row_labels for c in mat.col_labels}
+    entries[(label, label)] = 0
+    return ExponentMatrix(mat.row_labels, mat.col_labels, entries)
+
+
 def edge_corruptions(e):
-    """A new edge with its matrix (stored inverse kept), its inverse or its
-    shared set corrupted; the shared set is read off the matrix, so it is
-    corrupted by renaming a shared row to `p`'s own label.  Last, the edge
-    with its new-label row emptied and no inverse held: singular, which
-    the certificate sees through the conjugation identity and `validate`
-    when it computes the inverse."""
+    """A new edge with its shared set corrupted, its new-label row emptied,
+    or a shared diagonal entry set to 0.  The shared set is read off the
+    matrix, so it is corrupted by renaming a shared row to `p`'s own
+    label.  The emptied row keeps the triangular shape, so the per-edge
+    rule calls it singular without inverting it; the zero diagonal breaks
+    the shape, so elimination finds it singular."""
     (i_p,) = e.matrix.col_labels - e.shared
     (i_q,) = e.matrix.row_labels - e.shared
-    yield Edge(e.p, e.q, moved_corner(e.matrix, e.shared), inverse=e.inverse)
-    yield Edge(e.p, e.q, e.matrix, inverse=moved_corner(e.inverse, e.shared))
-    yield Edge(e.p, e.q, renamed_row(e.matrix, min(e.shared), i_p), inverse=e.inverse)
+    yield Edge(e.p, e.q, renamed_row(e.matrix, min(e.shared), i_p))
     yield Edge(e.p, e.q, emptied_row(e.matrix, i_q))
+    yield Edge(e.p, e.q, nonpositive_diagonal(e.matrix, min(e.shared)))
 
 
 def with_new_edge(step, old, new):
