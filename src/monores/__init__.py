@@ -22,7 +22,6 @@ from .linalg import (
     ExponentMatrix,
     ExponentVector,
     div_le,
-    format_rational,
     mat_inverse,
     mat_mul,
     minimal_elements,
@@ -40,7 +39,6 @@ from .manifold import (
     Edge,
     MonomialManifold,
     make_corner,
-    next_exceptional_label,
 )
 from .standardization import (
     GlobalStandardization,

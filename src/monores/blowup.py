@@ -22,15 +22,13 @@ in closed form (`linalg.mat_inverse`).  Every entry is a normalized
 integer pair (see `linalg`): each step writes `top + c·x` on the pairs
 of the three entries and normalizes each entry it keeps
 once (`linalg._plus_times`), as the pullback through a `ChildChart`
-does.  A chart's `c` is divided on the weights' pairs by `apply_center`,
-kept as the `Fraction` that `ChildChart.c` shows, and read as a pair once
-per chart (`ChildChart._c`), so the steps, the pullback and the step's
-checks build and unpack no `Fraction`.  Nor does a step build label
-sets per matrix: each child's index set is made once, held by its
-`ChildChart` and its `Corner` as one frozenset, and every matrix built
-at the child takes that set whenever the input's labels are its
-parent's, as on every validated manifold (`_child_labels`); other
-labels are relabeled by set algebra.
+does.  A chart's `c` is that pair too, divided on the weights' pairs and
+normalized once by `apply_center`, so a step builds no `Fraction`.  Nor
+does a step build label sets per matrix: each child's index set is made
+once, held by its `ChildChart` and its `Corner` as one frozenset, and
+every matrix built at the child takes that set whenever the input's
+labels are its parent's, as on every validated manifold
+(`_child_labels`); other labels are relabeled by set algebra.
 
 One table defines the lifts (`_lift_table`): every edge the step must
 build, with the edge downstairs it lifts, read off the edges at the
@@ -57,7 +55,6 @@ A `Star` is the append-only record of a finite sequence of such blow-ups.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from typing import Mapping
 
@@ -68,6 +65,7 @@ from .linalg import (
     ExponentVector,
     Pair,
     _check_label,
+    _normalized,
     _plus_times,
     _scaled,
     mat_mul,
@@ -86,29 +84,26 @@ class ChildChart:
     The child drops `removed` from the labels of its `parent` corner and
     gains `new_label`.  Its morphism matrix `B` (rows = parent labels,
     columns = child labels) is the identity with column `removed` renamed
-    to `new_label`, plus the entry `c` at (`other`, `new_label`); it is
-    built only when read, and then once, as `I·B`.  `index_set` is the
-    child's, the very frozenset its `Corner` holds, so every matrix the
-    step builds at the child carries it (`_child_labels`).
+    to `new_label`, plus the entry `c = alpha[removed]/alpha[other]` at
+    (`other`, `new_label`), held as the normalized integer pair that every
+    reader of the chart uses; `B` is built only when read, and then once,
+    as `I·B`.  `index_set` is the child's, the very frozenset its `Corner`
+    holds, so every matrix the step builds at the child carries it
+    (`_child_labels`).
     """
 
     parent: Corner
     removed: str
     other: str
-    c: Fraction
+    c: Pair
     new_label: str
     index_set: frozenset[str]
 
     @cached_property
-    def _c(self) -> Pair:
-        """`c` as the integer pair the steps read, unpacked once."""
-        return self.c.as_integer_ratio()
-
-    @cached_property
     def matrix(self) -> ExponentMatrix:
         """`B` itself, over the parent's labels: `I·B`, the column step
-        that lifts the edges (`_conjugate`) run on the parent's identity."""
-        return _conjugate(self.parent.identity, None, self)
+        that lifts the edges (`_times_b`) run on the parent's identity."""
+        return ExponentMatrix._exact(self.parent.index_set, *_times_b(self.parent.identity, self))
 
     def pull_back(self, vec: ExponentVector) -> ExponentVector:
         """`vec·B` in O(n): the entries carry over, `removed` becomes
@@ -116,7 +111,7 @@ class ChildChart:
         (`_plus_times`, one new pair)."""
         entries = dict(vec._map)
         top = entries.pop(self.removed)
-        entries[self.new_label] = _plus_times(top, self._c, entries[self.other])
+        entries[self.new_label] = _plus_times(top, self.c, entries[self.other])
         return ExponentVector._exact(entries)
 
 
@@ -137,7 +132,7 @@ def _column_step(rows: Rows, chart: ChildChart) -> Rows:
     it cancels to 0; no row empties, since `B` is invertible.  A row that
     holds neither column is the same dict in the result: stored rows are
     never mutated."""
-    gone, other, c, new = chart.removed, chart.other, chart._c, chart.new_label
+    gone, other, c, new = chart.removed, chart.other, chart.c, chart.new_label
     out = {}
     for r, row in rows.items():
         if gone in row or other in row:
@@ -191,18 +186,10 @@ def _inverse_b_times(
     labels and rows (`X` itself when `chart` is None): one row step."""
     col_labels, entries = x
     if chart is not None:
-        cn, cd = chart._c
+        cn, cd = chart.c
         entries = _row_step(entries, chart.removed, chart.new_label, chart.other, (-cn, cd))
         row_labels = _child_labels(row_labels, chart)
     return ExponentMatrix._exact(row_labels, col_labels, entries)
-
-
-def _conjugate(
-    mat: ExponentMatrix, rows: ChildChart | None, cols: ChildChart | None
-) -> ExponentMatrix:
-    """`B_rows⁻¹ · mat · B_cols`; a missing chart stands for the identity:
-    one column step and one row step."""
-    return _inverse_b_times(mat.row_labels, _times_b(mat, cols), rows)
 
 
 def _conjugation_holds(
@@ -211,10 +198,10 @@ def _conjugation_holds(
     """`B_q·lifted == old·B_p`, labels included, given `old·B_p`
     (`_times_b`, the column step the new edge was built from): one row
     step that multiplies by `B_q` (not `B_q⁻¹`, so this is not
-    `_conjugate` run again)."""
+    `_inverse_b_times` run again)."""
     left, rows = lifted._nonzero, lifted.row_labels
     if at_q is not None:
-        left = _row_step(left, at_q.new_label, at_q.removed, at_q.other, at_q._c)
+        left = _row_step(left, at_q.new_label, at_q.removed, at_q.other, at_q.c)
         if rows == at_q.index_set:
             rows = at_q.parent.index_set
         else:
@@ -268,8 +255,9 @@ class BlowupStep:
     `children` is the step's one record per corner: a `ChildChart` for
     every corner of `after` that the step created.  A corner of `after`
     absent from it is a corner of `before`, left untouched with the
-    identity morphism.  `morphism`, `lineage` and `pull_back` read that
-    record for any corner id of `after`.
+    identity morphism.  `morphism` and `lineage` read that record for any
+    corner id of `after`, and exponent data is pulled back through each
+    child's own chart (`ChildChart.pull_back`).
     """
 
     center_pair: frozenset[str]
@@ -290,15 +278,6 @@ class BlowupStep:
         """The id of the corner of `before` that `corner_id` maps to."""
         chart = self.children.get(corner_id)
         return self.after.corner(corner_id).id if chart is None else chart.parent.id
-
-    def pull_back(self, vec: ExponentVector, corner_id: str) -> ExponentVector:
-        """`vec·B` for exponent data `vec` at the image corner: O(n) through
-        the child's chart, and `vec` itself at an untouched corner."""
-        chart = self.children.get(corner_id)
-        image = self.after.corner(corner_id) if chart is None else chart.parent
-        if vec._map.keys() != image.index_set:
-            raise StructuralError(f"vector labels do not match the image of {corner_id!r}")
-        return vec if chart is None else chart.pull_back(vec)
 
     @cached_property
     def new_edges(self) -> tuple[Edge, ...]:
@@ -464,9 +443,9 @@ def apply_center(
     `after` is derived from `m` and that delta
     (`MonomialManifold._derived`): the step touches the blown corners,
     their edges and their labels' holders, never loops over an untouched
-    corner or edge, and the default new label is `m`'s top exceptional
-    index plus one, kept on each manifold, which is
-    `next_exceptional_label(m.components)`.  The result passes the
+    corner or edge, and the default new label is `E∞k`, `k` one past
+    the largest exceptional index in use (`m._exceptional_top`, kept on
+    each manifold).  The result passes the
     step's local certificate (`BlowupStep.violations`), which checks
     `after` against the same table, computed once per step, or
     AlgorithmInvariantViolation is raised; that proves it valid when `m`
@@ -505,7 +484,7 @@ def apply_center(
                 )
             # alpha[removed] / alpha[other], divided on the pairs (the
             # weights are positive) and normalized once
-            c = Fraction(*_scaled(weights[removed], weights[other], True))
+            c = _normalized(*_scaled(weights[removed], weights[other], True))
             index_set = (corner.index_set - {removed}) | {new_label}
             children[nid] = ChildChart(corner, removed, other, c, new_label, index_set)
             kids.append(Corner(nid, index_set))

@@ -322,11 +322,11 @@ def pull_back_generators(gens: Sequence[MFunction], step: BlowupStep) -> list[MF
 
     An untouched corner keeps its vector, the very object of its
     function; the blown corners go, and each child reads its parent's
-    vector through `step.pull_back`, whose `ChildChart` computes `v·B` in
-    O(n) after checking the labels.  Only what the pullback changed is
-    checked, for every function: labels and nonnegativity at the
-    children, and chart consistency across the step's new edges, each
-    edge checked once for all the functions (`_check_data`).
+    vector through its own `ChildChart`, which computes `v·B` in O(n).
+    Only what the pullback changed is checked, for every function:
+    labels and nonnegativity at the children, and chart consistency
+    across the step's new edges, each edge checked once for all the
+    functions (`_check_data`).
     That suffices because each function is proven on `step.before`, an
     untouched corner keeps its vector and the edges between untouched
     corners stay as they were, and at a child only the `removed` →
@@ -346,7 +346,7 @@ def pull_back_generators(gens: Sequence[MFunction], step: BlowupStep) -> list[MF
         for cid in blown:
             del data[cid]
         for cid, chart in children.items():
-            data[cid] = step.pull_back(old[chart.parent.id], cid)
+            data[cid] = chart.pull_back(old[chart.parent.id])
         datas.append(data)
     try:
         _check_data(step.after, datas, children, step.new_edges)
@@ -427,11 +427,13 @@ def principalize_generators(
     One sign scan per step.  The blown-up center is realized nowhere
     after the step, and every other old center keeps its holders'
     exponents on its labels, so its sign.  A step can therefore change
-    only the centers through the new label.  Only children hold it, so
-    `codim2_centers(step.children)` gives each such center its
-    smallest-id holder as witness, and one scan of them there counts the
-    fresh obstructions of every pair, reading each generator's two
-    entries at each witness once (`_uncoupled_pairs_at`).  A hit on the
+    only the centers through the new label `E`.  Only children hold it,
+    so the sweep reads these centers off the children: `{E, ℓ}` for each
+    other label `ℓ` of each child, witnessed by the smallest child id
+    that holds it, which is its smallest-id holder, the witness
+    `codim2_centers` gives it.  One scan of them there counts the fresh
+    obstructions of every pair, reading each generator's two entries at
+    each witness once (`_uncoupled_pairs_at`).  A hit on the
     active pair means its count did not drop to `inv - 1`, which is a bug
     (AlgorithmInvariantViolation); without one the phase goes on to its
     next center.
@@ -480,11 +482,11 @@ def principalize_generators(
             step = apply_center(star.end, pair, adapted_weights(gens[a], gens[b], pair))
             star = star.extended(step)
             gens = pull_back_generators(gens, step)
-            witnesses = {
-                c: w
-                for c, w in step.after.codim2_centers(step.children).items()
-                if step.new_label in c
-            }
+            new = step.new_label
+            witnesses: dict[frozenset[str], str] = {}
+            for cid, chart in sorted(step.children.items()):
+                for lab in sorted(chart.index_set - {new}):
+                    witnesses.setdefault(frozenset((lab, new)), cid)
             fresh = dict.fromkeys(combinations(range(k), 2), 0)
             for c, w in witnesses.items():
                 for xy in _uncoupled_pairs_at(gens, c, w):

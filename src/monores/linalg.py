@@ -24,8 +24,8 @@ invertible: it is exactly when its one new-label entry is nonzero
 Every product and every product test sums each entry over the stored
 terms only, as an unreduced pair (`_entry_sums`).  A product (`mat_mul`,
 `vec_apply`) then normalizes each entry once (`_normalized`, one gcd); a
-test (`vec_apply_all_equal`, `_product_equals`) cross-multiplies it with
-the expected entry, so it takes no gcd and gives the product's verdict.
+test (`vec_apply_all_equal`) cross-multiplies it with the expected
+entry, so it takes no gcd and gives the product's verdict.
 `vec_apply_all_equal` checks many vectors against one matrix, so it
 groups the matrix's stored entries by column once (a column plan) and
 sums each vector's entries along it.
@@ -106,13 +106,6 @@ def parse_rational(value: RatLike) -> Fraction:
     raise StructuralError(f"cannot read a rational out of {type(value).__name__}")
 
 
-def format_rational(value: RatLike) -> str:
-    """Render a rational as "n" for integers and "p/q" otherwise.  A
-    `Fraction` is not parsed again."""
-    x = value if isinstance(value, Fraction) else parse_rational(value)
-    return _format_pair(x.as_integer_ratio())
-
-
 def _fraction(pair: Pair) -> Fraction:
     """The `Fraction` of a stored pair, built when a public accessor reads
     it; an integer takes `Fraction`'s one-argument path."""
@@ -121,7 +114,8 @@ def _fraction(pair: Pair) -> Fraction:
 
 
 def _format_pair(pair: Pair) -> str:
-    """A stored pair rendered as `format_rational` renders its value."""
+    """A stored pair rendered as "n" for an integer and "p/q" otherwise,
+    the form every trace and message writes."""
     n, d = pair
     return str(n) if d == 1 else f"{n}/{d}"
 
@@ -568,28 +562,6 @@ def vec_apply_all_equal(
                     n, d = xn * an, xd * ad
                     num, den = (num + n, den) if den == d else (num * d + n * den, den * d)
             if num * wd != wn * den:
-                return False
-    return True
-
-
-def _product_equals(a: ExponentMatrix, b: ExponentMatrix, c: ExponentMatrix) -> bool:
-    """Whether `a·b == c`, the one test of a matrix product (`validate`'s
-    cycle check).  Each stored row of `a` times `b` (`_entry_sums`) is
-    cross-multiplied with `c`'s row, and `c` may store no row that `a`
-    lacks; no product is built and no gcd taken.  Raises StructuralError
-    where `mat_mul` does; other labels than `a·b`'s make `c` differ."""
-    if a._cols != b._rows:
-        raise StructuralError("mat_mul: inner label sets differ")
-    if a._rows != c._rows or b._cols != c._cols or not c._nonzero.keys() <= a._nonzero.keys():
-        return False
-    for r, x in a._nonzero.items():
-        sums = _entry_sums(x.items(), b._nonzero)
-        want = c._nonzero.get(r, {})
-        if not want.keys() <= sums.keys():
-            return False
-        for col, (n, d) in sums.items():
-            wn, wd = want.get(col, _ZERO)
-            if n * wd != wn * d:
                 return False
     return True
 

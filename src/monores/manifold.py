@@ -52,7 +52,6 @@ from .linalg import (
     ExponentMatrix,
     ExponentVector,
     Pair,
-    _product_equals,
     _scaled,
     mat_inverse,
     mat_mul,
@@ -321,8 +320,8 @@ class MonomialManifold:
 
     @cached_property
     def _exceptional_top(self) -> int:
-        """The largest index `k` of a component `E∞k`, 0 if none: the index
-        `next_exceptional_label` reads, kept by `_derived`."""
+        """The largest index `k` of a component `E∞k`, 0 if none: a blow-up's
+        default new label is `E∞(k+1)` (`apply_center`); kept by `_derived`."""
         return max(map(_exceptional_index, self.components), default=0)
 
     # -- derived chart data ----------------------------------------------
@@ -422,12 +421,13 @@ class MonomialManifold:
             )
         return found
 
-    def codim2_centers(self, corner_ids: Iterable[str] | None = None) -> dict[frozenset[str], str]:
-        """Every unordered label pair realized at the given corners (default:
-        all), mapped to its witness: the smallest given id whose corner
-        holds the pair, found in one scan of the ids in sorted order."""
+    def codim2_centers(self) -> dict[frozenset[str], str]:
+        """Every unordered label pair realized at some corner, mapped to its
+        witness: the smallest id whose corner holds the pair, found in one
+        scan of the ids in sorted order.  The sweep reads only the centers
+        a step made, off the step's children (`principalize_generators`)."""
         out: dict[frozenset[str], str] = {}
-        for cid in sorted(self.corners if corner_ids is None else corner_ids):
+        for cid in sorted(self.corners):
             for pair in combinations(sorted(self.corners[cid].index_set), 2):
                 out.setdefault(frozenset(pair), cid)
         return out
@@ -563,10 +563,9 @@ class MonomialManifold:
         from the root's chart to each corner's along the walk's tree, at
         one sparse `mat_mul` per tree edge off the root (an edge at the
         root is its own change).  Each non-tree edge `p->q` then closes
-        its cycle iff `M·T_p == T_q`, decided by `_product_equals`; the
-        root's change is its corner's identity, read only when such an
-        edge exists, so a tree (a manifold without edges included) does
-        no matrix work.
+        its cycle iff `mat_mul(M, T_p) == T_q`; the root's change is its
+        corner's identity, read only when such an edge exists, so a tree
+        (a manifold without edges included) does no matrix work.
         Run after the per-edge checks, which make every edge, and so every
         `T_x`, invertible.
         """
@@ -587,7 +586,7 @@ class MonomialManifold:
         return [
             f"cycle through edge {e.p}->{e.q}: product around the cycle is not the identity"
             for e in self.edges
-            if e not in tree_edges and not _product_equals(e.matrix, transport[e.p], transport[e.q])
+            if e not in tree_edges and mat_mul(e.matrix, transport[e.p]) != transport[e.q]
         ]
 
     def _connectivity_violations(self, label_sets: Iterable[frozenset[str]]) -> list[str]:
@@ -627,8 +626,3 @@ def _exceptional_index(label: str) -> int:
     """`k` for a label `E∞k`, 0 for any other label."""
     m = _EXC_LABEL.match(label)
     return int(m.group(1)) if m else 0
-
-
-def next_exceptional_label(components: Iterable[str]) -> str:
-    """Fresh label E∞k with k one past the largest exceptional index in use."""
-    return f"E∞{max(map(_exceptional_index, components), default=0) + 1}"

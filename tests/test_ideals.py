@@ -103,9 +103,10 @@ def test_pull_back_mfunction_rejects_a_function_from_another_manifold():
 def test_pull_back_through_a_corrupted_child_is_a_bug(shift, message):
     _, lam, _, step = worked_step()
     chart = step.children["c0.E1"]
+    n, d = chart.c
     broken = dataclasses.replace(
         step,
-        children={**step.children, "c0.E1": dataclasses.replace(chart, c=chart.c + shift)},
+        children={**step.children, "c0.E1": dataclasses.replace(chart, c=(n + shift * d, d))},
     )
     with pytest.raises(AlgorithmInvariantViolation, match=message):
         pull_back_mfunction(lam, broken)
@@ -242,9 +243,10 @@ def test_uncoupled_witness_independence():
 
 
 def test_centers_at_the_children_are_the_centers_through_the_new_label():
-    """The sweep's per-step scan set, `codim2_centers(step.children)`
-    restricted to the new label, against a scan of each child's labels
-    with the new one, on every step of the sample towers."""
+    """The rule the sweep scans by, each child's labels paired with the
+    new one and witnessed by the first child in id order, against the
+    full manifold's `codim2_centers()` restricted to the new label, on
+    every step of the sample towers."""
 
     def through_new_label(step):
         new = step.new_label
@@ -256,7 +258,7 @@ def test_centers_at_the_children_are_the_centers_through_the_new_label():
 
     for _, star in sample_towers():
         for step in star.steps:
-            centers = step.after.codim2_centers(step.children)
+            centers = step.after.codim2_centers()
             swept = {c: w for c, w in centers.items() if step.new_label in c}
             assert swept == through_new_label(step)
             assert all(w == step.after.corners_with(c)[0] for c, w in swept.items())

@@ -16,7 +16,6 @@ from monores import (
     SingularMatrixError,
     StructuralError,
     div_le,
-    format_rational,
     make_corner,
     mat_inverse,
     mat_mul,
@@ -33,7 +32,6 @@ from monores.linalg import (
     _compare,
     _compare_sums,
     _plus_times,
-    _product_equals,
     _scaled,
     vec_apply_all_equal,
 )
@@ -83,8 +81,8 @@ def test_parse_rational_forms():
     assert parse_rational("-7") == -7
     assert parse_rational("-3/2") == Fraction(-3, 2)
     assert parse_rational(5) == 5
-    assert format_rational(Fraction(4, 2)) == "2"
-    assert format_rational(Fraction(-1, 3)) == "-1/3"
+    assert parse_rational("4/2") == Fraction(2)
+    assert parse_rational("-2/6") == Fraction(-1, 3)
 
 
 @pytest.mark.parametrize("bad", ["1/-2", "1/0", "x", "1.5", "", "2/3/4", True, False])
@@ -254,15 +252,15 @@ def test_mat_mul_examples():
     # denominators 1/6 + 1/3 + 1/2 that sum to an integer.
     cancel = mat_mul(mat([[2, 3], [1, 0]]), mat([[3, 1], [-2, 0]]))
     assert cancel == mat([[0, 2], [3, 1]])
-    assert format_rational(cancel.entry("E1", "E1")) == "0"
+    assert cancel.entry("E1", "E1") == Fraction(0)
     thirds = ExponentMatrix.from_row_table(("E1",), ("x", "y", "z"), [[Fraction(1, 6), 1, 1]])
     halves = ExponentMatrix.from_row_table(
         ("x", "y", "z"), LABELS, [[1, 0], [Fraction(1, 3), 0], [Fraction(1, 2), -1]]
     )
     whole = mat_mul(thirds, halves)
     assert whole == ExponentMatrix.from_row_table(("E1",), LABELS, [[1, -1]])
-    assert format_rational(whole.entry("E1", "E1")) == "1"
-    assert format_rational(whole.entry("E1", "E2")) == "-1"
+    assert whole.entry("E1", "E1") == Fraction(1)
+    assert whole.entry("E1", "E2") == Fraction(-1)
 
 
 def test_mat_mul_label_mismatch():
@@ -317,15 +315,15 @@ def test_vec_apply_examples():
     # denominators 1/6 + 1/3 + 1/2 that sum to an integer.
     cancel = vec_apply(vec(2, 3), mat([[3, 1], [-2, 0]]))
     assert cancel == vec(0, 2)
-    assert format_rational(cancel["E1"]) == "0"
+    assert cancel["E1"] == Fraction(0)
     thirds = ExponentVector({"x": Fraction(1, 6), "y": 1, "z": 1})
     halves = ExponentMatrix.from_row_table(
         ("x", "y", "z"), LABELS, [[1, 0], [Fraction(1, 3), 0], [Fraction(1, 2), -1]]
     )
     whole = vec_apply(thirds, halves)
     assert whole == vec(1, -1)
-    assert format_rational(whole["E1"]) == "1"
-    assert format_rational(whole["E2"]) == "-1"
+    assert whole["E1"] == Fraction(1)
+    assert whole["E2"] == Fraction(-1)
 
 
 @given(vectors(elems=signed_rationals), matrices(), matrices())
@@ -442,10 +440,11 @@ def one_stored_entry_changed(draw, a):
 @given(st.data())
 @settings(max_examples=100)
 def test_mat_mul_is_identity_agrees_with_the_product(data):
-    """`_product_equals(x, y, I)` against the naive product compared with
-    the identity: on square matrices against their exact inverse, that
-    inverse with one entry changed, and on rectangular products, which
-    are never the identity.  The test checks the labels first."""
+    """`mat_mul(x, y)` compared with the identity against the naive
+    product compared with it: on square matrices against their exact
+    inverse, that inverse with one entry changed, and on rectangular
+    products, which are never the identity.  The test checks the labels
+    first."""
     labels = data.draw(label_sets)
     a = data.draw(sparse_matrices(labels, labels))
     try:
@@ -457,43 +456,9 @@ def test_mat_mul_is_identity_agrees_with_the_product(data):
     left, right = data.draw(sparse_matrices(rows, labels)), data.draw(sparse_matrices(labels, cols))
     for x, y in ((inverse, a), (a, inverse), (wrong, a), (a, wrong), (left, right)):
         identity = ExponentMatrix.identity(x.row_labels)
-        decided = x.row_labels == y.col_labels and _product_equals(x, y, identity)
+        decided = x.row_labels == y.col_labels and mat_mul(x, y) == identity
         assert decided == (naive_mat_mul(x, y) == identity)
-    assert not _product_equals(wrong, a, ExponentMatrix.identity(labels))
-
-
-@given(st.data())
-@settings(max_examples=100)
-def test_product_equals_agrees_with_the_naive_product(data):
-    """`_product_equals(a, b, c)` is `naive_mat_mul(a, b) == c`: for `c` an
-    identity, the exact product, the product with one entry changed, a
-    random matrix over the product's labels and one over other row
-    labels; and for `a` an inverse, exact or with one entry changed, and
-    `c` the identity.  Mismatched inner labels raise, as in `mat_mul`."""
-    rows, mids, cols = data.draw(label_sets), data.draw(label_sets), data.draw(label_sets)
-    a = data.draw(sparse_matrices(rows, mids))
-    b = data.draw(sparse_matrices(mids, cols))
-    product = naive_mat_mul(a, b)
-    candidates = [
-        ExponentMatrix.identity(rows),
-        product,
-        one_stored_entry_changed(data.draw, product),
-        data.draw(sparse_matrices(rows, cols)),
-        data.draw(sparse_matrices(data.draw(label_sets), cols)),
-    ]
-    for c in candidates:
-        assert _product_equals(a, b, c) == (product == c)
-    square = data.draw(sparse_matrices(mids, mids))
-    try:
-        inverse = mat_inverse(square)
-    except SingularMatrixError:
-        inverse = square
-    for x in (inverse, one_stored_entry_changed(data.draw, inverse)):
-        assert _product_equals(x, square, ExponentMatrix.identity(mids)) == (
-            naive_mat_mul(x, square) == ExponentMatrix.identity(mids)
-        )
-    with pytest.raises(StructuralError):
-        _product_equals(a, ExponentMatrix.identity([m + "'" for m in mids]), product)
+    assert mat_mul(wrong, a) != ExponentMatrix.identity(labels)
 
 
 @given(st.data())
@@ -929,7 +894,10 @@ def gauss_jordan_reference(a):
     )
 
 
-nonzero_wide = wide_rationals.filter(bool)
+# `wide_rationals` with its zeros read as 1, built rather than filtered:
+# most of hypothesis's first draws are 0, so filtering them rejected
+# whole examples often enough to fail its filter health check.
+nonzero_wide = wide_rationals.map(lambda x: x or Fraction(1))
 
 
 def chart_change(shared, i_q, i_p, diagonal, corner, a):
@@ -981,8 +949,8 @@ def test_a_chart_change_is_inverted_in_closed_form(a):
     assert inverse == closed == gauss_jordan_reference(a)
     assert inverse.row_labels is a.col_labels and inverse.col_labels is a.row_labels
     assert all(is_normalized_pair(x) for row in inverse._nonzero.values() for x in row.values())
-    assert _product_equals(inverse, a, ExponentMatrix.identity(a.col_labels))
-    assert _product_equals(a, inverse, ExponentMatrix.identity(a.row_labels))
+    assert mat_mul(inverse, a) == ExponentMatrix.identity(a.col_labels)
+    assert mat_mul(a, inverse) == ExponentMatrix.identity(a.row_labels)
 
 
 @given(st.data())

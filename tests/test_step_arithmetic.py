@@ -39,7 +39,7 @@ from monores import (
     reduce_problem,
     vec_apply,
 )
-from monores.blowup import BlowupStep, ChildChart, _conjugate, _lift_table
+from monores.blowup import ChildChart, _inverse_b_times, _lift_table, _times_b
 from monores.errors import AlgorithmInvariantViolation, BudgetExceededError, MonoresError
 from monores.ideals import MFunction
 from monores.supports import minimal_support
@@ -219,20 +219,26 @@ def test_built_matrices_carry_their_corners_index_sets():
 
 
 def test_conjugate_relabels_other_labels_by_set_algebra():
-    """`_conjugate` takes a child's own index set only for labels equal to
-    its parent's; a matrix over other labels (here one label more) gets
-    the parent's relabeling rule, `removed` replaced by `new_label`, as a
-    new set.  Equal labels in another frozenset still take the child's."""
+    """`B⁻¹·X·B` by a column step and a row step (`_times_b`,
+    `_inverse_b_times`) takes a child's own index set only for labels
+    equal to its parent's; a matrix over other labels (here one label
+    more) gets the parent's relabeling rule, `removed` replaced by
+    `new_label`, as a new set.  Equal labels in another frozenset still
+    take the child's."""
+
+    def conjugate(labels, chart):
+        return _inverse_b_times(labels, _times_b(ExponentMatrix.identity(labels), chart), chart)
+
     charts = [chart for step in all_steps() for chart in step.children.values()]
     for chart in charts:
         labels = chart.parent.index_set | {"w"}
-        lifted = _conjugate(ExponentMatrix.identity(labels), chart, chart)
+        lifted = conjugate(labels, chart)
         expected = (labels - {chart.removed}) | {chart.new_label}
         assert lifted == ExponentMatrix.identity(expected)
         assert lifted.row_labels is not chart.index_set
         assert lifted.col_labels is not chart.index_set
         copy = frozenset(set(chart.parent.index_set))
-        same = _conjugate(ExponentMatrix.identity(copy), chart, chart)
+        same = conjugate(copy, chart)
         assert same.row_labels is chart.index_set and same.col_labels is chart.index_set
     assert len(charts) > 50
 
@@ -606,23 +612,27 @@ def test_a_30_step_tower_stays_within_its_fraction_budget(monkeypatch):
     added, multiplied and compared Fractions, 208 and 82 while the entries
     were stored as Fractions, and 0 and up to 24 while the two sorts of
     the problem's points (`minimal_support`, `sorted_points`) compared
-    `Fraction` tuples."""
-    counts = dict.fromkeys(("arithmetic", "order"), 0)
+    `Fraction` tuples.  Nor does it construct a `Fraction`: each child's
+    `c` is a pair from the weights' pairs, where it was built as a
+    `Fraction` and unpacked again, 148 times in these 30 steps."""
+    problem = corpus_c_problem()
+    counts = dict.fromkeys(("arithmetic", "order", "construction"), 0)
 
     def counted(kind, operator):
-        def wrapper(*args):
+        def wrapper(*args, **kwargs):
             counts[kind] += 1
-            return operator(*args)
+            return operator(*args, **kwargs)
 
         return wrapper
 
     for kind, names in (("arithmetic", FRACTION_ARITHMETIC), ("order", FRACTION_ORDER)):
         for name in names:
             monkeypatch.setattr(Fraction, name, counted(kind, getattr(Fraction, name)))
+    monkeypatch.setattr(Fraction, "__new__", counted("construction", Fraction.__new__))
     with pytest.raises(BudgetExceededError) as stop:
-        reduce_problem(corpus_c_problem(), max_steps=30)
+        reduce_problem(problem, max_steps=30)
     assert stop.value.star.age == 30
-    assert counts["arithmetic"] == 0 and counts["order"] == 0, counts
+    assert counts == {"arithmetic": 0, "order": 0, "construction": 0}, counts
 
 
 def test_local_certificate_catches_a_changed_edge_that_validate_can_miss():
@@ -670,12 +680,13 @@ def test_local_pullback_check_fails_exactly_when_the_full_check_fails(monkeypatc
                 with pytest.raises(MonoresError):
                     MFunction(step.after, data)
                 with monkeypatch.context() as mp:
-                    true_pull_back = BlowupStep.pull_back
+                    true_pull_back = ChildChart.pull_back
+                    chart = step.children[cid]
 
-                    def corrupted_pull_back(self, vec, corner_id, cid=cid, bad_vec=bad_vec):
-                        return bad_vec if corner_id == cid else true_pull_back(self, vec, corner_id)
+                    def corrupted_pull_back(self, vec, chart=chart, bad_vec=bad_vec):
+                        return bad_vec if self is chart else true_pull_back(self, vec)
 
-                    mp.setattr(BlowupStep, "pull_back", corrupted_pull_back)
+                    mp.setattr(ChildChart, "pull_back", corrupted_pull_back)
                     with pytest.raises(AlgorithmInvariantViolation):
                         pull_back_mfunction(fn, step)
                 checked += 1
@@ -714,15 +725,15 @@ def test_a_fault_in_the_last_generator_alone_is_a_bug(monkeypatch, kind):
             label = step.new_label
             entries[label] = entries[label] + 1 if kind == "shifted" else -1
             bad_vec = ExponentVector(entries)
-            true_pull_back = BlowupStep.pull_back
+            true_pull_back = ChildChart.pull_back
 
-            def corrupted_pull_back(self, vec, corner_id, cid=cid, seen=seen, bad_vec=bad_vec):
-                if corner_id == cid and vec is seen:
+            def corrupted_pull_back(self, vec, chart=chart, seen=seen, bad_vec=bad_vec):
+                if self is chart and vec is seen:
                     return bad_vec
-                return true_pull_back(self, vec, corner_id)
+                return true_pull_back(self, vec)
 
             with monkeypatch.context() as mp:
-                mp.setattr(BlowupStep, "pull_back", corrupted_pull_back)
+                mp.setattr(ChildChart, "pull_back", corrupted_pull_back)
                 with pytest.raises(AlgorithmInvariantViolation):
                     pull_back_generators(gens, step)
             checked += 1

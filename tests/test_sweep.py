@@ -24,7 +24,13 @@ from monores import (
 )
 from monores.cli import main
 from monores.jsonio import ideal_from_json
-from helpers import generators_along, sample_towers, shared_reports
+from helpers import (
+    generators_along,
+    sample_towers,
+    shared_reports,
+    wide_probe_problem,
+    wide_probe_report,
+)
 
 # Three generators whose sweep has a phase on every pair.
 IDEAL = {
@@ -174,7 +180,7 @@ def test_the_per_witness_scan_counts_what_the_sign_test_counts():
         for step, gens in zip(star.steps, generators_along(problem, star)[1:]):
             witnesses = {
                 c: w
-                for c, w in step.after.codim2_centers(step.children).items()
+                for c, w in step.after.codim2_centers().items()
                 if step.new_label in c
             }
             pairs = list(combinations(range(len(gens)), 2))
@@ -191,3 +197,40 @@ def test_the_per_witness_scan_counts_what_the_sign_test_counts():
             scanned += len(witnesses) * len(pairs)
             hits += sum(counts.values())
     assert scanned > 100 and hits > 0, (scanned, hits)
+
+
+def test_the_sweep_scans_each_center_through_the_new_label_at_its_first_holder(monkeypatch):
+    """The `(center, witness)` pairs the sweep hands `_uncoupled_pairs_at`
+    at each step are the step's centers through its new label, each once,
+    at its smallest-id holder: `step.after.codim2_centers()` restricted
+    to the centers through `step.new_label`, on every step of the test
+    towers and of the wide probe."""
+    runs = [(problem, star.age) for problem, star in sample_towers()]
+    runs.append((wide_probe_problem(), wide_probe_report().age))
+    true_apply, true_scan = monores.ideals.apply_center, monores.ideals._uncoupled_pairs_at
+    scans = []
+
+    def apply_center(*args):
+        scans.append([])
+        return true_apply(*args)
+
+    def scan(gens, pair, corner_id):
+        scans[-1].append((pair, corner_id))
+        return true_scan(gens, pair, corner_id)
+
+    monkeypatch.setattr(monores.ideals, "apply_center", apply_center)
+    monkeypatch.setattr(monores.ideals, "_uncoupled_pairs_at", scan)
+    scanned = 0
+    for problem, age in runs:
+        scans.clear()
+        try:
+            star = reduce_problem(problem, max_steps=age).star
+        except BudgetExceededError as stop:
+            star = stop.star
+        assert star.age == age == len(scans)
+        for step, pairs in zip(star.steps, scans):
+            centers = step.after.codim2_centers()
+            expected = {c: w for c, w in centers.items() if step.new_label in c}
+            assert len(pairs) == len(expected) and dict(pairs) == expected
+            scanned += len(pairs)
+    assert scanned > 500, scanned
