@@ -20,13 +20,12 @@ derivation carries its value forward along it, hop by hop from its start
 corner, and every check folds it.
 
 A blow-up builds its manifold from its parent plus what it changed
-(`MonomialManifold._derived`): the corner and edge orders are the
-parent's with the blown corners and their edges spliced out and the new
-ones merged in, and the adjacency lists and the label index are shallow
-copies of the parent's with new lists only where the step touched.  No
-list is ever mutated once stored, so parent and child share the rest,
-and a step's bookkeeping costs what it built, plus C-level copies of the
-parent's dicts and tuple.
+(`MonomialManifold._derived`): the corner order is the parent's with the
+blown ones spliced out and the children merged in, and the adjacency
+lists (its one edge store, which `edges` reads on first use) and the label
+index are shallow copies of the parent's with new lists only where the
+step touched.  No list is ever mutated once stored, so parent and child
+share the rest; bookkeeping costs what the step built, plus dict copies.
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 from operator import attrgetter, itemgetter
-from typing import Callable, Collection, Iterable, Iterator, Sequence, TypeVar
+from typing import Collection, Iterable, Iterator, Sequence, TypeVar
 
 from .errors import (
     ConnectivityError,
@@ -127,30 +126,26 @@ class Edge:
         return f"Edge({self.p!r} -> {self.q!r}, shared={sorted(self.shared)})"
 
 
-# The sort keys of the corner and edge orders, as C-level getters.
+# The sort keys of the corner order and the adjacency lists, as C-level getters.
 _corner_id = attrgetter("id")
-_edge_key = attrgetter("p", "q")
 _neighbour = itemgetter(0)
 
 
-def _spliced(
-    items: Sequence[T], gone: Sequence[T], new: Sequence[T], key: Callable | None = None
-) -> list[T]:
-    """`items`, sorted by `key` (default: themselves) with distinct keys,
-    without the items of `gone` and merged with those of `new`, both
-    sorted the same way: one bisect per gone or new item and slice copies
-    between them, so no key is computed for an item that stays."""
+def _spliced(items: Sequence[T], gone: Sequence[T], new: Sequence[T]) -> list[T]:
+    """`items`, sorted and distinct, without the items of `gone` and merged
+    with those of `new`, both sorted: one bisect per gone or new item and
+    slice copies between them."""
     kept: list[T] = []
     start = 0
     for x in gone:
-        i = bisect_left(items, x if key is None else key(x), start, key=key)
+        i = bisect_left(items, x, start)
         kept += items[start:i]
         start = i + 1
     kept += items[start:]
     out: list[T] = []
     start = 0
     for x in new:
-        i = bisect_left(kept, x if key is None else key(x), start, key=key)
+        i = bisect_left(kept, x, start)
         out += kept[start:i]
         out.append(x)
         start = i
@@ -181,7 +176,7 @@ class MonomialManifold:
             if c.id in self.corners:
                 raise StructuralError(f"duplicate corner id {c.id!r}")
             self.corners[c.id] = c
-        self.edges = tuple(sorted(edges, key=_edge_key))
+        self.edges = tuple(sorted(edges, key=Edge.key))
 
     @classmethod
     def _derived(
@@ -197,11 +192,11 @@ class MonomialManifold:
         and the new edges, every edge with an end at a child.  It equals
         the public constructor's manifold on the same corners and edges,
         its two caches included:
-        - the corner and edge orders are `parent`'s without the blown
-          corners and the edges at them, merged with the sorted new ones
-          (`_spliced`);
-        - `_adjacency` is a shallow copy of `parent`'s, with new lists at
-          the children and at the untouched neighbours of blown corners;
+        - the corner order is `parent`'s without the blown corners, merged
+          with the sorted children (`_spliced`);
+        - `_adjacency`, the one edge store (`edges` is read off it), is a
+          shallow copy of `parent`'s, with new lists, sorted by neighbour,
+          at the children and at the untouched neighbours of blown corners;
         - `_holders` is a shallow copy of `parent`'s, with new lists for
           the labels of the blown corners and of the children;
         - `_exceptional_top` is `parent`'s, raised to the new label's
@@ -216,15 +211,10 @@ class MonomialManifold:
         m.components = parent.components | {new_label}
         gone = sorted(blown)
         kids = sorted(children, key=_corner_id)
-        built = sorted(new_edges, key=_edge_key)
         old_corners, old_adjacency = parent.corners, parent._adjacency
         ids = _spliced(list(old_corners), gone, [c.id for c in kids])
         lookup = old_corners | {c.id: c for c in kids}
         m.corners = dict(zip(ids, map(lookup.__getitem__, ids)))
-        at_blown = {e for b in gone for _, e, _ in old_adjacency[b]}
-        m.edges = tuple(
-            _spliced(parent.edges, sorted(at_blown, key=_edge_key), built, _edge_key)
-        )
 
         adjacency = dict(old_adjacency)
         for b in gone:
@@ -234,7 +224,7 @@ class MonomialManifold:
             for nxt, _, _ in old_adjacency[b]:
                 if nxt not in blown and nxt not in rebuilt:
                     rebuilt[nxt] = [t for t in adjacency[nxt] if t[0] not in blown]
-        for e in built:
+        for e in new_edges:
             rebuilt[e.p].append((e.q, e, True))
             rebuilt[e.q].append((e.p, e, False))
         for lst in rebuilt.values():
@@ -304,6 +294,15 @@ class MonomialManifold:
             for nxt, e, forward in self._adjacency[cid]
             if forward and nxt in ids
         ]
+
+    @cached_property
+    def edges(self) -> tuple[Edge, ...]:
+        """The edges sorted by `(p, q)`, read once off `_adjacency`: each
+        corner's forward entries, corners in id order.  The public
+        constructor stores its sorted edges instead, shadowing this, so
+        `validate` sees a file's repeated edges and dangling endpoints."""
+        adjacency = self._adjacency
+        return tuple(e for cid in self.corners for _, e, forward in adjacency[cid] if forward)
 
     @cached_property
     def _adjacency(self) -> dict[str, list[tuple[str, Edge, bool]]]:

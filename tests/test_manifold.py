@@ -24,11 +24,18 @@ from monores import (
     make_corner,
     mat_inverse,
     mat_mul,
+    reduce_problem,
 )
 from monores.blowup import _escaped, apply_center
 from monores.errors import SingularMatrixError
 from monores.jsonio import canonical_dumps, manifold_from_json, manifold_to_json
-from helpers import sample_towers, tower_manifolds, wide_probe_report
+from helpers import (
+    sample_towers,
+    shared_reports,
+    tower_manifolds,
+    wide_probe_problem,
+    wide_probe_report,
+)
 
 F = Fraction
 
@@ -238,6 +245,36 @@ def test_validate_catches_disconnected_component_set():
     c1 = Corner("a", frozenset({"E1", "E2"}))
     m = MonomialManifold(2, ["E1", "E2", "E9"], [c1])
     assert any("E9" in v for v in m.validate())
+
+
+# The chart change c0 -> c1 of corners {a, b} and {a, c}: c = b, a = a.
+CHANGE_C0_C1 = ExponentMatrix(
+    ["a", "c"], ["a", "b"], {("a", "a"): 1, ("a", "b"): 0, ("c", "a"): 0, ("c", "b"): 1}
+)
+
+
+@pytest.mark.parametrize(
+    "extra, messages",
+    [
+        (Edge("c0", "c1", CHANGE_C0_C1), ["edge c0->c1: duplicate or degenerate edge"]),
+        (Edge("c1", "c0", mat_inverse(CHANGE_C0_C1)), ["edge c1->c0: duplicate or degenerate edge"]),
+        (
+            Edge("c0", "c0", ExponentMatrix.identity(frozenset("ab"))),
+            ["edge c0->c0: duplicate or degenerate edge", "edge c0->c0: shared set has size 2, expected 1"],
+        ),
+        (Edge("c0", "zz", CHANGE_C0_C1), ["edge c0->zz: endpoint is not a corner"]),
+    ],
+    ids=["repeated", "reversed", "self-loop", "missing-corner"],
+)
+def test_validate_sees_the_edges_the_constructor_was_given(extra, messages):
+    """The public constructor keeps its edges as given: a repeated edge, a
+    reversed duplicate, a self-loop and an edge to a missing corner next
+    to the chart change c0->c1 are each reported, and nothing raises (an
+    edge store read off the adjacency lists would drop the duplicates and
+    fail on the missing corner)."""
+    corners = [Corner("c0", frozenset("ab")), Corner("c1", frozenset("ac"))]
+    m = MonomialManifold(2, "abc", corners, [Edge("c0", "c1", CHANGE_C0_C1), extra])
+    assert m.validate() == messages
 
 
 def two_corner_manifold(shared, i_q, i_p, entries):
@@ -556,23 +593,28 @@ def test_walker_reproduces_the_breadth_first_loops():
 
 def assert_derived_as_built(step):
     """`step.after`, derived from `step.before` (`MonomialManifold._derived`),
-    equals the manifold the public constructor builds from its corners and
-    edges: corner order, edge order (the same objects), every adjacency
-    list (neighbour, edge object and direction, in order), the label index
-    and the next exceptional label.  The lists the step did not touch are
+    has as `edges`, read off its adjacency lists, the edges of `before`
+    not at a blown corner plus `step.new_edges`, sorted by `(p, q)`, the
+    same objects; and it equals the manifold the public constructor
+    builds from its corners and edges: corner order, every adjacency list
+    (neighbour, edge object and direction, in order), the label index and
+    the next exceptional label.  The lists the step did not touch are
     `before`'s own objects."""
     after, before = step.after, step.before
     assert {"_adjacency", "_holders", "_exceptional_top"} <= after.__dict__.keys()
+    blown = {chart.parent.id for chart in step.children.values()}
+    kept = [e for e in before.edges if e.p not in blown and e.q not in blown]
+    expected = sorted(kept + list(step.new_edges), key=Edge.key)
+    assert len(after.edges) == len(expected)
+    assert all(a is b for a, b in zip(after.edges, expected))
     built = MonomialManifold(after.dimension, after.components, after.corners.values(), after.edges)
     assert list(after.corners.items()) == list(built.corners.items())
-    assert after.edges == built.edges
     assert after._adjacency.keys() == built._adjacency.keys()
     for cid, entries in built._adjacency.items():
         assert after._adjacency[cid] == entries, cid
     assert after._holders == built._holders
     top = max((int(lab[2:]) for lab in after.components if lab.startswith("E∞")), default=0)
     assert after._exceptional_top == built._exceptional_top == top
-    blown = {chart.parent.id for chart in step.children.values()}
     near = {nxt for b in blown for nxt, _, _ in before._adjacency[b]}
     for cid in after.corners.keys() - step.children.keys() - near:
         assert after._adjacency[cid] is before._adjacency[cid]
@@ -589,6 +631,23 @@ def test_every_derived_manifold_equals_one_built_from_scratch():
     assert max(len(step.children) for step in steps) >= 20
     for step in steps:
         assert_derived_as_built(step)
+
+
+def test_the_sweep_builds_no_edge_tuple():
+    """Freshly reduced towers: no manifold but the root holds an `edges`
+    tuple, so the sweep read none, and reading the end's builds that one
+    tuple alone, off its adjacency lists."""
+    problems = [report.problem for report in shared_reports()] + [wide_probe_problem()]
+    for problem in problems:
+        star = reduce_problem(problem).star
+        manifolds = [star.root] + [step.after for step in star.steps]
+        assert [m for m in manifolds if "edges" in m.__dict__] == [star.root]
+        edges = star.end.edges
+        assert star.end.edges is edges
+        read = [star.root, star.end] if star.steps else [star.root]
+        assert [m for m in manifolds if "edges" in m.__dict__] == read
+        assert list(edges) == sorted(edges, key=Edge.key)
+    assert len(star.steps) == 57  # the wide probe's tower, the last one
 
 
 def spliced_root():
